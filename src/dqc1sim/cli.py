@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -54,8 +55,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if not self.theta_min < self.theta_max:
-            raise ValueError("theta_min must be less than theta_max")
+        if not -np.inf < self.theta_min < self.theta_max < np.inf:
+            raise ValueError(
+                "theta_min and theta_max must be finite with theta_min < theta_max, "
+                f"got {self.theta_min} and {self.theta_max}"
+            )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.shots < 0:
@@ -150,12 +154,23 @@ def _sweep_worker(payload) -> dict:
     return sweep_point(config, index)
 
 
+def sweep_workers(jobs: int, steps: int, cpus: int) -> int:
+    """Worker processes for a sweep: jobs, capped by the points and the cores.
+
+    0 and 1 both mean in-process; negative values are rejected.
+    """
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return max(1, min(jobs, steps, cpus))
+
+
 def sweep_rows(config: SweepConfig, jobs: int = 1) -> list[dict]:
     """Rows in theta order; points are independent, so jobs > 1 is safe."""
     indices = range(config.steps)
-    if jobs <= 1:
+    workers = sweep_workers(jobs, config.steps, os.cpu_count() or 1)
+    if workers == 1:
         return [sweep_point(config, i) for i in indices]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_worker, [(config, i) for i in indices]))
 
 

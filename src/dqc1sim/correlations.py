@@ -7,14 +7,23 @@ minimized over all rank-1 projective measurements on the measured qubit.
 Quantum discord is the gap I - J; it is directional, since measuring one
 side is not equivalent to measuring the other. Entanglement is tracked
 separately by the Wootters concurrence and its square, the tangle.
+
+Hmin is found by a deterministic, vectorised search: a 32x64 polar-azimuth
+grid over the upper hemisphere (n and -n give the same measurement), then
+six rounds of an 11x11 grid zoom in the plane tangent to the best direction,
+each spanning +-1 step of the previous grid, plus the minimum of a quadratic
+fitted to each round's grid. When the unmeasured side is a qubit, the
+conditional blocks are 2x2 and their eigenvalues come in closed form; larger
+blocks go to batched eigvalsh in chunks of BLOCK_CHUNK_BYTES. The evaluation
+count reported is the grid plus the zoom and model points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qmath import (
     DensityMatrix,
@@ -29,9 +38,11 @@ from .qmath import (
 MEASURE_CONTROL = "measure_control"
 MEASURE_REGISTER = "measure_register"
 
-GRID_POLAR = 64
-GRID_AZIMUTH = 128
-OBJECTIVE_TOL = 1e-8
+HEMISPHERE_POLAR = 32
+HEMISPHERE_AZIMUTH = 64
+ZOOM_ROUNDS = 6
+ZOOM_POINTS = 11
+BLOCK_CHUNK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -145,32 +156,116 @@ def _measurement_blocks(rho: DensityMatrix, measured: int):
     return r, k
 
 
-def _grid_directions():
-    polar = np.linspace(0.0, np.pi, GRID_POLAR)
-    azim = np.linspace(0.0, 2.0 * np.pi, GRID_AZIMUTH, endpoint=False)
+def _hemisphere_grid() -> np.ndarray:
+    polar = np.linspace(0.0, np.pi / 2.0, HEMISPHERE_POLAR)
+    azim = np.linspace(0.0, 2.0 * np.pi, HEMISPHERE_AZIMUTH, endpoint=False)
     pg, ag = np.meshgrid(polar, azim, indexing="ij")
     nvec = np.stack(
         [np.sin(pg) * np.cos(ag), np.sin(pg) * np.sin(ag), np.cos(pg)], axis=-1
     )
-    return nvec.reshape(-1, 3), pg.ravel(), ag.ravel()
+    return nvec.reshape(-1, 3)
 
 
-def _canonical_angles(polar: float, azimuth: float) -> tuple[float, float]:
-    polar = float(polar) % (2.0 * np.pi)
-    if polar > np.pi:
-        polar = 2.0 * np.pi - polar
-        azimuth = azimuth + np.pi
-    azimuth = float(azimuth) % (2.0 * np.pi)
-    if azimuth >= 2.0 * np.pi:  # float modulo can round up to the period
-        azimuth = 0.0
-    return polar, azimuth
+_HEMISPHERE = _hemisphere_grid()
+# Polar step of the hemisphere grid, the half-width of the first zoom window.
+# The grid points of later rounds reach 1.25 of it in all, which covers the
+# half-diagonal of a grid cell even at the equator, where the azimuth step is
+# twice as wide; the quadratic-model points may go further.
+_COARSE_STEP = (np.pi / 2.0) / (HEMISPHERE_POLAR - 1)
+_ZOOM_OFFSETS = np.stack(
+    np.meshgrid(*2 * [np.linspace(-1.0, 1.0, ZOOM_POINTS)], indexing="ij"), axis=-1
+).reshape(-1, 2)
+
+
+def _quadratic_fit(offsets: np.ndarray) -> np.ndarray:
+    """Least-squares map from values at offsets (u, v) to the coefficients
+    of c0 + c1 u + c2 v + c3 u^2 + c4 u v + c5 v^2."""
+    u, v = offsets.T
+    return np.linalg.pinv(np.stack([np.ones_like(u), u, v, u * u, u * v, v * v], axis=1))
+
+
+_ZOOM_FIT = _quadratic_fit(_ZOOM_OFFSETS)
+
+
+# Both spectra builders take the blocks of _measurement_blocks and return a
+# function from directions (G, 3) to the eigenvalues (G, 2, d) of the
+# conditional blocks (R + n.K)/2 and (R - n.K)/2.
+
+def _qubit_spectra(r: np.ndarray, k: np.ndarray):
+    """Closed form for 2x2 blocks: X = (tr X I + x.sigma)/2 with
+    x_j = tr(X sigma_j) has eigenvalues (tr X +- |x|)/2."""
+    paulis = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+    tr_r = np.trace(r).real
+    vec_r = np.einsum("jab,ba->j", paulis, r).real
+    tr_k = np.einsum("kaa->k", k).real
+    vec_k = np.einsum("jab,kba->kj", paulis, k).real
+    sign = np.array([1.0, -1.0])[:, None]  # outcomes +n and -n
+
+    def spectra(nvec: np.ndarray) -> np.ndarray:
+        tr = tr_r + sign * (nvec @ tr_k)
+        rad = np.linalg.norm(vec_r + sign[..., None] * (nvec @ vec_k), axis=-1)
+        return np.stack([tr - rad, tr + rad], axis=-1).transpose(1, 0, 2) / 4.0
+
+    return spectra
+
+
+def _dense_spectra(r: np.ndarray, k: np.ndarray):
+    """Batched eigvalsh, in chunks of directions whose stacked blocks fit in
+    BLOCK_CHUNK_BYTES, so memory stays bounded for any register size."""
+    d = r.shape[0]
+    chunk = max(1, BLOCK_CHUNK_BYTES // (2 * d * d * r.itemsize))
+
+    def spectra(nvec: np.ndarray) -> np.ndarray:
+        mu = np.empty((len(nvec), 2, d))
+        for start in range(0, len(nvec), chunk):
+            m = np.einsum("gk,kab->gab", nvec[start:start + chunk], k)
+            mu[start:start + chunk] = np.linalg.eigvalsh(
+                np.stack([(r + m) / 2.0, (r - m) / 2.0], axis=1)
+            )
+        return mu
+
+    return spectra
+
+
+def _tangent_frame(n: np.ndarray) -> np.ndarray:
+    """Rows: the unit polar and azimuth directions at the unit vector n.
+
+    Both are defined at the poles too (with azimuth 0 there), so the zoom
+    has no coordinate singularity.
+    """
+    polar = math.acos(max(-1.0, min(1.0, float(n[2]))))
+    azimuth = math.atan2(float(n[1]), float(n[0]))
+    cp, sp = math.cos(polar), math.sin(polar)
+    ca, sa = math.cos(azimuth), math.sin(azimuth)
+    return np.array([[cp * ca, cp * sa, -sp], [-sa, ca, 0.0]])
+
+
+def _model_minimum(vals: np.ndarray):
+    """Minimum of the least-squares quadratic through the zoom-grid values,
+    in units of the window half-width, or None if the fit has no minimum."""
+    c = _ZOOM_FIT @ vals
+    hess = np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])
+    if not (hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0):
+        return None
+    return np.linalg.solve(hess, -c[1:3])
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def _minimize_conditional_entropy(rho: DensityMatrix, measured: int):
-    """Two-stage minimization: vectorized coarse grid, then Nelder-Mead.
+    """Hemisphere grid, then ZOOM_ROUNDS of local grid zoom.
 
-    Returns (value, BlochDirection, objective evaluations). Both stages are
-    deterministic.
+    Each zoom round evaluates a ZOOM_POINTS^2 grid in the plane tangent to
+    the best direction so far, spanning +-1 step of the previous grid, so
+    the step shrinks (ZOOM_POINTS - 1)/2 times per round. The grid alone
+    can lose the minimum of a narrow valley that runs across it (near the
+    Clifford points, or any state under a local rotation), so each round
+    also tries the minimum of the quadratic fitted to its grid values.
+
+    Returns (value, BlochDirection, objective evaluations); the direction
+    is reported on the upper hemisphere. Fully deterministic.
     """
     if len(rho.qubit_dims) != 2:
         raise ValueError(f"state is not bipartite: qubit_dims = {rho.qubit_dims}")
@@ -180,42 +275,37 @@ def _minimize_conditional_entropy(rho: DensityMatrix, measured: int):
         raise ValueError("measured subsystem must be a single qubit")
 
     r, k = _measurement_blocks(rho, measured)
+    spectra = (_qubit_spectra if r.shape[0] == 2 else _dense_spectra)(r, k)
 
-    def objective(angles) -> float:
-        pol, az = angles
-        sp = np.sin(pol)
-        n = np.array([sp * np.cos(az), sp * np.sin(az), np.cos(pol)])
-        m = np.tensordot(n, k, axes=1)
-        mu = np.linalg.eigvalsh(np.stack([(r + m) / 2.0, (r - m) / 2.0]))
-        return float(_weighted_entropy(mu).sum())
+    def objective(nvec: np.ndarray) -> np.ndarray:
+        return _weighted_entropy(spectra(nvec)).sum(axis=1)
 
-    nvec, polars, azims = _grid_directions()
-    m_all = np.einsum("gk,kab->gab", nvec, k)
-    blocks = np.stack([(r + m_all) / 2.0, (r - m_all) / 2.0], axis=1)
-    mu = np.linalg.eigvalsh(blocks)
-    grid_vals = _weighted_entropy(mu).sum(axis=1)
-    best = int(np.argmin(grid_vals))
-    evals = len(grid_vals)
-
-    counter = [0]
-
-    def counted(angles):
-        counter[0] += 1
-        return objective(angles)
-
-    res = minimize(
-        counted,
-        x0=np.array([polars[best], azims[best]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-7, "fatol": OBJECTIVE_TOL * 1e-2, "maxiter": 500},
-    )
-    evals += counter[0]
-    if res.fun <= grid_vals[best]:
-        value, (pol, az) = float(res.fun), res.x
-    else:
-        value, (pol, az) = float(grid_vals[best]), (polars[best], azims[best])
-    pol, az = _canonical_angles(pol, az)
-    return value, BlochDirection(pol, az), evals
+    vals = objective(_HEMISPHERE)
+    best = int(np.argmin(vals))
+    n, value = _HEMISPHERE[best], float(vals[best])
+    evals = len(vals)
+    half = _COARSE_STEP
+    for _ in range(ZOOM_ROUNDS):
+        frame = _tangent_frame(n)
+        cand = _unit_rows(n + half * (_ZOOM_OFFSETS @ frame))
+        vals = objective(cand)
+        step = _model_minimum(vals)
+        if step is not None:
+            model = _unit_rows(n + half * (step @ frame))
+            cand = np.vstack([cand, model])
+            vals = np.append(vals, objective(model[None]))
+        evals += len(vals)
+        best = int(np.argmin(vals))
+        if vals[best] < value:
+            n, value = cand[best], float(vals[best])
+        half *= 2.0 / (ZOOM_POINTS - 1)
+    if n[2] < 0.0:
+        n = -n
+    polar = float(np.arccos(min(n[2], 1.0)))
+    azimuth = float(np.arctan2(n[1], n[0]) % (2.0 * np.pi))
+    if azimuth >= 2.0 * np.pi:  # float modulo can round up to the period
+        azimuth = 0.0
+    return value, BlochDirection(polar, azimuth), evals
 
 
 def min_conditional_entropy(rho: DensityMatrix, measured: int):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DensityMatrix, tensor
+from .qmath import DensityMatrix, square_complex, tensor
 
 UNITARY_ATOL = 1e-8
 
@@ -31,14 +31,14 @@ class UnitaryMatrix:
         n = int(self.n)
         if n < 1:
             raise ValueError(f"register size must be >= 1, got {n}")
-        entries = np.array(self.entries, dtype=complex)
+        entries = square_complex(self.entries)
         dim = 2**n
         if entries.shape != (dim, dim):
             raise ValueError(
                 f"entries shape {entries.shape} does not match n={n} qubits"
             )
         dev = np.max(np.abs(entries.conj().T @ entries - np.eye(dim)))
-        if dev > UNITARY_ATOL:
+        if not dev <= UNITARY_ATOL:
             raise ValueError(f"matrix is not unitary: max |U+U - I| = {dev:.3e}")
         entries.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -83,6 +83,8 @@ def _check_alpha(alpha: float) -> None:
 
 def z_theta(theta: float) -> UnitaryMatrix:
     """Single-qubit phase unitary diag(1, exp(i theta))."""
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     return UnitaryMatrix(1, np.diag([1.0, np.exp(1j * theta)]))
 
 

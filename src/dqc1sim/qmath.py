@@ -23,10 +23,14 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": SIGMA_I, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 
-def _square_complex(m) -> np.ndarray:
+def square_complex(m) -> np.ndarray:
+    """Copy of m as a finite, square complex matrix; the one entry check
+    shared by states, observables and unitaries."""
     out = np.array(m, dtype=complex)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError("matrix entries must be finite (no NaN or inf)")
     return out
 
 
@@ -42,7 +46,7 @@ class DensityMatrix:
     qubit_dims: tuple[int, ...]
 
     def __post_init__(self):
-        entries = _square_complex(self.entries)
+        entries = square_complex(self.entries)
         dims = tuple(int(k) for k in self.qubit_dims)
         if not dims or any(k < 1 for k in dims):
             raise ValueError(f"qubit_dims must be positive integers, got {dims}")
@@ -82,7 +86,7 @@ class HermitianObservable:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _square_complex(self.entries)
+        entries = square_complex(self.entries)
         if np.max(np.abs(entries - entries.conj().T)) > 1e-12:
             raise ValueError("observable is not Hermitian")
         entries.setflags(write=False)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .dqc1 import UnitaryMatrix
-from .qmath import DensityMatrix
+from .qmath import DensityMatrix, square_complex
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -36,7 +36,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(
             f"matrix JSON shapes {re.shape}/{im.shape} do not match dim {dim}"
         )
-    return re + 1j * im
+    # JSON admits NaN and Infinity; reject them before any arithmetic.
+    m = re.astype(complex)
+    m.imag = im
+    return square_complex(m)
 
 
 def density_to_json(rho: DensityMatrix) -> dict:

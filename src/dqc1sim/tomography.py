@@ -88,6 +88,11 @@ def setting_from_label(label: str) -> TomographySetting:
     return TomographySetting(label[:2], label[2:])
 
 
+def _check_mean_counts(mean_counts: float) -> None:
+    if not 0.0 < mean_counts < np.inf:
+        raise ValueError(f"mean_counts must be positive and finite, got {mean_counts}")
+
+
 @dataclass(frozen=True)
 class TomographyRun:
     """Counts for a list of settings at a common mean flux per setting."""
@@ -104,10 +109,9 @@ class TomographyRun:
             raise ValueError(
                 f"counts length {counts.shape} does not match {len(settings)} settings"
             )
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
-        if self.mean_counts <= 0:
-            raise ValueError(f"mean_counts must be positive, got {self.mean_counts}")
+        if not np.all((counts >= 0) & np.isfinite(counts)):
+            raise ValueError("counts must be finite and nonnegative")
+        _check_mean_counts(self.mean_counts)
         counts.setflags(write=False)
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
@@ -143,8 +147,7 @@ def _setting_probabilities(rho: DensityMatrix, settings) -> np.ndarray:
 
 def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> TomographyRun:
     """Poisson counts with mean mean_counts * Tr(rho P) per setting."""
-    if mean_counts <= 0:
-        raise ValueError(f"mean_counts must be positive, got {mean_counts}")
+    _check_mean_counts(mean_counts)
     settings = all_settings()
     probs = np.clip(_setting_probabilities(rho, settings), 0.0, None)
     rng = np.random.default_rng(seed)

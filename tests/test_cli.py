@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from dqc1sim import z_theta
-from dqc1sim.cli import main
+from dqc1sim import output_state, z_theta
+from dqc1sim.cli import main, sweep_workers
 from dqc1sim.clifford import CZ, CliffordCircuit, H, circuit_to_json
-from dqc1sim.serialize import matrix_to_json, save_json, unitary_to_json
+from dqc1sim.serialize import density_to_json, matrix_to_json, save_json, unitary_to_json
 
 
 def run_cli(args, capsys=None):
@@ -273,3 +273,63 @@ class TestVerifyClifford:
         assert run_cli(["verify-clifford", path]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "JSONDecodeError"
+
+
+class TestBadInputs:
+    @pytest.fixture
+    def bad_files(self, tmp_path):
+        state = density_to_json(output_state(z_theta(1.0), 1.0))
+        state["re"][0][0] = float("nan")
+        unitary = unitary_to_json(z_theta(1.0))
+        unitary["im"][1][1] = float("inf")
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        (tmp_path / "nan_state.json").write_text(json.dumps(state))
+        (tmp_path / "inf_unitary.json").write_text(json.dumps(unitary))
+        return tmp_path
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, needle", [
+        (["discord", "--theta", "nan"], "theta must be finite"),
+        (["discord", "--theta", "inf"], "theta must be finite"),
+        (["tangle", "--theta=-inf"], "theta must be finite"),
+        (["discord", "--theta", "1", "--alpha", "nan"], "alpha"),
+        (["tomo", "--theta", "1", "--mean-counts", "nan"], "mean_counts"),
+        (["tomo", "--theta", "1", "--mean-counts", "inf"], "mean_counts"),
+        (["sweep", "--theta-max", "inf"], "finite"),
+        (["sweep", "--theta-min", "nan"], "finite"),
+        (["sweep", "--alpha", "nan"], "alpha"),
+        (["sweep", "--steps", "3", "--outputs", "tomo", "--mean-counts", "nan"], "mean_counts"),
+        (["sweep", "--jobs", "-2"], "jobs"),
+        (["discord", "{dir}/nan_state.json"], "finite"),
+        (["trace", "{dir}/inf_unitary.json"], "finite"),
+        (["trace", "{dir}/inf_unitary.json", "--alpha", "nan"], "finite"),
+    ])
+    def test_one_json_error_line(self, args, needle, bad_files, capsys):
+        out = bad_files / "out.json"
+        argv = [a.format(dir=bad_files) for a in args] + ["--out", out]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ValueError"
+        assert needle in payload["message"]
+        assert not out.exists()
+
+
+class TestSweepWorkers:
+    @pytest.mark.parametrize("jobs, steps, cpus, expected", [
+        (0, 41, 8, 1),
+        (1, 41, 8, 1),
+        (4, 41, 8, 4),
+        (10**9, 41, 8, 8),
+        (10**9, 3, 64, 3),
+        (16, 41, 2, 2),
+        (5, 41, 1, 1),
+    ])
+    def test_clamped_to_points_and_cores(self, jobs, steps, cpus, expected):
+        assert sweep_workers(jobs, steps, cpus) == expected
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_workers(-1, 41, 8)

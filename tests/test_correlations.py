@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dqc1sim
 from dqc1sim import (
     DensityMatrix,
+    UnitaryMatrix,
     MEASURE_CONTROL,
     MEASURE_REGISTER,
     BlochDirection,
@@ -23,6 +28,7 @@ from dqc1sim import (
     vn_entropy,
     z_theta,
 )
+from dqc1sim import correlations
 from dqc1sim.correlations import _minimize_conditional_entropy
 from dqc1sim.qmath import partial_trace
 from dqc1sim.serialize import density_from_json
@@ -261,3 +267,74 @@ class TestReportAndDirection:
             "mutual_info", "discord_rc", "discord_cr", "tangle",
             "argmin_direction", "optimizer_evals",
         }
+
+
+class TestMinimiserContract:
+    def test_import_loads_no_scipy(self):
+        src = str(Path(dqc1sim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, dqc1sim; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_chunked_blocks_match_one_batch(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        rho = output_state(UnitaryMatrix(n, random_unitary(rng, 2**n)), 0.9)
+        monkeypatch.setattr(correlations, "BLOCK_CHUNK_BYTES", 1 << 40)
+        whole = _minimize_conditional_entropy(rho, 0)
+        # seven directions per chunk, so the last chunk is ragged
+        monkeypatch.setattr(correlations, "BLOCK_CHUNK_BYTES", 7 * 2 * 4**n * 16)
+        chunked = _minimize_conditional_entropy(rho, 0)
+        assert chunked[0] == pytest.approx(whole[0], abs=1e-12)
+        assert chunked[2] == whole[2]
+
+    @given(seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_qubit_closed_form_matches_eigvalsh(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(rng, (1, 1))
+        nvec = rng.normal(size=(50, 3))
+        nvec /= np.linalg.norm(nvec, axis=1, keepdims=True)
+        for measured in (0, 1):
+            r, k = correlations._measurement_blocks(rho, measured)
+            closed = np.sort(correlations._qubit_spectra(r, k)(nvec), axis=-1)
+            dense = correlations._dense_spectra(r, k)(nvec)
+            np.testing.assert_allclose(closed, dense, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("theta, alpha", [(0.1047, 0.997), (0.01, 1.0), (3.0369, 0.997)])
+    def test_invariant_under_local_rotations(self, theta, alpha):
+        # Near the Clifford points the objective has a narrow valley; a local
+        # unitary turns it across the zoom grid but leaves Hmin unchanged.
+        # 1e-10 is ten times inside the slack of the benchmark discord oracle.
+        rho = output_state(z_theta(theta), alpha)
+        plain = [_minimize_conditional_entropy(rho, m)[0] for m in (0, 1)]
+        rng = np.random.default_rng(4)
+        for _ in range(4):
+            u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
+            turned = DensityMatrix(u @ rho.entries @ u.conj().T, (1, 1))
+            for measured in (0, 1):
+                value, _, _ = _minimize_conditional_entropy(turned, measured)
+                assert value == pytest.approx(plain[measured], abs=1e-10)
+
+    @pytest.mark.parametrize("n", [
+        (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 1.0, -0.0), (1.0, 0.0, 0.0),
+        (0.6, 0.0, -0.8), (0.48, -0.6, 0.64),
+    ])
+    def test_tangent_frame_is_orthonormal(self, n):
+        frame = np.vstack([n, correlations._tangent_frame(np.array(n))])
+        np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
+
+    @given(seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_direction_on_upper_hemisphere(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(rng, (1, 1), rank=int(rng.integers(1, 5)))
+        for measured in (0, 1):
+            _, direction, _ = _minimize_conditional_entropy(rho, measured)
+            assert 0.0 <= direction.polar <= np.pi / 2
+        report_direction = correlation_report(rho).argmin_direction
+        assert 0.0 <= report_direction.polar <= np.pi / 2
