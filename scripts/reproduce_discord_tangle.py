@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dqc1sim.cli import SweepConfig, sweep_rows, _render_csv
+from dqc1sim.cli import SweepConfig, sweep_rows, render_csv
 
 ALPHA = 0.997
 SEED = 2026
@@ -44,7 +44,7 @@ def main() -> int:
     )
     rows = sweep_rows(sweep)
     path = outdir / "discord_tangle_alpha_0.997.csv"
-    path.write_text(_render_csv(sweep.to_dict(), sweep.columns, rows))
+    path.write_text(render_csv(sweep.to_dict(), sweep.columns, rows))
 
     discords = np.array([row["discord_rc"] for row in rows])
     tangles = np.array([row["tangle"] for row in rows])

@@ -19,8 +19,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dqc1sim import Dqc1Config, chi2_report, shots_required
-from dqc1sim.cli import SweepConfig, sweep_rows, _render_csv
+from dqc1sim import chi2_report, shots_required
+from dqc1sim.cli import SweepConfig, sweep_rows, render_csv
 
 EPSILON = 0.1
 P_ERROR = 0.05
@@ -28,20 +28,20 @@ SEED = 2026
 STEPS = 41
 
 
-def run_alpha(config: Dqc1Config, outdir: Path) -> None:
-    shots = shots_required(EPSILON, P_ERROR, config.alpha)
+def run_alpha(alpha: float, outdir: Path) -> None:
+    shots = shots_required(EPSILON, P_ERROR, alpha)
     sweep = SweepConfig(
         theta_min=-np.pi,
         theta_max=np.pi,
         steps=STEPS,
-        alpha=config.alpha,
+        alpha=alpha,
         shots=shots,
         seed=SEED,
         outputs=("trace",),
     )
     rows = sweep_rows(sweep)
-    path = outdir / f"trace_alpha_{config.alpha:.2f}.csv"
-    path.write_text(_render_csv(sweep.to_dict(), sweep.columns, rows))
+    path = outdir / f"trace_alpha_{alpha:.2f}.csv"
+    path.write_text(render_csv(sweep.to_dict(), sweep.columns, rows))
 
     for part in ("re", "im"):
         observed = np.array([row[f"{part}_est"] for row in rows])
@@ -50,7 +50,7 @@ def run_alpha(config: Dqc1Config, outdir: Path) -> None:
         sigma = np.clip(2.0 * np.sqrt(prob * (1.0 - prob) / shots), 1e-4, None)
         report = chi2_report(observed, expected, sigma, dof_subtract=3)
         print(
-            f"alpha={config.alpha:.2f} {part}: shots={shots} "
+            f"alpha={alpha:.2f} {part}: shots={shots} "
             f"reduced chi2={report['chi2_reduced']:.2f} over {report['n_points']} points"
         )
     print(f"  wrote {path}")
@@ -60,7 +60,7 @@ def main() -> int:
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out")
     outdir.mkdir(parents=True, exist_ok=True)
     for alpha in (1.0, 0.58):
-        run_alpha(Dqc1Config(n=1, alpha=alpha), outdir)
+        run_alpha(alpha, outdir)
     return 0
 
 

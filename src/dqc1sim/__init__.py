@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .qmath import (
     DensityMatrix,
     HermitianObservable,
-    eigvals_hermitian,
     expectation,
     fidelity,
     partial_trace,
@@ -16,10 +15,8 @@ from .qmath import (
     vn_entropy,
 )
 from .dqc1 import (
-    Dqc1Config,
     UnitaryMatrix,
     build_input,
-    circuit_output_state,
     exact_expectations,
     normalized_trace,
     output_state,
@@ -28,7 +25,6 @@ from .dqc1 import (
 )
 from .sampling import (
     MeasurementRecord,
-    ShotPlan,
     chi2_reduced,
     chi2_report,
     estimate_trace,
@@ -73,15 +69,13 @@ from .tomography import (
 )
 
 __all__ = [
-    "DensityMatrix", "HermitianObservable", "eigvals_hermitian", "expectation",
-    "fidelity", "partial_trace", "pauli_observable", "pure_state", "repartition",
-    "tensor", "vn_entropy",
-    "Dqc1Config", "UnitaryMatrix", "build_input", "circuit_output_state",
-    "exact_expectations", "normalized_trace", "output_state", "reduced_control",
-    "z_theta",
-    "MeasurementRecord", "ShotPlan", "chi2_reduced", "chi2_report",
-    "estimate_trace", "poisson_counts", "rng_stream", "sample_expectation",
-    "shots_required",
+    "DensityMatrix", "HermitianObservable", "expectation", "fidelity",
+    "partial_trace", "pauli_observable", "pure_state", "repartition", "tensor",
+    "vn_entropy",
+    "UnitaryMatrix", "build_input", "exact_expectations", "normalized_trace",
+    "output_state", "reduced_control", "z_theta",
+    "MeasurementRecord", "chi2_reduced", "chi2_report", "estimate_trace",
+    "poisson_counts", "rng_stream", "sample_expectation", "shots_required",
     "MEASURE_CONTROL", "MEASURE_REGISTER", "BlochDirection", "CorrelationReport",
     "concurrence", "correlation_report", "discord", "min_conditional_entropy",
     "mutual_information", "tangle",

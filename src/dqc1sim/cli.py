@@ -20,7 +20,7 @@ import numpy as np
 from .correlations import MEASURE_CONTROL, MEASURE_REGISTER, correlation_report, discord, tangle, concurrence
 from .clifford import circuit_from_json, verify_zero_discord
 from .dqc1 import exact_expectations, normalized_trace, output_state, z_theta
-from .qmath import fidelity
+from .qmath import check_range, fidelity
 from .sampling import SAMPLING_MODES, estimate_trace, shots_required
 from .serialize import (
     density_from_json,
@@ -55,13 +55,14 @@ class SweepConfig:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if not -np.inf < self.theta_min < self.theta_max < np.inf:
+        check_range("theta_min", self.theta_min)
+        check_range("theta_max", self.theta_max)
+        if not self.theta_min < self.theta_max:
             raise ValueError(
-                "theta_min and theta_max must be finite with theta_min < theta_max, "
-                f"got {self.theta_min} and {self.theta_max}"
+                f"theta_min must be < theta_max, got {self.theta_min} and {self.theta_max}"
             )
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        check_range("alpha", self.alpha, 0.0, 1.0)
+        check_range("mean_counts", self.mean_counts, 0.0, open_low=True)
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
         if self.mode not in SAMPLING_MODES:
@@ -180,7 +181,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render_csv(config_dict: dict, columns, rows) -> str:
+def render_csv(config_dict: dict, columns, rows) -> str:
     lines = ["# config: " + json.dumps(config_dict, sort_keys=True)]
     lines.append(",".join(columns))
     for row in rows:
@@ -234,7 +235,7 @@ def _cmd_sweep(args) -> int:
     )
     rows = sweep_rows(config, jobs=args.jobs)
     if args.format in (None, "csv"):
-        text = _render_csv(config.to_dict(), config.columns, rows)
+        text = render_csv(config.to_dict(), config.columns, rows)
     else:
         text = _render_json(
             {"config": config.to_dict(), "columns": list(config.columns), "rows": rows}
@@ -331,7 +332,6 @@ def _require_json_format(args, command: str) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed (nonnegative)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
     parser.add_argument("--out", default="-", help="output path, - for stdout")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (sweep only; reports are JSON)")
@@ -345,8 +345,16 @@ def _add_state_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=1.0, help="control purity")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad argument as ValueError, so main reports it as one JSON
+    line with exit 1 like every other input error; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dqc1sim",
         description="One-clean-qubit trace-estimation simulator and analysis toolkit",
     )
@@ -363,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-counts", type=float, default=1e4, dest="mean_counts")
     p.add_argument("--mode", choices=SAMPLING_MODES, default="binomial",
                    help="shot noise model")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -401,9 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

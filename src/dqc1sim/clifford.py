@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DensityMatrix, PAULIS, partial_trace, vn_entropy
+from .qmath import DensityMatrix, PAULIS, check_range, partial_trace, vn_entropy
 from . import correlations
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
@@ -264,8 +264,7 @@ def dqc1_clifford_expectations(circuit: CliffordCircuit, alpha: float) -> tuple[
     expectation is alpha * sign when the propagated string is X (or Y) on
     the control and identity elsewhere, and 0 otherwise.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_range("alpha", alpha, 0.0, 1.0)
     out = propagate(circuit, SignedPauliString.z_on(0, circuit.n_qubits))
     rest = "I" * (circuit.n_qubits - 1)
     x = alpha * out.phase if out.labels == "X" + rest else 0.0
@@ -299,20 +298,15 @@ def _register_discord_certificate(rho: DensityMatrix, out: SignedPauliString) ->
     n = out.n_qubits - 1
     info = correlations.mutual_information(rho)
     h_c = vn_entropy(partial_trace(rho, 0))
-    cond = 0.0
     t = rho.entries.reshape(2, 2**n, 2, 2**n)
+    blocks = []
     for k in range(2**n):
         vec = np.array([1.0], dtype=complex)
         for i, lab in enumerate(out.labels[1:]):
             vec = np.kron(vec, _BASIS_VECTORS[lab][(k >> (n - 1 - i)) & 1])
-        block = np.einsum("s,asbr,r->ab", vec.conj(), t, vec)
-        mu = np.clip(np.linalg.eigvalsh(block), 0.0, None)
-        p = float(mu.sum())
-        if p <= 0.0:
-            continue
-        mu = mu[mu > 0.0]
-        cond += float(-np.sum(mu * (np.log2(mu) - np.log2(p))))
-    return info - (h_c - cond)
+        blocks.append(np.einsum("s,asbr,r->ab", vec.conj(), t, vec))
+    cond = correlations._weighted_entropy(np.linalg.eigvalsh(np.stack(blocks)))
+    return info - (h_c - float(cond.sum()))
 
 
 def verify_zero_discord(circuit: CliffordCircuit) -> dict:

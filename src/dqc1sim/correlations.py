@@ -265,10 +265,10 @@ def _minimize_conditional_entropy(rho: DensityMatrix, measured: int):
     also tries the minimum of the quadratic fitted to its grid values.
 
     Returns (value, BlochDirection, objective evaluations); the direction
-    is reported on the upper hemisphere. Fully deterministic.
+    is reported on the upper hemisphere. Fully deterministic. rho must be
+    bipartite: min_conditional_entropy checks it, and _discord_detail
+    through mutual_information.
     """
-    if len(rho.qubit_dims) != 2:
-        raise ValueError(f"state is not bipartite: qubit_dims = {rho.qubit_dims}")
     if measured not in (0, 1):
         raise ValueError(f"measured subsystem index must be 0 or 1, got {measured}")
     if rho.qubit_dims[measured] != 1:
@@ -311,7 +311,7 @@ def _minimize_conditional_entropy(rho: DensityMatrix, measured: int):
 def min_conditional_entropy(rho: DensityMatrix, measured: int):
     """Minimum average entropy of the unmeasured side over projective
     measurements on the measured qubit, with the achieving direction."""
-    value, direction, _ = _minimize_conditional_entropy(rho, measured)
+    value, direction, _ = _minimize_conditional_entropy(_bipartite(rho, None), measured)
     return value, direction
 
 

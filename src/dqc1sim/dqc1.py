@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DensityMatrix, square_complex, tensor
+from .qmath import DensityMatrix, check_range, qubit_count, square_complex
 
 UNITARY_ATOL = 1e-8
-
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """Register unitary on n qubits, validated against U+ U = I."""
+    """Register unitary on n qubits, validated against U+ U = I; a failure
+    names the worst-violating entry."""
 
     n: int
     entries: np.ndarray
@@ -37,9 +36,13 @@ class UnitaryMatrix:
             raise ValueError(
                 f"entries shape {entries.shape} does not match n={n} qubits"
             )
-        dev = np.max(np.abs(entries.conj().T @ entries - np.eye(dim)))
-        if not dev <= UNITARY_ATOL:
-            raise ValueError(f"matrix is not unitary: max |U+U - I| = {dev:.3e}")
+        delta = np.abs(entries.conj().T @ entries - np.eye(dim))
+        i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
+        if not delta[i, j] <= UNITARY_ATOL:
+            raise ValueError(
+                f"matrix is not unitary: |(U+U - I)[{i},{j}]| = {delta[i, j]:.3e} "
+                f"exceeds {UNITARY_ATOL:g}"
+            )
         entries.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
@@ -47,44 +50,16 @@ class UnitaryMatrix:
     @classmethod
     def from_matrix(cls, m) -> "UnitaryMatrix":
         m = np.asarray(m)
-        dim = m.shape[0]
-        n = int(round(np.log2(dim)))
-        if 2**n != dim:
-            raise ValueError(f"dimension {dim} is not a power of 2")
-        return cls(n, m)
+        return cls(qubit_count(m.shape[0]), m)
 
     @property
     def dim(self) -> int:
         return 2**self.n
 
 
-@dataclass(frozen=True)
-class Dqc1Config:
-    """Register size, control purity alpha, and phase angle for Z_theta."""
-
-    n: int
-    alpha: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"register size must be >= 1, got {self.n}")
-        _check_alpha(self.alpha)
-
-    @property
-    def purity(self) -> float:
-        return (1.0 + self.alpha**2) / 2.0
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-
-
 def z_theta(theta: float) -> UnitaryMatrix:
     """Single-qubit phase unitary diag(1, exp(i theta))."""
-    if not np.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    check_range("theta", theta)
     return UnitaryMatrix(1, np.diag([1.0, np.exp(1j * theta)]))
 
 
@@ -92,7 +67,7 @@ def build_input(n: int, alpha: float) -> DensityMatrix:
     """Input state (1/2^(n+1)) (I + alpha Z (x) I^n), diagonal in the logical basis."""
     if n < 1:
         raise ValueError(f"register size must be >= 1, got {n}")
-    _check_alpha(alpha)
+    check_range("alpha", alpha, 0.0, 1.0)
     big = 2 ** (n + 1)
     diag = np.concatenate(
         [np.full(big // 2, 1.0 + alpha), np.full(big // 2, 1.0 - alpha)]
@@ -100,18 +75,9 @@ def build_input(n: int, alpha: float) -> DensityMatrix:
     return DensityMatrix(np.diag(diag).astype(complex), (1, n))
 
 
-def controlled_unitary(u: UnitaryMatrix) -> np.ndarray:
-    """Block-diagonal diag(I, U) with the control as qubit 0."""
-    dim = u.dim
-    cu = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    cu[:dim, :dim] = np.eye(dim)
-    cu[dim:, dim:] = u.entries
-    return cu
-
-
 def output_state(u: UnitaryMatrix, alpha: float) -> DensityMatrix:
     """Closed-form circuit output (1/2N) [[I, alpha U+], [alpha U, I]]."""
-    _check_alpha(alpha)
+    check_range("alpha", alpha, 0.0, 1.0)
     dim = u.dim
     m = np.zeros((2 * dim, 2 * dim), dtype=complex)
     eye = np.eye(dim)
@@ -120,17 +86,6 @@ def output_state(u: UnitaryMatrix, alpha: float) -> DensityMatrix:
     m[:dim, dim:] = alpha * u.entries.conj().T
     m[dim:, :dim] = alpha * u.entries
     return DensityMatrix(m / (2 * dim), (1, u.n))
-
-
-def circuit_output_state(u: UnitaryMatrix, alpha: float) -> DensityMatrix:
-    """Output obtained by conjugating the input with the explicit gate sequence.
-
-    Must agree with output_state to 1e-12; kept as an independent path for
-    cross-checks.
-    """
-    w = controlled_unitary(u) @ tensor(HADAMARD, np.eye(u.dim))
-    rho_in = build_input(u.n, alpha).entries
-    return DensityMatrix(w @ rho_in @ w.conj().T, (1, u.n))
 
 
 def normalized_trace(u: UnitaryMatrix) -> complex:
@@ -144,7 +99,7 @@ def reduced_control(u: UnitaryMatrix, alpha: float) -> DensityMatrix:
     Off-diagonals are alpha Tr(U)/2N, i.e. the normalized trace scaled by
     alpha/2; equals partial_trace(output_state(u, alpha), keep=0).
     """
-    _check_alpha(alpha)
+    check_range("alpha", alpha, 0.0, 1.0)
     t = complex(np.trace(u.entries))
     off = alpha * t / (2 * u.dim)
     m = np.array([[0.5, np.conj(off)], [off, 0.5]], dtype=complex)
@@ -157,6 +112,6 @@ def exact_expectations(u: UnitaryMatrix, alpha: float) -> tuple[float, float]:
     For U = Z_theta at alpha = 1 this gives (1 + cos theta)/2 and
     (sin theta)/2.
     """
-    _check_alpha(alpha)
+    check_range("alpha", alpha, 0.0, 1.0)
     z = normalized_trace(u)
     return alpha * z.real, alpha * z.imag

@@ -7,6 +7,7 @@ circuit is conventionally subsystem 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -32,6 +33,33 @@ def square_complex(m) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValueError("matrix entries must be finite (no NaN or inf)")
     return out
+
+
+def qubit_count(dim: int) -> int:
+    """n with 2**n == dim; the one power-of-two dimension check."""
+    if dim < 1 or dim & (dim - 1):
+        raise ValueError(f"dimension {dim} is not a power of 2")
+    return dim.bit_length() - 1
+
+
+def check_range(name: str, value: float, low: float = -math.inf,
+                high: float = math.inf, *, open_low: bool = False,
+                open_high: bool = False) -> None:
+    """Reject a scalar that is not finite or lies outside the interval from
+    low to high; the one range check shared by alpha, theta, epsilon,
+    p_error and mean_counts. NaN and inf always fail, so an infinite bound
+    means no bound on that side.
+    """
+    if not (
+        math.isfinite(value)
+        and (low < value if open_low else low <= value)
+        and (value < high if open_high else value <= high)
+    ):
+        if math.isinf(low) and math.isinf(high):
+            raise ValueError(f"{name} must be finite, got {value}")
+        left = "(" if open_low or math.isinf(low) else "["
+        right = ")" if open_high or math.isinf(high) else "]"
+        raise ValueError(f"{name} must be in {left}{low:g}, {high:g}{right}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -178,16 +206,6 @@ def expectation(rho: DensityMatrix, obs: HermitianObservable | np.ndarray) -> fl
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {val.imag}")
     return float(val.real)
-
-
-def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > 1e-9:
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigvalsh(m)[::-1]
 
 
 def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dqc1 import UnitaryMatrix, exact_expectations, normalized_trace
+from .qmath import check_range
 
 SAMPLING_MODES = ("binomial", "poisson")
 
@@ -29,37 +30,12 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class ShotPlan:
-    """Accuracy target and the shot count that meets it."""
-
-    epsilon: float
-    p_error: float
-    alpha: float
-    shots: int
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.p_error < 1.0:
-            raise ValueError(f"p_error must be in (0, 1), got {self.p_error}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-
-    @classmethod
-    def from_target(cls, epsilon: float, p_error: float, alpha: float) -> "ShotPlan":
-        return cls(epsilon, p_error, alpha, shots_required(epsilon, p_error, alpha))
-
-
-@dataclass(frozen=True)
 class MeasurementRecord:
     """Counts in the +/- ports of one measurement basis."""
 
     basis_label: str
     n_plus: int
     n_minus: int
-    duration_tag: str | None = None
 
     def __post_init__(self):
         if self.n_plus < 0 or self.n_minus < 0:
@@ -76,20 +52,21 @@ class MeasurementRecord:
         return (self.n_plus - self.n_minus) / self.total
 
 
+def _check_pure_fraction(alpha: float) -> None:
+    if alpha == 0.0:
+        raise ValueError("no pure fraction: estimation impossible")
+    check_range("alpha", alpha, 0.0, 1.0, open_low=True)
+
+
 def shots_required(epsilon: float, p_error: float, alpha: float) -> int:
     """Shot budget ceil(ln(2/P_e) / (2 eps^2) / alpha^2).
 
     Monotone decreasing in every argument; the 1/alpha^2 factor is the
     purity overhead L' = L / alpha^2.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not 0.0 < p_error < 1.0:
-        raise ValueError(f"p_error must be in (0, 1), got {p_error}")
-    if alpha == 0.0:
-        raise ValueError("no pure fraction: estimation impossible")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    check_range("epsilon", epsilon, 0.0, 1.0, open_low=True, open_high=True)
+    check_range("p_error", p_error, 0.0, 1.0, open_low=True, open_high=True)
+    _check_pure_fraction(alpha)
     return math.ceil(math.log(2.0 / p_error) / (2.0 * epsilon**2) / alpha**2)
 
 
@@ -99,8 +76,7 @@ def sample_expectation(true_expectation: float, shots: int, seed) -> float:
     Deterministic for a fixed seed; seed may be an int, a SeedSequence, or
     an existing Generator.
     """
-    if not -1.0 <= true_expectation <= 1.0:
-        raise ValueError(f"expectation must be in [-1, 1], got {true_expectation}")
+    check_range("expectation", true_expectation, -1.0, 1.0)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = _as_rng(seed)
@@ -109,8 +85,7 @@ def sample_expectation(true_expectation: float, shots: int, seed) -> float:
 
 
 def poisson_counts(rate_plus: float, rate_minus: float, seed,
-                   basis_label: str = "", duration_tag: str | None = None,
-                   ) -> MeasurementRecord:
+                   basis_label: str = "") -> MeasurementRecord:
     """Independent Poisson draws for the two detector ports."""
     if rate_plus < 0 or rate_minus < 0:
         raise ValueError("rates must be nonnegative")
@@ -121,7 +96,6 @@ def poisson_counts(rate_plus: float, rate_minus: float, seed,
         basis_label=basis_label,
         n_plus=int(rng.poisson(rate_plus)),
         n_minus=int(rng.poisson(rate_minus)),
-        duration_tag=duration_tag,
     )
 
 
@@ -143,10 +117,7 @@ def estimate_trace(u: UnitaryMatrix, alpha: float, shots: int, seed,
     seed, and the result is divided by alpha so it estimates the trace
     itself. shots = 0 bypasses sampling and returns the exact value.
     """
-    if alpha == 0.0:
-        raise ValueError("no pure fraction: estimation impossible")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    _check_pure_fraction(alpha)
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode {mode!r}, expected one of {SAMPLING_MODES}")
     if shots == 0:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .dqc1 import UnitaryMatrix
-from .qmath import DensityMatrix, square_complex
+from .qmath import DensityMatrix, qubit_count, square_complex
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -53,28 +53,14 @@ def density_from_json(obj: dict, qubit_dims=None) -> DensityMatrix:
     if qubit_dims is None:
         qubit_dims = obj.get("qubit_dims")
     if qubit_dims is None:
-        total = int(round(np.log2(m.shape[0])))
-        if 2**total != m.shape[0]:
-            raise ValueError(f"dimension {m.shape[0]} is not a power of 2")
+        total = qubit_count(m.shape[0])
         qubit_dims = (1,) if total == 1 else (1, total - 1)
     return DensityMatrix(m, tuple(qubit_dims))
 
 
-def unitary_from_json(obj: dict, atol: float = 1e-8) -> UnitaryMatrix:
-    """Load and validate a unitary, naming the worst-violating entry."""
-    m = matrix_from_json(obj)
-    dim = m.shape[0]
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of 2")
-    delta = np.abs(m.conj().T @ m - np.eye(dim))
-    i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
-    if delta[i, j] > atol:
-        raise ValueError(
-            f"matrix is not unitary: |(U+U - I)[{i},{j}]| = {delta[i, j]:.3e} "
-            f"exceeds {atol:g}"
-        )
-    return UnitaryMatrix(n, m)
+def unitary_from_json(obj: dict) -> UnitaryMatrix:
+    """Load a unitary; UnitaryMatrix checks it and names the worst entry."""
+    return UnitaryMatrix.from_matrix(matrix_from_json(obj))
 
 
 def unitary_to_json(u: UnitaryMatrix) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DensityMatrix, PAULIS
+from .qmath import DensityMatrix, PAULIS, check_range, square_complex
 
 BASIS_LABELS = ("z+", "z-", "x+", "x-", "y+", "y-")
 
@@ -88,11 +88,6 @@ def setting_from_label(label: str) -> TomographySetting:
     return TomographySetting(label[:2], label[2:])
 
 
-def _check_mean_counts(mean_counts: float) -> None:
-    if not 0.0 < mean_counts < np.inf:
-        raise ValueError(f"mean_counts must be positive and finite, got {mean_counts}")
-
-
 @dataclass(frozen=True)
 class TomographyRun:
     """Counts for a list of settings at a common mean flux per setting."""
@@ -111,7 +106,7 @@ class TomographyRun:
             )
         if not np.all((counts >= 0) & np.isfinite(counts)):
             raise ValueError("counts must be finite and nonnegative")
-        _check_mean_counts(self.mean_counts)
+        check_range("mean_counts", self.mean_counts, 0.0, open_low=True)
         counts.setflags(write=False)
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
@@ -147,7 +142,7 @@ def _setting_probabilities(rho: DensityMatrix, settings) -> np.ndarray:
 
 def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> TomographyRun:
     """Poisson counts with mean mean_counts * Tr(rho P) per setting."""
-    _check_mean_counts(mean_counts)
+    check_range("mean_counts", mean_counts, 0.0, open_low=True)
     settings = all_settings()
     probs = np.clip(_setting_probabilities(rho, settings), 0.0, None)
     rng = np.random.default_rng(seed)
@@ -244,9 +239,7 @@ def psd_project(m: np.ndarray, target_trace: float = 1.0) -> np.ndarray:
     Shares the input's eigenvectors; the eigenvalues are water-filled onto
     the simplex of the target trace.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = square_complex(m)
     if np.max(np.abs(m - m.conj().T)) > 1e-8:
         raise ValueError("matrix is not Hermitian")
     lam, vec = np.linalg.eigh(m)

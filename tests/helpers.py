@@ -38,6 +38,19 @@ def random_unitary(rng, dim) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def circuit_output_state(u: np.ndarray, alpha: float) -> np.ndarray:
+    """DQC1 output by conjugating the input (I + alpha Z)/2 (x) I/N with the
+    explicit gates, a Hadamard on the control and then controlled-U."""
+    dim = u.shape[0]
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+    cu = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    cu[:dim, :dim] = np.eye(dim)
+    cu[dim:, dim:] = u
+    w = cu @ np.kron(hadamard, np.eye(dim))
+    rho_in = np.kron(np.diag([1.0 + alpha, 1.0 - alpha]) / 2.0, np.eye(dim) / dim)
+    return w @ rho_in @ w.conj().T
+
+
 def bell_state() -> DensityMatrix:
     v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     return DensityMatrix(np.outer(v, v.conj()), (1, 1))

@@ -303,6 +303,12 @@ class TestBadInputs:
         (["discord", "{dir}/nan_state.json"], "finite"),
         (["trace", "{dir}/inf_unitary.json"], "finite"),
         (["trace", "{dir}/inf_unitary.json", "--alpha", "nan"], "finite"),
+        (["sweep", "--steps", "abc"], "--steps"),
+        (["tangle", "--theta", "-inf"], "--theta"),
+        (["bogus"], "invalid choice"),
+        (["sweep", "--mean-counts", "nan"], "mean_counts"),
+        (["sweep", "--mean-counts", "-5"], "mean_counts"),
+        (["discord", "--theta", "1", "--jobs", "2"], "unrecognized arguments"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"
@@ -315,6 +321,13 @@ class TestBadInputs:
         assert payload["error"] == "ValueError"
         assert needle in payload["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_zero(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestSweepWorkers:

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dqc1sim import (
-    Dqc1Config,
     UnitaryMatrix,
     build_input,
-    circuit_output_state,
     exact_expectations,
     normalized_trace,
     output_state,
@@ -18,7 +16,7 @@ from dqc1sim import (
 )
 from dqc1sim.qmath import SIGMA_Z
 
-from helpers import random_unitary
+from helpers import circuit_output_state, random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -92,8 +90,8 @@ class TestOutputState:
         u = UnitaryMatrix(n, random_unitary(rng, 2**n))
         alpha = float(rng.uniform(0.0, 1.0))
         closed = output_state(u, alpha)
-        circuit = circuit_output_state(u, alpha)
-        assert np.max(np.abs(closed.entries - circuit.entries)) < 1e-12
+        circuit = circuit_output_state(u.entries, alpha)
+        assert np.max(np.abs(closed.entries - circuit)) < 1e-12
 
     @given(seeds)
     @settings(max_examples=20, deadline=None)
@@ -184,12 +182,3 @@ class TestNormalizedTrace:
         rng = np.random.default_rng(seed)
         u = UnitaryMatrix(2, random_unitary(rng, 4))
         assert abs(normalized_trace(u)) <= 1.0 + 1e-12
-
-
-def test_config_purity():
-    cfg = Dqc1Config(n=1, alpha=0.58, theta=0.3)
-    assert cfg.purity == pytest.approx((1 + 0.58**2) / 2)
-    with pytest.raises(ValueError):
-        Dqc1Config(n=1, alpha=-0.1)
-    with pytest.raises(ValueError):
-        Dqc1Config(n=0, alpha=0.5)

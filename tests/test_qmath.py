@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from dqc1sim import (
     DensityMatrix,
     HermitianObservable,
-    eigvals_hermitian,
     expectation,
     fidelity,
     partial_trace,
@@ -162,27 +161,6 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             expectation(bell_state(), SIGMA_Z)
-
-
-class TestEigvalsHermitian:
-    def test_pauli_z(self):
-        assert_allclose(eigvals_hermitian(SIGMA_Z), [1.0, -1.0], atol=1e-14)
-
-    def test_pauli_x(self):
-        assert_allclose(eigvals_hermitian(SIGMA_X), [1.0, -1.0], atol=1e-14)
-
-    def test_mixed_four(self):
-        assert_allclose(eigvals_hermitian(np.eye(4) / 4), [0.25] * 4, atol=1e-15)
-
-    def test_descending_order(self):
-        rng = np.random.default_rng(3)
-        m = random_density_matrix(rng, (2,)).entries
-        vals = eigvals_hermitian(m)
-        assert np.all(np.diff(vals) <= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            eigvals_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestFidelity:

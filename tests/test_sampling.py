@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dqc1sim import (
     MeasurementRecord,
-    ShotPlan,
     chi2_reduced,
     chi2_report,
     estimate_trace,
@@ -42,16 +41,11 @@ class TestShotsRequired:
         assert shots_required(0.1, 0.10, 1.0) < shots_required(0.1, 0.05, 1.0)
         assert shots_required(0.1, 0.05, 1.0) < shots_required(0.1, 0.05, 0.9)
 
-    @pytest.mark.parametrize("eps,pe", [(0.0, 0.05), (1.0, 0.05), (0.1, 0.0), (0.1, 1.0)])
+    @pytest.mark.parametrize("eps,pe", [(0.0, 0.05), (1.0, 0.05), (0.1, 0.0), (0.1, 1.0),
+                                        (math.nan, 0.05), (0.1, math.nan)])
     def test_invalid_ranges(self, eps, pe):
         with pytest.raises(ValueError):
             shots_required(eps, pe, 1.0)
-
-    def test_shot_plan(self):
-        plan = ShotPlan.from_target(0.1, 0.05, 1.0)
-        assert plan.shots == 185
-        with pytest.raises(ValueError):
-            ShotPlan(0.1, 0.05, 1.0, 0)
 
 
 class TestSampleExpectation:
