@@ -58,11 +58,7 @@ from .clifford import (
 from .tomography import (
     ReconstructionError,
     TomographyRun,
-    TomographySetting,
-    all_settings,
     linear_estimate,
-    minimal_settings,
-    noiseless_run,
     psd_project,
     reconstruct,
     simulate_counts,
@@ -82,7 +78,6 @@ __all__ = [
     "CliffordCircuit", "Gate", "SignedPauliString", "conjugate_gate",
     "dqc1_clifford_expectations", "propagate", "random_clifford_circuit",
     "verify_zero_discord",
-    "ReconstructionError", "TomographyRun", "TomographySetting", "all_settings",
-    "linear_estimate", "minimal_settings", "noiseless_run", "psd_project",
+    "ReconstructionError", "TomographyRun", "linear_estimate", "psd_project",
     "reconstruct", "simulate_counts",
 ]

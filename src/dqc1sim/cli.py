@@ -21,7 +21,7 @@ from .correlations import MEASURE_CONTROL, MEASURE_REGISTER, correlation_report,
 from .clifford import circuit_from_json, verify_zero_discord
 from .dqc1 import exact_expectations, normalized_trace, output_state, z_theta
 from .qmath import check_range, fidelity
-from .sampling import SAMPLING_MODES, estimate_trace, shots_required
+from .sampling import SAMPLING_MODES, check_mode, estimate_trace, shots_required
 from .serialize import (
     density_from_json,
     density_to_json,
@@ -65,8 +65,7 @@ class SweepConfig:
         check_range("mean_counts", self.mean_counts, 0.0, open_low=True)
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
-        if self.mode not in SAMPLING_MODES:
-            raise ValueError(f"mode must be one of {SAMPLING_MODES}, got {self.mode!r}")
+        check_mode(self.mode)
         bad = set(self.outputs) - set(SWEEP_OUTPUTS)
         if bad:
             raise ValueError(f"unknown sweep outputs {sorted(bad)}; choose from {SWEEP_OUTPUTS}")

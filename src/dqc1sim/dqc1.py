@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DensityMatrix, check_range, qubit_count, square_complex
+from .qmath import DensityMatrix, check_range, qubit_count, register_size, square_complex
 
 UNITARY_ATOL = 1e-8
 
@@ -27,9 +27,7 @@ class UnitaryMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise ValueError(f"register size must be >= 1, got {n}")
+        n = register_size(self.n)
         entries = square_complex(self.entries)
         dim = 2**n
         if entries.shape != (dim, dim):
@@ -65,8 +63,7 @@ def z_theta(theta: float) -> UnitaryMatrix:
 
 def build_input(n: int, alpha: float) -> DensityMatrix:
     """Input state (1/2^(n+1)) (I + alpha Z (x) I^n), diagonal in the logical basis."""
-    if n < 1:
-        raise ValueError(f"register size must be >= 1, got {n}")
+    n = register_size(n)
     check_range("alpha", alpha, 0.0, 1.0)
     big = 2 ** (n + 1)
     diag = np.concatenate(

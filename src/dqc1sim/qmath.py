@@ -42,6 +42,14 @@ def qubit_count(dim: int) -> int:
     return dim.bit_length() - 1
 
 
+def register_size(n: int) -> int:
+    """n as an int; the one check that a register has at least one qubit."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"register size must be >= 1, got {n}")
+    return n
+
+
 def check_range(name: str, value: float, low: float = -math.inf,
                 high: float = math.inf, *, open_low: bool = False,
                 open_high: bool = False) -> None:

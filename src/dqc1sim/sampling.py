@@ -19,21 +19,22 @@ from .qmath import check_range
 SAMPLING_MODES = ("binomial", "poisson")
 
 
+def check_mode(mode: str) -> None:
+    """The one check of a sampling mode name."""
+    if mode not in SAMPLING_MODES:
+        raise ValueError(f"unknown sampling mode {mode!r}, expected one of {SAMPLING_MODES}")
+
+
 def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
     """Independent reproducible stream for (master seed, task index, ...)."""
     entropy = [int(master_seed), *(int(p) for p in path)]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Counts in the +/- ports of one measurement basis."""
 
-    basis_label: str
     n_plus: int
     n_minus: int
 
@@ -79,34 +80,29 @@ def sample_expectation(true_expectation: float, shots: int, seed) -> float:
     check_range("expectation", true_expectation, -1.0, 1.0)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n_plus = int(rng.binomial(shots, (1.0 + true_expectation) / 2.0))
     return (2 * n_plus - shots) / shots
 
 
-def poisson_counts(rate_plus: float, rate_minus: float, seed,
-                   basis_label: str = "") -> MeasurementRecord:
+def poisson_counts(rate_plus: float, rate_minus: float, seed) -> MeasurementRecord:
     """Independent Poisson draws for the two detector ports."""
     if rate_plus < 0 or rate_minus < 0:
         raise ValueError("rates must be nonnegative")
     if rate_plus == 0 and rate_minus == 0:
         raise ValueError("no signal")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     return MeasurementRecord(
-        basis_label=basis_label,
         n_plus=int(rng.poisson(rate_plus)),
         n_minus=int(rng.poisson(rate_minus)),
     )
 
 
-def _sampled_quadrature(true_expectation: float, shots: int, rng,
-                        mode: str, basis_label: str) -> float:
+def _sampled_quadrature(true_expectation: float, shots: int, rng, mode: str) -> float:
     if mode == "binomial":
         return sample_expectation(true_expectation, shots, rng)
     p_plus = (1.0 + true_expectation) / 2.0
-    rec = poisson_counts(shots * p_plus, shots * (1.0 - p_plus), rng,
-                         basis_label=basis_label)
-    return rec.expectation
+    return poisson_counts(shots * p_plus, shots * (1.0 - p_plus), rng).expectation
 
 
 def estimate_trace(u: UnitaryMatrix, alpha: float, shots: int, seed,
@@ -118,8 +114,7 @@ def estimate_trace(u: UnitaryMatrix, alpha: float, shots: int, seed,
     itself. shots = 0 bypasses sampling and returns the exact value.
     """
     _check_pure_fraction(alpha)
-    if mode not in SAMPLING_MODES:
-        raise ValueError(f"unknown sampling mode {mode!r}, expected one of {SAMPLING_MODES}")
+    check_mode(mode)
     if shots == 0:
         return normalized_trace(u)
     if shots < 0:
@@ -130,8 +125,8 @@ def estimate_trace(u: UnitaryMatrix, alpha: float, shots: int, seed,
     else:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
         gen_x, gen_y = (np.random.default_rng(c) for c in ss.spawn(2))
-    x_est = _sampled_quadrature(x, shots, gen_x, mode, "x")
-    y_est = _sampled_quadrature(y, shots, gen_y, mode, "y")
+    x_est = _sampled_quadrature(x, shots, gen_x, mode)
+    y_est = _sampled_quadrature(y, shots, gen_y, mode)
     return complex(x_est, y_est) / alpha
 
 

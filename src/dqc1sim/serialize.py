@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .dqc1 import UnitaryMatrix
-from .qmath import DensityMatrix, qubit_count, square_complex
+from .qmath import DensityMatrix, qubit_count
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -36,10 +36,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(
             f"matrix JSON shapes {re.shape}/{im.shape} do not match dim {dim}"
         )
-    # JSON admits NaN and Infinity; reject them before any arithmetic.
+    # JSON admits NaN and Infinity: the DensityMatrix or UnitaryMatrix this
+    # feeds rejects them before any arithmetic.
     m = re.astype(complex)
     m.imag = im
-    return square_complex(m)
+    return m
 
 
 def density_to_json(rho: DensityMatrix) -> dict:

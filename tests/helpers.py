@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dqc1sim import DensityMatrix
+from dqc1sim import DensityMatrix, TomographyRun
 from dqc1sim.clifford import CliffordCircuit, Gate, SignedPauliString
 
 I2 = np.eye(2, dtype=complex)
@@ -49,6 +49,31 @@ def circuit_output_state(u: np.ndarray, alpha: float) -> np.ndarray:
     w = cu @ np.kron(hadamard, np.eye(dim))
     rho_in = np.kron(np.diag([1.0 + alpha, 1.0 - alpha]) / 2.0, np.eye(dim) / dim)
     return w @ rho_in @ w.conj().T
+
+
+# Single-qubit Pauli eigenstates and the 36 two-qubit tomography settings,
+# written out independently of dqc1sim.tomography.
+TOMO_KETS = {
+    "z+": np.array([1, 0], dtype=complex),
+    "z-": np.array([0, 1], dtype=complex),
+    "x+": np.array([1, 1], dtype=complex) / np.sqrt(2.0),
+    "x-": np.array([1, -1], dtype=complex) / np.sqrt(2.0),
+    "y+": np.array([1, 1j], dtype=complex) / np.sqrt(2.0),
+    "y-": np.array([1, -1j], dtype=complex) / np.sqrt(2.0),
+}
+TOMO_LABELS = tuple(a + b for a in TOMO_KETS for b in TOMO_KETS)
+
+
+def setting_probability(rho: np.ndarray, label: str) -> float:
+    """<ab| rho |ab> for a setting label such as "x+z-"."""
+    ket = np.kron(TOMO_KETS[label[:2]], TOMO_KETS[label[2:]])
+    return float(np.real(ket.conj() @ rho @ ket))
+
+
+def noiseless_run(rho: DensityMatrix, mean_counts: float = 1.0) -> TomographyRun:
+    """Counts replaced by exact probabilities times the mean (no noise)."""
+    probs = [setting_probability(rho.entries, lab) for lab in TOMO_LABELS]
+    return TomographyRun(mean_counts * np.array(probs), float(mean_counts))
 
 
 def bell_state() -> DensityMatrix:

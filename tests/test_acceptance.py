@@ -22,7 +22,6 @@ from dqc1sim import (
     estimate_trace,
     linear_estimate,
     mutual_information,
-    noiseless_run,
     output_state,
     propagate,
     random_clifford_circuit,
@@ -51,6 +50,7 @@ from helpers import (
     bell_state,
     controlled_pauli_circuit,
     dense_pauli,
+    noiseless_run,
     random_density_matrix,
     random_pauli_string,
 )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dqc1sim import output_state, z_theta
-from dqc1sim.cli import main, sweep_workers
+from dqc1sim.cli import SweepConfig, main, sweep_workers
 from dqc1sim.clifford import CZ, CliffordCircuit, H, circuit_to_json
 from dqc1sim.serialize import density_to_json, matrix_to_json, save_json, unitary_to_json
 
@@ -130,6 +130,12 @@ class TestSweep:
         assert run_cli(["sweep", "--steps", 1]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
+
+    def test_unknown_mode(self):
+        # argparse choices catch it on the command line; the library call
+        # goes through the same check as estimate_trace
+        with pytest.raises(ValueError, match="sampling mode"):
+            SweepConfig(-1.0, 1.0, 5, 1.0, 0, 0, ("trace",), mode="exact")
 
 
 class TestTrace:

@@ -63,6 +63,12 @@ class TestBuildInput:
         with pytest.raises(ValueError, match="alpha"):
             build_input(1, 1.5)
 
+    def test_empty_register(self):
+        with pytest.raises(ValueError, match="register size must be >= 1"):
+            build_input(0, 1.0)
+        with pytest.raises(ValueError, match="register size must be >= 1"):
+            UnitaryMatrix(0, np.eye(1))
+
 
 class TestOutputState:
     def test_identity_register(self):

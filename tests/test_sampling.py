@@ -181,7 +181,7 @@ class TestPoissonCounts:
         assert abs(np.std(vals) - oracle_std) < 0.08 * oracle_std
 
     def test_ratio_requires_counts(self):
-        rec = MeasurementRecord("x", 0, 0)
+        rec = MeasurementRecord(0, 0)
         with pytest.raises(ValueError, match="ratio"):
             _ = rec.expectation
 

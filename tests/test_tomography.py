@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,8 @@ from dqc1sim import (
     DensityMatrix,
     ReconstructionError,
     TomographyRun,
-    all_settings,
     fidelity,
     linear_estimate,
-    minimal_settings,
-    noiseless_run,
     output_state,
     psd_project,
     pure_state,
@@ -20,9 +19,16 @@ from dqc1sim import (
     simulate_counts,
     z_theta,
 )
-from dqc1sim.tomography import TomographySetting, setting_from_label
+from dqc1sim.tomography import PROJECTORS, SETTING_LABELS
 
-from helpers import bell_state, random_density_matrix
+from helpers import (
+    TOMO_KETS,
+    TOMO_LABELS,
+    bell_state,
+    noiseless_run,
+    random_density_matrix,
+    setting_probability,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -33,36 +39,29 @@ def trace_distance(a, b):
 
 class TestSettings:
     def test_36_unique_settings(self):
-        settings_list = all_settings()
-        assert len(settings_list) == 36
-        assert len({s.label for s in settings_list}) == 36
+        # product order of z+, z-, x+, x-, y+, y-, qubit 0 slowest
+        assert SETTING_LABELS == TOMO_LABELS
+        assert len(set(SETTING_LABELS)) == 36
+        assert SETTING_LABELS[:3] == ("z+z+", "z+z-", "z+x+")
+        assert SETTING_LABELS[-1] == "y-y-"
 
     def test_projectors_are_rank_one_idempotent(self):
-        for s in all_settings():
-            p = s.projector
+        assert PROJECTORS.shape == (36, 4, 4)
+        for label, p in zip(SETTING_LABELS, PROJECTORS):
             assert np.max(np.abs(p @ p - p)) < 1e-12
             assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_minimal_subset(self):
-        subset = minimal_settings()
-        assert len(subset) == 16
-        assert {s.label for s in subset} <= {s.label for s in all_settings()}
-
-    def test_label_round_trip(self):
-        s = TomographySetting("x+", "y-")
-        assert setting_from_label(s.label) == s
-        with pytest.raises(ValueError):
-            setting_from_label("bogus")
-        with pytest.raises(ValueError, match="basis"):
-            TomographySetting("w+", "z+")
+            ket = np.kron(TOMO_KETS[label[:2]], TOMO_KETS[label[2:]])
+            assert np.max(np.abs(p - np.outer(ket, ket.conj()))) < 1e-15
 
 
 class TestSimulateCounts:
     def test_logical_zero_projections(self):
         rho = pure_state([1, 0, 0, 0], (1, 1))
         run = simulate_counts(rho, 500.0, 1)
-        by_label = dict(zip((s.label for s in run.settings), run.counts))
-        assert by_label["z-z-"] == 0  # orthogonal projector never fires
+        by_label = dict(zip(run.to_json()["settings"], run.counts))
+        for label in TOMO_LABELS:
+            if setting_probability(rho.entries, label) == 0.0:
+                assert by_label[label] == 0  # orthogonal projectors never fire
         assert by_label["z+z+"] > 300  # mean equals the full flux
 
     def test_maximally_mixed_rates(self):
@@ -77,11 +76,8 @@ class TestSimulateCounts:
     def test_rate_oracle_for_circuit_output(self):
         rho = output_state(z_theta(np.pi / 2), 1.0)
         mean_counts = 2000.0
-        setting = TomographySetting("x+", "z+")
-        oracle_mean = mean_counts * float(
-            np.einsum("ij,ji->", rho.entries, setting.projector).real
-        )
-        idx = [s.label for s in all_settings()].index(setting.label)
+        oracle_mean = mean_counts * setting_probability(rho.entries, "x+z+")
+        idx = SETTING_LABELS.index("x+z+")
         draws = [simulate_counts(rho, mean_counts, k).counts[idx] for k in range(60)]
         assert abs(np.mean(draws) - oracle_mean) < 5 * np.sqrt(oracle_mean / 60)
 
@@ -106,33 +102,14 @@ class TestLinearEstimate:
         estimate = linear_estimate(noiseless_run(rho, 1e4))
         assert np.max(np.abs(estimate - rho.entries)) < 1e-10
 
-    def test_minimal_subset_noiseless_exact(self):
-        rng = np.random.default_rng(9)
-        rho = random_density_matrix(rng, (1, 1))
-        subset = minimal_settings()
-        counts = 1e4 * np.array(
-            [np.einsum("ij,ji->", rho.entries, s.projector).real for s in subset]
-        )
-        run = TomographyRun(subset, counts, 1e4)
-        estimate = linear_estimate(run)
-        assert np.max(np.abs(estimate - rho.entries)) < 1e-10
-
-    def test_zero_signal_group_is_an_error(self):
+    @pytest.mark.parametrize("pair", [a + b for a in "ZXY" for b in "ZXY"])
+    def test_zero_signal_group_is_an_error(self, pair):
+        # every basis pair of a Bell state carries 1/9 of the counts
         run = noiseless_run(bell_state(), 100.0)
-        counts = run.counts.copy()
-        labels = [s.label for s in run.settings]
-        for k, lab in enumerate(labels):
-            if lab[0] == "x" and lab[2] == "y":
-                counts[k] = 0.0
-        broken = TomographyRun(run.settings, counts, 100.0)
-        with pytest.raises(ReconstructionError, match="XY"):
-            linear_estimate(broken)
-
-    def test_underdetermined_settings_error(self):
-        subset = [s for s in all_settings() if s.pauli_pair == ("Z", "Z")]
-        counts = np.array([25.0, 25.0, 25.0, 25.0])
-        with pytest.raises(ReconstructionError, match="determine"):
-            linear_estimate(TomographyRun(tuple(subset), counts, 100.0))
+        counts = [0.0 if (lab[0] + lab[2]).upper() == pair else c
+                  for lab, c in zip(TOMO_LABELS, run.counts)]
+        with pytest.raises(ReconstructionError, match=f"^no signal in basis pair {pair}$"):
+            linear_estimate(TomographyRun(counts, 100.0))
 
 
 class TestPsdProject:
@@ -147,11 +124,6 @@ class TestPsdProject:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             psd_project(np.array([[1.0, 1.0], [0.0, 0.0]]))
-
-    def test_custom_trace(self):
-        out = psd_project(np.diag([0.6, 0.6, -0.1, 0.0]), target_trace=2.0)
-        assert np.trace(out).real == pytest.approx(2.0, abs=1e-12)
-        assert np.linalg.eigvalsh(out)[0] >= -1e-14
 
     @given(seeds)
     @settings(max_examples=15, deadline=None)
@@ -215,34 +187,21 @@ class TestReconstruct:
         ratio = mean_error(1e3, 1) / mean_error(1e5, 2)
         assert abs(ratio - 10.0) < 3.0
 
-    def test_overcomplete_beats_minimal_subset_on_noise(self):
-        rho = output_state(z_theta(np.pi / 2), 1.0)
-        mean_counts = 1e3
-        labels_16 = {s.label for s in minimal_settings()}
-        err_36, err_16 = [], []
-        for seed in range(200):
-            run = simulate_counts(rho, mean_counts, seed)
-            err_36.append(trace_distance(reconstruct(run).entries, rho.entries))
-            keep = [i for i, s in enumerate(run.settings) if s.label in labels_16]
-            sub = TomographyRun(
-                tuple(run.settings[i] for i in keep), run.counts[keep], mean_counts
-            )
-            err_16.append(trace_distance(reconstruct(sub).entries, rho.entries))
-        assert np.mean(err_36) < np.mean(err_16)
-
 
 class TestRunJson:
     def test_round_trip(self):
+        # run -> JSON text -> the labels and integer counts that tomo writes
         run = simulate_counts(bell_state(), 500.0, 9)
-        obj = run.to_json()
+        obj = json.loads(json.dumps(run.to_json()))
         assert obj["mean"] == 500.0 and obj["seed"] == 9
-        assert len(obj["settings"]) == 36
-        back = TomographyRun.from_json(obj)
-        assert np.array_equal(back.counts, run.counts)
-        assert back.settings == run.settings
+        assert obj["settings"] == list(TOMO_LABELS)
+        assert all(isinstance(c, int) for c in obj["counts"])
+        assert np.array_equal(obj["counts"], run.counts)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="counts"):
-            TomographyRun(all_settings(), np.ones(10), 100.0)
+            TomographyRun(np.ones(10), 100.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            TomographyRun(all_settings(), -np.ones(36), 100.0)
+            TomographyRun(-np.ones(36), 100.0)
+        with pytest.raises(ValueError, match="mean_counts"):
+            TomographyRun(np.ones(36), 0.0)
