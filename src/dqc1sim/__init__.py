@@ -4,19 +4,14 @@ __version__ = "0.1.0"
 
 from .qmath import (
     DensityMatrix,
-    HermitianObservable,
-    expectation,
     fidelity,
     partial_trace,
-    pauli_observable,
     pure_state,
     repartition,
-    tensor,
     vn_entropy,
 )
 from .dqc1 import (
     UnitaryMatrix,
-    build_input,
     exact_expectations,
     normalized_trace,
     output_state,
@@ -29,7 +24,6 @@ from .sampling import (
     chi2_report,
     estimate_trace,
     poisson_counts,
-    rng_stream,
     sample_expectation,
     shots_required,
 )
@@ -49,10 +43,8 @@ from .clifford import (
     CliffordCircuit,
     Gate,
     SignedPauliString,
-    conjugate_gate,
     dqc1_clifford_expectations,
     propagate,
-    random_clifford_circuit,
     verify_zero_discord,
 )
 from .tomography import (
@@ -65,19 +57,17 @@ from .tomography import (
 )
 
 __all__ = [
-    "DensityMatrix", "HermitianObservable", "expectation", "fidelity",
-    "partial_trace", "pauli_observable", "pure_state", "repartition", "tensor",
+    "DensityMatrix", "fidelity", "partial_trace", "pure_state", "repartition",
     "vn_entropy",
-    "UnitaryMatrix", "build_input", "exact_expectations", "normalized_trace",
-    "output_state", "reduced_control", "z_theta",
+    "UnitaryMatrix", "exact_expectations", "normalized_trace", "output_state",
+    "reduced_control", "z_theta",
     "MeasurementRecord", "chi2_reduced", "chi2_report", "estimate_trace",
-    "poisson_counts", "rng_stream", "sample_expectation", "shots_required",
+    "poisson_counts", "sample_expectation", "shots_required",
     "MEASURE_CONTROL", "MEASURE_REGISTER", "BlochDirection", "CorrelationReport",
     "concurrence", "correlation_report", "discord", "min_conditional_entropy",
     "mutual_information", "tangle",
-    "CliffordCircuit", "Gate", "SignedPauliString", "conjugate_gate",
-    "dqc1_clifford_expectations", "propagate", "random_clifford_circuit",
-    "verify_zero_discord",
+    "CliffordCircuit", "Gate", "SignedPauliString", "dqc1_clifford_expectations",
+    "propagate", "verify_zero_discord",
     "ReconstructionError", "TomographyRun", "linear_estimate", "psd_project",
     "reconstruct", "simulate_counts",
 ]

@@ -306,7 +306,6 @@ def _cmd_tomo(args) -> int:
         "discord_rc": discord(recon, MEASURE_CONTROL),
         "tangle": tangle(recon),
     }
-    report["run"]["seed"] = args.seed
     _write_output(args.out, _render_json(report))
     return 0
 

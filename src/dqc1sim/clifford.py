@@ -16,9 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import DensityMatrix, PAULIS, check_range, partial_trace, vn_entropy
+from .serialize import json_int, json_list
 from . import correlations
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
+# verify-clifford needs about 1.2 KB per qubit (149 MB peak RSS at this
+# bound); 10x the largest circuit the benchmark runs.
+MAX_QUBITS = 100_000
 
 _LABEL_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LABEL = {v: k for k, v in _LABEL_TO_XZ.items()}
@@ -41,30 +45,6 @@ class Gate:
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"{self.name} qubits must be distinct, got {qubits}")
         object.__setattr__(self, "qubits", qubits)
-
-
-def H(q: int) -> Gate:
-    return Gate("H", (q,))
-
-
-def S(q: int) -> Gate:
-    return Gate("S", (q,))
-
-
-def X(q: int) -> Gate:
-    return Gate("X", (q,))
-
-
-def Z(q: int) -> Gate:
-    return Gate("Z", (q,))
-
-
-def CZ(a: int, b: int) -> Gate:
-    return Gate("CZ", (a, b))
-
-
-def CNOT(control: int, target: int) -> Gate:
-    return Gate("CNOT", (control, target))
 
 
 @dataclass(frozen=True)
@@ -102,6 +82,8 @@ class CliffordCircuit:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        if self.n_qubits > MAX_QUBITS:
+            raise ValueError(f"n_qubits must be <= {MAX_QUBITS}, got {self.n_qubits}")
         gates = tuple(self.gates)
         for i, g in enumerate(gates):
             if any(not 0 <= q < self.n_qubits for q in g.qubits):
@@ -111,26 +93,21 @@ class CliffordCircuit:
         object.__setattr__(self, "gates", gates)
 
 
-def circuit_to_json(circuit: CliffordCircuit) -> dict:
-    gates = []
-    for g in circuit.gates:
-        gates.append({"g": g.name, "q": g.qubits[0] if len(g.qubits) == 1 else list(g.qubits)})
-    return {"n": circuit.n_qubits, "gates": gates}
-
-
 def circuit_from_json(obj: dict) -> CliffordCircuit:
     if not isinstance(obj, dict) or "n" not in obj or "gates" not in obj:
         raise ValueError("circuit JSON must be an object with 'n' and 'gates'")
+    n = json_int(obj["n"], "n")
     gates = []
-    for i, item in enumerate(obj["gates"]):
+    for i, item in enumerate(json_list(obj["gates"], "gates")):
         try:
-            name = item["g"]
-            q = item["q"]
-            qubits = (q,) if isinstance(q, int) else tuple(q)
+            name, q = item["g"], item["q"]
+            qubits = tuple(q) if isinstance(q, list) else (q,)
+            for k in qubits:
+                json_int(k, "qubit index")
             gates.append(Gate(name, qubits))
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"bad gate at index {i}: {exc}") from None
-    return CliffordCircuit(int(obj["n"]), tuple(gates))
+    return CliffordCircuit(n, tuple(gates))
 
 
 def _apply_gate_bits(name: str, qubits: tuple[int, ...], x: list, z: list) -> int:
@@ -164,74 +141,20 @@ def _apply_gate_bits(name: str, qubits: tuple[int, ...], x: list, z: list) -> in
     raise ValueError(f"unknown gate {name!r}")
 
 
-def _propagate_bits(gates, p: SignedPauliString) -> SignedPauliString:
-    x = [_LABEL_TO_XZ[c][0] for c in p.labels]
-    z = [_LABEL_TO_XZ[c][1] for c in p.labels]
-    sign = 0
-    for g in gates:
-        sign ^= _apply_gate_bits(g.name, g.qubits, x, z)
-    labels = "".join(_XZ_TO_LABEL[(xi, zi)] for xi, zi in zip(x, z))
-    return SignedPauliString(p.phase * (-1) ** sign, labels)
-
-
-def conjugate_gate(gate: Gate, p: SignedPauliString) -> SignedPauliString:
-    """g P g+ as a signed Pauli string."""
-    if any(q >= p.n_qubits for q in gate.qubits):
-        raise ValueError(f"gate qubits {gate.qubits} out of range for {p.n_qubits} qubits")
-    return _propagate_bits([gate], p)
-
-
 def propagate(circuit: CliffordCircuit, p: SignedPauliString) -> SignedPauliString:
-    """Left fold of conjugate_gate over the circuit's gates."""
+    """W P W+ for the circuit's unitary W, conjugating by one gate at a time
+    (first gate first) on the X/Z bits of the string."""
     if circuit.n_qubits != p.n_qubits:
         raise ValueError(
             f"circuit acts on {circuit.n_qubits} qubits but string has {p.n_qubits}"
         )
-    return _propagate_bits(circuit.gates, p)
-
-
-_GATE_MATRICES = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
-    "S": np.diag([1.0, 1.0j]),
-    "X": PAULIS["X"],
-    "Z": PAULIS["Z"],
-    "CZ": np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-}
-
-
-def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Dense matrix of a gate embedded in an n-qubit register (qubit 0 slowest)."""
-    g = _GATE_MATRICES[gate.name]
-    dim = 2**n_qubits
-    if len(gate.qubits) == 1:
-        q = gate.qubits[0]
-        return np.kron(
-            np.kron(np.eye(2**q), g), np.eye(2 ** (n_qubits - q - 1))
-        ).astype(complex)
-    a, b = gate.qubits
-    bit_a = n_qubits - 1 - a
-    bit_b = n_qubits - 1 - b
-    u = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        ia = (col >> bit_a) & 1
-        ib = (col >> bit_b) & 1
-        base = col & ~(1 << bit_a) & ~(1 << bit_b)
-        for oa in (0, 1):
-            for ob in (0, 1):
-                row = base | (oa << bit_a) | (ob << bit_b)
-                u[row, col] = g[2 * oa + ob, 2 * ia + ib]
-    return u
-
-
-def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
-    """Dense product of the circuit's gates (first gate applied first)."""
-    w = np.eye(2**circuit.n_qubits, dtype=complex)
+    x = [_LABEL_TO_XZ[c][0] for c in p.labels]
+    z = [_LABEL_TO_XZ[c][1] for c in p.labels]
+    sign = 0
     for g in circuit.gates:
-        w = gate_unitary(g, circuit.n_qubits) @ w
-    return w
+        sign ^= _apply_gate_bits(g.name, g.qubits, x, z)
+    labels = "".join(_XZ_TO_LABEL[(xi, zi)] for xi, zi in zip(x, z))
+    return SignedPauliString(p.phase * (-1) ** sign, labels)
 
 
 def pauli_matrix(p: SignedPauliString) -> np.ndarray:
@@ -240,21 +163,6 @@ def pauli_matrix(p: SignedPauliString) -> np.ndarray:
     for c in p.labels:
         m = np.kron(m, PAULIS[c])
     return m
-
-
-def random_clifford_circuit(n_qubits: int, n_gates: int, rng) -> CliffordCircuit:
-    """Uniformly random gate sequence over the supported gate set."""
-    rng = np.random.default_rng(rng)
-    names = [g for g in GATE_ARITY if GATE_ARITY[g] <= n_qubits]
-    gates = []
-    for _ in range(n_gates):
-        name = names[rng.integers(len(names))]
-        if GATE_ARITY[name] == 1:
-            gates.append(Gate(name, (int(rng.integers(n_qubits)),)))
-        else:
-            a, b = rng.choice(n_qubits, size=2, replace=False)
-            gates.append(Gate(name, (int(a), int(b))))
-    return CliffordCircuit(n_qubits, tuple(gates))
 
 
 def dqc1_clifford_expectations(circuit: CliffordCircuit, alpha: float) -> tuple[float, float]:

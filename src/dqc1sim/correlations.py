@@ -102,19 +102,16 @@ class CorrelationReport:
         }
 
 
-def _bipartite(rho: DensityMatrix, split) -> DensityMatrix:
-    if split is not None:
-        rho = repartition(rho, split)
+def _check_bipartite(rho: DensityMatrix) -> None:
     if len(rho.qubit_dims) != 2:
         raise ValueError(
             f"state is not bipartite: qubit_dims = {rho.qubit_dims}"
         )
-    return rho
 
 
-def mutual_information(rho: DensityMatrix, split=None) -> float:
+def mutual_information(rho: DensityMatrix) -> float:
     """H(A) + H(B) - H(AB) in bits; nonnegative up to round-off."""
-    rho = _bipartite(rho, split)
+    _check_bipartite(rho)
     h_a = vn_entropy(partial_trace(rho, 0))
     h_b = vn_entropy(partial_trace(rho, 1))
     return h_a + h_b - vn_entropy(rho)
@@ -254,8 +251,10 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _minimize_conditional_entropy(rho: DensityMatrix, measured: int):
-    """Hemisphere grid, then ZOOM_ROUNDS of local grid zoom.
+def min_conditional_entropy(rho: DensityMatrix, measured: int):
+    """Minimum average entropy of the unmeasured side over projective
+    measurements on the measured qubit of a bipartite state: a hemisphere
+    grid, then ZOOM_ROUNDS of local grid zoom.
 
     Each zoom round evaluates a ZOOM_POINTS^2 grid in the plane tangent to
     the best direction so far, spanning +-1 step of the previous grid, so
@@ -265,10 +264,9 @@ def _minimize_conditional_entropy(rho: DensityMatrix, measured: int):
     also tries the minimum of the quadratic fitted to its grid values.
 
     Returns (value, BlochDirection, objective evaluations); the direction
-    is reported on the upper hemisphere. Fully deterministic. rho must be
-    bipartite: min_conditional_entropy checks it, and _discord_detail
-    through mutual_information.
+    is reported on the upper hemisphere. Fully deterministic.
     """
+    _check_bipartite(rho)
     if measured not in (0, 1):
         raise ValueError(f"measured subsystem index must be 0 or 1, got {measured}")
     if rho.qubit_dims[measured] != 1:
@@ -308,18 +306,11 @@ def _minimize_conditional_entropy(rho: DensityMatrix, measured: int):
     return value, BlochDirection(polar, azimuth), evals
 
 
-def min_conditional_entropy(rho: DensityMatrix, measured: int):
-    """Minimum average entropy of the unmeasured side over projective
-    measurements on the measured qubit, with the achieving direction."""
-    value, direction, _ = _minimize_conditional_entropy(_bipartite(rho, None), measured)
-    return value, direction
-
-
 def _discord_detail(rho: DensityMatrix, measured: int):
     other = 1 - measured
     info = mutual_information(rho)
     h_other = vn_entropy(partial_trace(rho, other))
-    h_min, direction, evals = _minimize_conditional_entropy(rho, measured)
+    h_min, direction, evals = min_conditional_entropy(rho, measured)
     return info - (h_other - h_min), direction, evals
 
 

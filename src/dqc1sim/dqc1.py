@@ -61,17 +61,6 @@ def z_theta(theta: float) -> UnitaryMatrix:
     return UnitaryMatrix(1, np.diag([1.0, np.exp(1j * theta)]))
 
 
-def build_input(n: int, alpha: float) -> DensityMatrix:
-    """Input state (1/2^(n+1)) (I + alpha Z (x) I^n), diagonal in the logical basis."""
-    n = register_size(n)
-    check_range("alpha", alpha, 0.0, 1.0)
-    big = 2 ** (n + 1)
-    diag = np.concatenate(
-        [np.full(big // 2, 1.0 + alpha), np.full(big // 2, 1.0 - alpha)]
-    ) / big
-    return DensityMatrix(np.diag(diag).astype(complex), (1, n))
-
-
 def output_state(u: UnitaryMatrix, alpha: float) -> DensityMatrix:
     """Closed-form circuit output (1/2N) [[I, alpha U+], [alpha U, I]]."""
     check_range("alpha", alpha, 0.0, 1.0)

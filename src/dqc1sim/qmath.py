@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -26,7 +25,7 @@ PAULIS = {"I": SIGMA_I, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 def square_complex(m) -> np.ndarray:
     """Copy of m as a finite, square complex matrix; the one entry check
-    shared by states, observables and unitaries."""
+    shared by states, unitaries and tomography estimates."""
     out = np.array(m, dtype=complex)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {out.shape}")
@@ -86,8 +85,10 @@ class DensityMatrix:
         dims = tuple(int(k) for k in self.qubit_dims)
         if not dims or any(k < 1 for k in dims):
             raise ValueError(f"qubit_dims must be positive integers, got {dims}")
-        dim = 2 ** sum(dims)
-        if entries.shape != (dim, dim):
+        # Bit lengths first, so that a huge count read from a file never
+        # builds the integer 2**sum(dims).
+        dim = entries.shape[0]
+        if dim.bit_length() - 1 != sum(dims) or dim != 2 ** sum(dims):
             raise ValueError(
                 f"entries shape {entries.shape} does not match qubit_dims {dims}"
             )
@@ -115,35 +116,6 @@ class DensityMatrix:
         return tuple(2**k for k in self.qubit_dims)
 
 
-@dataclass(frozen=True)
-class HermitianObservable:
-    """Hermitian matrix measured against a state."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = square_complex(self.entries)
-        if np.max(np.abs(entries - entries.conj().T)) > 1e-12:
-            raise ValueError("observable is not Hermitian")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def pauli_observable(labels: str) -> HermitianObservable:
-    """Tensor product of single-qubit Paulis, e.g. "XZ" for X on qubit 0."""
-    try:
-        mats = [PAULIS[c] for c in labels]
-    except KeyError as exc:
-        raise ValueError(f"unknown Pauli label {exc.args[0]!r}") from None
-    if not mats:
-        raise ValueError("empty Pauli label string")
-    return HermitianObservable(reduce(np.kron, mats))
-
-
 def pure_state(amplitudes, qubit_dims) -> DensityMatrix:
     """Density matrix |psi><psi| of a (normalized) amplitude vector."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
@@ -152,11 +124,6 @@ def pure_state(amplitudes, qubit_dims) -> DensityMatrix:
         raise ValueError("zero state vector")
     v = v / norm
     return DensityMatrix(np.outer(v, v.conj()), tuple(qubit_dims))
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a's index slowest."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def repartition(rho: DensityMatrix, qubit_dims) -> DensityMatrix:
@@ -199,21 +166,6 @@ def vn_entropy(rho: DensityMatrix) -> float:
     lam = np.clip(lam, 0.0, None)
     lam = lam[lam > 0.0]
     return float(-np.sum(lam * np.log2(lam)))
-
-
-def expectation(rho: DensityMatrix, obs: HermitianObservable | np.ndarray) -> float:
-    """Real expectation value trace(rho @ obs)."""
-    if not isinstance(obs, HermitianObservable):
-        obs = HermitianObservable(obs)
-    if obs.dim != rho.dim:
-        raise ValueError(
-            f"dimension mismatch: state is {rho.dim}x{rho.dim}, "
-            f"observable is {obs.dim}x{obs.dim}"
-        )
-    val = complex(np.einsum("ij,ji->", rho.entries, obs.entries))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary residue {val.imag}")
-    return float(val.real)
 
 
 def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:

@@ -25,12 +25,6 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"unknown sampling mode {mode!r}, expected one of {SAMPLING_MODES}")
 
 
-def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
-    """Independent reproducible stream for (master seed, task index, ...)."""
-    entropy = [int(master_seed), *(int(p) for p in path)]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Counts in the +/- ports of one measurement basis."""
@@ -109,9 +103,10 @@ def estimate_trace(u: UnitaryMatrix, alpha: float, shots: int, seed,
                    mode: str = "binomial") -> complex:
     """Sampled estimate of the normalized trace Tr(U)/N.
 
-    The X and Y quadratures use independent shot streams derived from the
-    seed, and the result is divided by alpha so it estimates the trace
-    itself. shots = 0 bypasses sampling and returns the exact value.
+    The X and Y quadratures use independent shot streams spawned from the
+    seed, an int or a SeedSequence, and the result is divided by alpha so
+    it estimates the trace itself. shots = 0 bypasses sampling and returns
+    the exact value.
     """
     _check_pure_fraction(alpha)
     check_mode(mode)
@@ -120,11 +115,8 @@ def estimate_trace(u: UnitaryMatrix, alpha: float, shots: int, seed,
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
     x, y = exact_expectations(u, alpha)
-    if isinstance(seed, np.random.Generator):
-        gen_x, gen_y = seed.spawn(2)
-    else:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-        gen_x, gen_y = (np.random.default_rng(c) for c in ss.spawn(2))
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+    gen_x, gen_y = (np.random.default_rng(c) for c in ss.spawn(2))
     x_est = _sampled_quadrature(x, shots, gen_x, mode)
     y_est = _sampled_quadrature(y, shots, gen_y, mode)
     return complex(x_est, y_est) / alpha

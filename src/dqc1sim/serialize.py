@@ -25,13 +25,32 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def json_int(value, what: str) -> int:
+    """value if the JSON held an integer there; the one type check of the
+    sizes and indices read from a file (bool, float, null and string fail)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)[:40]}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {json.dumps(value)[:40]}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise ValueError(f"matrix JSON must be an object, got {json.dumps(obj)[:40]}")
     for key in ("dim", "re", "im"):
         if key not in obj:
             raise ValueError(f"matrix JSON is missing key {key!r}")
-    dim = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    dim = json_int(obj["dim"], "dim")
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except (TypeError, OverflowError):
+        raise ValueError("matrix JSON entries must be numbers") from None
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(
             f"matrix JSON shapes {re.shape}/{im.shape} do not match dim {dim}"
@@ -49,11 +68,12 @@ def density_to_json(rho: DensityMatrix) -> dict:
     return obj
 
 
-def density_from_json(obj: dict, qubit_dims=None) -> DensityMatrix:
+def density_from_json(obj: dict) -> DensityMatrix:
     m = matrix_from_json(obj)
-    if qubit_dims is None:
-        qubit_dims = obj.get("qubit_dims")
-    if qubit_dims is None:
+    if "qubit_dims" in obj:
+        qubit_dims = [json_int(k, "qubit_dims entry")
+                      for k in json_list(obj["qubit_dims"], "qubit_dims")]
+    else:
         total = qubit_count(m.shape[0])
         qubit_dims = (1,) if total == 1 else (1, total - 1)
     return DensityMatrix(m, tuple(qubit_dims))
@@ -64,13 +84,6 @@ def unitary_from_json(obj: dict) -> UnitaryMatrix:
     return UnitaryMatrix.from_matrix(matrix_from_json(obj))
 
 
-def unitary_to_json(u: UnitaryMatrix) -> dict:
-    return matrix_to_json(u.entries)
-
-
 def load_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
-
-def save_json(path, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -1,16 +1,23 @@
-"""Shared test utilities: random states and independent brute-force oracles.
+"""Shared test utilities: random states and circuits, JSON writers, and
+independent brute-force oracles.
 
 The oracles here deliberately avoid the package's optimized code paths
-(block reductions, vectorized grids) so they can serve as independent
-cross-checks: explicit projectors, dense conjugation, plain loops.
+(block reductions, vectorized grids, X/Z bit propagation) so they can serve
+as independent cross-checks: explicit projectors, dense gate matrices,
+plain loops.
 """
 
 from __future__ import annotations
 
+import json
+from functools import reduce
+from pathlib import Path
+
 import numpy as np
 
-from dqc1sim import DensityMatrix, TomographyRun
+from dqc1sim import DensityMatrix, TomographyRun, UnitaryMatrix
 from dqc1sim.clifford import CliffordCircuit, Gate, SignedPauliString
+from dqc1sim.serialize import matrix_to_json
 
 I2 = np.eye(2, dtype=complex)
 PX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -166,3 +173,69 @@ def random_pauli_string(rng, n_qubits: int, allow_identity: bool = True) -> Sign
     if not allow_identity and set(labels) == {"I"}:
         labels = "Z" + labels[1:]
     return SignedPauliString(1 if rng.random() < 0.5 else -1, labels)
+
+
+# Dense Clifford gates, written out independently of dqc1sim.clifford: the
+# single-qubit matrices, and for each controlled gate the operator it
+# applies to the target when the control is |1>.
+ONE_QUBIT_GATES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "S": np.diag([1.0, 1.0j]),
+    "X": PX,
+    "Z": PZ,
+}
+CONTROLLED_GATES = {"CZ": PZ, "CNOT": PX}
+GATE_ARITY = {**dict.fromkeys(ONE_QUBIT_GATES, 1), **dict.fromkeys(CONTROLLED_GATES, 2)}
+
+
+def _on_qubits(ops: dict, n_qubits: int) -> np.ndarray:
+    """Kronecker product with ops[q] on qubit q, identity elsewhere."""
+    return reduce(np.kron, [ops.get(q, I2) for q in range(n_qubits)], np.eye(1))
+
+
+def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
+    """Dense matrix of a gate in an n-qubit register (qubit 0 slowest)."""
+    if gate.name in CONTROLLED_GATES:
+        c, t = gate.qubits
+        off = _on_qubits({c: np.diag([1.0, 0.0])}, n_qubits)
+        on = _on_qubits({c: np.diag([0.0, 1.0]), t: CONTROLLED_GATES[gate.name]}, n_qubits)
+        return off + on
+    return _on_qubits({gate.qubits[0]: ONE_QUBIT_GATES[gate.name]}, n_qubits)
+
+
+def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
+    """Dense product of the circuit's gates (first gate applied first)."""
+    w = np.eye(2**circuit.n_qubits, dtype=complex)
+    for g in circuit.gates:
+        w = gate_unitary(g, circuit.n_qubits) @ w
+    return w
+
+
+def random_clifford_circuit(n_qubits: int, n_gates: int, rng) -> CliffordCircuit:
+    """Uniformly random gate sequence over the supported gate set."""
+    rng = np.random.default_rng(rng)
+    names = [g for g in GATE_ARITY if GATE_ARITY[g] <= n_qubits]
+    gates = []
+    for _ in range(n_gates):
+        name = names[rng.integers(len(names))]
+        if GATE_ARITY[name] == 1:
+            gates.append(Gate(name, (int(rng.integers(n_qubits)),)))
+        else:
+            a, b = rng.choice(n_qubits, size=2, replace=False)
+            gates.append(Gate(name, (int(a), int(b))))
+    return CliffordCircuit(n_qubits, tuple(gates))
+
+
+def circuit_to_json(circuit: CliffordCircuit) -> dict:
+    gates = []
+    for g in circuit.gates:
+        gates.append({"g": g.name, "q": g.qubits[0] if len(g.qubits) == 1 else list(g.qubits)})
+    return {"n": circuit.n_qubits, "gates": gates}
+
+
+def unitary_to_json(u: UnitaryMatrix) -> dict:
+    return matrix_to_json(u.entries)
+
+
+def save_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -24,35 +24,29 @@ from dqc1sim import (
     mutual_information,
     output_state,
     propagate,
-    random_clifford_circuit,
     reconstruct,
-    rng_stream,
     sample_expectation,
     shots_required,
     simulate_counts,
     tangle,
-    tensor,
     verify_zero_discord,
     z_theta,
 )
 from dqc1sim.cli import SweepConfig, main as cli_main, sweep_rows
-from dqc1sim.clifford import (
-    CZ,
-    CliffordCircuit,
-    H,
-    circuit_to_json,
-    circuit_unitary,
-    pauli_matrix,
-)
-from dqc1sim.serialize import save_json, unitary_to_json
+from dqc1sim.clifford import CliffordCircuit, Gate
 
 from helpers import (
     bell_state,
+    circuit_to_json,
+    circuit_unitary,
     controlled_pauli_circuit,
     dense_pauli,
     noiseless_run,
+    random_clifford_circuit,
     random_density_matrix,
     random_pauli_string,
+    save_json,
+    unitary_to_json,
 )
 
 
@@ -99,7 +93,8 @@ def test_criterion_2_purity_scaling():
 
         def rms(alpha, tag):
             errs = [
-                abs(estimate_trace(u, alpha, shots, rng_stream(101, tag, k)) - target)
+                abs(estimate_trace(u, alpha, shots, np.random.SeedSequence([101, tag, k]))
+                    - target)
                 for k in range(1000)
             ]
             return float(np.sqrt(np.mean(np.square(errs))))
@@ -119,7 +114,7 @@ def test_criterion_3_shot_complexity():
             for true_val in (0.0, 0.6, -0.9):
                 failures = sum(
                     abs(
-                        sample_expectation(true_val, shots, rng_stream(103, k))
+                        sample_expectation(true_val, shots, np.random.SeedSequence([103, k]))
                         - true_val
                     )
                     > 2 * eps
@@ -162,15 +157,15 @@ def test_criterion_5_clifford_theorem():
             p = random_pauli_string(rng, n_qubits)
             out = propagate(circuit, p)
             w = circuit_unitary(circuit)
-            conjugated = w @ pauli_matrix(p) @ w.conj().T
-            assert np.allclose(conjugated, pauli_matrix(out), atol=1e-12), trial
+            conjugated = w @ dense_pauli(p.labels, p.phase) @ w.conj().T
+            assert np.allclose(conjugated, dense_pauli(out.labels, out.phase), atol=1e-12), trial
 
 
 def test_criterion_6_clifford_versus_dense_expectations():
     with criterion(6, "stabilizer expectations equal dense simulator", 60.0):
         cases = [
-            (CliffordCircuit(2, (H(0),)), UnitaryMatrix(1, np.eye(2))),
-            (CliffordCircuit(2, (H(0), CZ(0, 1))), z_theta(np.pi)),
+            (CliffordCircuit(2, (Gate("H", (0,)),)), UnitaryMatrix(1, np.eye(2))),
+            (CliffordCircuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1)))), z_theta(np.pi)),
         ]
         rng = np.random.default_rng(106)
         for _ in range(20):
@@ -220,7 +215,7 @@ def test_criterion_8_correlation_oracles():
         for _ in range(3):
             a = random_density_matrix(rng, (1,))
             b = random_density_matrix(rng, (1,))
-            product = DensityMatrix(tensor(a.entries, b.entries), (1, 1))
+            product = DensityMatrix(np.kron(a.entries, b.entries), (1, 1))
             assert abs(mutual_information(product)) < 1e-6
             assert abs(discord(product, MEASURE_CONTROL)) < 1e-6
             assert abs(discord(product, MEASURE_REGISTER)) < 1e-6
@@ -231,7 +226,7 @@ def test_criterion_8_correlation_oracles():
         one = np.zeros((2, 2), dtype=complex)
         one[1, 1] = 1.0
         plus = np.full((2, 2), 0.5, dtype=complex)
-        witness = DensityMatrix(0.5 * tensor(zero, zero) + 0.5 * tensor(one, plus), (1, 1))
+        witness = DensityMatrix(0.5 * np.kron(zero, zero) + 0.5 * np.kron(one, plus), (1, 1))
         assert discord(witness, MEASURE_REGISTER) > 0.05
         assert discord(witness, MEASURE_CONTROL) < 1e-4
 
@@ -258,7 +253,8 @@ def test_criterion_9_cli_determinism(tmp_path):
         assert blobs[0] == blobs[1]
 
         circuit_file = tmp_path / "circuit.json"
-        save_json(circuit_file, circuit_to_json(CliffordCircuit(2, (H(0), CZ(0, 1)))))
+        circuit = CliffordCircuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1))))
+        save_json(circuit_file, circuit_to_json(circuit))
         blobs = []
         for name in ("v1.json", "v2.json"):
             out = tmp_path / name

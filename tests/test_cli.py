@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqc1sim import output_state, z_theta
 from dqc1sim.cli import SweepConfig, main, sweep_workers
-from dqc1sim.clifford import CZ, CliffordCircuit, H, circuit_to_json
-from dqc1sim.serialize import density_to_json, matrix_to_json, save_json, unitary_to_json
+from dqc1sim.clifford import CliffordCircuit, Gate
+from dqc1sim.serialize import density_to_json, matrix_to_json
+
+from helpers import circuit_to_json, save_json, unitary_to_json
 
 
 def run_cli(args, capsys=None):
@@ -251,7 +259,8 @@ class TestStateCommands:
 class TestVerifyClifford:
     def test_controlled_z_circuit(self, tmp_path):
         circuit_file = tmp_path / "circuit.json"
-        save_json(circuit_file, circuit_to_json(CliffordCircuit(2, (H(0), CZ(0, 1)))))
+        circuit = CliffordCircuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1))))
+        save_json(circuit_file, circuit_to_json(circuit))
         out = tmp_path / "verify.json"
         assert run_cli(["verify-clifford", circuit_file, "--out", out]) == 0
         report = json.loads(out.read_text())
@@ -291,6 +300,27 @@ class TestBadInputs:
         # json.dumps writes NaN and Infinity, which json.loads reads back
         (tmp_path / "nan_state.json").write_text(json.dumps(state))
         (tmp_path / "inf_unitary.json").write_text(json.dumps(unitary))
+        mixed = matrix_to_json(np.eye(4) / 4)
+        cz = {"g": "CZ", "q": [0, 1]}
+        malformed = {
+            "gates_5": {"n": 2, "gates": 5},
+            "n_null": {"n": None, "gates": []},
+            "n_float": {"n": 2.7, "gates": [{"g": "CZ", "q": [0, 1.9]}]},
+            "qubit_float": {"n": 2, "gates": [{"g": "CZ", "q": [0, 1.9]}]},
+            "qubit_bool": {"n": 2, "gates": [cz, {"g": "H", "q": True}]},
+            "qubit_string": {"n": 2, "gates": [{"g": "CZ", "q": "01"}]},
+            "n_huge": {"n": 1000000000, "gates": []},
+            "five": 5,
+            "dim_null": {**mixed, "dim": None},
+            "dim_string": {**mixed, "dim": "4"},
+            "qubit_dims_5": {**mixed, "qubit_dims": 5},
+            "qubit_dims_null": {**mixed, "qubit_dims": None},
+            "qubit_dims_float": {**mixed, "qubit_dims": [1, 1.0]},
+            "qubit_dims_huge": {**mixed, "qubit_dims": [10**12, 1]},
+            "entries_object": {**mixed, "re": {"a": 1}},
+        }
+        for name, value in malformed.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(value))
         return tmp_path
 
     @pytest.mark.filterwarnings("error")
@@ -315,6 +345,24 @@ class TestBadInputs:
         (["sweep", "--mean-counts", "nan"], "mean_counts"),
         (["sweep", "--mean-counts", "-5"], "mean_counts"),
         (["discord", "--theta", "1", "--jobs", "2"], "unrecognized arguments"),
+        (["verify-clifford", "{dir}/gates_5.json"], "gates must be a list"),
+        (["verify-clifford", "{dir}/n_null.json"], "n must be an integer"),
+        (["verify-clifford", "{dir}/n_float.json"], "n must be an integer"),
+        (["verify-clifford", "{dir}/qubit_float.json"], "qubit index must be an integer"),
+        (["verify-clifford", "{dir}/qubit_bool.json"], "index 1: qubit index"),
+        (["verify-clifford", "{dir}/qubit_string.json"], "qubit index must be an integer"),
+        (["verify-clifford", "{dir}/n_huge.json"], "n_qubits must be <= 100000"),
+        (["verify-clifford", "{dir}/five.json"], "must be an object"),
+        (["tangle", "{dir}/five.json"], "must be an object"),
+        (["trace", "{dir}/five.json"], "must be an object"),
+        (["tangle", "{dir}/dim_null.json"], "dim must be an integer"),
+        (["trace", "{dir}/dim_null.json"], "dim must be an integer"),
+        (["trace", "{dir}/dim_string.json"], "dim must be an integer"),
+        (["tangle", "{dir}/qubit_dims_5.json"], "qubit_dims must be a list"),
+        (["tangle", "{dir}/qubit_dims_null.json"], "qubit_dims must be a list"),
+        (["tangle", "{dir}/qubit_dims_float.json"], "qubit_dims entry must be an integer"),
+        (["tangle", "{dir}/qubit_dims_huge.json"], "does not match qubit_dims"),
+        (["tangle", "{dir}/entries_object.json"], "entries must be numbers"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"
@@ -334,6 +382,56 @@ class TestBadInputs:
             main(args)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+GATE_NAMES = ("H", "S", "X", "Z", "CZ", "CNOT")
+_leaves = (st.none() | st.booleans() | st.integers(-2, 5) | st.integers() | st.floats()
+           | st.sampled_from(GATE_NAMES) | st.text(max_size=3))
+_any_json = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(("n", "gates", "g", "q", "dim", "re", "im", "qubit_dims"))
+        | st.text(max_size=2),
+        inner, max_size=6),
+    max_leaves=24,
+)
+_number_grid = st.integers(0, 4).flatmap(lambda d: st.lists(
+    st.lists(st.floats(-1, 1) | st.integers(-1, 1), min_size=d, max_size=d),
+    min_size=d, max_size=d))
+_small = st.integers(-1, 5) | _any_json
+# Near-valid shapes, so that the fuzz also reaches the checks behind the
+# top-level ones.
+_circuit_like = st.fixed_dictionaries({
+    "n": _small,
+    "gates": st.lists(st.fixed_dictionaries(
+        {"g": st.sampled_from(GATE_NAMES) | _any_json,
+         "q": _small | st.lists(_small, max_size=3)}), max_size=4) | _any_json,
+})
+_matrix_like = st.fixed_dictionaries(
+    {"dim": _small, "re": _number_grid | _any_json, "im": _number_grid | _any_json},
+    optional={"qubit_dims": st.lists(_small, max_size=3) | _any_json},
+)
+
+
+class TestJsonFuzz:
+    @pytest.mark.parametrize("command", ["verify-clifford", "tangle", "trace"])
+    @given(value=st.one_of(_any_json, _circuit_like, _matrix_like))
+    @settings(max_examples=60, deadline=None)
+    def test_report_or_one_json_error_line(self, command, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "input.json", Path(tmp) / "out.json"
+            path.write_text(json.dumps(value))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, str(path), "--out", str(out)])
+            if code == 0:
+                assert out.exists() and not err.getvalue()
+            else:
+                assert code == 1
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, lines
+                assert set(json.loads(lines[0])) == {"error", "message"}
+                assert not out.exists()
 
 
 class TestSweepWorkers:

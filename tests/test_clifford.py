@@ -9,30 +9,25 @@ from dqc1sim import (
     CliffordCircuit,
     SignedPauliString,
     UnitaryMatrix,
-    conjugate_gate,
     discord,
     dqc1_clifford_expectations,
     exact_expectations,
     propagate,
-    random_clifford_circuit,
     verify_zero_discord,
 )
-from dqc1sim.clifford import (
-    CNOT,
-    CZ,
-    Gate,
-    H,
-    S,
-    X,
-    Z,
-    circuit_from_json,
+from dqc1sim.clifford import GATE_ARITY, Gate, circuit_from_json
+
+from helpers import GATE_ARITY as ORACLE_ARITY
+from helpers import (
+    ONE_QUBIT_GATES,
     circuit_to_json,
     circuit_unitary,
+    controlled_pauli_circuit,
+    dense_pauli,
     gate_unitary,
-    pauli_matrix,
+    random_clifford_circuit,
+    random_pauli_string,
 )
-
-from helpers import controlled_pauli_circuit, dense_pauli, random_pauli_string
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -50,50 +45,66 @@ class TestSignedPauliString:
         assert str(p) == "+ZII"
 
 
+def conjugate(gate: Gate, p: SignedPauliString) -> SignedPauliString:
+    """g P g+ through propagate on a one-gate circuit."""
+    return propagate(CliffordCircuit(p.n_qubits, (gate,)), p)
+
+
+def matrix_of(p: SignedPauliString) -> np.ndarray:
+    return dense_pauli(p.labels, p.phase)
+
+
 class TestConjugationTable:
     def test_hadamard_swaps_x_z(self):
-        assert conjugate_gate(H(0), SignedPauliString(1, "Z")) == SignedPauliString(1, "X")
-        assert conjugate_gate(H(0), SignedPauliString(1, "X")) == SignedPauliString(1, "Z")
-        assert conjugate_gate(H(0), SignedPauliString(1, "Y")) == SignedPauliString(-1, "Y")
+        h = Gate("H", (0,))
+        assert conjugate(h, SignedPauliString(1, "Z")) == SignedPauliString(1, "X")
+        assert conjugate(h, SignedPauliString(1, "X")) == SignedPauliString(1, "Z")
+        assert conjugate(h, SignedPauliString(1, "Y")) == SignedPauliString(-1, "Y")
 
     def test_phase_gate(self):
-        assert conjugate_gate(S(0), SignedPauliString(1, "X")) == SignedPauliString(1, "Y")
-        assert conjugate_gate(S(0), SignedPauliString(1, "Y")) == SignedPauliString(-1, "X")
-        assert conjugate_gate(S(0), SignedPauliString(1, "Z")) == SignedPauliString(1, "Z")
+        s = Gate("S", (0,))
+        assert conjugate(s, SignedPauliString(1, "X")) == SignedPauliString(1, "Y")
+        assert conjugate(s, SignedPauliString(1, "Y")) == SignedPauliString(-1, "X")
+        assert conjugate(s, SignedPauliString(1, "Z")) == SignedPauliString(1, "Z")
 
     def test_cz_spreads_x(self):
-        assert conjugate_gate(CZ(0, 1), SignedPauliString(1, "XI")) == SignedPauliString(1, "XZ")
+        cz = Gate("CZ", (0, 1))
+        assert conjugate(cz, SignedPauliString(1, "XI")) == SignedPauliString(1, "XZ")
 
     def test_every_gate_matches_dense(self):
-        # exhaustive one- and two-qubit conjugation versus dense matrices
-        singles = [H(0), S(0), X(0), Z(0)]
+        # exhaustive one- and two-qubit conjugation versus dense matrices,
+        # over every gate the library knows
+        assert GATE_ARITY == ORACLE_ARITY
+        singles = [Gate(name, (0,)) for name in ONE_QUBIT_GATES]
         for gate in singles:
             for lab in "IXYZ":
                 for phase in (1, -1):
                     p = SignedPauliString(phase, lab)
-                    out = conjugate_gate(gate, p)
+                    out = conjugate(gate, p)
                     g = gate_unitary(gate, 1)
-                    expected = g @ pauli_matrix(p) @ g.conj().T
-                    assert np.allclose(expected, pauli_matrix(out), atol=1e-12)
-        for gate in (CZ(0, 1), CNOT(0, 1), CNOT(1, 0)):
+                    expected = g @ matrix_of(p) @ g.conj().T
+                    assert np.allclose(expected, matrix_of(out), atol=1e-12)
+        for gate in (Gate("CZ", (0, 1)), Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0))):
             for la in "IXYZ":
                 for lb in "IXYZ":
                     p = SignedPauliString(1, la + lb)
-                    out = conjugate_gate(gate, p)
+                    out = conjugate(gate, p)
                     g = gate_unitary(gate, 2)
-                    expected = g @ pauli_matrix(p) @ g.conj().T
-                    assert np.allclose(expected, pauli_matrix(out), atol=1e-12)
+                    expected = g @ matrix_of(p) @ g.conj().T
+                    assert np.allclose(expected, matrix_of(out), atol=1e-12)
 
     def test_self_inverse_gates_are_involutions(self):
-        for g_index, gate in enumerate((H(0), X(0), Z(0), CZ(0, 1), CNOT(0, 1))):
+        gates = [Gate("H", (0,)), Gate("X", (0,)), Gate("Z", (0,)),
+                 Gate("CZ", (0, 1)), Gate("CNOT", (0, 1))]
+        for g_index, gate in enumerate(gates):
             rng = np.random.default_rng(1000 + g_index)
             for _ in range(20):
                 p = random_pauli_string(rng, 2)
-                assert conjugate_gate(gate, conjugate_gate(gate, p)) == p
+                assert conjugate(gate, conjugate(gate, p)) == p
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            conjugate_gate(H(3), SignedPauliString(1, "XZ"))
+            conjugate(Gate("H", (3,)), SignedPauliString(1, "XZ"))
 
 
 class TestPropagate:
@@ -102,11 +113,11 @@ class TestPropagate:
         assert propagate(CliffordCircuit(2, ()), p) == p
 
     def test_single_hadamard(self):
-        circuit = CliffordCircuit(2, (H(0),))
+        circuit = CliffordCircuit(2, (Gate("H", (0,)),))
         assert propagate(circuit, SignedPauliString(1, "ZI")) == SignedPauliString(1, "XI")
 
     def test_controlled_z_endpoint(self):
-        circuit = CliffordCircuit(2, (H(0), CZ(0, 1)))
+        circuit = CliffordCircuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1))))
         assert propagate(circuit, SignedPauliString(1, "ZI")) == SignedPauliString(1, "XZ")
 
     def test_length_mismatch(self):
@@ -122,8 +133,7 @@ class TestPropagate:
         p = random_pauli_string(rng, n)
         out = propagate(circuit, p)
         w = circuit_unitary(circuit)
-        dense = w @ pauli_matrix(p) @ w.conj().T
-        assert np.allclose(dense, pauli_matrix(out), atol=1e-12)
+        assert np.allclose(w @ matrix_of(p) @ w.conj().T, matrix_of(out), atol=1e-12)
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -154,15 +164,15 @@ class TestPropagate:
 
 class TestCliffordExpectations:
     def test_identity_register(self):
-        circuit = CliffordCircuit(2, (H(0),))
+        circuit = CliffordCircuit(2, (Gate("H", (0,)),))
         assert dqc1_clifford_expectations(circuit, 0.7) == (0.7, 0.0)
 
     def test_controlled_z_endpoint(self):
-        circuit = CliffordCircuit(2, (H(0), CZ(0, 1)))
+        circuit = CliffordCircuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1))))
         assert dqc1_clifford_expectations(circuit, 1.0) == (0.0, 0.0)
 
     def test_two_controlled_z(self):
-        circuit = CliffordCircuit(3, (H(0), CZ(0, 1), CZ(0, 2)))
+        circuit = CliffordCircuit(3, (Gate("H", (0,)), Gate("CZ", (0, 1)), Gate("CZ", (0, 2))))
         assert dqc1_clifford_expectations(circuit, 1.0) == (0.0, 0.0)
 
     @given(seeds)
@@ -183,7 +193,7 @@ class TestCliffordExpectations:
 
 class TestVerifyZeroDiscord:
     def test_controlled_z_report(self):
-        report = verify_zero_discord(CliffordCircuit(2, (H(0), CZ(0, 1))))
+        report = verify_zero_discord(CliffordCircuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1)))))
         assert report["propagated_pauli"] == "+XZ"
         rot = {r["qubit"]: r for r in report["local_rotations"]}
         assert rot[0]["pauli"] == "X" and rot[0]["rotation"] == ["H"]
@@ -230,7 +240,7 @@ class TestVerifyZeroDiscord:
                 local = gate_mats[gate_name] @ local
             rotation = np.kron(rotation, local)
         out = propagate(circuit, SignedPauliString.z_on(0, n_qubits))
-        rho = (np.eye(2**n_qubits) + pauli_matrix(out)) / 2**n_qubits
+        rho = (np.eye(2**n_qubits) + matrix_of(out)) / 2**n_qubits
         rotated = rotation @ rho @ rotation.conj().T
         off_diagonal = rotated - np.diag(np.diag(rotated))
         assert np.max(np.abs(off_diagonal)) < 1e-12
@@ -252,7 +262,9 @@ class TestVerifyZeroDiscord:
 
 class TestCircuitJson:
     def test_round_trip(self):
-        circuit = CliffordCircuit(3, (H(0), CZ(0, 1), CNOT(1, 2), S(2), X(1), Z(0)))
+        gates = [("H", (0,)), ("CZ", (0, 1)), ("CNOT", (1, 2)), ("S", (2,)), ("X", (1,)),
+                 ("Z", (0,))]
+        circuit = CliffordCircuit(3, tuple(Gate(name, q) for name, q in gates))
         obj = circuit_to_json(circuit)
         assert obj["n"] == 3
         assert obj["gates"][0] == {"g": "H", "q": 0}
@@ -270,4 +282,4 @@ class TestCircuitJson:
         with pytest.raises(ValueError, match="unknown gate"):
             Gate("T", (0,))
         with pytest.raises(ValueError, match="out of range"):
-            CliffordCircuit(2, (H(5),))
+            CliffordCircuit(2, (Gate("H", (5,)),))

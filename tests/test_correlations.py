@@ -24,12 +24,10 @@ from dqc1sim import (
     output_state,
     pure_state,
     tangle,
-    tensor,
     vn_entropy,
     z_theta,
 )
 from dqc1sim import correlations
-from dqc1sim.correlations import _minimize_conditional_entropy
 from dqc1sim.qmath import partial_trace
 from dqc1sim.serialize import density_from_json
 
@@ -61,7 +59,7 @@ def witness_state():
     one = np.zeros((2, 2), dtype=complex)
     one[1, 1] = 1.0
     plus = np.full((2, 2), 0.5, dtype=complex)
-    return DensityMatrix(0.5 * tensor(zero, zero) + 0.5 * tensor(one, plus), (1, 1))
+    return DensityMatrix(0.5 * np.kron(zero, zero) + 0.5 * np.kron(one, plus), (1, 1))
 
 
 class TestMutualInformation:
@@ -69,7 +67,7 @@ class TestMutualInformation:
         rng = np.random.default_rng(0)
         a = random_density_matrix(rng, (1,))
         b = random_density_matrix(rng, (1,))
-        joint = DensityMatrix(tensor(a.entries, b.entries), (1, 1))
+        joint = DensityMatrix(np.kron(a.entries, b.entries), (1, 1))
         assert mutual_information(joint) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state(self):
@@ -82,25 +80,23 @@ class TestMutualInformation:
         rho = DensityMatrix(np.eye(8) / 8, (1, 1, 1))
         with pytest.raises(ValueError, match="bipartite"):
             mutual_information(rho)
-
-    def test_split_override(self):
-        rho = DensityMatrix(np.eye(8) / 8, (1, 1, 1))
-        assert mutual_information(rho, split=(1, 2)) == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(ValueError, match="bipartite"):
+            min_conditional_entropy(rho, 0)
 
 
 class TestMinConditionalEntropy:
     def test_maximally_mixed(self):
         rho = DensityMatrix(np.eye(4) / 4, (1, 1))
         for side in (0, 1):
-            value, _ = min_conditional_entropy(rho, side)
+            value, _, _ = min_conditional_entropy(rho, side)
             assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_bell_state_collapses(self):
-        value, _ = min_conditional_entropy(bell_state(), 0)
+        value, _, _ = min_conditional_entropy(bell_state(), 0)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_classical_mixture_z_readout(self):
-        value, direction = min_conditional_entropy(classical_mixture(), 0)
+        value, direction, _ = min_conditional_entropy(classical_mixture(), 0)
         assert value == pytest.approx(0.0, abs=1e-9)
         # optimal axis is the z axis (either pole)
         assert min(direction.polar, np.pi - direction.polar) < 1e-3
@@ -115,7 +111,7 @@ class TestMinConditionalEntropy:
     def test_bounded_by_reduced_entropy(self, seed):
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(rng, (1, 1))
-        value, _ = min_conditional_entropy(rho, 0)
+        value, _, _ = min_conditional_entropy(rho, 0)
         assert -1e-12 <= value <= vn_entropy(partial_trace(rho, 1)) + 1e-9
 
 
@@ -124,7 +120,7 @@ class TestDiscord:
         rng = np.random.default_rng(1)
         a = random_density_matrix(rng, (1,))
         b = random_density_matrix(rng, (1,))
-        joint = DensityMatrix(tensor(a.entries, b.entries), (1, 1))
+        joint = DensityMatrix(np.kron(a.entries, b.entries), (1, 1))
         assert discord(joint, MEASURE_CONTROL) == pytest.approx(0.0, abs=1e-9)
         assert discord(joint, MEASURE_REGISTER) == pytest.approx(0.0, abs=1e-9)
 
@@ -172,7 +168,7 @@ class TestDiscord:
     def test_product_basis_diagonal_states(self, seed):
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.ones(4))
-        u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rho = DensityMatrix(u @ np.diag(probs).astype(complex) @ u.conj().T, (1, 1))
         assert discord(rho, MEASURE_CONTROL) < 1e-6
         assert discord(rho, MEASURE_REGISTER) < 1e-6
@@ -197,7 +193,7 @@ class TestOptimizerAgainstBruteForce:
         fixture = json.loads((FIXTURE_DIR / f"{fixture_name}.json").read_text())
         rho = density_from_json(fixture["state"])
         for measured in (0, 1):
-            refined, _, _ = _minimize_conditional_entropy(rho, measured)
+            refined, _, _ = min_conditional_entropy(rho, measured)
             grid = oracle_min_conditional_entropy(rho, measured, 100, 200)
             assert refined <= grid + 1e-9
 
@@ -228,7 +224,7 @@ class TestConcurrenceAndTangle:
         rng = np.random.default_rng(2)
         a = random_density_matrix(rng, (1,))
         b = random_density_matrix(rng, (1,))
-        joint = DensityMatrix(tensor(a.entries, b.entries), (1, 1))
+        joint = DensityMatrix(np.kron(a.entries, b.entries), (1, 1))
         assert concurrence(joint) == pytest.approx(0.0, abs=1e-8)
 
     @pytest.mark.parametrize("p", [0.2, 1 / 3, 0.6, 1.0])
@@ -285,10 +281,10 @@ class TestMinimiserContract:
         rng = np.random.default_rng(n)
         rho = output_state(UnitaryMatrix(n, random_unitary(rng, 2**n)), 0.9)
         monkeypatch.setattr(correlations, "BLOCK_CHUNK_BYTES", 1 << 40)
-        whole = _minimize_conditional_entropy(rho, 0)
+        whole = min_conditional_entropy(rho, 0)
         # seven directions per chunk, so the last chunk is ragged
         monkeypatch.setattr(correlations, "BLOCK_CHUNK_BYTES", 7 * 2 * 4**n * 16)
-        chunked = _minimize_conditional_entropy(rho, 0)
+        chunked = min_conditional_entropy(rho, 0)
         assert chunked[0] == pytest.approx(whole[0], abs=1e-12)
         assert chunked[2] == whole[2]
 
@@ -311,13 +307,13 @@ class TestMinimiserContract:
         # unitary turns it across the zoom grid but leaves Hmin unchanged.
         # 1e-10 is ten times inside the slack of the benchmark discord oracle.
         rho = output_state(z_theta(theta), alpha)
-        plain = [_minimize_conditional_entropy(rho, m)[0] for m in (0, 1)]
+        plain = [min_conditional_entropy(rho, m)[0] for m in (0, 1)]
         rng = np.random.default_rng(4)
         for _ in range(4):
-            u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             turned = DensityMatrix(u @ rho.entries @ u.conj().T, (1, 1))
             for measured in (0, 1):
-                value, _, _ = _minimize_conditional_entropy(turned, measured)
+                value, _, _ = min_conditional_entropy(turned, measured)
                 assert value == pytest.approx(plain[measured], abs=1e-10)
 
     @pytest.mark.parametrize("n", [
@@ -334,7 +330,7 @@ class TestMinimiserContract:
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(rng, (1, 1), rank=int(rng.integers(1, 5)))
         for measured in (0, 1):
-            _, direction, _ = _minimize_conditional_entropy(rho, measured)
+            _, direction, _ = min_conditional_entropy(rho, measured)
             assert 0.0 <= direction.polar <= np.pi / 2
         report_direction = correlation_report(rho).argmin_direction
         assert 0.0 <= report_direction.polar <= np.pi / 2

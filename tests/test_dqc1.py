@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from dqc1sim import (
     UnitaryMatrix,
-    build_input,
     exact_expectations,
     normalized_trace,
     output_state,
@@ -45,27 +44,7 @@ class TestUnitaryMatrix:
         with pytest.raises(ValueError, match="power of 2"):
             UnitaryMatrix.from_matrix(np.eye(3))
 
-
-class TestBuildInput:
-    def test_pure_control_single_register(self):
-        rho = build_input(1, 1.0)
-        assert_allclose(np.diag(rho.entries), [0.5, 0.5, 0.0, 0.0], atol=1e-15)
-
-    def test_fully_mixed_control(self):
-        assert_allclose(build_input(1, 0.0).entries, np.eye(4) / 4, atol=1e-15)
-
-    def test_two_qubit_register(self):
-        rho = build_input(2, 1.0)
-        assert_allclose(np.diag(rho.entries), [0.25] * 4 + [0.0] * 4, atol=1e-15)
-        assert rho.qubit_dims == (1, 2)
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError, match="alpha"):
-            build_input(1, 1.5)
-
     def test_empty_register(self):
-        with pytest.raises(ValueError, match="register size must be >= 1"):
-            build_input(0, 1.0)
         with pytest.raises(ValueError, match="register size must be >= 1"):
             UnitaryMatrix(0, np.eye(1))
 

@@ -6,17 +6,12 @@ from numpy.testing import assert_allclose
 
 from dqc1sim import (
     DensityMatrix,
-    HermitianObservable,
-    expectation,
     fidelity,
     partial_trace,
-    pauli_observable,
     pure_state,
-    tensor,
     vn_entropy,
 )
 from dqc1sim.dqc1 import output_state, z_theta
-from dqc1sim.qmath import SIGMA_X, SIGMA_Z
 
 from helpers import bell_state, random_density_matrix, random_pure_density, random_unitary
 
@@ -47,26 +42,6 @@ class TestDensityMatrixInvariants:
             rho.entries[0, 0] = 0.7
 
 
-class TestTensor:
-    def test_identity(self):
-        assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_z_times_identity(self):
-        assert_allclose(tensor(SIGMA_Z, np.eye(2)), np.diag([1, 1, -1, -1]).astype(complex))
-
-    def test_projector_times_mixed(self):
-        zero = np.zeros((2, 2), dtype=complex)
-        zero[0, 0] = 1.0
-        out = tensor(zero, np.eye(2) / 2)
-        assert_allclose(np.diag(out), [0.5, 0.5, 0.0, 0.0])
-
-    def test_associativity_exact(self):
-        # integer entries so float products are exact
-        rng = np.random.default_rng(5)
-        a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
-        assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-
-
 class TestPartialTrace:
     @pytest.mark.parametrize("theta", [0.3, np.pi / 2, -1.7, np.pi])
     def test_circuit_output_reduction(self, theta):
@@ -81,7 +56,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(0)
         rho_a = random_density_matrix(rng, (1,))
         rho_b = random_density_matrix(rng, (2,))
-        joint = DensityMatrix(tensor(rho_a.entries, rho_b.entries), (1, 2))
+        joint = DensityMatrix(np.kron(rho_a.entries, rho_b.entries), (1, 2))
         assert_allclose(partial_trace(joint, 0).entries, rho_a.entries, atol=1e-12)
         assert_allclose(partial_trace(joint, 1).entries, rho_b.entries, atol=1e-12)
 
@@ -124,7 +99,7 @@ class TestVnEntropy:
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(rng, (1,))
         sig = random_density_matrix(rng, (1,))
-        joint = DensityMatrix(tensor(rho.entries, sig.entries), (1, 1))
+        joint = DensityMatrix(np.kron(rho.entries, sig.entries), (1, 1))
         assert vn_entropy(joint) == pytest.approx(vn_entropy(rho) + vn_entropy(sig), abs=1e-9)
 
     @given(seeds)
@@ -141,26 +116,6 @@ class TestVnEntropy:
         for _ in range(10):
             rho = random_density_matrix(rng, (2,))
             assert 0.0 <= vn_entropy(rho) <= 2.0 + 1e-12
-
-
-class TestExpectation:
-    def test_traceless_on_mixed(self):
-        rho = DensityMatrix(np.eye(2) / 2, (1,))
-        assert expectation(rho, HermitianObservable(SIGMA_Z)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_eigenstate(self):
-        rho = pure_state([1, 0], (1,))
-        assert expectation(rho, SIGMA_Z) == pytest.approx(1.0, abs=1e-14)
-
-    def test_x_on_reduced_control(self):
-        from dqc1sim.dqc1 import reduced_control
-
-        rho = reduced_control(z_theta(np.pi / 2), 1.0)
-        assert expectation(rho, SIGMA_X) == pytest.approx(0.5, abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            expectation(bell_state(), SIGMA_Z)
 
 
 class TestFidelity:
@@ -201,9 +156,3 @@ class TestFidelity:
         with pytest.raises(ValueError, match="dimension mismatch"):
             fidelity(bell_state(), pure_state([1, 0], (1,)))
 
-
-def test_pauli_observable_labels():
-    obs = pauli_observable("XZ")
-    assert_allclose(obs.entries, np.kron(SIGMA_X, SIGMA_Z))
-    with pytest.raises(ValueError, match="unknown Pauli"):
-        pauli_observable("XQ")

@@ -12,7 +12,6 @@ from dqc1sim import (
     estimate_trace,
     exact_expectations,
     poisson_counts,
-    rng_stream,
     sample_expectation,
     shots_required,
     z_theta,
@@ -78,7 +77,8 @@ class TestSampleExpectation:
         shots = 400
         n_seeds = 1200
         ests = np.array(
-            [sample_expectation(true_val, shots, rng_stream(7, k)) for k in range(n_seeds)]
+            [sample_expectation(true_val, shots, np.random.SeedSequence([7, k]))
+             for k in range(n_seeds)]
         )
         se = ests.std(ddof=1) / np.sqrt(n_seeds)
         se = max(se, 1e-12)
@@ -91,7 +91,7 @@ class TestSampleExpectation:
         stds = {}
         for shots in (100, 1000, 10000):
             ests = [
-                sample_expectation(true_val, shots, rng_stream(13, shots, k))
+                sample_expectation(true_val, shots, np.random.SeedSequence([13, shots, k]))
                 for k in range(n_seeds)
             ]
             stds[shots] = np.std(ests, ddof=1)
@@ -108,7 +108,8 @@ class TestSampleExpectation:
         shots = shots_required(eps, pe, 1.0)
         n_trials = 1000
         failures = sum(
-            abs(sample_expectation(true_val, shots, rng_stream(29, k)) - true_val) > 2 * eps
+            abs(sample_expectation(true_val, shots, np.random.SeedSequence([29, k])) - true_val)
+            > 2 * eps
             for k in range(n_trials)
         )
         assert failures / n_trials <= pe
@@ -131,7 +132,8 @@ class TestEstimateTrace:
         shots = 10**5
         target = 0.5 + 0.5j
         errs = [
-            abs(estimate_trace(z_theta(np.pi / 2), 1.0, shots, rng_stream(31, k)) - target)
+            abs(estimate_trace(z_theta(np.pi / 2), 1.0, shots, np.random.SeedSequence([31, k]))
+                - target)
             for k in range(100)
         ]
         rms = float(np.sqrt(np.mean(np.square(errs))))
@@ -145,7 +147,7 @@ class TestEstimateTrace:
 
         def rms(alpha, tag):
             errs = [
-                abs(estimate_trace(u, alpha, shots, rng_stream(37, tag, k)) - target)
+                abs(estimate_trace(u, alpha, shots, np.random.SeedSequence([37, tag, k])) - target)
                 for k in range(300)
             ]
             return float(np.sqrt(np.mean(np.square(errs))))
@@ -176,7 +178,8 @@ class TestPoissonCounts:
         # ports has mean 0 and std sqrt(E[1/(N+ + N-)]) = 0.1005, i.e.
         # 1/sqrt(expected total counts) up to a Jensen correction
         oracle_std = 0.1005
-        vals = [poisson_counts(50.0, 50.0, rng_stream(41, k)).expectation for k in range(4000)]
+        vals = [poisson_counts(50.0, 50.0, np.random.SeedSequence([41, k])).expectation
+                for k in range(4000)]
         assert abs(np.mean(vals)) < 5.0 * oracle_std / np.sqrt(4000)
         assert abs(np.std(vals) - oracle_std) < 0.08 * oracle_std
 
@@ -215,7 +218,7 @@ class TestChi2:
         values = []
         for trial in range(100):
             obs = [
-                estimate_trace(z_theta(t), 1.0, shots, rng_stream(43, trial, k)).real
+                estimate_trace(z_theta(t), 1.0, shots, np.random.SeedSequence([43, trial, k])).real
                 for k, t in enumerate(thetas)
             ]
             values.append(chi2_reduced(obs, [x for x, _ in exact], sigma, dof_subtract=3))

@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "dqc1sim").glob("*.py"))
+# Where the program reaches the library: the package itself, the scripts
+# and the benchmark. Tests do not count.
+PROGRAM = [*LIBRARY, *SCRIPTS, *sorted((ROOT / "perfbench").glob("*.py"))]
+MODULES = {"dqc1sim", *(p.stem for p in LIBRARY)}
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
@@ -17,3 +23,46 @@ def test_scripts_import_no_private_names(script):
         if alias.name.startswith("_")
     ]
     assert not private, f"{script.name} imports private names {private}"
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not n.startswith("_")]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names loaded bare, or as an attribute of a dqc1sim module such as
+    ``clifford.propagate`` or ``dqc1sim.discord``. Imports, strings and
+    docstrings are not references."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            while isinstance(base, ast.Attribute) and base.attr not in MODULES:
+                base = base.value
+            tail = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+            if tail in MODULES:
+                refs.add(node.attr)
+    return refs
+
+
+def test_library_carries_no_test_only_names():
+    refs = set()
+    for path in PROGRAM:
+        refs |= _references(ast.parse(path.read_text(), filename=str(path)))
+    unused = [
+        f"{path.stem}.{name}"
+        for path in LIBRARY
+        for name in _public_definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name not in refs
+    ]
+    assert not unused, f"public names only tests reach: {unused}"

@@ -9,10 +9,10 @@ from dqc1sim.serialize import (
     load_json,
     matrix_from_json,
     matrix_to_json,
-    save_json,
     unitary_from_json,
-    unitary_to_json,
 )
+
+from helpers import save_json, unitary_to_json
 
 
 def test_matrix_round_trip():
