@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DensityMatrix, PAULIS, check_range, partial_trace, vn_entropy
+from .qmath import DensityMatrix, PAULIS, _trusted_state, check_range, partial_trace, vn_entropy
 from .serialize import json_int, json_list
 from . import correlations
 
@@ -189,8 +189,10 @@ _BASIS_VECTORS = {
 
 
 def _clifford_output_state(out: SignedPauliString) -> DensityMatrix:
+    """(I + P)/d for the propagated string P: a Hermitian Pauli has
+    eigenvalues +-1 and zero trace, so this is a valid state by construction."""
     dim = 2**out.n_qubits
-    return DensityMatrix(
+    return _trusted_state(
         (np.eye(dim) + pauli_matrix(out)) / dim, (1, out.n_qubits - 1)
     )
 

@@ -109,12 +109,20 @@ def _check_bipartite(rho: DensityMatrix) -> None:
         )
 
 
+def _entropies(rho: DensityMatrix) -> tuple[float, float, float]:
+    """H(A), H(B) and H(AB) in bits of a bipartite state."""
+    _check_bipartite(rho)
+    return (
+        vn_entropy(partial_trace(rho, 0)),
+        vn_entropy(partial_trace(rho, 1)),
+        vn_entropy(rho),
+    )
+
+
 def mutual_information(rho: DensityMatrix) -> float:
     """H(A) + H(B) - H(AB) in bits; nonnegative up to round-off."""
-    _check_bipartite(rho)
-    h_a = vn_entropy(partial_trace(rho, 0))
-    h_b = vn_entropy(partial_trace(rho, 1))
-    return h_a + h_b - vn_entropy(rho)
+    h_a, h_b, h_ab = _entropies(rho)
+    return h_a + h_b - h_ab
 
 
 def _weighted_entropy(mu: np.ndarray) -> np.ndarray:
@@ -306,10 +314,12 @@ def min_conditional_entropy(rho: DensityMatrix, measured: int):
     return value, BlochDirection(polar, azimuth), evals
 
 
-def _discord_detail(rho: DensityMatrix, measured: int):
-    other = 1 - measured
-    info = mutual_information(rho)
-    h_other = vn_entropy(partial_trace(rho, other))
+def _discord_detail(rho: DensityMatrix, measured: int, entropies):
+    """Discord, minimising direction and evaluations for one measured side;
+    entropies is _entropies(rho), computed once per state by the caller."""
+    h_a, h_b, h_ab = entropies
+    info = h_a + h_b - h_ab
+    h_other = entropies[1 - measured]
     h_min, direction, evals = min_conditional_entropy(rho, measured)
     return info - (h_other - h_min), direction, evals
 
@@ -328,7 +338,7 @@ def discord(rho: DensityMatrix, direction: str) -> float:
         raise ValueError(
             f"direction must be {MEASURE_CONTROL!r} or {MEASURE_REGISTER!r}, got {direction!r}"
         )
-    value, _, _ = _discord_detail(rho, measured)
+    value, _, _ = _discord_detail(rho, measured, _entropies(rho))
     return value
 
 
@@ -353,11 +363,12 @@ def correlation_report(rho: DensityMatrix) -> CorrelationReport:
     """Full correlation analysis of a two-qubit state."""
     if rho.qubit_dims != (1, 1):
         rho = repartition(rho, (1, 1))
-    info = mutual_information(rho)
-    d_rc, direction, evals_c = _discord_detail(rho, 0)
-    d_cr, _, evals_r = _discord_detail(rho, 1)
+    entropies = _entropies(rho)
+    d_rc, direction, evals_c = _discord_detail(rho, 0, entropies)
+    d_cr, _, evals_r = _discord_detail(rho, 1, entropies)
+    h_a, h_b, h_ab = entropies
     return CorrelationReport(
-        mutual_info=info,
+        mutual_info=h_a + h_b - h_ab,
         discord_rc=d_rc,
         discord_cr=d_cr,
         tangle=tangle(rho),

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DensityMatrix, check_range, qubit_count, register_size, square_complex
+from .qmath import (
+    DensityMatrix,
+    _trusted_state,
+    check_range,
+    qubit_count,
+    register_size,
+    square_complex,
+)
 
 UNITARY_ATOL = 1e-8
 
@@ -62,7 +69,13 @@ def z_theta(theta: float) -> UnitaryMatrix:
 
 
 def output_state(u: UnitaryMatrix, alpha: float) -> DensityMatrix:
-    """Closed-form circuit output (1/2N) [[I, alpha U+], [alpha U, I]]."""
+    """Closed-form circuit output (1/2N) [[I, alpha U+], [alpha U, I]].
+
+    Valid by construction, so it is not re-checked: Hermitian and of unit
+    trace exactly, with eigenvalues (1 +- alpha s)/2N over the singular
+    values s of U. Those are 1 for a unitary; for a U that passes the
+    UNITARY_ATOL check the eigenvalues stay >= -UNITARY_ATOL/4.
+    """
     check_range("alpha", alpha, 0.0, 1.0)
     dim = u.dim
     m = np.zeros((2 * dim, 2 * dim), dtype=complex)
@@ -71,7 +84,8 @@ def output_state(u: UnitaryMatrix, alpha: float) -> DensityMatrix:
     m[dim:, dim:] = eye
     m[:dim, dim:] = alpha * u.entries.conj().T
     m[dim:, :dim] = alpha * u.entries
-    return DensityMatrix(m / (2 * dim), (1, u.n))
+    m /= 2 * dim
+    return _trusted_state(m, (1, u.n))
 
 
 def normalized_trace(u: UnitaryMatrix) -> complex:
@@ -89,7 +103,7 @@ def reduced_control(u: UnitaryMatrix, alpha: float) -> DensityMatrix:
     t = complex(np.trace(u.entries))
     off = alpha * t / (2 * u.dim)
     m = np.array([[0.5, np.conj(off)], [off, 0.5]], dtype=complex)
-    return DensityMatrix(m, (1,))
+    return _trusted_state(m, (1,))
 
 
 def exact_expectations(u: UnitaryMatrix, alpha: float) -> tuple[float, float]:

@@ -3,6 +3,15 @@
 States are explicit complex matrices. Subsystems are qubit groups ordered
 slowest-to-fastest in the tensor product; the control qubit of a DQC1
 circuit is conventionally subsystem 0.
+
+A state is validated once, where its entries enter the program: the public
+DensityMatrix constructor (and so pure_state and serialize.density_from_json)
+checks shape, finiteness, trace, Hermiticity and positivity, the last with an
+O(d^3) eigensolve. Builders whose output is a valid state whenever their
+input is wrap it with _trusted_state and skip that check: partial_trace and
+repartition here, dqc1.output_state and dqc1.reduced_control,
+clifford._clifford_output_state and tomography.reconstruct. The tests run
+the full check on each of their outputs (tests/test_invariants.py).
 """
 
 from __future__ import annotations
@@ -69,12 +78,24 @@ def check_range(name: str, value: float, low: float = -math.inf,
         raise ValueError(f"{name} must be in {left}{low:g}, {high:g}{right}, got {value}")
 
 
+def _qubit_dims(qubit_dims) -> tuple[int, ...]:
+    dims = tuple(int(k) for k in qubit_dims)
+    if not dims or any(k < 1 for k in dims):
+        raise ValueError(f"qubit_dims must be positive integers, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state over qubit groups.
 
     qubit_dims lists the qubit count of each tensor factor, e.g. (1, n) for
     one control qubit followed by an n-qubit register.
+
+    The constructor copies the entries and checks every invariant, so a
+    state built from outside data is valid or raises ValueError. The
+    builders named in the module docstring bypass it through _trusted_state,
+    because their output is valid by construction.
     """
 
     entries: np.ndarray
@@ -82,9 +103,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         entries = square_complex(self.entries)
-        dims = tuple(int(k) for k in self.qubit_dims)
-        if not dims or any(k < 1 for k in dims):
-            raise ValueError(f"qubit_dims must be positive integers, got {dims}")
+        dims = _qubit_dims(self.qubit_dims)
         # Bit lengths first, so that a huge count read from a file never
         # builds the integer 2**sum(dims).
         dim = entries.shape[0]
@@ -116,6 +135,21 @@ class DensityMatrix:
         return tuple(2**k for k in self.qubit_dims)
 
 
+def _trusted_state(entries: np.ndarray, qubit_dims) -> DensityMatrix:
+    """DensityMatrix over complex entries that are a valid state by
+    construction, without the copy and the checks of the constructor.
+
+    Only for builders whose output is valid whenever their input is; the
+    entries are made read-only in place, so the caller must not keep a
+    writable reference to them.
+    """
+    entries.setflags(write=False)
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "entries", entries)
+    object.__setattr__(rho, "qubit_dims", tuple(int(k) for k in qubit_dims))
+    return rho
+
+
 def pure_state(amplitudes, qubit_dims) -> DensityMatrix:
     """Density matrix |psi><psi| of a (normalized) amplitude vector."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
@@ -128,19 +162,19 @@ def pure_state(amplitudes, qubit_dims) -> DensityMatrix:
 
 def repartition(rho: DensityMatrix, qubit_dims) -> DensityMatrix:
     """Same state with the qubits regrouped into a new subsystem split."""
-    dims = tuple(int(k) for k in qubit_dims)
+    dims = _qubit_dims(qubit_dims)
     if sum(dims) != rho.n_qubits:
         raise ValueError(
             f"qubit_dims {dims} do not cover {rho.n_qubits} qubits"
         )
-    return DensityMatrix(rho.entries, dims)
+    return _trusted_state(rho.entries, dims)
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduced state of one subsystem, tracing out all others.
 
-    keep indexes into rho.qubit_dims; unit trace and Hermiticity are
-    preserved by construction.
+    keep indexes into rho.qubit_dims; unit trace, Hermiticity and
+    positivity are preserved by construction.
     """
     dims = list(rho.subsystem_dims)
     n_sub = len(dims)
@@ -153,7 +187,7 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
         t = np.trace(t, axis1=idx, axis2=idx + len(dims))
         dims.pop(idx)
     d = dims[0]
-    return DensityMatrix(t.reshape(d, d), (rho.qubit_dims[keep],))
+    return _trusted_state(t.reshape(d, d), (rho.qubit_dims[keep],))
 
 
 def vn_entropy(rho: DensityMatrix) -> float:

@@ -10,11 +10,13 @@ plain loops.
 from __future__ import annotations
 
 import json
+import os
 from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
+import dqc1sim
 from dqc1sim import DensityMatrix, TomographyRun, UnitaryMatrix
 from dqc1sim.clifford import CliffordCircuit, Gate, SignedPauliString
 from dqc1sim.serialize import matrix_to_json
@@ -239,3 +241,10 @@ def unitary_to_json(u: UnitaryMatrix) -> dict:
 
 def save_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def package_env() -> dict:
+    """Environment for a child interpreter that imports this dqc1sim."""
+    src = str(Path(dqc1sim.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}

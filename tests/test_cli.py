@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqc1sim import output_state, z_theta
-from dqc1sim.cli import SweepConfig, main, sweep_workers
+from dqc1sim.cli import MAX_STEPS, SweepConfig, main, sweep_rows, sweep_workers
 from dqc1sim.clifford import CliffordCircuit, Gate
 from dqc1sim.serialize import density_to_json, matrix_to_json
 
-from helpers import circuit_to_json, save_json, unitary_to_json
+from helpers import circuit_to_json, package_env, save_json, unitary_to_json
 
 
 def run_cli(args, capsys=None):
@@ -138,6 +141,39 @@ class TestSweep:
         assert run_cli(["sweep", "--steps", 1]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
+
+    def test_steps_bound_rejects_before_allocating(self, tmp_path):
+        # A 2 GiB address-space cap turns any large allocation into a
+        # MemoryError traceback instead of a load on the host.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        out = tmp_path / "sweep.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dqc1sim", "sweep", "--steps", "1000000000", "--out", str(out)],
+            capture_output=True, text=True, env=package_env(), preexec_fn=cap_memory, timeout=120,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert f"steps must be <= {MAX_STEPS}" in json.loads(lines[0])["message"]
+        assert not out.exists()
+
+    def test_theta_grid_built_once(self, monkeypatch):
+        calls = []
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
+        config = SweepConfig(-1.0, 1.0, 50, 1.0, 0, 0, ("trace",))
+        rows = sweep_rows(config)
+        assert [r["theta"] for r in rows] == list(linspace(-1.0, 1.0, 50))
+        assert len(calls) == 1
+
+    def test_import_loads_no_process_pool(self):
+        code = ("import sys, dqc1sim.cli; print([m for m in "
+                "('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=package_env(), check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_unknown_mode(self):
         # argparse choices catch it on the command line; the library call
@@ -363,6 +399,7 @@ class TestBadInputs:
         (["tangle", "{dir}/qubit_dims_float.json"], "qubit_dims entry must be an integer"),
         (["tangle", "{dir}/qubit_dims_huge.json"], "does not match qubit_dims"),
         (["tangle", "{dir}/entries_object.json"], "entries must be numbers"),
+        (["sweep", "--steps", "100001"], "steps must be <= 100000"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dqc1sim
 from dqc1sim import (
     DensityMatrix,
     UnitaryMatrix,
@@ -34,6 +32,7 @@ from dqc1sim.serialize import density_from_json
 from helpers import (
     bell_state,
     oracle_min_conditional_entropy,
+    package_env,
     random_density_matrix,
     random_pure_density,
     random_unitary,
@@ -267,12 +266,9 @@ class TestReportAndDirection:
 
 class TestMinimiserContract:
     def test_import_loads_no_scipy(self):
-        src = str(Path(dqc1sim.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run(
             [sys.executable, "-c", "import sys, dqc1sim; print('scipy' in sys.modules)"],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=package_env(), check=True,
         )
         assert out.stdout.strip() == "False"
 

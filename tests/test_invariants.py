@@ -1,0 +1,181 @@
+"""Physical invariants of the builders whose output skips the state check.
+
+output_state, reduced_control, partial_trace, repartition,
+_clifford_output_state and reconstruct wrap their results without running
+DensityMatrix's validation, because the results are valid by construction.
+Here every such result goes back through the public constructor, which runs
+the full check (finite entries, matching qubit_dims, unit trace,
+Hermiticity, positivity), over Haar-random registers, purities, phases,
+Clifford circuits and simulated tomography counts.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
+
+from dqc1sim import (
+    MEASURE_CONTROL,
+    MEASURE_REGISTER,
+    DensityMatrix,
+    SignedPauliString,
+    UnitaryMatrix,
+    discord,
+    output_state,
+    partial_trace,
+    propagate,
+    reconstruct,
+    reduced_control,
+    repartition,
+    simulate_counts,
+    tangle,
+    z_theta,
+)
+from dqc1sim.clifford import _clifford_output_state
+
+from helpers import random_clifford_circuit, random_density_matrix, random_unitary
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+alphas = st.floats(min_value=0.0, max_value=1.0)
+thetas = st.floats(min_value=-np.pi, max_value=np.pi)
+DISCORD_FLOOR = -1e-9
+
+
+def checked(rho: DensityMatrix) -> DensityMatrix:
+    """rho after the public constructor's full validation; also checks the
+    form the trusted builders promise: read-only complex entries and a
+    tuple of ints for qubit_dims."""
+    DensityMatrix(rho.entries, rho.qubit_dims)
+    assert rho.entries.dtype == complex
+    assert not rho.entries.flags.writeable
+    assert isinstance(rho.qubit_dims, tuple)
+    assert all(type(k) is int for k in rho.qubit_dims)
+    return rho
+
+
+def _split(rng, n_qubits: int) -> tuple:
+    """A random composition of n_qubits into positive parts."""
+    cuts = sorted(rng.choice(np.arange(1, n_qubits), size=rng.integers(n_qubits), replace=False))
+    bounds = [0, *cuts, n_qubits]
+    return tuple(int(b - a) for a, b in zip(bounds, bounds[1:]))
+
+
+@given(seed=seeds, n=st.integers(1, 4), alpha=alphas)
+@settings(max_examples=40, deadline=None)
+def test_dqc1_builders(seed, n, alpha):
+    rng = np.random.default_rng(seed)
+    u = UnitaryMatrix(n, random_unitary(rng, 2**n))
+    rho = checked(output_state(u, alpha))
+    assert rho.qubit_dims == (1, n)
+    control = checked(reduced_control(u, alpha))
+    traced = [checked(partial_trace(rho, keep)) for keep in (0, 1)]
+    assert_allclose(control.entries, traced[0].entries, atol=1e-14)
+    assert traced[1].qubit_dims == (n,)
+
+    dims = _split(rng, n + 1)
+    regrouped = checked(repartition(rho, dims))
+    assert regrouped.qubit_dims == dims
+    assert_array_equal(regrouped.entries, rho.entries)
+    if len(dims) > 1:
+        for keep, k in enumerate(dims):
+            assert checked(partial_trace(regrouped, keep)).qubit_dims == (k,)
+
+    if n == 1:
+        assert tangle(rho) <= 1e-12
+        assert discord(rho, MEASURE_REGISTER) >= DISCORD_FLOOR
+    if n <= 2:
+        assert discord(rho, MEASURE_CONTROL) >= DISCORD_FLOOR
+
+
+@given(theta=thetas, alpha=alphas)
+@settings(max_examples=25, deadline=None)
+def test_phase_instance_symmetry(theta, alpha):
+    plus = checked(output_state(z_theta(theta), alpha))
+    minus = checked(output_state(z_theta(-theta), alpha))
+    for rho in (plus, minus):
+        assert tangle(rho) <= 1e-12
+    for side in (MEASURE_CONTROL, MEASURE_REGISTER):
+        d_plus, d_minus = discord(plus, side), discord(minus, side)
+        assert min(d_plus, d_minus) >= DISCORD_FLOOR
+        assert d_plus == pytest.approx(d_minus, abs=1e-9)
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi, -np.pi])
+@given(alpha=alphas)
+@settings(max_examples=10, deadline=None)
+def test_zero_discord_at_clifford_points(theta, alpha):
+    rho = checked(output_state(z_theta(theta), alpha))
+    for side in (MEASURE_CONTROL, MEASURE_REGISTER):
+        assert abs(discord(rho, side)) <= 1e-9
+
+
+@given(seed=seeds, n_qubits=st.integers(2, 4), n_gates=st.integers(0, 20))
+@settings(max_examples=30, deadline=None)
+def test_clifford_output_state(seed, n_qubits, n_gates):
+    circuit = random_clifford_circuit(n_qubits, n_gates, seed)
+    rho = checked(_clifford_output_state(propagate(circuit, SignedPauliString.z_on(0, n_qubits))))
+    assert rho.qubit_dims == (1, n_qubits - 1)
+
+
+@given(seed=seeds, theta=thetas, alpha=alphas,
+       mean_counts=st.floats(min_value=20.0, max_value=1e5))
+@settings(max_examples=30, deadline=None)
+def test_reconstruct_dqc1_counts(seed, theta, alpha, mean_counts):
+    rho = output_state(z_theta(theta), alpha)
+    recon = checked(reconstruct(simulate_counts(rho, mean_counts, seed)))
+    assert recon.qubit_dims == (1, 1)
+    assert discord(recon, MEASURE_CONTROL) >= DISCORD_FLOOR
+    assert 0.0 <= tangle(recon) <= 1.0
+
+
+@given(seed=seeds, rank=st.integers(1, 4), mean_counts=st.floats(min_value=20.0, max_value=1e5))
+@settings(max_examples=20, deadline=None)
+def test_reconstruct_random_state_counts(seed, rank, mean_counts):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(rng, (1, 1), rank=rank)
+    checked(reconstruct(simulate_counts(rho, mean_counts, seed)))
+
+
+class TestNoEigensolve:
+    """The trusted builders do no O(d^3) positivity check of their own."""
+
+    @pytest.fixture
+    def eigensolves(self, monkeypatch):
+        calls = {"eigvalsh": 0, "eigh": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        return calls
+
+    def test_dqc1_and_qmath_builders(self, eigensolves):
+        rng = np.random.default_rng(7)
+        u = UnitaryMatrix(3, random_unitary(rng, 8))
+        rho = output_state(u, 0.8)
+        reduced_control(u, 0.8)
+        partial_trace(rho, 0)
+        partial_trace(rho, 1)
+        repartition(rho, (2, 2))
+        assert eigensolves == {"eigvalsh": 0, "eigh": 0}
+
+    def test_clifford_output_state(self, eigensolves):
+        circuit = random_clifford_circuit(3, 10, 3)
+        _clifford_output_state(propagate(circuit, SignedPauliString.z_on(0, 3)))
+        assert eigensolves == {"eigvalsh": 0, "eigh": 0}
+
+    def test_reconstruct(self, eigensolves):
+        run = simulate_counts(output_state(z_theta(0.4), 0.9), 1e4, 5)
+        eigensolves.update(eigvalsh=0, eigh=0)
+        reconstruct(run)
+        # the one eigendecomposition is psd_project's own
+        assert eigensolves == {"eigvalsh": 0, "eigh": 1}
+
+    def test_public_constructor_still_checks(self, eigensolves):
+        DensityMatrix(np.eye(4) / 4, (1, 1))
+        assert eigensolves["eigvalsh"] == 1

@@ -9,6 +9,7 @@ from dqc1sim import (
     fidelity,
     partial_trace,
     pure_state,
+    repartition,
     vn_entropy,
 )
 from dqc1sim.dqc1 import output_state, z_theta
@@ -35,6 +36,21 @@ class TestDensityMatrixInvariants:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError, match="qubit_dims"):
             DensityMatrix(np.eye(4) / 4, (1,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(m, (1,))
+
+    def test_pure_state_checks_its_input(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            pure_state([1.0, np.nan], (1,))
+        with pytest.raises(ValueError, match="qubit_dims"):
+            pure_state([1.0, 0.0], (2,))
+        with pytest.raises(ValueError, match="zero state"):
+            pure_state([0.0, 0.0], (1,))
 
     def test_entries_are_frozen(self):
         rho = DensityMatrix(np.eye(2) / 2, (1,))
@@ -67,6 +83,13 @@ class TestPartialTrace:
     def test_invalid_index(self):
         with pytest.raises(ValueError, match="invalid subsystem"):
             partial_trace(bell_state(), 2)
+
+    @pytest.mark.parametrize("dims, needle", [
+        ((0, 2), "positive integers"), ((1, 2), "do not cover"), ((), "positive integers"),
+    ])
+    def test_repartition_checks_the_split(self, dims, needle):
+        with pytest.raises(ValueError, match=needle):
+            repartition(bell_state(), dims)
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)

@@ -46,6 +46,17 @@ def test_density_infers_control_register_split():
     assert single.qubit_dims == (1,)
 
 
+@pytest.mark.parametrize("entries, needle", [
+    (np.eye(2), "trace"),
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+    (np.diag([1.5, -0.5]), "positive semidefinite"),
+    (np.array([[0.5, np.nan], [np.nan, 0.5]]), "finite"),
+])
+def test_density_reader_checks_the_state(entries, needle):
+    with pytest.raises(ValueError, match=needle):
+        density_from_json(matrix_to_json(entries))
+
+
 def test_unitary_round_trip():
     u = z_theta(1.2)
     back = unitary_from_json(unitary_to_json(u))
