@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DensityMatrix, PAULIS, _trusted_state, check_range, partial_trace, vn_entropy
+from .qmath import DensityMatrix, PAULIS, _trusted_state, check_range
 from .serialize import json_int, json_list
 from . import correlations
 
@@ -206,8 +206,8 @@ def _register_discord_certificate(rho: DensityMatrix, out: SignedPauliString) ->
     from above.
     """
     n = out.n_qubits - 1
-    info = correlations.mutual_information(rho)
-    h_c = vn_entropy(partial_trace(rho, 0))
+    h_c, h_r, h_cr = correlations._entropies(rho)
+    info = h_c + h_r - h_cr
     t = rho.entries.reshape(2, 2**n, 2, 2**n)
     blocks = []
     for k in range(2**n):

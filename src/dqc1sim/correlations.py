@@ -8,14 +8,29 @@ Quantum discord is the gap I - J; it is directional, since measuring one
 side is not equivalent to measuring the other. Entanglement is tracked
 separately by the Wootters concurrence and its square, the tangle.
 
-Hmin is found by a deterministic, vectorised search: a 32x64 polar-azimuth
-grid over the upper hemisphere (n and -n give the same measurement), then
-six rounds of an 11x11 grid zoom in the plane tangent to the best direction,
-each spanning +-1 step of the previous grid, plus the minimum of a quadratic
-fitted to each round's grid. When the unmeasured side is a qubit, the
-conditional blocks are 2x2 and their eigenvalues come in closed form; larger
-blocks go to batched eigvalsh in chunks of BLOCK_CHUNK_BYTES. The evaluation
-count reported is the grid plus the zoom and model points.
+Hmin is found by a deterministic, vectorised search. The unnormalized
+conditional blocks are (R +- n.K)/2, so the objective depends on the axis n
+only through n.K, and it is concave on the Bloch ball; its minimum over the
+sphere is therefore its minimum over the unit sphere of the row space of the
+three K matrices, whose dimension (the rank) an SVD gives:
+
+- rank 3: a 32x64 polar-azimuth grid over the upper hemisphere (n and -n
+  give the same measurement), then six rounds of an 11x11 grid zoom in the
+  plane tangent to the best direction, each spanning +-1 step of the
+  previous grid, plus the minimum of a quadratic fitted to each round's
+  grid: at most 2048 + 6 x 122 = 2780 evaluations;
+- rank 2: a 64-point half great circle, then six rounds of the same zoom
+  along the circle with 11 points and a model point: at most 64 + 6 x 12 =
+  136 evaluations;
+- rank 1 or 0: one axis, one evaluation.
+
+A DQC1 output has equal diagonal blocks, so K_z = 0 and the control side
+has rank at most 2 (the optimum lies on the equator); it is classical on
+the register, so with a one-qubit register the register side has rank 1.
+When the unmeasured side is a qubit, the conditional blocks are 2x2 and
+their eigenvalues come in closed form; larger blocks go to batched eigvalsh
+in chunks of BLOCK_CHUNK_BYTES. The evaluation count reported is the grid
+plus the zoom and model points.
 """
 
 from __future__ import annotations
@@ -42,6 +57,11 @@ HEMISPHERE_POLAR = 32
 HEMISPHERE_AZIMUTH = 64
 ZOOM_ROUNDS = 6
 ZOOM_POINTS = 11
+CIRCLE_POINTS = 64
+# Singular values of the K matrices at or below this fraction of the largest
+# count as zero when the searched axes are chosen; min_conditional_entropy
+# bounds the entropy error this allows.
+AXIS_RANK_RTOL = 1e-13
 BLOCK_CHUNK_BYTES = 1 << 24
 
 
@@ -177,19 +197,26 @@ _HEMISPHERE = _hemisphere_grid()
 # half-diagonal of a grid cell even at the equator, where the azimuth step is
 # twice as wide; the quadratic-model points may go further.
 _COARSE_STEP = (np.pi / 2.0) / (HEMISPHERE_POLAR - 1)
-_ZOOM_OFFSETS = np.stack(
-    np.meshgrid(*2 * [np.linspace(-1.0, 1.0, ZOOM_POINTS)], indexing="ij"), axis=-1
-).reshape(-1, 2)
 
 
-def _quadratic_fit(offsets: np.ndarray) -> np.ndarray:
-    """Least-squares map from values at offsets (u, v) to the coefficients
-    of c0 + c1 u + c2 v + c3 u^2 + c4 u v + c5 v^2."""
-    u, v = offsets.T
-    return np.linalg.pinv(np.stack([np.ones_like(u), u, v, u * u, u * v, v * v], axis=1))
+def _zoom_stencil(dim: int):
+    """The ZOOM_POINTS^dim grid of offsets in [-1, 1]^dim, the least-squares
+    map from values on it to the coefficients of a quadratic in dim
+    variables (the constant, the linear terms, then u_i u_j for i <= j; for
+    dim 2: c0 + c1 u + c2 v + c3 u^2 + c4 u v + c5 v^2), and the index and
+    scale arrays with which c[index] * scale is the quadratic's Hessian."""
+    offsets = np.stack(
+        np.meshgrid(*dim * [np.linspace(-1.0, 1.0, ZOOM_POINTS)], indexing="ij"), axis=-1
+    ).reshape(-1, dim)
+    i, j = np.triu_indices(dim)
+    design = np.column_stack([np.ones(len(offsets)), offsets, offsets[:, i] * offsets[:, j]])
+    index = np.empty((dim, dim), dtype=int)
+    index[i, j] = index[j, i] = 1 + dim + np.arange(len(i))
+    return offsets, np.linalg.pinv(design), index, 1.0 + np.eye(dim)
 
 
-_ZOOM_FIT = _quadratic_fit(_ZOOM_OFFSETS)
+_SPHERE_ZOOM = _zoom_stencil(2)
+_CIRCLE_ZOOM = _zoom_stencil(1)
 
 
 # Both spectra builders take the blocks of _measurement_blocks and return a
@@ -245,31 +272,99 @@ def _tangent_frame(n: np.ndarray) -> np.ndarray:
     return np.array([[cp * ca, cp * sa, -sp], [-sa, ca, 0.0]])
 
 
-def _model_minimum(vals: np.ndarray):
+def _model_minimum(stencil, vals: np.ndarray):
     """Minimum of the least-squares quadratic through the zoom-grid values,
-    in units of the window half-width, or None if the fit has no minimum."""
-    c = _ZOOM_FIT @ vals
-    hess = np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])
+    in units of the window half-width, or None if the fit has no minimum.
+
+    For dim 1 or 2 the two tests below are exactly a positive definite
+    Hessian.
+    """
+    _, fit, index, scale = stencil
+    c = fit @ vals
+    hess = c[index] * scale
     if not (hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0):
         return None
-    return np.linalg.solve(hess, -c[1:3])
+    return np.linalg.solve(hess, -c[1:1 + len(hess)])
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def min_conditional_entropy(rho: DensityMatrix, measured: int):
-    """Minimum average entropy of the unmeasured side over projective
-    measurements on the measured qubit of a bipartite state: a hemisphere
-    grid, then ZOOM_ROUNDS of local grid zoom.
+def _zoom(objective, n, value, frame_of, stencil, half):
+    """ZOOM_ROUNDS of local grid zoom from the direction n of value value.
 
-    Each zoom round evaluates a ZOOM_POINTS^2 grid in the plane tangent to
-    the best direction so far, spanning +-1 step of the previous grid, so
+    Each round evaluates the stencil's grid along the tangent directions
+    frame_of(n) (rows) at the best direction so far, spanning +-half, so
     the step shrinks (ZOOM_POINTS - 1)/2 times per round. The grid alone
     can lose the minimum of a narrow valley that runs across it (near the
     Clifford points, or any state under a local rotation), so each round
     also tries the minimum of the quadratic fitted to its grid values.
+    Returns the best direction, its value and the evaluations made.
+    """
+    offsets = stencil[0]
+    evals = 0
+    for _ in range(ZOOM_ROUNDS):
+        frame = frame_of(n)
+        cand = _unit_rows(n + half * (offsets @ frame))
+        vals = objective(cand)
+        step = _model_minimum(stencil, vals)
+        if step is not None:
+            model = _unit_rows(n + half * (step @ frame))
+            cand = np.vstack([cand, model])
+            vals = np.append(vals, objective(model[None]))
+        evals += len(vals)
+        best = int(np.argmin(vals))
+        if vals[best] < value:
+            n, value = cand[best], float(vals[best])
+        half *= 2.0 / (ZOOM_POINTS - 1)
+    return n, value, evals
+
+
+def _axis_rank(k: np.ndarray):
+    """Rank of the three K matrices as real vectors, and the left singular
+    vectors (columns, largest singular value first) of the real 3 x 2d^2
+    matrix of their real and imaginary parts, whose first rank columns span
+    the axes the conditional blocks depend on."""
+    u, s, _ = np.linalg.svd(k.reshape(3, -1).view(np.float64), full_matrices=False)
+    return int(np.count_nonzero(s > AXIS_RANK_RTOL * s[0])), u
+
+
+def _circle_grid(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """CIRCLE_POINTS directions on the half great circle from e1 towards e2
+    (n and -n give the same measurement)."""
+    phi = np.arange(CIRCLE_POINTS) * (np.pi / CIRCLE_POINTS)
+    return np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2)
+
+
+def _bloch_direction(n: np.ndarray) -> BlochDirection:
+    """The measurement axis of the unit vector n, on the upper hemisphere."""
+    if n[2] < 0.0:
+        n = -n
+    polar = float(np.arccos(min(n[2], 1.0)))
+    azimuth = float(np.arctan2(n[1], n[0]) % (2.0 * np.pi))
+    if azimuth >= 2.0 * np.pi:  # float modulo can round up to the period
+        azimuth = 0.0
+    return BlochDirection(polar, azimuth)
+
+
+def min_conditional_entropy(rho: DensityMatrix, measured: int):
+    """Minimum average entropy of the unmeasured side over projective
+    measurements on the measured qubit of a bipartite state.
+
+    The search runs over the unit sphere of the row space of the K matrices
+    only (see the module docstring): with rank 3 a hemisphere grid, with
+    rank 2 a half great circle, each followed by ZOOM_ROUNDS of local grid
+    zoom (_zoom), and with rank 1 or 0 the one axis. Singular values at or
+    below AXIS_RANK_RTOL times the largest count as zero. The largest is at
+    most sqrt(3), as each K_k has trace norm at most 1, so the dropped part
+    of n.K has Frobenius norm at most sqrt(3) AXIS_RANK_RTOL and trace norm
+    T = sqrt(3 d) AXIS_RANK_RTOL / 2 on a d-dimensional unmeasured side. By
+    concavity the reduced minimum exceeds the full one by at most the change
+    of the two block entropies under that perturbation, 2 T log2(d / T^2)
+    (Mirsky's inequality and |eta(x) - eta(y)| <= eta(|x - y|) for
+    eta(x) = -x log2 x): 2.1e-11 bits for a qubit partner and 1.5e-11
+    sqrt(d) bits in general.
 
     Returns (value, BlochDirection, objective evaluations); the direction
     is reported on the upper hemisphere. Fully deterministic.
@@ -286,32 +381,25 @@ def min_conditional_entropy(rho: DensityMatrix, measured: int):
     def objective(nvec: np.ndarray) -> np.ndarray:
         return _weighted_entropy(spectra(nvec)).sum(axis=1)
 
-    vals = objective(_HEMISPHERE)
+    rank, axes = _axis_rank(k)
+    if rank <= 1:
+        n = axes[:, 0]
+        return float(objective(n[None])[0]), _bloch_direction(n), 1
+    if rank == 2:
+        e1, e2 = axes[:, 0], axes[:, 1]
+        grid = _circle_grid(e1, e2)
+        turn = np.outer(e2, e1) - np.outer(e1, e2)  # a quarter turn in the plane
+
+        def frame_of(n: np.ndarray) -> np.ndarray:
+            return (turn @ n)[None]
+
+        stencil, half = _CIRCLE_ZOOM, np.pi / CIRCLE_POINTS
+    else:
+        grid, frame_of, stencil, half = _HEMISPHERE, _tangent_frame, _SPHERE_ZOOM, _COARSE_STEP
+    vals = objective(grid)
     best = int(np.argmin(vals))
-    n, value = _HEMISPHERE[best], float(vals[best])
-    evals = len(vals)
-    half = _COARSE_STEP
-    for _ in range(ZOOM_ROUNDS):
-        frame = _tangent_frame(n)
-        cand = _unit_rows(n + half * (_ZOOM_OFFSETS @ frame))
-        vals = objective(cand)
-        step = _model_minimum(vals)
-        if step is not None:
-            model = _unit_rows(n + half * (step @ frame))
-            cand = np.vstack([cand, model])
-            vals = np.append(vals, objective(model[None]))
-        evals += len(vals)
-        best = int(np.argmin(vals))
-        if vals[best] < value:
-            n, value = cand[best], float(vals[best])
-        half *= 2.0 / (ZOOM_POINTS - 1)
-    if n[2] < 0.0:
-        n = -n
-    polar = float(np.arccos(min(n[2], 1.0)))
-    azimuth = float(np.arctan2(n[1], n[0]) % (2.0 * np.pi))
-    if azimuth >= 2.0 * np.pi:  # float modulo can round up to the period
-        azimuth = 0.0
-    return value, BlochDirection(polar, azimuth), evals
+    n, value, evals = _zoom(objective, grid[best], float(vals[best]), frame_of, stencil, half)
+    return value, _bloch_direction(n), len(vals) + evals
 
 
 def _discord_detail(rho: DensityMatrix, measured: int, entropies):

@@ -153,6 +153,8 @@ def _trusted_state(entries: np.ndarray, qubit_dims) -> DensityMatrix:
 def pure_state(amplitudes, qubit_dims) -> DensityMatrix:
     """Density matrix |psi><psi| of a (normalized) amplitude vector."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
+    if not np.isfinite(v).all():
+        raise ValueError("amplitudes must be finite (no NaN or inf)")
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("zero state vector")

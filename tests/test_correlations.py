@@ -40,6 +40,12 @@ from helpers import (
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
+# Documented evaluation bounds per measured side: the hemisphere grid plus six
+# rounds of an 11x11 zoom and a model point, and the half great circle plus
+# six rounds of an 11-point zoom and a model point.
+SPHERE_EVALS = 2048 + 6 * 122
+CIRCLE_EVALS = 64 + 6 * 12
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -110,8 +116,10 @@ class TestMinConditionalEntropy:
     def test_bounded_by_reduced_entropy(self, seed):
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(rng, (1, 1))
-        value, _, _ = min_conditional_entropy(rho, 0)
+        value, _, evals = min_conditional_entropy(rho, 0)
         assert -1e-12 <= value <= vn_entropy(partial_trace(rho, 1)) + 1e-9
+        # a full-rank state distinguishes every axis: the hemisphere search
+        assert CIRCLE_EVALS < evals <= SPHERE_EVALS
 
 
 class TestDiscord:
@@ -302,15 +310,18 @@ class TestMinimiserContract:
         # Near the Clifford points the objective has a narrow valley; a local
         # unitary turns it across the zoom grid but leaves Hmin unchanged.
         # 1e-10 is ten times inside the slack of the benchmark discord oracle.
+        # The rotation also turns the axes the state cannot tell apart, so
+        # the reduced search must find them off the coordinate axes too.
         rho = output_state(z_theta(theta), alpha)
         plain = [min_conditional_entropy(rho, m)[0] for m in (0, 1)]
         rng = np.random.default_rng(4)
         for _ in range(4):
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             turned = DensityMatrix(u @ rho.entries @ u.conj().T, (1, 1))
-            for measured in (0, 1):
-                value, _, _ = min_conditional_entropy(turned, measured)
+            for measured, bound in ((0, CIRCLE_EVALS), (1, 1)):
+                value, _, evals = min_conditional_entropy(turned, measured)
                 assert value == pytest.approx(plain[measured], abs=1e-10)
+                assert evals <= bound
 
     @pytest.mark.parametrize("n", [
         (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 1.0, -0.0), (1.0, 0.0, 0.0),
@@ -330,3 +341,84 @@ class TestMinimiserContract:
             assert 0.0 <= direction.polar <= np.pi / 2
         report_direction = correlation_report(rho).argmin_direction
         assert 0.0 <= report_direction.polar <= np.pi / 2
+
+
+class TestReducedSearch:
+    """The minimiser searches the unit sphere of the row space of the K
+    matrices: one axis, a half great circle or the hemisphere."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.997, 1.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.1047, np.pi / 2, 2.0, -3.0369, np.pi])
+    def test_z_theta_sweep_states(self, theta, alpha):
+        rho = output_state(z_theta(theta), alpha)
+        # classical on the register, whose K_x and K_y vanish: one axis
+        assert min_conditional_entropy(rho, 1)[2] == 1
+        # equal diagonal blocks make K_z vanish: the equator
+        _, direction, evals = min_conditional_entropy(rho, 0)
+        assert evals <= CIRCLE_EVALS
+        assert direction.polar == pytest.approx(np.pi / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_haar_dqc1_control_side(self, n):
+        rng = np.random.default_rng(10 + n)
+        rho = output_state(UnitaryMatrix(n, random_unitary(rng, 2**n)), 0.9)
+        # a local unitary on the measured qubit tilts the null axis off z
+        v = np.kron(random_unitary(rng, 2), np.eye(2**n))
+        turned = DensityMatrix(v @ rho.entries @ v.conj().T, (1, n))
+        plain, rotated = (min_conditional_entropy(state, 0) for state in (rho, turned))
+        assert plain[2] <= CIRCLE_EVALS and rotated[2] <= CIRCLE_EVALS
+        assert rotated[0] == pytest.approx(plain[0], abs=1e-10)
+        for state, (value, _, _) in ((rho, plain), (turned, rotated)):
+            assert value <= oracle_min_conditional_entropy(state, 0, 36, 72) + 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equal_block_states_match_the_hemisphere_search(self, n):
+        # [[A, B], [B+, A]] / 2 with B = sqrt(A) C sqrt(A), |C| <= 1, is a
+        # state with K_z = 0 whose optimum may lie anywhere on the circle.
+        rng = np.random.default_rng(20 + n)
+        for _ in range(100):
+            a = random_density_matrix(rng, (n,)).entries
+            w, v = np.linalg.eigh(a)
+            root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+            b = root @ random_unitary(rng, 2**n) @ root * rng.uniform(0.2, 1.0)
+            rho = DensityMatrix(np.block([[a, b], [b.conj().T, a]]) / 2, (1, n))
+            value, _, evals = min_conditional_entropy(rho, 0)
+            assert evals <= CIRCLE_EVALS
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(correlations, "AXIS_RANK_RTOL", -1.0)  # every axis counts
+                full, _, full_evals = min_conditional_entropy(rho, 0)
+            assert full_evals > CIRCLE_EVALS
+            assert value <= full + 1e-12
+
+    def test_full_rank_state_keeps_the_hemisphere_search(self):
+        rho = random_density_matrix(np.random.default_rng(0), (1, 1))
+        for measured in (0, 1):
+            assert min_conditional_entropy(rho, measured)[2] == SPHERE_EVALS
+
+    @pytest.mark.parametrize("scale", [0.8, 1.25])
+    def test_rank_tolerance_boundary(self, scale):
+        # A tilt sigma_z (x) Y adds 2 Y to K_z only; for a generic Y it leaves
+        # the span of K_x and K_y, so the third singular value of the K
+        # matrices grows linearly from zero.
+        rng = np.random.default_rng(7)
+        base = output_state(UnitaryMatrix(1, random_unitary(rng, 2)), 0.9)
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        tilt = np.kron(np.diag([1.0, -1.0]), g + g.conj().T) / 8
+
+        def tilted(delta):
+            return DensityMatrix(base.entries + delta * tilt, (1, 1))
+
+        def third_ratio(rho):
+            _, k = correlations._measurement_blocks(rho, 0)
+            flat = np.concatenate([k.real, k.imag], axis=-1).reshape(3, -1)
+            s = np.linalg.svd(flat, compute_uv=False)
+            return s[2] / s[0]
+
+        delta = scale * correlations.AXIS_RANK_RTOL * 1e-6 / third_ratio(tilted(1e-6))
+        rho = tilted(delta)
+        above = scale > 1.0
+        assert (third_ratio(rho) > correlations.AXIS_RANK_RTOL) == above
+        value, _, evals = min_conditional_entropy(rho, 0)
+        assert (evals > CIRCLE_EVALS) == above
+        assert value <= oracle_min_conditional_entropy(rho, 0, 36, 72) + 1e-9
+        assert value == pytest.approx(min_conditional_entropy(base, 0)[0], abs=1e-10)

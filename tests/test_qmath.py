@@ -45,8 +45,9 @@ class TestDensityMatrixInvariants:
             DensityMatrix(m, (1,))
 
     def test_pure_state_checks_its_input(self):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            pure_state([1.0, np.nan], (1,))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                pure_state([1.0, bad], (1,))
         with pytest.raises(ValueError, match="qubit_dims"):
             pure_state([1.0, 0.0], (2,))
         with pytest.raises(ValueError, match="zero state"):
