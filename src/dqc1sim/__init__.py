@@ -36,7 +36,6 @@ from .correlations import (
     correlation_report,
     discord,
     min_conditional_entropy,
-    mutual_information,
     tangle,
 )
 from .clifford import (
@@ -65,7 +64,7 @@ __all__ = [
     "poisson_counts", "sample_expectation", "shots_required",
     "MEASURE_CONTROL", "MEASURE_REGISTER", "BlochDirection", "CorrelationReport",
     "concurrence", "correlation_report", "discord", "min_conditional_entropy",
-    "mutual_information", "tangle",
+    "tangle",
     "CliffordCircuit", "Gate", "SignedPauliString", "dqc1_clifford_expectations",
     "propagate", "verify_zero_discord",
     "ReconstructionError", "TomographyRun", "linear_estimate", "psd_project",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -156,37 +155,9 @@ def sweep_point(config: SweepConfig, index: int) -> dict:
     return row
 
 
-def _sweep_worker(payload) -> dict:
-    config, index = payload
-    return sweep_point(config, index)
-
-
-def sweep_workers(jobs: int, steps: int, cpus: int) -> int:
-    """Worker processes for a sweep: jobs, capped by the points and the cores.
-
-    0 and 1 both mean in-process; negative values are rejected.
-    """
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    return max(1, min(jobs, steps, cpus))
-
-
-def sweep_rows(config: SweepConfig, jobs: int = 1) -> list[dict]:
-    """Rows in theta order; points are independent, so jobs > 1 is safe."""
-    indices = range(config.steps)
-    workers = sweep_workers(jobs, config.steps, os.cpu_count() or 1)
-    if workers == 1:
-        return [sweep_point(config, i) for i in indices]
-    # Imported here: loading the process machinery costs every other call
-    # about 30 ms.
-    from concurrent.futures import ProcessPoolExecutor
-
-    # One chunk per worker: a chunk unpickles one shared config, so each
-    # worker builds the theta grid once.
-    chunk = -(-config.steps // workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_worker, [(config, i) for i in indices],
-                             chunksize=chunk))
+def sweep_rows(config: SweepConfig) -> list[dict]:
+    """Rows in theta order, one sweep_point per grid point."""
+    return [sweep_point(config, i) for i in range(config.steps)]
 
 
 def _fmt(value) -> str:
@@ -247,8 +218,8 @@ def _cmd_sweep(args) -> int:
         mean_counts=args.mean_counts,
         mode=args.mode,
     )
-    rows = sweep_rows(config, jobs=args.jobs)
-    if args.format in (None, "csv"):
+    rows = sweep_rows(config)
+    if args.format == "csv":
         text = render_csv(config.to_dict(), config.columns, rows)
     else:
         text = _render_json(
@@ -259,7 +230,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    _require_json_format(args, "trace")
     u = unitary_from_json(load_json(args.unitary))
     shots = shots_required(args.epsilon, args.p_error, args.alpha)
     est = estimate_trace(u, args.alpha, shots, args.seed, mode=args.mode)
@@ -288,7 +258,6 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_discord(args) -> int:
-    _require_json_format(args, "discord")
     rho = _load_state(args)
     report = correlation_report(rho).to_dict()
     report["config"] = _state_config(args, "discord")
@@ -297,7 +266,6 @@ def _cmd_discord(args) -> int:
 
 
 def _cmd_tangle(args) -> int:
-    _require_json_format(args, "tangle")
     rho = _load_state(args)
     report = {
         "config": _state_config(args, "tangle"),
@@ -309,7 +277,6 @@ def _cmd_tangle(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
-    _require_json_format(args, "tomo")
     rho = _load_state(args)
     run = simulate_counts(rho, args.mean_counts, args.seed)
     recon = reconstruct(run)
@@ -326,7 +293,6 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_verify_clifford(args) -> int:
-    _require_json_format(args, "verify-clifford")
     circuit = circuit_from_json(load_json(args.circuit))
     report = verify_zero_discord(circuit)
     report["config"] = {
@@ -338,16 +304,20 @@ def _cmd_verify_clifford(args) -> int:
     return 0
 
 
-def _require_json_format(args, command: str) -> None:
-    if args.format == "csv":
-        raise ValueError(f"{command} emits JSON only; drop --format csv")
+def _seed(text: str) -> int:
+    """--seed as an int >= 0, the only seeds numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return seed
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed (nonnegative)")
+    parser.add_argument("--seed", type=_seed, default=0, help="master RNG seed (nonnegative)")
     parser.add_argument("--out", default="-", help="output path, - for stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (sweep only; reports are JSON)")
 
 
 def _add_state_source(parser: argparse.ArgumentParser) -> None:
@@ -384,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-counts", type=float, default=1e4, dest="mean_counts")
     p.add_argument("--mode", choices=SAMPLING_MODES, default="binomial",
                    help="shot noise model")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DensityMatrix, PAULIS, _trusted_state, check_range
+from .qmath import DensityMatrix, PAULI_EIGENSTATES, PAULIS, _trusted_state, check_range
 from .serialize import json_int, json_list
 from . import correlations
 
@@ -180,14 +180,6 @@ def dqc1_clifford_expectations(circuit: CliffordCircuit, alpha: float) -> tuple[
     return x, y
 
 
-_BASIS_VECTORS = {
-    "I": (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-    "Z": (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-    "X": (np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)),
-    "Y": (np.array([1.0, 1.0j]) / np.sqrt(2.0), np.array([1.0, -1.0j]) / np.sqrt(2.0)),
-}
-
-
 def _clifford_output_state(out: SignedPauliString) -> DensityMatrix:
     """(I + P)/d for the propagated string P: a Hermitian Pauli has
     eigenvalues +-1 and zero trace, so this is a valid state by construction."""
@@ -209,11 +201,13 @@ def _register_discord_certificate(rho: DensityMatrix, out: SignedPauliString) ->
     h_c, h_r, h_cr = correlations._entropies(rho)
     info = h_c + h_r - h_cr
     t = rho.entries.reshape(2, 2**n, 2, 2**n)
+    # Any basis diagonalizes I; use Z's.
+    eigenstates = [PAULI_EIGENSTATES["Z" if lab == "I" else lab] for lab in out.labels[1:]]
     blocks = []
     for k in range(2**n):
         vec = np.array([1.0], dtype=complex)
-        for i, lab in enumerate(out.labels[1:]):
-            vec = np.kron(vec, _BASIS_VECTORS[lab][(k >> (n - 1 - i)) & 1])
+        for i, basis in enumerate(eigenstates):
+            vec = np.kron(vec, basis[(k >> (n - 1 - i)) & 1])
         blocks.append(np.einsum("s,asbr,r->ab", vec.conj(), t, vec))
     cond = correlations._weighted_entropy(np.linalg.eigvalsh(np.stack(blocks)))
     return info - (h_c - float(cond.sum()))

@@ -139,12 +139,6 @@ def _entropies(rho: DensityMatrix) -> tuple[float, float, float]:
     )
 
 
-def mutual_information(rho: DensityMatrix) -> float:
-    """H(A) + H(B) - H(AB) in bits; nonnegative up to round-off."""
-    h_a, h_b, h_ab = _entropies(rho)
-    return h_a + h_b - h_ab
-
-
 def _weighted_entropy(mu: np.ndarray) -> np.ndarray:
     """-sum mu log2(mu/p) over the last axis, with p = sum(mu) and 0 log 0 = 0.
 

@@ -30,6 +30,14 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": SIGMA_I, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+# The +1 and -1 eigenvectors of X, Y and Z, keyed like PAULIS.
+PAULI_EIGENSTATES = {
+    "Z": (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)),
+    "X": (np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+          np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)),
+    "Y": (np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
+          np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)),
+}
 
 
 def square_complex(m) -> np.ndarray:

@@ -13,27 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DensityMatrix, PAULIS, _trusted_state, check_range, square_complex
+from .qmath import (
+    DensityMatrix, PAULI_EIGENSTATES, PAULIS, _trusted_state, check_range, square_complex,
+)
 
 # Axis-major: label 2k + s is Pauli axis "zxy"[k] with sign "+-"[s].
 BASIS_LABELS = ("z+", "z-", "x+", "x-", "y+", "y-")
-
-_KETS = {
-    "z+": np.array([1.0, 0.0], dtype=complex),
-    "z-": np.array([0.0, 1.0], dtype=complex),
-    "x+": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "x-": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
-    "y+": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
-    "y-": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
-}
 
 # The one scheme: setting 6a + b measures qubit 0 in BASIS_LABELS[a] and
 # qubit 1 in BASIS_LABELS[b], e.g. "x+z-".
 SETTING_LABELS = tuple(a + b for a, b in itertools.product(BASIS_LABELS, repeat=2))
 
 
+def _ket(label: str) -> np.ndarray:
+    """The one-qubit state of a basis label: "x-" is the -1 eigenvector of X."""
+    return PAULI_EIGENSTATES[label[0].upper()]["+-".index(label[1])]
+
+
 def _projector(label: str) -> np.ndarray:
-    ket = np.kron(_KETS[label[:2]], _KETS[label[2:]])
+    ket = np.kron(_ket(label[:2]), _ket(label[2:]))
     return np.outer(ket, ket.conj())
 
 

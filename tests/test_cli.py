@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqc1sim import output_state, z_theta
-from dqc1sim.cli import MAX_STEPS, SweepConfig, main, sweep_rows, sweep_workers
+from dqc1sim.cli import MAX_STEPS, SweepConfig, main, sweep_rows
 from dqc1sim.clifford import CliffordCircuit, Gate
 from dqc1sim.serialize import density_to_json, matrix_to_json
 
@@ -90,14 +90,6 @@ class TestSweep:
         args = ["sweep", "--steps", 9, "--shots", 500, "--seed", 31, "--out"]
         run_cli(args + [out1])
         run_cli(args + [out2])
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_jobs_do_not_change_output(self, tmp_path):
-        out1 = tmp_path / "serial.csv"
-        out2 = tmp_path / "parallel.csv"
-        run_cli(["sweep", "--steps", 7, "--shots", 200, "--seed", 5, "--out", out1])
-        run_cli(["sweep", "--steps", 7, "--shots", 200, "--seed", 5,
-                 "--jobs", 2, "--out", out2])
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_json_format(self, tmp_path):
@@ -289,7 +281,7 @@ class TestStateCommands:
     def test_csv_format_rejected(self, capsys):
         assert run_cli(["discord", "--theta", 1.0, "--format", "csv"]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert "JSON only" in err["message"]
+        assert "unrecognized arguments" in err["message"]
 
 
 class TestVerifyClifford:
@@ -400,6 +392,10 @@ class TestBadInputs:
         (["tangle", "{dir}/qubit_dims_huge.json"], "does not match qubit_dims"),
         (["tangle", "{dir}/entries_object.json"], "entries must be numbers"),
         (["sweep", "--steps", "100001"], "steps must be <= 100000"),
+        (["sweep", "--jobs", "2"], "unrecognized arguments"),
+        (["discord", "--theta", "1", "--format", "json"], "unrecognized arguments"),
+        (["discord", "--theta", "1", "--seed", "-1"], "seed"),
+        (["sweep", "--seed", "-1"], "seed"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"
@@ -469,21 +465,3 @@ class TestJsonFuzz:
                 assert len(lines) == 1, lines
                 assert set(json.loads(lines[0])) == {"error", "message"}
                 assert not out.exists()
-
-
-class TestSweepWorkers:
-    @pytest.mark.parametrize("jobs, steps, cpus, expected", [
-        (0, 41, 8, 1),
-        (1, 41, 8, 1),
-        (4, 41, 8, 4),
-        (10**9, 41, 8, 8),
-        (10**9, 3, 64, 3),
-        (16, 41, 2, 2),
-        (5, 41, 1, 1),
-    ])
-    def test_clamped_to_points_and_cores(self, jobs, steps, cpus, expected):
-        assert sweep_workers(jobs, steps, cpus) == expected
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="jobs"):
-            sweep_workers(-1, 41, 8)

@@ -18,7 +18,6 @@ from dqc1sim import (
     correlation_report,
     discord,
     min_conditional_entropy,
-    mutual_information,
     output_state,
     pure_state,
     tangle,
@@ -73,18 +72,18 @@ class TestMutualInformation:
         a = random_density_matrix(rng, (1,))
         b = random_density_matrix(rng, (1,))
         joint = DensityMatrix(np.kron(a.entries, b.entries), (1, 1))
-        assert mutual_information(joint) == pytest.approx(0.0, abs=1e-12)
+        assert correlation_report(joint).mutual_info == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state(self):
-        assert mutual_information(bell_state()) == pytest.approx(2.0, abs=1e-12)
+        assert correlation_report(bell_state()).mutual_info == pytest.approx(2.0, abs=1e-12)
 
     def test_classical_mixture(self):
-        assert mutual_information(classical_mixture()) == pytest.approx(1.0, abs=1e-12)
+        assert correlation_report(classical_mixture()).mutual_info == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_bipartite(self):
         rho = DensityMatrix(np.eye(8) / 8, (1, 1, 1))
         with pytest.raises(ValueError, match="bipartite"):
-            mutual_information(rho)
+            discord(rho, MEASURE_CONTROL)
         with pytest.raises(ValueError, match="bipartite"):
             min_conditional_entropy(rho, 0)
 

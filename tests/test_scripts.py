@@ -37,14 +37,23 @@ def _public_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if not n.startswith("_")]
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Names loaded bare, or as an attribute of a dqc1sim module such as
-    ``clifford.propagate`` or ``dqc1sim.discord``. Imports, strings and
-    docstrings are not references."""
+def _references(tree: ast.Module, own: set[str]) -> set[str]:
+    """Library names a file reaches: a bare name that the file imports from
+    dqc1sim or, for a library module, defines itself (``own``), and an
+    attribute of a dqc1sim module such as ``clifford.propagate`` or
+    ``dqc1sim.discord``. A script's or the benchmark's own function that
+    shares a library name does not reach the library's; imports, strings
+    and docstrings are not references either."""
+    bare = {name: name for name in own}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "dqc1sim"):
+            bare.update((alias.asname or alias.name, alias.name) for alias in node.names)
     refs = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.add(node.id)
+            if node.id in bare:
+                refs.add(bare[node.id])
         elif isinstance(node, ast.Attribute):
             base = node.value
             while isinstance(base, ast.Attribute) and base.attr not in MODULES:
@@ -58,7 +67,9 @@ def _references(tree: ast.Module) -> set[str]:
 def test_library_carries_no_test_only_names():
     refs = set()
     for path in PROGRAM:
-        refs |= _references(ast.parse(path.read_text(), filename=str(path)))
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = set(_public_definitions(tree)) if path in LIBRARY else set()
+        refs |= _references(tree, own)
     unused = [
         f"{path.stem}.{name}"
         for path in LIBRARY
