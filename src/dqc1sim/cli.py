@@ -1,8 +1,9 @@
 """Command-line surface: sweeps, trace estimation, correlation analysis.
 
-Every output embeds the resolved configuration and seed, and repeated runs
-with identical arguments are byte-identical. Numeric CSV columns use 17
-significant digits so downstream plotting is language-neutral.
+Every output embeds the resolved configuration, with the seed wherever
+numbers are drawn, and repeated runs with identical arguments are
+byte-identical. Numeric CSV columns use 17 significant digits so
+downstream plotting is language-neutral.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .correlations import MEASURE_CONTROL, MEASURE_REGISTER, correlation_report,
 from .clifford import circuit_from_json, verify_zero_discord
 from .dqc1 import exact_expectations, normalized_trace, output_state, z_theta
 from .qmath import check_range, fidelity
-from .sampling import SAMPLING_MODES, check_mode, estimate_trace, shots_required
+from .sampling import SAMPLING_MODES, check_mode, check_shots, estimate_trace, shots_required
 from .serialize import (
     density_from_json,
     density_to_json,
@@ -68,8 +69,7 @@ class SweepConfig:
             )
         check_range("alpha", self.alpha, 0.0, 1.0)
         check_range("mean_counts", self.mean_counts, 0.0, open_low=True)
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+        check_shots(self.shots, 0)
         check_mode(self.mode)
         bad = set(self.outputs) - set(SWEEP_OUTPUTS)
         if bad:
@@ -111,30 +111,23 @@ def sweep_point(config: SweepConfig, index: int) -> dict:
     theta = float(config.thetas[index])
     u = z_theta(theta)
     x, y = exact_expectations(u, config.alpha)
+    est = estimate_trace(
+        u, config.alpha, config.shots,
+        np.random.SeedSequence([config.seed, index]),
+        mode=config.mode,
+    )
     row = {
         "theta": theta,
         "alpha": config.alpha,
         "re_exact": x,
         "im_exact": y,
+        "re_est": config.alpha * est.real,
+        "im_est": config.alpha * est.imag,
         "shots": config.shots,
         "seed": config.seed,
+        "re_trace": est.real,
+        "im_trace": est.imag,
     }
-    if config.shots > 0:
-        est = estimate_trace(
-            u, config.alpha, config.shots,
-            np.random.SeedSequence([config.seed, index]),
-            mode=config.mode,
-        )
-        row["re_est"] = config.alpha * est.real
-        row["im_est"] = config.alpha * est.imag
-        row["re_trace"] = est.real
-        row["im_trace"] = est.imag
-    else:
-        exact = normalized_trace(u)
-        row["re_est"] = x
-        row["im_est"] = y
-        row["re_trace"] = exact.real
-        row["im_trace"] = exact.imag
     needs_state = {"discord", "tangle", "tomo"} & set(config.outputs)
     if needs_state:
         rho = output_state(u, config.alpha)
@@ -188,25 +181,22 @@ def _write_output(path, text: str) -> None:
         raise OSError(f"cannot write output file {str(path)!r}: {exc.strerror or exc}") from None
 
 
-def _load_state(args):
+def _state(args, command: str):
+    """The state and the config that names its source: a JSON file, or the
+    Z_theta output built from --theta and --alpha, never both."""
     if args.state is not None:
-        return density_from_json(load_json(args.state))
+        if args.theta is not None or args.alpha is not None:
+            raise ValueError("give a state JSON file or --theta/--alpha, not both")
+        config = {"command": command, "state": str(args.state)}
+        return density_from_json(load_json(args.state)), config
     if args.theta is None:
         raise ValueError("provide a state JSON file or --theta")
-    return output_state(z_theta(args.theta), args.alpha)
+    alpha = 1.0 if args.alpha is None else args.alpha
+    config = {"command": command, "theta": args.theta, "alpha": alpha}
+    return output_state(z_theta(args.theta), alpha), config
 
 
-def _state_config(args, command: str) -> dict:
-    cfg = {"command": command, "seed": args.seed}
-    if args.state is not None:
-        cfg["state"] = str(args.state)
-    else:
-        cfg["theta"] = args.theta
-        cfg["alpha"] = args.alpha
-    return cfg
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     config = SweepConfig(
         theta_min=args.theta_min,
         theta_max=args.theta_max,
@@ -220,16 +210,11 @@ def _cmd_sweep(args) -> int:
     )
     rows = sweep_rows(config)
     if args.format == "csv":
-        text = render_csv(config.to_dict(), config.columns, rows)
-    else:
-        text = _render_json(
-            {"config": config.to_dict(), "columns": list(config.columns), "rows": rows}
-        )
-    _write_output(args.out, text)
-    return 0
+        return render_csv(config.to_dict(), config.columns, rows)
+    return _render_json({"config": config.to_dict(), "columns": list(config.columns), "rows": rows})
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> str:
     u = unitary_from_json(load_json(args.unitary))
     shots = shots_required(args.epsilon, args.p_error, args.alpha)
     est = estimate_trace(u, args.alpha, shots, args.seed, mode=args.mode)
@@ -253,55 +238,46 @@ def _cmd_trace(args) -> int:
         "exact_im": exact.imag,
         "abs_error": abs(est - exact),
     }
-    _write_output(args.out, _render_json(report))
-    return 0
+    return _render_json(report)
 
 
-def _cmd_discord(args) -> int:
-    rho = _load_state(args)
+def _cmd_discord(args) -> str:
+    rho, config = _state(args, "discord")
     report = correlation_report(rho).to_dict()
-    report["config"] = _state_config(args, "discord")
-    _write_output(args.out, _render_json(report))
-    return 0
+    report["config"] = config
+    return _render_json(report)
 
 
-def _cmd_tangle(args) -> int:
-    rho = _load_state(args)
+def _cmd_tangle(args) -> str:
+    rho, config = _state(args, "tangle")
     report = {
-        "config": _state_config(args, "tangle"),
+        "config": config,
         "concurrence": concurrence(rho),
         "tangle": tangle(rho),
     }
-    _write_output(args.out, _render_json(report))
-    return 0
+    return _render_json(report)
 
 
-def _cmd_tomo(args) -> int:
-    rho = _load_state(args)
+def _cmd_tomo(args) -> str:
+    rho, config = _state(args, "tomo")
     run = simulate_counts(rho, args.mean_counts, args.seed)
     recon = reconstruct(run)
     report = {
-        "config": {**_state_config(args, "tomo"), "mean_counts": args.mean_counts},
+        "config": {**config, "seed": args.seed, "mean_counts": args.mean_counts},
         "run": run.to_json(),
         "reconstruction": density_to_json(recon),
         "fidelity": fidelity(recon, rho),
         "discord_rc": discord(recon, MEASURE_CONTROL),
         "tangle": tangle(recon),
     }
-    _write_output(args.out, _render_json(report))
-    return 0
+    return _render_json(report)
 
 
-def _cmd_verify_clifford(args) -> int:
+def _cmd_verify_clifford(args) -> str:
     circuit = circuit_from_json(load_json(args.circuit))
     report = verify_zero_discord(circuit)
-    report["config"] = {
-        "command": "verify-clifford",
-        "circuit": str(args.circuit),
-        "seed": args.seed,
-    }
-    _write_output(args.out, _render_json(report))
-    return 0
+    report["config"] = {"command": "verify-clifford", "circuit": str(args.circuit)}
+    return _render_json(report)
 
 
 def _seed(text: str) -> int:
@@ -316,7 +292,6 @@ def _seed(text: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_seed, default=0, help="master RNG seed (nonnegative)")
     parser.add_argument("--out", default="-", help="output path, - for stdout")
 
 
@@ -325,7 +300,8 @@ def _add_state_source(parser: argparse.ArgumentParser) -> None:
                         help="density-matrix JSON file; omit to build a circuit output")
     parser.add_argument("--theta", type=float, default=None,
                         help="phase angle for the built-in Z_theta instance")
-    parser.add_argument("--alpha", type=float, default=1.0, help="control purity")
+    parser.add_argument("--alpha", type=float, default=None,
+                        help="control purity with --theta (default 1.0)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -355,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=SAMPLING_MODES, default="binomial",
                    help="shot noise model")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    p.add_argument("--seed", type=_seed, default=0, help="master RNG seed (nonnegative)")
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -365,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-error", type=float, default=0.05, dest="p_error")
     p.add_argument("--mode", choices=SAMPLING_MODES, default="binomial",
                    help="shot noise model")
+    p.add_argument("--seed", type=_seed, default=0, help="master RNG seed (nonnegative)")
     _add_common(p)
     p.set_defaults(func=_cmd_trace)
 
@@ -381,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomo", help="simulate tomography and reconstruct")
     _add_state_source(p)
     p.add_argument("--mean-counts", type=float, default=1e4, dest="mean_counts")
+    p.add_argument("--seed", type=_seed, default=0, help="master RNG seed (nonnegative)")
     _add_common(p)
     p.set_defaults(func=_cmd_tomo)
 
@@ -395,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        _write_output(args.out, args.func(args))
+        return 0
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error) + "\n")

@@ -78,13 +78,6 @@ class BlochDirection:
         if not 0.0 <= self.azimuth < 2.0 * np.pi:
             raise ValueError(f"azimuth must be in [0, 2*pi), got {self.azimuth}")
 
-    @property
-    def unit_vector(self) -> np.ndarray:
-        sp = np.sin(self.polar)
-        return np.array(
-            [sp * np.cos(self.azimuth), sp * np.sin(self.azimuth), np.cos(self.polar)]
-        )
-
 
 @dataclass(frozen=True)
 class CorrelationReport:

@@ -17,12 +17,23 @@ from .dqc1 import UnitaryMatrix, exact_expectations, normalized_trace
 from .qmath import check_range
 
 SAMPLING_MODES = ("binomial", "poisson")
+# Largest shot count per quadrature. numpy's binomial takes n up to 2**63 - 1
+# and its Poisson a rate up to about 9.2e18, so both modes can draw it.
+MAX_SHOTS = 10**18
 
 
 def check_mode(mode: str) -> None:
     """The one check of a sampling mode name."""
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode {mode!r}, expected one of {SAMPLING_MODES}")
+
+
+def check_shots(shots: int, low: int) -> None:
+    """The one check of a shot count: an integer from low to MAX_SHOTS."""
+    if shots < low:
+        raise ValueError(f"shots must be >= {low}, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= {MAX_SHOTS}, got {shots}")
 
 
 @dataclass(frozen=True)
@@ -57,12 +68,22 @@ def shots_required(epsilon: float, p_error: float, alpha: float) -> int:
     """Shot budget ceil(ln(2/P_e) / (2 eps^2) / alpha^2).
 
     Monotone decreasing in every argument; the 1/alpha^2 factor is the
-    purity overhead L' = L / alpha^2.
+    purity overhead L' = L / alpha^2. A budget above MAX_SHOTS, or one
+    that overflows or whose eps^2 or alpha^2 underflows to 0, is an error.
     """
     check_range("epsilon", epsilon, 0.0, 1.0, open_low=True, open_high=True)
     check_range("p_error", p_error, 0.0, 1.0, open_low=True, open_high=True)
     _check_pure_fraction(alpha)
-    return math.ceil(math.log(2.0 / p_error) / (2.0 * epsilon**2) / alpha**2)
+    try:
+        budget = math.log(2.0 / p_error) / (2.0 * epsilon**2) / alpha**2
+    except ZeroDivisionError:
+        budget = math.inf
+    if not budget <= MAX_SHOTS:
+        raise ValueError(
+            f"shot budget for epsilon={epsilon}, p_error={p_error}, alpha={alpha} "
+            f"exceeds {MAX_SHOTS} shots"
+        )
+    return math.ceil(budget)
 
 
 def sample_expectation(true_expectation: float, shots: int, seed) -> float:
@@ -72,8 +93,7 @@ def sample_expectation(true_expectation: float, shots: int, seed) -> float:
     an existing Generator.
     """
     check_range("expectation", true_expectation, -1.0, 1.0)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots, 1)
     rng = np.random.default_rng(seed)
     n_plus = int(rng.binomial(shots, (1.0 + true_expectation) / 2.0))
     return (2 * n_plus - shots) / shots
@@ -106,14 +126,14 @@ def estimate_trace(u: UnitaryMatrix, alpha: float, shots: int, seed,
     The X and Y quadratures use independent shot streams spawned from the
     seed, an int or a SeedSequence, and the result is divided by alpha so
     it estimates the trace itself. shots = 0 bypasses sampling and returns
-    the exact value.
+    the exact value, which needs no pure fraction, so alpha may then be 0.
     """
-    _check_pure_fraction(alpha)
+    check_range("alpha", alpha, 0.0, 1.0)
     check_mode(mode)
+    check_shots(shots, 0)
     if shots == 0:
         return normalized_trace(u)
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+    _check_pure_fraction(alpha)
     x, y = exact_expectations(u, alpha)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
     gen_x, gen_y = (np.random.default_rng(c) for c in ss.spawn(2))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dqc1sim import output_state, z_theta
 from dqc1sim.cli import MAX_STEPS, SweepConfig, main, sweep_rows
 from dqc1sim.clifford import CliffordCircuit, Gate
+from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.serialize import density_to_json, matrix_to_json
 
 from helpers import circuit_to_json, package_env, save_json, unitary_to_json
@@ -167,6 +168,18 @@ class TestSweep:
                              capture_output=True, text=True, env=package_env(), check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_shot_bound(self):
+        with pytest.raises(ValueError, match="shots must be <="):
+            SweepConfig(-1.0, 1.0, 5, 1.0, MAX_SHOTS + 1, 0, ("trace",))
+        with pytest.raises(ValueError, match="shots must be >= 0"):
+            SweepConfig(-1.0, 1.0, 5, 1.0, -1, 0, ("trace",))
+
+    def test_zero_alpha_sweep_is_exact(self):
+        rows = sweep_rows(SweepConfig(-1.0, 1.0, 3, 0.0, 0, 0, ("trace",)))
+        for row in rows:
+            assert row["re_est"] == row["re_exact"] == 0.0
+            assert row["re_trace"] == (1 + np.cos(row["theta"])) / 2
+
     def test_unknown_mode(self):
         # argparse choices catch it on the command line; the library call
         # goes through the same check as estimate_trace
@@ -278,6 +291,27 @@ class TestStateCommands:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("args, keys", [
+        (["discord", "--theta", "1"], {"command", "theta", "alpha"}),
+        (["discord", "{state}"], {"command", "state"}),
+        (["tangle", "--theta", "1", "--alpha", "0.5"], {"command", "theta", "alpha"}),
+        (["tangle", "{state}"], {"command", "state"}),
+        (["tomo", "--theta", "1"], {"command", "theta", "alpha", "seed", "mean_counts"}),
+        (["tomo", "{state}"], {"command", "state", "seed", "mean_counts"}),
+        (["verify-clifford", "{circuit}"], {"command", "circuit"}),
+    ])
+    def test_config_names_only_the_inputs_used(self, args, keys, tmp_path):
+        state, circuit = tmp_path / "state.json", tmp_path / "circuit.json"
+        save_json(state, density_to_json(output_state(z_theta(1.0), 0.9)))
+        save_json(circuit, {"n": 2, "gates": [{"g": "H", "q": 0}]})
+        out = tmp_path / "report.json"
+        argv = [a.format(state=state, circuit=circuit) for a in args]
+        assert run_cli(argv + ["--out", out]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert set(config) == keys
+        if args[1] == "--theta" and "--alpha" not in args:
+            assert config["alpha"] == 1.0
+
     def test_csv_format_rejected(self, capsys):
         assert run_cli(["discord", "--theta", 1.0, "--format", "csv"]) == 1
         err = json.loads(capsys.readouterr().err)
@@ -347,7 +381,12 @@ class TestBadInputs:
             "qubit_dims_huge": {**mixed, "qubit_dims": [10**12, 1]},
             "entries_object": {**mixed, "re": {"a": 1}},
         }
-        for name, value in malformed.items():
+        valid = {
+            "state": density_to_json(output_state(z_theta(1.0), 0.9)),
+            "unitary": unitary_to_json(z_theta(1.0)),
+            "circuit": {"n": 2, "gates": [cz]},
+        }
+        for name, value in {**malformed, **valid}.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(value))
         return tmp_path
 
@@ -394,8 +433,19 @@ class TestBadInputs:
         (["sweep", "--steps", "100001"], "steps must be <= 100000"),
         (["sweep", "--jobs", "2"], "unrecognized arguments"),
         (["discord", "--theta", "1", "--format", "json"], "unrecognized arguments"),
-        (["discord", "--theta", "1", "--seed", "-1"], "seed"),
+        (["tomo", "--theta", "1", "--seed", "-1"], "seed"),
         (["sweep", "--seed", "-1"], "seed"),
+        (["sweep", "--steps", "2", "--shots", "99999999999999999999999"], "shots must be <="),
+        (["trace", "{dir}/unitary.json", "--alpha", "1e-9"], "shot budget"),
+        (["trace", "{dir}/unitary.json", "--alpha", "5e-324"], "shot budget"),
+        (["trace", "{dir}/unitary.json", "--epsilon", "1e-200"], "shot budget"),
+        (["trace", "{dir}/unitary.json", "--p-error", "5e-324"], "shot budget"),
+        (["discord", "--theta", "1", "--seed", "7"], "unrecognized arguments"),
+        (["tangle", "{dir}/state.json", "--seed", "0"], "unrecognized arguments"),
+        (["verify-clifford", "{dir}/circuit.json", "--seed", "1"], "unrecognized arguments"),
+        (["tangle", "{dir}/state.json", "--theta", "1"], "not both"),
+        (["discord", "{dir}/state.json", "--alpha", "0.5"], "not both"),
+        (["tomo", "{dir}/state.json", "--theta", "1"], "not both"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"
@@ -462,6 +512,89 @@ class TestJsonFuzz:
             else:
                 assert code == 1
                 lines = err.getvalue().splitlines()
+                assert len(lines) == 1, lines
+                assert set(json.loads(lines[0])) == {"error", "message"}
+                assert not out.exists()
+
+
+_LITERALS = ("nan", "inf", "-inf", "-1", "5e-324", "1e-200", "1e300",
+             "99999999999999999999999", "abc")
+# Literals a quarter of the time; the rest are mostly in range, so that
+# reports are written too.
+_number_text = (st.sampled_from(_LITERALS) | st.integers(0, 5000).map(str)
+                | st.floats(0, 1).map(repr) | st.floats(-10, 10).map(repr))
+_STATE_FLAGS = {"--theta": _number_text, "--alpha": _number_text}
+_SAMPLED_FLAGS = {
+    "--alpha": _number_text,
+    "--seed": _number_text,
+    "--mode": st.sampled_from(("binomial", "poisson", "exact")) | _number_text,
+}
+# Each subcommand's own flags; the fuzz also draws from the others' and from
+# flags no subcommand has, so misplaced and unknown flags are exercised too.
+_FLAGS = {
+    "sweep": {
+        **_SAMPLED_FLAGS,
+        "--theta-min": _number_text,
+        "--theta-max": _number_text,
+        "--shots": _number_text,
+        "--outputs": st.lists(st.sampled_from(("trace", "discord", "tangle", "tomo", "bogus")),
+                              min_size=1, max_size=4).map(",".join) | _number_text,
+        "--mean-counts": _number_text,
+        "--format": st.sampled_from(("csv", "json", "xml")),
+    },
+    "trace": {**_SAMPLED_FLAGS, "--epsilon": _number_text, "--p-error": _number_text},
+    "discord": _STATE_FLAGS,
+    "tangle": _STATE_FLAGS,
+    "tomo": {**_STATE_FLAGS, "--seed": _number_text, "--mean-counts": _number_text},
+    "verify-clifford": {},
+}
+_ALL_FLAGS = {"--jobs": _number_text, "--bogus": _number_text,
+              **{flag: values for flags in _FLAGS.values() for flag, values in flags.items()}}
+# The positional file each subcommand reads: the state file is optional.
+_INPUTS = {"trace": ["unitary"], "discord": ["state", None], "tangle": ["state", None],
+           "tomo": ["state", None], "verify-clifford": ["circuit"], "sweep": [None]}
+
+
+@st.composite
+def _argv(draw, command):
+    argv = [command]
+    source = draw(st.sampled_from(_INPUTS[command]))
+    if source is not None:
+        argv.append("{%s}" % source)
+    if command == "sweep":
+        # a sweep defaults to 41 steps, so it always gets a small --steps
+        argv += ["--steps", draw(st.integers(-1, 3).map(str) | st.sampled_from(_LITERALS))]
+    own = list(_FLAGS[command])
+    names = draw(st.lists(st.sampled_from(own), max_size=5, unique=True)) if own else []
+    names += draw(st.lists(st.sampled_from(sorted(_ALL_FLAGS)), max_size=1))
+    for name in names:
+        argv += [name, draw(_ALL_FLAGS[name])]
+    return argv
+
+
+class TestArgvFuzz:
+    @pytest.mark.parametrize("command", sorted(_FLAGS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_report_or_one_json_error_line(self, command, data):
+        argv = data.draw(_argv(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            files = {"state": tmp / "state.json", "unitary": tmp / "unitary.json",
+                     "circuit": tmp / "circuit.json"}
+            save_json(files["state"], density_to_json(output_state(z_theta(1.0), 0.9)))
+            save_json(files["unitary"], unitary_to_json(z_theta(1.0)))
+            save_json(files["circuit"], {"n": 2, "gates": [{"g": "H", "q": 0}]})
+            out = tmp / "out"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([a.format(**files) for a in argv] + ["--out", str(out)])
+            assert not stdout.getvalue()
+            if code == 0:
+                assert out.exists() and not stderr.getvalue()
+            else:
+                assert code == 1
+                lines = stderr.getvalue().splitlines()
                 assert len(lines) == 1, lines
                 assert set(json.loads(lines[0])) == {"error", "message"}
                 assert not out.exists()

@@ -254,8 +254,6 @@ class TestReportAndDirection:
             BlochDirection(-0.1, 0.0)
         with pytest.raises(ValueError):
             BlochDirection(0.5, 7.0)
-        d = BlochDirection(np.pi / 2, np.pi)
-        assert np.linalg.norm(d.unit_vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_report_fields(self):
         report = correlation_report(bell_state())

@@ -16,6 +16,7 @@ from dqc1sim import (
     shots_required,
     z_theta,
 )
+from dqc1sim.sampling import MAX_SHOTS
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -46,6 +47,22 @@ class TestShotsRequired:
         with pytest.raises(ValueError):
             shots_required(eps, pe, 1.0)
 
+    @pytest.mark.parametrize("eps,pe,alpha", [
+        (1e-9, 0.05, 1.0),      # 1.84e18 shots
+        (0.1, 0.05, 1e-9),      # 1.8e20 shots
+        (0.1, 0.05, 5e-324),    # alpha**2 underflows to 0
+        (1e-200, 0.05, 1.0),    # eps**2 underflows to 0
+        (0.1, 5e-324, 1.0),     # 2 / P_e overflows to inf
+    ])
+    def test_budget_beyond_max_shots(self, eps, pe, alpha):
+        with pytest.raises(ValueError, match="shot budget"):
+            shots_required(eps, pe, alpha)
+
+    def test_budget_just_inside_max_shots(self):
+        eps = 1.3582e-9
+        budget = math.log(2.0 / 0.05) / (2.0 * eps**2) / 1.0**2
+        assert shots_required(eps, 0.05, 1.0) == math.ceil(budget) <= MAX_SHOTS
+
 
 class TestSampleExpectation:
     @pytest.mark.parametrize("true_val,expected", [(1.0, 1.0), (-1.0, -1.0)])
@@ -71,6 +88,9 @@ class TestSampleExpectation:
             sample_expectation(1.2, 10, 0)
         with pytest.raises(ValueError):
             sample_expectation(0.0, 0, 0)
+        with pytest.raises(ValueError, match="shots must be <="):
+            sample_expectation(0.0, MAX_SHOTS + 1, 0)
+        assert sample_expectation(1.0, MAX_SHOTS, 0) == 1.0
 
     @pytest.mark.parametrize("true_val", [-0.9, 0.0, 0.5, 0.9])
     def test_unbiased(self, true_val):
@@ -122,6 +142,23 @@ class TestEstimateTrace:
     def test_zero_purity(self):
         with pytest.raises(ValueError, match="no pure fraction"):
             estimate_trace(z_theta(0.0), 0.0, 100, 0)
+        # the exact value needs no pure fraction
+        assert estimate_trace(z_theta(0.0), 0.0, 0, 0) == 1 + 0j
+
+    @pytest.mark.parametrize("shots", [0, 100])
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan, math.inf])
+    def test_alpha_out_of_range(self, alpha, shots):
+        with pytest.raises(ValueError, match="alpha"):
+            estimate_trace(z_theta(0.0), alpha, shots, 0)
+
+    @pytest.mark.parametrize("mode", ["binomial", "poisson"])
+    def test_shot_bound(self, mode):
+        with pytest.raises(ValueError, match="shots must be <="):
+            estimate_trace(z_theta(0.0), 1.0, MAX_SHOTS + 1, 0, mode=mode)
+        with pytest.raises(ValueError, match="shots must be >= 0"):
+            estimate_trace(z_theta(0.0), 1.0, -1, 0, mode=mode)
+        est = estimate_trace(z_theta(0.0), 1.0, MAX_SHOTS, 0, mode=mode)
+        assert abs(est - 1) < 1e-6
 
     def test_seed_determinism(self):
         a = estimate_trace(z_theta(1.0), 0.8, 2000, 42)

@@ -64,16 +64,37 @@ def _references(tree: ast.Module, own: set[str]) -> set[str]:
     return refs
 
 
+def _public_members(tree: ast.Module) -> list[str]:
+    """Public methods and properties of the module's public classes."""
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
 def test_library_carries_no_test_only_names():
-    refs = set()
-    for path in PROGRAM:
-        tree = ast.parse(path.read_text(), filename=str(path))
+    """Every public name and every public class member in the library is
+    reached from the program. A member counts as reached by any attribute
+    access of its name in the program, whatever the object."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in PROGRAM}
+    refs, attributes = set(), set()
+    for path, tree in trees.items():
         own = set(_public_definitions(tree)) if path in LIBRARY else set()
         refs |= _references(tree, own)
+        attributes |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     unused = [
         f"{path.stem}.{name}"
         for path in LIBRARY
-        for name in _public_definitions(ast.parse(path.read_text(), filename=str(path)))
+        for name in _public_definitions(trees[path])
         if name not in refs
+    ]
+    unused += [
+        f"{path.stem}.{member}"
+        for path in LIBRARY
+        for member in _public_members(trees[path])
+        if member.partition(".")[2] not in attributes
     ]
     assert not unused, f"public names only tests reach: {unused}"
