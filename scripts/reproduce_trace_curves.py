@@ -19,7 +19,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dqc1sim import chi2_report, shots_required
+from dqc1sim import chi2_reduced, shots_required
 from dqc1sim.cli import SweepConfig, sweep_rows, render_csv
 
 EPSILON = 0.1
@@ -48,10 +48,10 @@ def run_alpha(alpha: float, outdir: Path) -> None:
         expected = np.array([row[f"{part}_exact"] for row in rows])
         prob = (1.0 + expected) / 2.0
         sigma = np.clip(2.0 * np.sqrt(prob * (1.0 - prob) / shots), 1e-4, None)
-        report = chi2_report(observed, expected, sigma, dof_subtract=3)
+        chi2 = chi2_reduced(observed, expected, sigma)
         print(
             f"alpha={alpha:.2f} {part}: shots={shots} "
-            f"reduced chi2={report['chi2_reduced']:.2f} over {report['n_points']} points"
+            f"reduced chi2={chi2:.2f} over {len(observed)} points"
         )
     print(f"  wrote {path}")
 

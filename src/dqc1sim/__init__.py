@@ -18,15 +18,7 @@ from .dqc1 import (
     reduced_control,
     z_theta,
 )
-from .sampling import (
-    MeasurementRecord,
-    chi2_reduced,
-    chi2_report,
-    estimate_trace,
-    poisson_counts,
-    sample_expectation,
-    shots_required,
-)
+from .sampling import chi2_reduced, estimate_trace, shots_required
 from .correlations import (
     MEASURE_CONTROL,
     MEASURE_REGISTER,
@@ -60,8 +52,7 @@ __all__ = [
     "vn_entropy",
     "UnitaryMatrix", "exact_expectations", "normalized_trace", "output_state",
     "reduced_control", "z_theta",
-    "MeasurementRecord", "chi2_reduced", "chi2_report", "estimate_trace",
-    "poisson_counts", "sample_expectation", "shots_required",
+    "chi2_reduced", "estimate_trace", "shots_required",
     "MEASURE_CONTROL", "MEASURE_REGISTER", "BlochDirection", "CorrelationReport",
     "concurrence", "correlation_report", "discord", "min_conditional_entropy",
     "tangle",

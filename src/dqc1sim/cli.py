@@ -28,7 +28,7 @@ from .serialize import (
     load_json,
     unitary_from_json,
 )
-from .tomography import reconstruct, simulate_counts
+from .tomography import check_mean_counts, reconstruct, simulate_counts
 
 SWEEP_OUTPUTS = ("trace", "discord", "tangle", "tomo")
 # Largest sweep grid. A trace-only sweep of this many steps takes about
@@ -68,8 +68,8 @@ class SweepConfig:
                 f"theta_min must be < theta_max, got {self.theta_min} and {self.theta_max}"
             )
         check_range("alpha", self.alpha, 0.0, 1.0)
-        check_range("mean_counts", self.mean_counts, 0.0, open_low=True)
-        check_shots(self.shots, 0)
+        check_mean_counts(self.mean_counts)
+        check_shots(self.shots)
         check_mode(self.mode)
         bad = set(self.outputs) - set(SWEEP_OUTPUTS)
         if bad:

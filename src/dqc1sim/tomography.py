@@ -16,6 +16,7 @@ import numpy as np
 from .qmath import (
     DensityMatrix, PAULI_EIGENSTATES, PAULIS, _trusted_state, check_range, square_complex,
 )
+from .sampling import MAX_SHOTS
 
 # Axis-major: label 2k + s is Pauli axis "zxy"[k] with sign "+-"[s].
 BASIS_LABELS = ("z+", "z-", "x+", "x-", "y+", "y-")
@@ -57,6 +58,12 @@ def _design_row(label: str) -> np.ndarray:
 _DESIGN = np.array([_design_row(lab) for lab in SETTING_LABELS])
 
 
+def check_mean_counts(mean_counts: float) -> None:
+    """The one check of a mean count per setting: in (0, MAX_SHOTS], so
+    numpy's Poisson draw takes the rate of every setting."""
+    check_range("mean_counts", mean_counts, 0.0, MAX_SHOTS, open_low=True)
+
+
 class ReconstructionError(ValueError):
     """Raised when counts cannot be normalized into probabilities."""
 
@@ -78,7 +85,7 @@ class TomographyRun:
             )
         if not np.all((counts >= 0) & np.isfinite(counts)):
             raise ValueError("counts must be finite and nonnegative")
-        check_range("mean_counts", self.mean_counts, 0.0, open_low=True)
+        check_mean_counts(self.mean_counts)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -96,7 +103,7 @@ class TomographyRun:
 
 def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> TomographyRun:
     """Poisson counts with mean mean_counts * Tr(rho P) per setting."""
-    check_range("mean_counts", mean_counts, 0.0, open_low=True)
+    check_mean_counts(mean_counts)
     if rho.dim != 4:
         raise ValueError(f"tomography requires a two-qubit state, got dim {rho.dim}")
     probs = np.array(

@@ -47,6 +47,30 @@ def random_unitary(rng, dim) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def disk_unitary(z: complex) -> UnitaryMatrix:
+    """One-qubit diag(e^{i phi1}, e^{i phi2}) with Tr/2 = z, a point of the
+    unit disk: phi = arg z +- arccos |z|. At alpha = 1 the control's X and Y
+    quadratures then have exact values Re z and Im z (up to rounding)."""
+    centre = float(np.angle(z))
+    half = float(np.arccos(min(abs(z), 1.0)))
+    return UnitaryMatrix(1, np.diag(np.exp(1j * np.array([centre + half, centre - half]))))
+
+
+def quadrature_draws(seed, shots: int, expectations, mode: str = "binomial") -> list:
+    """(N+, N-) for the X and Y quadratures, drawn straight from numpy's
+    generators on SeedSequence(seed).spawn(2): the independent oracle of
+    the sampler's counts."""
+    counts = []
+    for child, e in zip(np.random.SeedSequence(seed).spawn(2), expectations):
+        gen, p = np.random.default_rng(child), (1.0 + e) / 2.0
+        if mode == "binomial":
+            n_plus = int(gen.binomial(shots, p))
+            counts.append((n_plus, shots - n_plus))
+        else:
+            counts.append((int(gen.poisson(shots * p)), int(gen.poisson(shots * (1.0 - p)))))
+    return counts
+
+
 def circuit_output_state(u: np.ndarray, alpha: float) -> np.ndarray:
     """DQC1 output by conjugating the input (I + alpha Z)/2 (x) I/N with the
     explicit gates, a Hadamard on the control and then controlled-U."""

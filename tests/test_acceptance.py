@@ -25,7 +25,6 @@ from dqc1sim import (
     output_state,
     propagate,
     reconstruct,
-    sample_expectation,
     shots_required,
     simulate_counts,
     tangle,
@@ -41,6 +40,7 @@ from helpers import (
     circuit_unitary,
     controlled_pauli_circuit,
     dense_pauli,
+    disk_unitary,
     noiseless_run,
     random_clifford_circuit,
     random_density_matrix,
@@ -112,9 +112,10 @@ def test_criterion_3_shot_complexity():
             shots = shots_required(eps, p_err, 1.0)
             assert shots == int(np.ceil(np.log(2.0 / p_err) / (2.0 * eps**2)))
             for true_val in (0.0, 0.6, -0.9):
+                u = disk_unitary(true_val)
                 failures = sum(
                     abs(
-                        sample_expectation(true_val, shots, np.random.SeedSequence([103, k]))
+                        estimate_trace(u, 1.0, shots, np.random.SeedSequence([103, k])).real
                         - true_val
                     )
                     > 2 * eps

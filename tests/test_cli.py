@@ -218,6 +218,19 @@ class TestTrace:
         err = json.loads(capsys.readouterr().err)
         assert "[0,0]" in err["message"]
 
+    @pytest.mark.parametrize("mode", ["binomial", "poisson"])
+    def test_unitary_within_tolerance_is_sampled(self, mode, tmp_path):
+        # unitary within UNITARY_ATOL with Tr/2 = 1.000000004: the outcome
+        # probability is clipped to 1, so every shot is +1
+        near = tmp_path / "near.json"
+        save_json(near, {"dim": 2, "re": [[1.000000004, 0], [0, 1.000000004]],
+                         "im": [[0, 0], [0, 0]]})
+        out = tmp_path / "near_trace.json"
+        assert run_cli(["trace", near, "--mode", mode, "--out", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["exact_re"] == 1.000000004
+        assert report["estimate_re"] == 1.0
+
     def test_deterministic(self, identity_unitary, tmp_path):
         outs = []
         for name in ("t1.json", "t2.json"):
@@ -282,6 +295,11 @@ class TestStateCommands:
         assert report["tangle"] < 0.05
         assert len(report["run"]["counts"]) == 36
         assert report["run"]["seed"] == 12
+
+    def test_tomo_at_the_mean_counts_bound(self, tmp_path):
+        out = tmp_path / "tomo.json"
+        assert run_cli(["tomo", "--theta", 1, "--mean-counts", 1e18, "--out", out]) == 0
+        assert json.loads(out.read_text())["run"]["mean"] == 1e18
 
     def test_tomo_deterministic(self, tmp_path):
         blobs = []
@@ -446,6 +464,9 @@ class TestBadInputs:
         (["tangle", "{dir}/state.json", "--theta", "1"], "not both"),
         (["discord", "{dir}/state.json", "--alpha", "0.5"], "not both"),
         (["tomo", "{dir}/state.json", "--theta", "1"], "not both"),
+        (["tomo", "--theta", "1", "--mean-counts", "1e300"], "mean_counts must be in (0, 1e+18]"),
+        (["sweep", "--steps", "2", "--outputs", "tomo", "--mean-counts", "1e19"], "mean_counts"),
+        (["sweep", "--steps", "41", "--shots", "1", "--mode", "poisson"], "no counts recorded"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqc1sim import (
-    MeasurementRecord,
+    UnitaryMatrix,
     chi2_reduced,
-    chi2_report,
     estimate_trace,
     exact_expectations,
-    poisson_counts,
-    sample_expectation,
     shots_required,
     z_theta,
 )
-from dqc1sim.sampling import MAX_SHOTS
+from dqc1sim.sampling import FITTED_PARAMETERS, MAX_SHOTS
+
+from helpers import disk_unitary, quadrature_draws
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -64,40 +63,62 @@ class TestShotsRequired:
         assert shots_required(eps, 0.05, 1.0) == math.ceil(budget) <= MAX_SHOTS
 
 
+def x_estimate(true_val, shots, seed, mode="binomial"):
+    """The X quadrature's estimate from estimate_trace at alpha = 1, with
+    the exact value set to true_val by a one-qubit diagonal unitary."""
+    return estimate_trace(disk_unitary(true_val), 1.0, shots, seed, mode=mode).real
+
+
 class TestSampleExpectation:
+    """One quadrature's binomial draw, (N+ - N-)/(N+ + N-), through
+    estimate_trace."""
+
     @pytest.mark.parametrize("true_val,expected", [(1.0, 1.0), (-1.0, -1.0)])
     def test_deterministic_endpoints(self, true_val, expected):
         for seed in (0, 1, 99):
-            assert sample_expectation(true_val, 50, seed) == expected
+            assert x_estimate(true_val, 50, seed) == expected
 
     def test_recorded_seed_value(self):
-        # frozen from the recorded seed; regenerating must be bit-exact
-        est = sample_expectation(0.0, 10**6, 20260810)
-        assert est == -0.000624
-        assert abs(est) < 0.005
+        # frozen from numpy's binomial draws on SeedSequence(20260810).spawn(2);
+        # regenerating must be bit-exact
+        u = UnitaryMatrix(1, np.diag([1j, -1j]))
+        (x_plus, x_minus), (y_plus, y_minus) = quadrature_draws(20260810, 10**6, (0.0, 0.0))
+        assert (x_plus, y_plus) == (500088, 499614)
+        est = estimate_trace(u, 1.0, 10**6, 20260810)
+        assert est == complex(0.000176, -0.000772)
+        assert est == complex((x_plus - x_minus) / 10**6, (y_plus - y_minus) / 10**6)
 
     @given(seeds)
     @settings(max_examples=30, deadline=None)
     def test_seed_determinism(self, seed):
-        a = sample_expectation(0.3, 500, seed)
-        b = sample_expectation(0.3, 500, seed)
-        assert a == b
+        # both modes match the counts drawn straight from numpy, in order
+        u = disk_unitary(0.3 + 0.4j)
+        z = np.trace(u.entries) / 2
+        for mode in ("binomial", "poisson"):
+            a = estimate_trace(u, 1.0, 500, seed, mode=mode)
+            assert a == estimate_trace(u, 1.0, 500, seed, mode=mode)
+            (xp, xm), (yp, ym) = quadrature_draws(seed, 500, (z.real, z.imag), mode=mode)
+            assert a == complex((xp - xm) / (xp + xm), (yp - ym) / (yp + ym))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            sample_expectation(1.2, 10, 0)
-        with pytest.raises(ValueError):
-            sample_expectation(0.0, 0, 0)
-        with pytest.raises(ValueError, match="shots must be <="):
-            sample_expectation(0.0, MAX_SHOTS + 1, 0)
-        assert sample_expectation(1.0, MAX_SHOTS, 0) == 1.0
+        # unitary within UNITARY_ATOL but Tr/2 > 1: the outcome probability
+        # is clipped to 1, not rejected
+        near = UnitaryMatrix(1, (1 + 4e-9) * np.eye(2))
+        for mode in ("binomial", "poisson"):
+            with pytest.raises(ValueError, match="shots must be >= 0"):
+                x_estimate(0.0, -1, 0, mode)
+            with pytest.raises(ValueError, match="shots must be <="):
+                x_estimate(0.0, MAX_SHOTS + 1, 0, mode)
+            assert x_estimate(1.0, MAX_SHOTS, 0, mode) == 1.0
+            assert estimate_trace(near, 1.0, 185, 0, mode=mode).real == 1.0
 
     @pytest.mark.parametrize("true_val", [-0.9, 0.0, 0.5, 0.9])
     def test_unbiased(self, true_val):
         shots = 400
         n_seeds = 1200
+        u = disk_unitary(true_val)
         ests = np.array(
-            [sample_expectation(true_val, shots, np.random.SeedSequence([7, k]))
+            [estimate_trace(u, 1.0, shots, np.random.SeedSequence([7, k])).real
              for k in range(n_seeds)]
         )
         se = ests.std(ddof=1) / np.sqrt(n_seeds)
@@ -106,12 +127,12 @@ class TestSampleExpectation:
 
     def test_std_scales_with_shots(self):
         # std ~ c / sqrt(L) within 20%
-        true_val = 0.3
+        u = disk_unitary(0.3)
         n_seeds = 2000
         stds = {}
         for shots in (100, 1000, 10000):
             ests = [
-                sample_expectation(true_val, shots, np.random.SeedSequence([13, shots, k]))
+                estimate_trace(u, 1.0, shots, np.random.SeedSequence([13, shots, k])).real
                 for k in range(n_seeds)
             ]
             stds[shots] = np.std(ests, ddof=1)
@@ -126,9 +147,10 @@ class TestSampleExpectation:
         # Bernoulli mean, so the guaranteed event is a deviation of at most
         # eps in the outcome probability, i.e. 2*eps on the [-1, 1] scale
         shots = shots_required(eps, pe, 1.0)
+        u = disk_unitary(true_val)
         n_trials = 1000
         failures = sum(
-            abs(sample_expectation(true_val, shots, np.random.SeedSequence([29, k])) - true_val)
+            abs(estimate_trace(u, 1.0, shots, np.random.SeedSequence([29, k])).real - true_val)
             > 2 * eps
             for k in range(n_trials)
         )
@@ -201,29 +223,40 @@ class TestEstimateTrace:
 
 
 class TestPoissonCounts:
+    """Poisson mode: N+ ~ Poisson(shots p), then N- ~ Poisson(shots (1 - p)),
+    through estimate_trace."""
+
     def test_dark_port(self):
-        rec = poisson_counts(0.0, 100.0, 3)
-        assert rec.n_plus == 0
-        assert rec.n_minus > 0
+        # Tr/2 = -1: the + port's rate is 0, so only the - port counts
+        (x_plus, x_minus), _ = quadrature_draws(3, 100, (-1.0, 0.0), mode="poisson")
+        assert x_plus == 0 and x_minus > 0
+        assert x_estimate(-1.0, 100, 3, mode="poisson") == -1.0
 
     def test_no_signal(self):
-        with pytest.raises(ValueError, match="no signal"):
-            poisson_counts(0.0, 0.0, 3)
+        # at seed 3 both X ports draw 0 counts from numpy's Poisson(0.5)
+        ((x_plus, x_minus), _) = quadrature_draws(3, 1, (0.0, 0.0), mode="poisson")
+        assert x_plus == x_minus == 0
+        with pytest.raises(ValueError, match="no counts recorded"):
+            x_estimate(0.0, 1, 3, mode="poisson")
 
     def test_balanced_ensemble_statistics(self):
         # ensemble oracle (200k direct draws): the ratio of two Poisson(50)
         # ports has mean 0 and std sqrt(E[1/(N+ + N-)]) = 0.1005, i.e.
         # 1/sqrt(expected total counts) up to a Jensen correction
         oracle_std = 0.1005
-        vals = [poisson_counts(50.0, 50.0, np.random.SeedSequence([41, k])).expectation
+        u = disk_unitary(0.0)
+        vals = [estimate_trace(u, 1.0, 100, np.random.SeedSequence([41, k]), mode="poisson").real
                 for k in range(4000)]
         assert abs(np.mean(vals)) < 5.0 * oracle_std / np.sqrt(4000)
         assert abs(np.std(vals) - oracle_std) < 0.08 * oracle_std
 
     def test_ratio_requires_counts(self):
-        rec = MeasurementRecord(0, 0)
+        # at seed 1 the X ports count (1, 1) and both Y ports draw 0: an
+        # empty quadrature is an error whichever it is
+        (x_counts, y_counts) = quadrature_draws(1, 1, (0.0, 0.0), mode="poisson")
+        assert sum(x_counts) > 0 and sum(y_counts) == 0
         with pytest.raises(ValueError, match="ratio"):
-            _ = rec.expectation
+            estimate_trace(disk_unitary(0.0), 1.0, 1, 1, mode="poisson")
 
 
 class TestChi2:
@@ -235,7 +268,7 @@ class TestChi2:
         obs = np.zeros(23)
         exp = np.zeros(23)
         obs[5] = 2.0
-        assert chi2_reduced(obs, exp, np.ones(23), dof_subtract=3) == pytest.approx(4 / 20)
+        assert chi2_reduced(obs, exp, np.ones(23)) == pytest.approx(4 / 20)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -243,7 +276,7 @@ class TestChi2:
         with pytest.raises(ValueError, match="positive"):
             chi2_reduced([1, 2, 3, 4], [1, 2, 3, 4], [1, 1, 0, 1])
         with pytest.raises(ValueError, match="points"):
-            chi2_reduced([1, 2], [1, 2], [1, 1], dof_subtract=3)
+            chi2_reduced([1, 2, 3], [1, 2, 3], [1, 1, 1])
 
     def test_sweep_self_consistency(self):
         # simulated sweep versus ideal curve should give reduced chi2 near 1
@@ -258,10 +291,11 @@ class TestChi2:
                 estimate_trace(z_theta(t), 1.0, shots, np.random.SeedSequence([43, trial, k])).real
                 for k, t in enumerate(thetas)
             ]
-            values.append(chi2_reduced(obs, [x for x, _ in exact], sigma, dof_subtract=3))
+            values.append(chi2_reduced(obs, [x for x, _ in exact], sigma))
         mean = float(np.mean(values))
         assert 0.5 <= mean <= 2.0
 
-    def test_report_shape(self):
-        rep = chi2_report([1.0, 2, 3, 4, 5], [1.0, 2, 3, 4, 5], [1.0] * 5)
-        assert rep == {"chi2_reduced": 0.0, "dof": 2, "n_points": 5}
+    def test_three_fitted_parameters(self):
+        # amplitude, frequency and phase: 5 points leave 2 degrees of freedom
+        assert FITTED_PARAMETERS == 3
+        assert chi2_reduced([1.0, 2, 3, 4, 5], [1.0, 2, 3, 4, 4], [1.0] * 5) == 0.5

@@ -1,4 +1,7 @@
 import ast
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,40 @@ LIBRARY = sorted((ROOT / "src" / "dqc1sim").glob("*.py"))
 # and the benchmark. Tests do not count.
 PROGRAM = [*LIBRARY, *SCRIPTS, *sorted((ROOT / "perfbench").glob("*.py"))]
 MODULES = {"dqc1sim", *(p.stem for p in LIBRARY)}
+
+
+def _run_script(name: str, outdir: Path, *flags: str) -> str:
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), str(outdir), *flags],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return proc.stdout
+
+
+def _csv(path: Path) -> tuple[list[str], list[str]]:
+    """The header's columns and the data rows of a sweep CSV."""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    return lines[1].split(","), lines[2:]
+
+
+def test_reproduce_trace_curves(tmp_path):
+    stdout = _run_script("reproduce_trace_curves.py", tmp_path)
+    chi2_lines = re.findall(r"alpha=(1\.00|0\.58) (re|im): shots=\d+ reduced chi2=\d+\.\d\d "
+                            r"over 41 points", stdout)
+    assert chi2_lines == [("1.00", "re"), ("1.00", "im"), ("0.58", "re"), ("0.58", "im")]
+    for alpha in ("1.00", "0.58"):
+        assert len(_csv(tmp_path / f"trace_alpha_{alpha}.csv")[1]) == 41
+
+
+@pytest.mark.parametrize("flags", [(), ("--tomo",)], ids=["exact", "tomo"])
+def test_reproduce_discord_tangle(flags, tmp_path):
+    stdout = _run_script("reproduce_discord_tangle.py", tmp_path, *flags)
+    assert "max tangle over sweep" in stdout and "discord peak" in stdout
+    assert ("tomographic discord deviation" in stdout) == bool(flags)
+    columns, rows = _csv(tmp_path / "discord_tangle_alpha_0.997.csv")
+    assert len(rows) == 41
+    assert ("tomo_discord_rc" in columns) == bool(flags)
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
