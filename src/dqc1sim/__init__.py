@@ -32,7 +32,6 @@ from .correlations import (
 )
 from .clifford import (
     CliffordCircuit,
-    Gate,
     SignedPauliString,
     dqc1_clifford_expectations,
     propagate,
@@ -56,8 +55,8 @@ __all__ = [
     "MEASURE_CONTROL", "MEASURE_REGISTER", "BlochDirection", "CorrelationReport",
     "concurrence", "correlation_report", "discord", "min_conditional_entropy",
     "tangle",
-    "CliffordCircuit", "Gate", "SignedPauliString", "dqc1_clifford_expectations",
-    "propagate", "verify_zero_discord",
+    "CliffordCircuit", "SignedPauliString", "dqc1_clifford_expectations", "propagate",
+    "verify_zero_discord",
     "ReconstructionError", "TomographyRun", "linear_estimate", "psd_project",
     "reconstruct", "simulate_counts",
 ]

@@ -111,11 +111,14 @@ def sweep_point(config: SweepConfig, index: int) -> dict:
     theta = float(config.thetas[index])
     u = z_theta(theta)
     x, y = exact_expectations(u, config.alpha)
-    est = estimate_trace(
-        u, config.alpha, config.shots,
-        np.random.SeedSequence([config.seed, index]),
-        mode=config.mode,
-    )
+    try:
+        est = estimate_trace(
+            u, config.alpha, config.shots,
+            np.random.SeedSequence([config.seed, index]),
+            mode=config.mode,
+        )
+    except ValueError as exc:
+        raise ValueError(f"at theta={theta!r}: {exc}") from None
     row = {
         "theta": theta,
         "alpha": config.alpha,

@@ -5,8 +5,9 @@ DQC1 instance whose whole circuit is Clifford reduces to tracking a single
 signed Pauli string: the output state is (1/2^(n+1)) (I + alpha W Z_0 W+),
 which is diagonal in a product basis and therefore carries no discord.
 
-Strings are stored as X/Z bit vectors plus a sign, giving O(1) updates per
-gate; conjugating a Hermitian Pauli by a Clifford keeps the phase in {+1, -1}.
+Circuits are gate-code and qubit arrays, checked once by circuit_from_json;
+strings are X/Z bit vectors plus a sign, with O(1) updates per gate.
+Conjugating a Hermitian Pauli by a Clifford keeps the phase in {+1, -1}.
 """
 
 from __future__ import annotations
@@ -20,31 +21,14 @@ from .serialize import json_int, json_list
 from . import correlations
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
+GATE_NAMES = tuple(GATE_ARITY)
+_GATES = {name: (code, GATE_ARITY[name]) for code, name in enumerate(GATE_NAMES)}
 # verify-clifford needs about 1.2 KB per qubit (149 MB peak RSS at this
 # bound); 10x the largest circuit the benchmark runs.
 MAX_QUBITS = 100_000
 
-_LABEL_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_XZ_TO_LABEL = {v: k for k, v in _LABEL_TO_XZ.items()}
-
 # Local rotations (applied left to right) taking each Pauli to I or Z.
 _DIAGONALIZING_ROTATION = {"I": (), "Z": (), "X": ("H",), "Y": ("Sdg", "H")}
-
-
-@dataclass(frozen=True)
-class Gate:
-    name: str
-    qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.name not in GATE_ARITY:
-            raise ValueError(f"unknown gate {self.name!r}")
-        qubits = tuple(int(q) for q in self.qubits)
-        if len(qubits) != GATE_ARITY[self.name]:
-            raise ValueError(f"{self.name} takes {GATE_ARITY[self.name]} qubit(s), got {qubits}")
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"{self.name} qubits must be distinct, got {qubits}")
-        object.__setattr__(self, "qubits", qubits)
 
 
 @dataclass(frozen=True)
@@ -74,86 +58,101 @@ class SignedPauliString:
         return ("+" if self.phase == 1 else "-") + self.labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliffordCircuit:
-    n_qubits: int
-    gates: tuple[Gate, ...]
+    """Read-only int8 codes into GATE_NAMES and an (n_gates, 2) qubit array
+    (a one-qubit gate repeats its qubit), built by circuit_from_json."""
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if self.n_qubits > MAX_QUBITS:
-            raise ValueError(f"n_qubits must be <= {MAX_QUBITS}, got {self.n_qubits}")
-        gates = tuple(self.gates)
-        for i, g in enumerate(gates):
-            if any(not 0 <= q < self.n_qubits for q in g.qubits):
-                raise ValueError(
-                    f"gate {i} ({g.name} on {g.qubits}) out of range for {self.n_qubits} qubits"
-                )
-        object.__setattr__(self, "gates", gates)
+    n_qubits: int
+    gates: np.ndarray
+    qubits: np.ndarray
 
 
 def circuit_from_json(obj: dict) -> CliffordCircuit:
+    """Read {"n": n, "gates": [{"g": name, "q": qubits}, ...]}: one loop
+    checks each entry, naming the first bad one by its index; then come the
+    qubit count and the qubit range."""
     if not isinstance(obj, dict) or "n" not in obj or "gates" not in obj:
         raise ValueError("circuit JSON must be an object with 'n' and 'gates'")
     n = json_int(obj["n"], "n")
-    gates = []
-    for i, item in enumerate(json_list(obj["gates"], "gates")):
+    items = json_list(obj["gates"], "gates")
+    codes, first, second = [], [], []
+    for i, item in enumerate(items):
         try:
-            name, q = item["g"], item["q"]
-            qubits = tuple(q) if isinstance(q, list) else (q,)
-            for k in qubits:
-                json_int(k, "qubit index")
-            gates.append(Gate(name, qubits))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ValueError(f"bad gate at index {i}: {exc}") from None
-    return CliffordCircuit(n, tuple(gates))
+            (code, arity), q = _GATES[item["g"]], item["q"]
+            qs = q if type(q) is list else [q]
+            ok = (len(qs) == arity and type(qs[0]) is int and type(qs[-1]) is int
+                  and (arity == 1 or qs[0] != qs[1]))
+        except (TypeError, KeyError):
+            ok = False
+        if not ok:
+            raise ValueError(f"bad gate at index {i}: {_gate_error(item)}")
+        codes.append(code)
+        first.append(qs[0])
+        second.append(qs[-1])
+    if n < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"n_qubits must be <= {MAX_QUBITS}, got {n}")
+    both = first + second
+    if both and not 0 <= min(both) <= max(both) < n:
+        i = next(i for i, ab in enumerate(zip(first, second)) if not 0 <= min(ab) <= max(ab) < n)
+        name = GATE_NAMES[codes[i]]
+        qubits = (first[i], second[i])[:GATE_ARITY[name]]
+        raise ValueError(f"gate {i} ({name} on {qubits}) out of range for {n} qubits")
+    gates, qubits = np.array(codes, dtype=np.int8), np.array((first, second), dtype=np.int64).T
+    for array in (gates, qubits):
+        array.setflags(write=False)
+    return CliffordCircuit(n, gates, qubits)
 
 
-def _apply_gate_bits(name: str, qubits: tuple[int, ...], x: list, z: list) -> int:
-    """Update (x, z) bit vectors in place; return the sign-flip bit."""
-    if name == "H":
-        q = qubits[0]
-        flip = x[q] & z[q]
-        x[q], z[q] = z[q], x[q]
-        return flip
-    if name == "S":
-        q = qubits[0]
-        flip = x[q] & z[q]
-        z[q] ^= x[q]
-        return flip
-    if name == "X":
-        return z[qubits[0]]
-    if name == "Z":
-        return x[qubits[0]]
-    if name == "CNOT":
-        c, t = qubits
-        flip = x[c] & z[t] & (x[t] ^ z[c] ^ 1)
-        x[t] ^= x[c]
-        z[c] ^= z[t]
-        return flip
-    if name == "CZ":
-        a, b = qubits
-        flip = x[a] & x[b] & (z[a] ^ z[b])
-        z[a] ^= x[b]
-        z[b] ^= x[a]
-        return flip
-    raise ValueError(f"unknown gate {name!r}")
+def _gate_error(item) -> str:
+    """Why an entry is not a gate. The checks run in this order: its keys,
+    the type of each qubit, the name, the arity, distinct qubits."""
+    try:
+        name, q = item["g"], item["q"]
+        qubits = tuple(q) if isinstance(q, list) else (q,)
+        for k in qubits:
+            json_int(k, "qubit index")
+        if name not in GATE_ARITY:
+            return f"unknown gate {name!r}"
+    except (TypeError, KeyError, ValueError) as exc:
+        return str(exc)
+    if len(qubits) != GATE_ARITY[name]:
+        return f"{name} takes {GATE_ARITY[name]} qubit(s), got {qubits}"
+    return f"{name} qubits must be distinct, got {qubits}"
 
 
 def propagate(circuit: CliffordCircuit, p: SignedPauliString) -> SignedPauliString:
     """W P W+ for the circuit's unitary W, conjugating by one gate at a time
     (first gate first) on the X/Z bits of the string."""
     if circuit.n_qubits != p.n_qubits:
-        raise ValueError(
-            f"circuit acts on {circuit.n_qubits} qubits but string has {p.n_qubits}"
-        )
-    x = [_LABEL_TO_XZ[c][0] for c in p.labels]
-    z = [_LABEL_TO_XZ[c][1] for c in p.labels]
+        raise ValueError(f"circuit acts on {circuit.n_qubits} qubits but string has {p.n_qubits}")
+    # The X and Z bits of a label: X = (1, 0), Y = (1, 1), Z = (0, 1).
+    x = [int(c in "XY") for c in p.labels]
+    z = [int(c in "YZ") for c in p.labels]
     sign = 0
-    for g in circuit.gates:
-        sign ^= _apply_gate_bits(g.name, g.qubits, x, z)
-    labels = "".join(_XZ_TO_LABEL[(xi, zi)] for xi, zi in zip(x, z))
+    # Codes index GATE_NAMES: H, S, X, Z, CZ, CNOT (control a, target b).
+    for g, a, b in zip(circuit.gates.tolist(), *circuit.qubits.T.tolist()):
+        if g == 0:
+            sign ^= x[a] & z[a]
+            x[a], z[a] = z[a], x[a]
+        elif g == 1:
+            sign ^= x[a] & z[a]
+            z[a] ^= x[a]
+        elif g == 2:
+            sign ^= z[a]
+        elif g == 3:
+            sign ^= x[a]
+        elif g == 4:
+            sign ^= x[a] & x[b] & (z[a] ^ z[b])
+            z[a] ^= x[b]
+            z[b] ^= x[a]
+        else:
+            sign ^= x[a] & z[b] & (x[b] ^ z[a] ^ 1)
+            x[b] ^= x[a]
+            z[a] ^= z[b]
+    labels = "".join("IXZY"[xi + 2 * zi] for xi, zi in zip(x, z))
     return SignedPauliString(p.phase * (-1) ** sign, labels)
 
 

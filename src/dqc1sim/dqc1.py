@@ -79,12 +79,16 @@ def output_state(u: UnitaryMatrix, alpha: float) -> DensityMatrix:
     check_range("alpha", alpha, 0.0, 1.0)
     dim = u.dim
     m = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    eye = np.eye(dim)
-    m[:dim, :dim] = eye
-    m[dim:, dim:] = eye
-    m[:dim, dim:] = alpha * u.entries.conj().T
-    m[dim:, :dim] = alpha * u.entries
-    m /= 2 * dim
+    # alpha U and alpha U+, each divided by 2N in that order inside its own
+    # block: no dim x dim temporaries, and the rounding of (alpha U) / 2N,
+    # signed zeros included.
+    lower, upper = m[dim:, :dim], m[:dim, dim:]
+    np.multiply(alpha, u.entries, out=lower)
+    np.conjugate(u.entries.T, out=upper)
+    np.multiply(alpha, upper, out=upper)
+    lower /= 2 * dim
+    upper /= 2 * dim
+    np.fill_diagonal(m, 1 / (2 * dim))
     return _trusted_state(m, (1, u.n))
 
 

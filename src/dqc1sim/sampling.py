@@ -83,7 +83,10 @@ def _draw_quadrature(expectation: float, shots: int, rng, mode: str) -> float:
         n_plus = int(rng.poisson(shots * p_plus))
         n_minus = int(rng.poisson(shots * (1.0 - p_plus)))
     if n_plus + n_minus < 1:
-        raise ValueError("no counts recorded, cannot form a ratio")
+        raise ValueError(
+            f"no counts recorded, cannot form a ratio: with shots={shots} a Poisson "
+            f"quadrature is empty with probability e^-shots = {math.exp(-shots):.3g}"
+        )
     return (n_plus - n_minus) / (n_plus + n_minus)
 
 

@@ -1,10 +1,11 @@
-"""Shared test utilities: random states and circuits, JSON writers, and
+"""Shared test utilities: random states, circuit JSON, JSON writers, and
 independent brute-force oracles.
 
 The oracles here deliberately avoid the package's optimized code paths
-(block reductions, vectorized grids, X/Z bit propagation) so they can serve
-as independent cross-checks: explicit projectors, dense gate matrices,
-plain loops.
+(block reductions, zoomed grids, X/Z bit propagation, the array circuit
+reader) so they can serve as independent cross-checks: explicit projectors
+and dense partial traces, dense gate matrices built from circuit JSON,
+and an entry-by-entry circuit reader.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 import dqc1sim
 from dqc1sim import DensityMatrix, TomographyRun, UnitaryMatrix
-from dqc1sim.clifford import CliffordCircuit, Gate, SignedPauliString
+from dqc1sim.clifford import MAX_QUBITS, CliffordCircuit, SignedPauliString, circuit_from_json
 from dqc1sim.serialize import matrix_to_json
 
 I2 = np.eye(2, dtype=complex)
@@ -118,33 +119,29 @@ def oracle_min_conditional_entropy(rho: DensityMatrix, measured: int,
                                    n_polar: int = 100, n_azimuth: int = 200) -> float:
     """Brute-force grid minimum of the average post-measurement entropy.
 
-    Uses explicit rank-1 projectors and dense partial traces; independent of
-    the production optimizer.
+    Uses explicit rank-1 projectors and dense partial traces, one polar row
+    of the grid at a time; independent of the production optimizer.
     """
     d0, d1 = rho.subsystem_dims
-    other_dim = d1 if measured == 0 else d0
     m = rho.entries
+    azimuths = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
     best = np.inf
     for pol in np.linspace(0.0, np.pi, n_polar):
-        for az in np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False):
-            n = np.array([np.sin(pol) * np.cos(az), np.sin(pol) * np.sin(az), np.cos(pol)])
-            proj = (I2 + n[0] * PX + n[1] * PY + n[2] * PZ) / 2.0
-            val = 0.0
-            for p_op in (proj, I2 - proj):
-                full = (np.kron(p_op, np.eye(d1)) if measured == 0
-                        else np.kron(np.eye(d0), p_op))
-                after = full @ m @ full
-                p = float(np.trace(after).real)
-                if p < 1e-14:
-                    continue
-                t = after.reshape(d0, d1, d0, d1)
-                cond = (np.einsum("iaib->ab", t) if measured == 0
-                        else np.einsum("arbr->ab", t)) / p
-                lam = np.clip(np.linalg.eigvalsh(cond), 0.0, None)
-                lam = lam[lam > 0]
-                val += p * float(-(lam * np.log2(lam)).sum())
-            if val < best:
-                best = val
+        nx, ny = np.sin(pol) * np.cos(azimuths), np.sin(pol) * np.sin(azimuths)
+        proj = (I2 + nx[:, None, None] * PX + ny[:, None, None] * PY + np.cos(pol) * PZ) / 2.0
+        # (azimuth, outcome, row, column): each projector and its complement
+        p_ops = np.stack([proj, I2 - proj], axis=1)
+        full = np.kron(p_ops, np.eye(d1)) if measured == 0 else np.kron(np.eye(d0), p_ops)
+        after = full @ m @ full
+        p = np.trace(after, axis1=-2, axis2=-1).real
+        kept = ~(p < 1e-14)
+        t = after.reshape(*p.shape, d0, d1, d0, d1)
+        cond = (np.einsum("...iaib->...ab", t) if measured == 0
+                else np.einsum("...arbr->...ab", t)) / np.where(kept, p, 1.0)[..., None, None]
+        lam = np.clip(np.linalg.eigvalsh(cond), 0.0, None)
+        positive = lam > 0
+        h = -np.where(positive, lam * np.log2(np.where(positive, lam, 1.0)), 0.0).sum(axis=-1)
+        best = min(best, float(np.where(kept, p * h, 0.0).sum(axis=1).min()))
     return best
 
 
@@ -166,25 +163,32 @@ def oracle_discord(rho: DensityMatrix, measured: int, n_polar: int = 100,
     return info - (h_other - hmin)
 
 
-def controlled_pauli_circuit(labels: str, phase_power: int) -> CliffordCircuit:
-    """Full DQC1 circuit (Hadamard + controlled-U) for U = i^k * Pauli string.
+def read_circuit(obj: dict) -> CliffordCircuit:
+    """A circuit as users give one: the JSON text of obj, read back by
+    circuit_from_json."""
+    return circuit_from_json(json.loads(json.dumps(obj)))
+
+
+def controlled_pauli_circuit(labels: str, phase_power: int) -> dict:
+    """Circuit JSON of the full DQC1 circuit (Hadamard + controlled-U) for
+    U = i^k * Pauli string.
 
     The control is qubit 0; the i^k phase becomes S^k on the control, and
     each non-identity register factor becomes a controlled X, Y, or Z.
     """
-    gates = [Gate("H", (0,))] + [Gate("S", (0,))] * (phase_power % 4)
+    gates = [{"g": "H", "q": 0}] + [{"g": "S", "q": 0}] * (phase_power % 4)
     for i, lab in enumerate(labels):
         target = i + 1
         if lab == "X":
-            gates.append(Gate("CNOT", (0, target)))
+            gates.append({"g": "CNOT", "q": [0, target]})
         elif lab == "Z":
-            gates.append(Gate("CZ", (0, target)))
+            gates.append({"g": "CZ", "q": [0, target]})
         elif lab == "Y":
             # CY = (I (x) S^3) CNOT (I (x) S)
-            gates += [Gate("S", (target,))] * 3
-            gates.append(Gate("CNOT", (0, target)))
-            gates.append(Gate("S", (target,)))
-    return CliffordCircuit(len(labels) + 1, tuple(gates))
+            gates += [{"g": "S", "q": target}] * 3
+            gates.append({"g": "CNOT", "q": [0, target]})
+            gates.append({"g": "S", "q": target})
+    return {"n": len(labels) + 1, "gates": gates}
 
 
 def dense_pauli(labels: str, phase: complex = 1.0) -> np.ndarray:
@@ -219,44 +223,71 @@ def _on_qubits(ops: dict, n_qubits: int) -> np.ndarray:
     return reduce(np.kron, [ops.get(q, I2) for q in range(n_qubits)], np.eye(1))
 
 
-def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Dense matrix of a gate in an n-qubit register (qubit 0 slowest)."""
-    if gate.name in CONTROLLED_GATES:
-        c, t = gate.qubits
+def gate_unitary(gate: dict, n_qubits: int) -> np.ndarray:
+    """Dense matrix of a JSON gate in an n-qubit register (qubit 0 slowest)."""
+    name, q = gate["g"], gate["q"]
+    if name in CONTROLLED_GATES:
+        c, t = q
         off = _on_qubits({c: np.diag([1.0, 0.0])}, n_qubits)
-        on = _on_qubits({c: np.diag([0.0, 1.0]), t: CONTROLLED_GATES[gate.name]}, n_qubits)
+        on = _on_qubits({c: np.diag([0.0, 1.0]), t: CONTROLLED_GATES[name]}, n_qubits)
         return off + on
-    return _on_qubits({gate.qubits[0]: ONE_QUBIT_GATES[gate.name]}, n_qubits)
+    (target,) = q if isinstance(q, list) else [q]
+    return _on_qubits({target: ONE_QUBIT_GATES[name]}, n_qubits)
 
 
-def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
-    """Dense product of the circuit's gates (first gate applied first)."""
-    w = np.eye(2**circuit.n_qubits, dtype=complex)
-    for g in circuit.gates:
-        w = gate_unitary(g, circuit.n_qubits) @ w
+def circuit_unitary(obj: dict) -> np.ndarray:
+    """Dense product of a circuit JSON's gates (first gate applied first)."""
+    w = np.eye(2**obj["n"], dtype=complex)
+    for gate in obj["gates"]:
+        w = gate_unitary(gate, obj["n"]) @ w
     return w
 
 
-def random_clifford_circuit(n_qubits: int, n_gates: int, rng) -> CliffordCircuit:
-    """Uniformly random gate sequence over the supported gate set."""
+def reference_circuit(obj: dict) -> tuple[int, list]:
+    """(n, [(name, qubits), ...]) of circuit JSON whose "n" is an integer,
+    read one entry at a time: the slow reference for circuit_from_json. A
+    bad circuit raises the reader's message for its first failing check:
+    each entry in index order (keys, qubit types, name, arity, distinct
+    qubits), then the qubit count, then the first gate out of range."""
+    n, gates = obj["n"], []
+    for i, item in enumerate(obj["gates"]):
+        try:
+            name, q = item["g"], item["q"]
+            qubits = tuple(q) if isinstance(q, list) else (q,)
+            for k in qubits:
+                if type(k) is not int:
+                    raise ValueError(f"qubit index must be an integer, got {json.dumps(k)[:40]}")
+            if name not in GATE_ARITY:
+                raise ValueError(f"unknown gate {name!r}")
+            if len(qubits) != GATE_ARITY[name]:
+                raise ValueError(f"{name} takes {GATE_ARITY[name]} qubit(s), got {qubits}")
+            if len(set(qubits)) != len(qubits):
+                raise ValueError(f"{name} qubits must be distinct, got {qubits}")
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"bad gate at index {i}: {exc}") from None
+        gates.append((name, qubits))
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be {'>= 1' if n < 1 else f'<= {MAX_QUBITS}'}, got {n}")
+    for i, (name, qubits) in enumerate(gates):
+        if any(not 0 <= k < n for k in qubits):
+            raise ValueError(f"gate {i} ({name} on {qubits}) out of range for {n} qubits")
+    return n, gates
+
+
+def random_clifford_circuit(n_qubits: int, n_gates: int, rng) -> dict:
+    """Circuit JSON of a uniformly random gate sequence over the supported
+    gate set."""
     rng = np.random.default_rng(rng)
     names = [g for g in GATE_ARITY if GATE_ARITY[g] <= n_qubits]
     gates = []
     for _ in range(n_gates):
         name = names[rng.integers(len(names))]
         if GATE_ARITY[name] == 1:
-            gates.append(Gate(name, (int(rng.integers(n_qubits)),)))
+            gates.append({"g": name, "q": int(rng.integers(n_qubits))})
         else:
             a, b = rng.choice(n_qubits, size=2, replace=False)
-            gates.append(Gate(name, (int(a), int(b))))
-    return CliffordCircuit(n_qubits, tuple(gates))
-
-
-def circuit_to_json(circuit: CliffordCircuit) -> dict:
-    gates = []
-    for g in circuit.gates:
-        gates.append({"g": g.name, "q": g.qubits[0] if len(g.qubits) == 1 else list(g.qubits)})
-    return {"n": circuit.n_qubits, "gates": gates}
+            gates.append({"g": name, "q": [int(a), int(b)]})
+    return {"n": n_qubits, "gates": gates}
 
 
 def unitary_to_json(u: UnitaryMatrix) -> dict:

@@ -32,11 +32,9 @@ from dqc1sim import (
     z_theta,
 )
 from dqc1sim.cli import SweepConfig, main as cli_main, sweep_rows
-from dqc1sim.clifford import CliffordCircuit, Gate
 
 from helpers import (
     bell_state,
-    circuit_to_json,
     circuit_unitary,
     controlled_pauli_circuit,
     dense_pauli,
@@ -45,6 +43,7 @@ from helpers import (
     random_clifford_circuit,
     random_density_matrix,
     random_pauli_string,
+    read_circuit,
     save_json,
     unitary_to_json,
 )
@@ -147,17 +146,17 @@ def test_criterion_5_clifford_theorem():
         rng = np.random.default_rng(105)
         for trial in range(50):
             n_qubits = int(rng.integers(2, 5))
-            circuit = random_clifford_circuit(n_qubits, 20, rng)
+            circuit = read_circuit(random_clifford_circuit(n_qubits, 20, rng))
             report = verify_zero_discord(circuit)
             dense = report["dense_check"]
             assert dense["discord_measure_control"] < 1e-6, trial
             assert dense["discord_measure_register"] < 1e-6, trial
         for trial in range(200):
             n_qubits = int(rng.integers(1, 6))
-            circuit = random_clifford_circuit(n_qubits, int(rng.integers(0, 30)), rng)
+            obj = random_clifford_circuit(n_qubits, int(rng.integers(0, 30)), rng)
             p = random_pauli_string(rng, n_qubits)
-            out = propagate(circuit, p)
-            w = circuit_unitary(circuit)
+            out = propagate(read_circuit(obj), p)
+            w = circuit_unitary(obj)
             conjugated = w @ dense_pauli(p.labels, p.phase) @ w.conj().T
             assert np.allclose(conjugated, dense_pauli(out.labels, out.phase), atol=1e-12), trial
 
@@ -165,8 +164,8 @@ def test_criterion_5_clifford_theorem():
 def test_criterion_6_clifford_versus_dense_expectations():
     with criterion(6, "stabilizer expectations equal dense simulator", 60.0):
         cases = [
-            (CliffordCircuit(2, (Gate("H", (0,)),)), UnitaryMatrix(1, np.eye(2))),
-            (CliffordCircuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1)))), z_theta(np.pi)),
+            ({"n": 2, "gates": [{"g": "H", "q": 0}]}, UnitaryMatrix(1, np.eye(2))),
+            ({"n": 2, "gates": [{"g": "H", "q": 0}, {"g": "CZ", "q": [0, 1]}]}, z_theta(np.pi)),
         ]
         rng = np.random.default_rng(106)
         for _ in range(20):
@@ -179,9 +178,9 @@ def test_criterion_6_clifford_versus_dense_expectations():
                     UnitaryMatrix(n, (1j) ** k * dense_pauli(labels)),
                 )
             )
-        for circuit, u in cases:
+        for obj, u in cases:
             for alpha in (1.0, 0.58):
-                fast = dqc1_clifford_expectations(circuit, alpha)
+                fast = dqc1_clifford_expectations(read_circuit(obj), alpha)
                 exact = exact_expectations(u, alpha)
                 assert abs(fast[0] - exact[0]) <= 1e-12
                 assert abs(fast[1] - exact[1]) <= 1e-12
@@ -254,8 +253,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         assert blobs[0] == blobs[1]
 
         circuit_file = tmp_path / "circuit.json"
-        circuit = CliffordCircuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1))))
-        save_json(circuit_file, circuit_to_json(circuit))
+        save_json(circuit_file, {"n": 2, "gates": [{"g": "H", "q": 0}, {"g": "CZ", "q": [0, 1]}]})
         blobs = []
         for name in ("v1.json", "v2.json"):
             out = tmp_path / name

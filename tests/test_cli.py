@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 from dqc1sim import output_state, z_theta
 from dqc1sim.cli import MAX_STEPS, SweepConfig, main, sweep_rows
-from dqc1sim.clifford import CliffordCircuit, Gate
 from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.serialize import density_to_json, matrix_to_json
 
-from helpers import circuit_to_json, package_env, save_json, unitary_to_json
+from helpers import package_env, save_json, unitary_to_json
 
 
 def run_cli(args, capsys=None):
@@ -339,8 +338,7 @@ class TestStateCommands:
 class TestVerifyClifford:
     def test_controlled_z_circuit(self, tmp_path):
         circuit_file = tmp_path / "circuit.json"
-        circuit = CliffordCircuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1))))
-        save_json(circuit_file, circuit_to_json(circuit))
+        save_json(circuit_file, {"n": 2, "gates": [{"g": "H", "q": 0}, {"g": "CZ", "q": [0, 1]}]})
         out = tmp_path / "verify.json"
         assert run_cli(["verify-clifford", circuit_file, "--out", out]) == 0
         report = json.loads(out.read_text())
@@ -479,6 +477,21 @@ class TestBadInputs:
         assert payload["error"] == "ValueError"
         assert needle in payload["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, where", [
+        (["sweep", "--steps", "41", "--shots", "1", "--mode", "poisson"],
+         "at theta=-2.827433388230814: "),
+        # trace has no --shots flag: this epsilon and p_error ask for one shot
+        (["trace", "{dir}/unitary.json", "--epsilon", "0.9", "--p-error", "0.9",
+          "--mode", "poisson", "--seed", "1"], ""),
+    ])
+    def test_empty_quadrature_names_its_cause(self, args, where, bad_files, capsys):
+        assert run_cli([a.format(dir=bad_files) for a in args]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": (
+            f"{where}no counts recorded, cannot form a ratio: with shots=1 "
+            "a Poisson quadrature is empty with probability e^-shots = 0.368")}
 
     @pytest.mark.parametrize("args", [["--help"], ["sweep", "--help"]])
     def test_help_exits_zero(self, args, capsys):

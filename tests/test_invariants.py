@@ -34,7 +34,7 @@ from dqc1sim import (
 )
 from dqc1sim.clifford import _clifford_output_state
 
-from helpers import random_clifford_circuit, random_density_matrix, random_unitary
+from helpers import random_clifford_circuit, random_density_matrix, random_unitary, read_circuit
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 alphas = st.floats(min_value=0.0, max_value=1.0)
@@ -113,7 +113,7 @@ def test_zero_discord_at_clifford_points(theta, alpha):
 @given(seed=seeds, n_qubits=st.integers(2, 4), n_gates=st.integers(0, 20))
 @settings(max_examples=30, deadline=None)
 def test_clifford_output_state(seed, n_qubits, n_gates):
-    circuit = random_clifford_circuit(n_qubits, n_gates, seed)
+    circuit = read_circuit(random_clifford_circuit(n_qubits, n_gates, seed))
     rho = checked(_clifford_output_state(propagate(circuit, SignedPauliString.z_on(0, n_qubits))))
     assert rho.qubit_dims == (1, n_qubits - 1)
 
@@ -165,7 +165,7 @@ class TestNoEigensolve:
         assert eigensolves == {"eigvalsh": 0, "eigh": 0}
 
     def test_clifford_output_state(self, eigensolves):
-        circuit = random_clifford_circuit(3, 10, 3)
+        circuit = read_circuit(random_clifford_circuit(3, 10, 3))
         _clifford_output_state(propagate(circuit, SignedPauliString.z_on(0, 3)))
         assert eigensolves == {"eigvalsh": 0, "eigh": 0}
 
