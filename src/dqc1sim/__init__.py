@@ -40,8 +40,6 @@ from .clifford import (
 from .tomography import (
     ReconstructionError,
     TomographyRun,
-    linear_estimate,
-    psd_project,
     reconstruct,
     simulate_counts,
 )
@@ -57,6 +55,5 @@ __all__ = [
     "tangle",
     "CliffordCircuit", "SignedPauliString", "dqc1_clifford_expectations", "propagate",
     "verify_zero_discord",
-    "ReconstructionError", "TomographyRun", "linear_estimate", "psd_project",
-    "reconstruct", "simulate_counts",
+    "ReconstructionError", "TomographyRun", "reconstruct", "simulate_counts",
 ]

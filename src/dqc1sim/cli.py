@@ -74,6 +74,11 @@ class SweepConfig:
         bad = set(self.outputs) - set(SWEEP_OUTPUTS)
         if bad:
             raise ValueError(f"unknown sweep outputs {sorted(bad)}; choose from {SWEEP_OUTPUTS}")
+        if self.alpha == 0.0 and self.shots > 0:
+            raise ValueError(
+                f"alpha=0 leaves no pure fraction to sample with shots={self.shots}; "
+                "use alpha > 0 or shots 0"
+            )
 
     @cached_property
     def thetas(self) -> np.ndarray:

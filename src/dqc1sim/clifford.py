@@ -33,16 +33,12 @@ _DIAGONALIZING_ROTATION = {"I": (), "Z": (), "X": ("H",), "Y": ("Sdg", "H")}
 
 @dataclass(frozen=True)
 class SignedPauliString:
-    """Sign in {+1, -1} plus one of I, X, Y, Z per qubit (qubit 0 first)."""
+    """Sign in {+1, -1} plus one of I, X, Y, Z per qubit (qubit 0 first).
+    Built by z_on and propagate, both valid by construction; the
+    constructor checks nothing."""
 
     phase: int
     labels: str
-
-    def __post_init__(self):
-        if self.phase not in (1, -1):
-            raise ValueError(f"phase must be +1 or -1, got {self.phase}")
-        if not self.labels or any(c not in "IXYZ" for c in self.labels):
-            raise ValueError(f"labels must be a nonempty string over IXYZ, got {self.labels!r}")
 
     @classmethod
     def z_on(cls, qubit: int, n_qubits: int) -> "SignedPauliString":

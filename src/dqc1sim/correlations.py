@@ -67,16 +67,12 @@ BLOCK_CHUNK_BYTES = 1 << 24
 
 @dataclass(frozen=True)
 class BlochDirection:
-    """Measurement axis on the Bloch sphere."""
+    """Measurement axis on the upper Bloch hemisphere: polar in [0, pi/2],
+    azimuth in [0, 2 pi). Built only by _bloch_direction; the constructor
+    checks nothing."""
 
     polar: float
     azimuth: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.polar <= np.pi:
-            raise ValueError(f"polar angle must be in [0, pi], got {self.polar}")
-        if not 0.0 <= self.azimuth < 2.0 * np.pi:
-            raise ValueError(f"azimuth must be in [0, 2*pi), got {self.azimuth}")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,12 @@ checks shape, finiteness, trace, Hermiticity and positivity, the last with an
 O(d^3) eigensolve. Builders whose output is a valid state whenever their
 input is wrap it with _trusted_state and skip that check: partial_trace and
 repartition here, dqc1.output_state and dqc1.reduced_control,
-clifford._clifford_output_state and tomography.reconstruct. The tests run
-the full check on each of their outputs (tests/test_invariants.py).
+clifford._clifford_output_state and tomography.reconstruct. The same rule
+holds for the records that only the program builds: the constructors of
+tomography.TomographyRun, correlations.BlochDirection and
+clifford.SignedPauliString check nothing, and tomography.psd_project does
+not check linear_estimate's output. tests/test_invariants.py holds every
+one of these conditions as a property of the builders' outputs.
 """
 
 from __future__ import annotations
@@ -103,7 +107,10 @@ class DensityMatrix:
     The constructor copies the entries and checks every invariant, so a
     state built from outside data is valid or raises ValueError. The
     builders named in the module docstring bypass it through _trusted_state,
-    because their output is valid by construction.
+    because their output is valid by construction; tests/test_invariants.py
+    runs this constructor on their outputs. Unlike TomographyRun,
+    BlochDirection and SignedPauliString, which only the program builds and
+    whose constructors check nothing, this is an input boundary.
     """
 
     entries: np.ndarray
@@ -145,7 +152,8 @@ class DensityMatrix:
 
 def _trusted_state(entries: np.ndarray, qubit_dims) -> DensityMatrix:
     """DensityMatrix over complex entries that are a valid state by
-    construction, without the copy and the checks of the constructor.
+    construction, and qubit_dims of Python ints, without the copy and the
+    checks of the constructor.
 
     Only for builders whose output is valid whenever their input is; the
     entries are made read-only in place, so the caller must not keep a
@@ -154,7 +162,7 @@ def _trusted_state(entries: np.ndarray, qubit_dims) -> DensityMatrix:
     entries.setflags(write=False)
     rho = object.__new__(DensityMatrix)
     object.__setattr__(rho, "entries", entries)
-    object.__setattr__(rho, "qubit_dims", tuple(int(k) for k in qubit_dims))
+    object.__setattr__(rho, "qubit_dims", tuple(qubit_dims))
     return rho
 
 

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import (
-    DensityMatrix, PAULI_EIGENSTATES, PAULIS, _trusted_state, check_range, square_complex,
-)
+from .qmath import DensityMatrix, PAULI_EIGENSTATES, PAULIS, _trusted_state, check_range
 from .sampling import MAX_SHOTS
 
 # Axis-major: label 2k + s is Pauli axis "zxy"[k] with sign "+-"[s].
@@ -70,32 +68,18 @@ class ReconstructionError(ValueError):
 
 @dataclass(frozen=True)
 class TomographyRun:
-    """Counts for the 36 settings, in SETTING_LABELS order, at a common
-    mean flux per setting."""
+    """Read-only float counts for the 36 settings, in SETTING_LABELS order,
+    at a common mean flux per setting. Built by simulate_counts, which
+    checks its inputs; the constructor checks nothing."""
 
     counts: np.ndarray
     mean_counts: float
     seed: int | None = None
 
-    def __post_init__(self):
-        counts = np.array(self.counts, dtype=float)
-        if counts.shape != (len(SETTING_LABELS),):
-            raise ValueError(
-                f"counts shape {counts.shape} does not match {len(SETTING_LABELS)} settings"
-            )
-        if not np.all((counts >= 0) & np.isfinite(counts)):
-            raise ValueError("counts must be finite and nonnegative")
-        check_mean_counts(self.mean_counts)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
     def to_json(self) -> dict:
-        counts = [
-            int(c) if float(c).is_integer() else float(c) for c in self.counts
-        ]
         return {
             "settings": list(SETTING_LABELS),
-            "counts": counts,
+            "counts": [int(c) for c in self.counts],
             "mean": self.mean_counts,
             "seed": self.seed,
         }
@@ -111,9 +95,9 @@ def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> TomographyR
     )
     rng = np.random.default_rng(seed)
     counts = rng.poisson(mean_counts * np.clip(probs, 0.0, None)).astype(float)
-    stored_seed = seed if isinstance(seed, (int, np.integer)) else None
+    counts.setflags(write=False)
     return TomographyRun(counts, float(mean_counts),
-                         seed=None if stored_seed is None else int(stored_seed))
+                         seed=int(seed) if isinstance(seed, (int, np.integer)) else None)
 
 
 def _group_probabilities(run: TomographyRun) -> np.ndarray:
@@ -133,8 +117,10 @@ def _group_probabilities(run: TomographyRun) -> np.ndarray:
 def linear_estimate(run: TomographyRun) -> np.ndarray:
     """Least-squares inversion to the 16 Pauli expectations (no projection).
 
-    Returns the Hermitian matrix (1/4) sum s_ij sigma_i (x) sigma_j with
-    s_II fixed at 1; the result may have small negative eigenvalues.
+    Returns the matrix (1/4) sum s_ij sigma_i (x) sigma_j with s_II fixed
+    at 1, exactly Hermitian: real coefficients times Hermitian Paulis,
+    summed in the same order on both sides of the diagonal. It may have
+    small negative eigenvalues.
     """
     sol = np.linalg.lstsq(_DESIGN, _group_probabilities(run) - 0.25, rcond=None)[0]
     rho = np.eye(4, dtype=complex)
@@ -155,14 +141,12 @@ def _simplex_projection(lam: np.ndarray) -> np.ndarray:
 
 
 def psd_project(m: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix with unit trace.
+    """Nearest (Frobenius) PSD matrix with unit trace to the Hermitian m.
 
     Shares the input's eigenvectors; the eigenvalues are water-filled onto
-    the probability simplex.
+    the probability simplex. m is not checked: its one caller passes
+    linear_estimate's output, which is Hermitian by construction.
     """
-    m = square_complex(m)
-    if np.max(np.abs(m - m.conj().T)) > 1e-8:
-        raise ValueError("matrix is not Hermitian")
     lam, vec = np.linalg.eigh(m)
     return (vec * _simplex_projection(lam)) @ vec.conj().T
 

@@ -21,7 +21,6 @@ from dqc1sim import (
     dqc1_clifford_expectations,
     exact_expectations,
     estimate_trace,
-    linear_estimate,
     output_state,
     propagate,
     reconstruct,
@@ -32,6 +31,7 @@ from dqc1sim import (
     z_theta,
 )
 from dqc1sim.cli import SweepConfig, main as cli_main, sweep_rows
+from dqc1sim.tomography import linear_estimate
 
 from helpers import (
     bell_state,

@@ -62,6 +62,14 @@ class TestSweep:
             assert abs(float(row["re_exact"]) - (1 + np.cos(theta)) / 2) < 1e-12
             assert abs(float(row["im_exact"]) - np.sin(theta) / 2) < 1e-12
 
+    def test_alpha_zero_with_exact_values(self, tmp_path):
+        # no pure fraction: nothing to sample, but the exact sweep still runs
+        out = tmp_path / "a0.csv"
+        assert run_cli(["sweep", "--steps", 3, "--alpha", 0, "--shots", 0, "--out", out]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 3
+        assert all(float(r["re_exact"]) == 0.0 == float(r["re_est"]) for r in rows)
+
     def test_alpha_scaling(self, tmp_path):
         out1 = tmp_path / "a1.csv"
         out2 = tmp_path / "a058.csv"
@@ -465,6 +473,8 @@ class TestBadInputs:
         (["tomo", "--theta", "1", "--mean-counts", "1e300"], "mean_counts must be in (0, 1e+18]"),
         (["sweep", "--steps", "2", "--outputs", "tomo", "--mean-counts", "1e19"], "mean_counts"),
         (["sweep", "--steps", "41", "--shots", "1", "--mode", "poisson"], "no counts recorded"),
+        (["sweep", "--steps", "3", "--shots", "5", "--alpha", "0"],
+         "alpha=0 leaves no pure fraction to sample with shots=5"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"
@@ -609,7 +619,7 @@ def _argv(draw, command):
 class TestArgvFuzz:
     @pytest.mark.parametrize("command", sorted(_FLAGS))
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_report_or_one_json_error_line(self, command, data):
         argv = data.draw(_argv(command))
         with tempfile.TemporaryDirectory() as tmp:

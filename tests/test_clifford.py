@@ -34,12 +34,6 @@ CONTROLLED_Z = {"n": 2, "gates": [{"g": "H", "q": 0}, {"g": "CZ", "q": [0, 1]}]}
 
 
 class TestSignedPauliString:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="phase"):
-            SignedPauliString(2, "XZ")
-        with pytest.raises(ValueError, match="labels"):
-            SignedPauliString(1, "XQ")
-
     def test_z_on(self):
         p = SignedPauliString.z_on(0, 3)
         assert p.labels == "ZII" and p.phase == 1

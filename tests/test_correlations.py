@@ -13,7 +13,6 @@ from dqc1sim import (
     UnitaryMatrix,
     MEASURE_CONTROL,
     MEASURE_REGISTER,
-    BlochDirection,
     concurrence,
     correlation_report,
     discord,
@@ -249,12 +248,6 @@ class TestConcurrenceAndTangle:
 
 
 class TestReportAndDirection:
-    def test_bloch_direction_validation(self):
-        with pytest.raises(ValueError):
-            BlochDirection(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            BlochDirection(0.5, 7.0)
-
     def test_report_fields(self):
         report = correlation_report(bell_state())
         assert report.mutual_info == pytest.approx(2.0, abs=1e-4)

@@ -1,4 +1,4 @@
-"""Physical invariants of the builders whose output skips the state check.
+"""Invariants of the values the program builds and does not check again.
 
 output_state, reduced_control, partial_trace, repartition,
 _clifford_output_state and reconstruct wrap their results without running
@@ -7,6 +7,13 @@ Here every such result goes back through the public constructor, which runs
 the full check (finite entries, matching qubit_dims, unit trace,
 Hermiticity, positivity), over Haar-random registers, purities, phases,
 Clifford circuits and simulated tomography counts.
+
+The records that only the program builds have constructors that check
+nothing, so their conditions live here as properties of their builders:
+TomographyRun (simulate_counts), the least-squares estimate that
+psd_project takes unchecked (linear_estimate), BlochDirection
+(_bloch_direction, through min_conditional_entropy) and SignedPauliString
+(z_on and propagate).
 """
 
 import numpy as np
@@ -33,12 +40,26 @@ from dqc1sim import (
     z_theta,
 )
 from dqc1sim.clifford import _clifford_output_state
+from dqc1sim.correlations import _bloch_direction, min_conditional_entropy
+from dqc1sim.sampling import MAX_SHOTS
+from dqc1sim.tomography import SETTING_LABELS, linear_estimate
 
-from helpers import random_clifford_circuit, random_density_matrix, random_unitary, read_circuit
+from helpers import (
+    random_clifford_circuit,
+    random_density_matrix,
+    random_pauli_string,
+    random_unitary,
+    read_circuit,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 alphas = st.floats(min_value=0.0, max_value=1.0)
 thetas = st.floats(min_value=-np.pi, max_value=np.pi)
+# Every seed form simulate_counts takes: a Python int, a numpy integer or a
+# SeedSequence (which the run does not store).
+count_seeds = st.one_of(
+    seeds, seeds.map(np.uint32), seeds.map(lambda s: np.random.SeedSequence([s, 1])),
+)
 DISCORD_FLOOR = -1e-9
 
 
@@ -62,7 +83,7 @@ def _split(rng, n_qubits: int) -> tuple:
 
 
 @given(seed=seeds, n=st.integers(1, 4), alpha=alphas)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_dqc1_builders(seed, n, alpha):
     rng = np.random.default_rng(seed)
     u = UnitaryMatrix(n, random_unitary(rng, 2**n))
@@ -89,7 +110,7 @@ def test_dqc1_builders(seed, n, alpha):
 
 
 @given(theta=thetas, alpha=alphas)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_phase_instance_symmetry(theta, alpha):
     plus = checked(output_state(z_theta(theta), alpha))
     minus = checked(output_state(z_theta(-theta), alpha))
@@ -103,7 +124,7 @@ def test_phase_instance_symmetry(theta, alpha):
 
 @pytest.mark.parametrize("theta", [0.0, np.pi, -np.pi])
 @given(alpha=alphas)
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=15, deadline=None)
 def test_zero_discord_at_clifford_points(theta, alpha):
     rho = checked(output_state(z_theta(theta), alpha))
     for side in (MEASURE_CONTROL, MEASURE_REGISTER):
@@ -111,7 +132,7 @@ def test_zero_discord_at_clifford_points(theta, alpha):
 
 
 @given(seed=seeds, n_qubits=st.integers(2, 4), n_gates=st.integers(0, 20))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=45, deadline=None)
 def test_clifford_output_state(seed, n_qubits, n_gates):
     circuit = read_circuit(random_clifford_circuit(n_qubits, n_gates, seed))
     rho = checked(_clifford_output_state(propagate(circuit, SignedPauliString.z_on(0, n_qubits))))
@@ -120,7 +141,7 @@ def test_clifford_output_state(seed, n_qubits, n_gates):
 
 @given(seed=seeds, theta=thetas, alpha=alphas,
        mean_counts=st.floats(min_value=20.0, max_value=1e5))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=45, deadline=None)
 def test_reconstruct_dqc1_counts(seed, theta, alpha, mean_counts):
     rho = output_state(z_theta(theta), alpha)
     recon = checked(reconstruct(simulate_counts(rho, mean_counts, seed)))
@@ -130,11 +151,83 @@ def test_reconstruct_dqc1_counts(seed, theta, alpha, mean_counts):
 
 
 @given(seed=seeds, rank=st.integers(1, 4), mean_counts=st.floats(min_value=20.0, max_value=1e5))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_reconstruct_random_state_counts(seed, rank, mean_counts):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(rng, (1, 1), rank=rank)
     checked(reconstruct(simulate_counts(rho, mean_counts, seed)))
+
+
+@given(seed=seeds, rank=st.integers(1, 4), run_seed=count_seeds,
+       mean_counts=st.floats(min_value=0.0, max_value=MAX_SHOTS, exclude_min=True))
+@settings(max_examples=60, deadline=None)
+def test_simulated_counts(seed, rank, run_seed, mean_counts):
+    rho = random_density_matrix(np.random.default_rng(seed), (1, 1), rank=rank)
+    run = simulate_counts(rho, mean_counts, run_seed)
+    counts = run.counts
+    assert counts.shape == (len(SETTING_LABELS),) and counts.dtype == float
+    assert np.isfinite(counts).all() and (counts >= 0).all()
+    assert_array_equal(counts, np.floor(counts))
+    assert not counts.flags.writeable
+    assert type(run.mean_counts) is float and run.mean_counts == mean_counts
+    if isinstance(run_seed, np.random.SeedSequence):
+        assert run.seed is None
+    else:
+        assert type(run.seed) is int and run.seed == run_seed
+    # to_json writes each count with int(), which is exact for whole counts
+    assert_array_equal(run.to_json()["counts"], counts)
+
+
+@given(seed=seeds, rank=st.integers(1, 4), mean_counts=st.floats(min_value=20.0, max_value=1e8))
+@settings(max_examples=60, deadline=None)
+def test_linear_estimate_is_hermitian(seed, rank, mean_counts):
+    rho = random_density_matrix(np.random.default_rng(seed), (1, 1), rank=rank)
+    m = linear_estimate(simulate_counts(rho, mean_counts, seed))
+    assert m.shape == (4, 4) and m.dtype == complex
+    assert np.isfinite(m).all()
+    assert_array_equal(m, m.conj().T)  # exactly, as psd_project does not check
+
+
+def _assert_upper_hemisphere(direction):
+    assert type(direction.polar) is float and type(direction.azimuth) is float
+    assert 0.0 <= direction.polar <= np.pi / 2
+    assert 0.0 <= direction.azimuth < 2 * np.pi
+
+
+@given(seed=seeds, rank=st.integers(1, 4), theta=thetas, alpha=alphas)
+@settings(max_examples=40, deadline=None)
+def test_minimiser_directions(seed, rank, theta, alpha):
+    # random states take the hemisphere search; DQC1 outputs the circle
+    # (control side) and the one-axis search (register side)
+    states = (random_density_matrix(np.random.default_rng(seed), (1, 1), rank=rank),
+              output_state(z_theta(theta), alpha))
+    for rho in states:
+        for measured in (0, 1):
+            _assert_upper_hemisphere(min_conditional_entropy(rho, measured)[1])
+
+
+@pytest.mark.parametrize("axis, polar, azimuth", [
+    ((1.0, -1e-17, 0.0), np.pi / 2, 0.0),  # 2 pi - 1e-17 rounds up to 2 pi
+    ((0.0, 0.0, -1.0), 0.0, np.pi),  # flipped to (-0, -0, 1)
+    ((0.0, 0.0, 1.0), 0.0, 0.0),
+])
+def test_bloch_direction_edges(axis, polar, azimuth):
+    direction = _bloch_direction(np.array(axis))
+    _assert_upper_hemisphere(direction)
+    assert (direction.polar, direction.azimuth) == (polar, azimuth)
+
+
+@given(seed=seeds, n_qubits=st.integers(1, 8), n_gates=st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_signed_pauli_strings(seed, n_qubits, n_gates):
+    rng = np.random.default_rng(seed)
+    circuit = read_circuit(random_clifford_circuit(n_qubits, n_gates, rng))
+    start = SignedPauliString.z_on(int(rng.integers(n_qubits)), n_qubits)
+    for p in (start, propagate(circuit, start),
+              propagate(circuit, random_pauli_string(rng, n_qubits))):
+        assert type(p.phase) is int and p.phase in (1, -1)
+        assert type(p.labels) is str and len(p.labels) == n_qubits
+        assert set(p.labels) <= set("IXYZ")
 
 
 class TestNoEigensolve:

@@ -49,17 +49,54 @@ def test_reproduce_discord_tangle(flags, tmp_path):
     assert ("tomo_discord_rc" in columns) == bool(flags)
 
 
+def _private_library_names(tree: ast.Module) -> list[str]:
+    """The _-prefixed names a file takes from dqc1sim: imported with
+    ``from dqc1sim... import _name``, or read off a dqc1sim module, as in
+    ``qmath._name``, ``dqc1sim.qmath._name`` or ``getattr(qmath, "_name")``."""
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or "dqc1sim" for alias in node.names
+                        if alias.name.partition(".")[0] == "dqc1sim"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dqc1sim"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+                elif alias.name in MODULES:
+                    modules.add(alias.asname or alias.name)
+
+    def is_module(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr in MODULES and is_module(node.value)
+        return isinstance(node, ast.Name) and node.id in modules
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and is_module(node.value):
+            private.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) >= 2 and is_module(node.args[0])
+              and str(getattr(node.args[1], "value", "")).startswith("_")):
+            private.append(ast.unparse(node))
+    return private
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_scripts_import_no_private_names(script):
-    tree = ast.parse(script.read_text(), filename=str(script))
-    private = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dqc1sim")
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
-    assert not private, f"{script.name} imports private names {private}"
+    private = _private_library_names(ast.parse(script.read_text(), filename=str(script)))
+    assert not private, f"{script.name} reaches private names {private}"
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from dqc1sim.qmath import _trusted_state", ["dqc1sim.qmath._trusted_state"]),
+    ("from dqc1sim import qmath\nqmath._trusted_state(m, (1,))", ["qmath._trusted_state"]),
+    ("import dqc1sim.correlations as c\nc._bloch_direction(n)", ["c._bloch_direction"]),
+    ("import dqc1sim.qmath\ndqc1sim.qmath._qubit_dims((1,))", ["dqc1sim.qmath._qubit_dims"]),
+    ("from dqc1sim import clifford\ngetattr(clifford, '_GATES')",
+     ["getattr(clifford, '_GATES')"]),
+    ("from dqc1sim import qmath as q\nq.PAULIS\nrng._bit_generator\nnp._core", []),
+])
+def test_private_name_finder(source, found):
+    assert _private_library_names(ast.parse(source)) == found
 
 
 def _public_definitions(tree: ast.Module) -> list[str]:

@@ -11,15 +11,13 @@ from dqc1sim import (
     ReconstructionError,
     TomographyRun,
     fidelity,
-    linear_estimate,
     output_state,
-    psd_project,
     pure_state,
     reconstruct,
     simulate_counts,
     z_theta,
 )
-from dqc1sim.tomography import PROJECTORS, SETTING_LABELS
+from dqc1sim.tomography import PROJECTORS, SETTING_LABELS, linear_estimate, psd_project
 
 from helpers import (
     TOMO_KETS,
@@ -106,8 +104,8 @@ class TestLinearEstimate:
     def test_zero_signal_group_is_an_error(self, pair):
         # every basis pair of a Bell state carries 1/9 of the counts
         run = noiseless_run(bell_state(), 100.0)
-        counts = [0.0 if (lab[0] + lab[2]).upper() == pair else c
-                  for lab, c in zip(TOMO_LABELS, run.counts)]
+        counts = np.array([0.0 if (lab[0] + lab[2]).upper() == pair else c
+                           for lab, c in zip(TOMO_LABELS, run.counts)])
         with pytest.raises(ReconstructionError, match=f"^no signal in basis pair {pair}$"):
             linear_estimate(TomographyRun(counts, 100.0))
 
@@ -120,10 +118,6 @@ class TestPsdProject:
 
     def test_truncates_negative_eigenvalue(self):
         assert_allclose(psd_project(np.diag([1.1, -0.1])), np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            psd_project(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     @given(seeds)
     @settings(max_examples=15, deadline=None)
@@ -197,11 +191,3 @@ class TestRunJson:
         assert obj["settings"] == list(TOMO_LABELS)
         assert all(isinstance(c, int) for c in obj["counts"])
         assert np.array_equal(obj["counts"], run.counts)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="counts"):
-            TomographyRun(np.ones(10), 100.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            TomographyRun(-np.ones(36), 100.0)
-        with pytest.raises(ValueError, match="mean_counts"):
-            TomographyRun(np.ones(36), 0.0)
