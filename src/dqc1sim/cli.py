@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlations import MEASURE_CONTROL, MEASURE_REGISTER, correlation_report, discord, tangle, concurrence
+from .correlations import (
+    MEASURE_CONTROL, _discord_detail, _entropies, correlation_report, discord, tangle, concurrence,
+)
 from .clifford import circuit_from_json, verify_zero_discord
 from .dqc1 import exact_expectations, normalized_trace, output_state, z_theta
 from .qmath import check_range, fidelity
@@ -140,8 +142,9 @@ def sweep_point(config: SweepConfig, index: int) -> dict:
     if needs_state:
         rho = output_state(u, config.alpha)
         if "discord" in config.outputs:
-            row["discord_rc"] = discord(rho, MEASURE_CONTROL)
-            row["discord_cr"] = discord(rho, MEASURE_REGISTER)
+            entropies = _entropies(rho)
+            row["discord_rc"] = _discord_detail(rho, 0, entropies)[0]
+            row["discord_cr"] = _discord_detail(rho, 1, entropies)[0]
         if "tangle" in config.outputs:
             row["tangle"] = tangle(rho)
         if "tomo" in config.outputs:

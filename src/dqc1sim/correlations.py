@@ -14,15 +14,21 @@ only through n.K, and it is concave on the Bloch ball; its minimum over the
 sphere is therefore its minimum over the unit sphere of the row space of the
 three K matrices, whose dimension (the rank) an SVD gives:
 
-- rank 3: a 32x64 polar-azimuth grid over the upper hemisphere (n and -n
+- rank 3: an 8x16 polar-azimuth grid over the upper hemisphere (n and -n
   give the same measurement), then six rounds of an 11x11 grid zoom in the
   plane tangent to the best direction, each spanning +-1 step of the
   previous grid, plus the minimum of a quadratic fitted to each round's
-  grid: at most 2048 + 6 x 122 = 2780 evaluations;
-- rank 2: a 64-point half great circle, then six rounds of the same zoom
-  along the circle with 11 points and a model point: at most 64 + 6 x 12 =
-  136 evaluations;
+  grid: at most 128 + 6 x 122 = 860 evaluations;
+- rank 2: a 16-point half great circle, then six rounds of the same zoom
+  along the circle with 11 points and a model point: at most 16 + 6 x 12 =
+  88 evaluations;
 - rank 1 or 0: one axis, one evaluation.
+
+On a 4x4 state an objective call costs nearly as much at 1 point as at a
+hundred (numpy's fixed cost per operation dominates), so the search is
+built to make few calls: the first grid is coarse, and each zoom round
+evaluates its grid together with the previous round's model point, in one
+call. A rank 3 or rank 2 search makes at most 8 calls.
 
 A DQC1 output has equal diagonal blocks, so K_z = 0 and the control side
 has rank at most 2 (the optimum lies on the equator); it is classical on
@@ -50,14 +56,18 @@ from .qmath import (
     vn_entropy,
 )
 
+_PAULIS = np.stack([np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z])  # I, X, Y, Z
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
+_SMALLEST_DOUBLE = np.nextafter(0.0, 1.0)
+
 MEASURE_CONTROL = "measure_control"
 MEASURE_REGISTER = "measure_register"
 
-HEMISPHERE_POLAR = 32
-HEMISPHERE_AZIMUTH = 64
+HEMISPHERE_POLAR = 8
+HEMISPHERE_AZIMUTH = 16
 ZOOM_ROUNDS = 6
 ZOOM_POINTS = 11
-CIRCLE_POINTS = 64
+CIRCLE_POINTS = 16
 # Singular values of the K matrices at or below this fraction of the largest
 # count as zero when the searched axes are chosen; min_conditional_entropy
 # bounds the entropy error this allows.
@@ -134,12 +144,12 @@ def _weighted_entropy(mu: np.ndarray) -> np.ndarray:
     mu holds eigenvalues of unnormalized conditional blocks, so each term is
     the outcome probability times the entropy of the normalized state.
     """
-    mu = np.clip(mu, 0.0, None)
+    mu = np.maximum(mu, 0.0)
     p = mu.sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = mu * (np.log2(mu) - np.log2(p))
-    terms = np.where(mu > 0.0, terms, 0.0)
-    return -terms.sum(axis=-1)
+    # Logarithms of at least the smallest positive double: every positive
+    # value is kept as it is, and each zero term is 0 * finite = 0.
+    logs = np.log2(np.maximum(mu, _SMALLEST_DOUBLE)) - np.log2(np.maximum(p, _SMALLEST_DOUBLE))
+    return -(mu * logs).sum(axis=-1)
 
 
 def _measurement_blocks(rho: DensityMatrix, measured: int):
@@ -152,16 +162,8 @@ def _measurement_blocks(rho: DensityMatrix, measured: int):
     d0, d1 = rho.subsystem_dims
     t = rho.entries.reshape(d0, d1, d0, d1)
     if measured == 0:
-        r = np.einsum("iaib->ab", t)
-        k = np.stack(
-            [np.einsum("ij,jaib->ab", s, t) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-        )
-    else:
-        r = np.einsum("arbr->ab", t)
-        k = np.stack(
-            [np.einsum("rs,asbr->ab", s, t) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-        )
-    return r, k
+        return np.einsum("iaib->ab", t), np.einsum("kij,jaib->kab", _PAULIS[1:], t)
+    return np.einsum("arbr->ab", t), np.einsum("krs,asbr->kab", _PAULIS[1:], t)
 
 
 def _hemisphere_grid() -> np.ndarray:
@@ -175,27 +177,24 @@ def _hemisphere_grid() -> np.ndarray:
 
 
 _HEMISPHERE = _hemisphere_grid()
-# Polar step of the hemisphere grid, the half-width of the first zoom window.
-# The grid points of later rounds reach 1.25 of it in all, which covers the
-# half-diagonal of a grid cell even at the equator, where the azimuth step is
-# twice as wide; the quadratic-model points may go further.
-_COARSE_STEP = (np.pi / 2.0) / (HEMISPHERE_POLAR - 1)
+# Half-width of the first zoom window on the hemisphere: the larger of the
+# polar step and half the azimuth step. The grid points of later rounds reach
+# 1.25 of it in all, which covers the half-diagonal of a grid cell even at
+# the equator; the quadratic-model points may go further.
+_COARSE_STEP = max((np.pi / 2.0) / (HEMISPHERE_POLAR - 1), np.pi / HEMISPHERE_AZIMUTH)
 
 
 def _zoom_stencil(dim: int):
-    """The ZOOM_POINTS^dim grid of offsets in [-1, 1]^dim, the least-squares
-    map from values on it to the coefficients of a quadratic in dim
-    variables (the constant, the linear terms, then u_i u_j for i <= j; for
-    dim 2: c0 + c1 u + c2 v + c3 u^2 + c4 u v + c5 v^2), and the index and
-    scale arrays with which c[index] * scale is the quadratic's Hessian."""
+    """The ZOOM_POINTS^dim grid of offsets in [-1, 1]^dim and the
+    least-squares map from values on it to the coefficients of a quadratic
+    in dim variables (the constant, the linear terms, then u_i u_j for
+    i <= j; for dim 2: c0 + c1 u + c2 v + c3 u^2 + c4 u v + c5 v^2)."""
     offsets = np.stack(
         np.meshgrid(*dim * [np.linspace(-1.0, 1.0, ZOOM_POINTS)], indexing="ij"), axis=-1
     ).reshape(-1, dim)
     i, j = np.triu_indices(dim)
     design = np.column_stack([np.ones(len(offsets)), offsets, offsets[:, i] * offsets[:, j]])
-    index = np.empty((dim, dim), dtype=int)
-    index[i, j] = index[j, i] = 1 + dim + np.arange(len(i))
-    return offsets, np.linalg.pinv(design), index, 1.0 + np.eye(dim)
+    return offsets, np.linalg.pinv(design)
 
 
 _SPHERE_ZOOM = _zoom_stencil(2)
@@ -209,17 +208,17 @@ _CIRCLE_ZOOM = _zoom_stencil(1)
 def _qubit_spectra(r: np.ndarray, k: np.ndarray):
     """Closed form for 2x2 blocks: X = (tr X I + x.sigma)/2 with
     x_j = tr(X sigma_j) has eigenvalues (tr X +- |x|)/2."""
-    paulis = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-    tr_r = np.trace(r).real
-    vec_r = np.einsum("jab,ba->j", paulis, r).real
-    tr_k = np.einsum("kaa->k", k).real
-    vec_k = np.einsum("jab,kba->kj", paulis, k).real
-    sign = np.array([1.0, -1.0])[:, None]  # outcomes +n and -n
+    # Rows (tr X, x) of R, K_x, K_y and K_z, over 4: exact, and it saves a
+    # division per call.
+    coef = (np.einsum("jab,mba->mj", _PAULIS, np.concatenate([r[None], k])) / 4.0).real
+    tr_r, vec_r, tr_k, vec_k = coef[0, 0], coef[0, 1:], coef[1:, 0], coef[1:, 1:]
+    sign = np.array([1.0, -1.0])  # outcomes +n and -n
 
     def spectra(nvec: np.ndarray) -> np.ndarray:
-        tr = tr_r + sign * (nvec @ tr_k)
-        rad = np.linalg.norm(vec_r + sign[..., None] * (nvec @ vec_k), axis=-1)
-        return np.stack([tr - rad, tr + rad], axis=-1).transpose(1, 0, 2) / 4.0
+        tr = tr_r + (nvec @ tr_k)[:, None] * sign
+        vec = vec_r + (nvec @ vec_k)[:, None] * sign[:, None]
+        rad = np.sqrt((vec * vec).sum(axis=-1))
+        return tr[..., None] - rad[..., None] * sign  # ascending: tr - rad, tr + rad
 
     return spectra
 
@@ -255,52 +254,57 @@ def _tangent_frame(n: np.ndarray) -> np.ndarray:
     return np.array([[cp * ca, cp * sa, -sp], [-sa, ca, 0.0]])
 
 
-def _model_minimum(stencil, vals: np.ndarray):
+def _model_minimum(fit: np.ndarray, vals: np.ndarray):
     """Minimum of the least-squares quadratic through the zoom-grid values,
-    in units of the window half-width, or None if the fit has no minimum.
-
-    For dim 1 or 2 the two tests below are exactly a positive definite
-    Hessian.
-    """
-    _, fit, index, scale = stencil
-    c = fit @ vals
-    hess = c[index] * scale
-    if not (hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0):
+    in units of the window half-width, or None if the fit has no minimum
+    (its Hessian is not positive definite). Solved in closed form."""
+    c = (fit @ vals).tolist()
+    if len(c) == 3:  # c0 + c1 u + c2 u^2
+        return np.array([-c[1] / (2.0 * c[2])]) if c[2] > 0.0 else None
+    _, c1, c2, c3, c4, c5 = c  # Hessian [[2 c3, c4], [c4, 2 c5]]
+    det = 4.0 * c3 * c5 - c4 * c4
+    if not (c3 > 0.0 and det > 0.0):
         return None
-    return np.linalg.solve(hess, -c[1:1 + len(hess)])
+    return np.array([(c4 * c2 - 2.0 * c5 * c1) / det, (c4 * c1 - 2.0 * c3 * c2) / det])
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / np.sqrt((v * v).sum(axis=-1, keepdims=True))
 
 
 def _zoom(objective, n, value, frame_of, stencil, half):
     """ZOOM_ROUNDS of local grid zoom from the direction n of value value.
 
     Each round evaluates the stencil's grid along the tangent directions
-    frame_of(n) (rows) at the best direction so far, spanning +-half, so
-    the step shrinks (ZOOM_POINTS - 1)/2 times per round. The grid alone
-    can lose the minimum of a narrow valley that runs across it (near the
+    frame_of(n) (rows) at the best direction known, spanning +-half, so the
+    step shrinks (ZOOM_POINTS - 1)/2 times per round. The grid alone can
+    lose the minimum of a narrow valley that runs across it (near the
     Clifford points, or any state under a local rotation), so each round
-    also tries the minimum of the quadratic fitted to its grid values.
-    Returns the best direction, its value and the evaluations made.
+    also tries the minimum of the quadratic fitted to its grid values. That
+    model point is evaluated in the next round's call, stacked after its
+    grid, and the last one in a call of its own: one objective call per
+    round, plus one. Returns the best direction, its value and the
+    evaluations made.
     """
-    offsets = stencil[0]
-    evals = 0
+    offsets, fit = stencil
+    no_model = np.empty((0, len(n)))
+    evals, model = 0, no_model
     for _ in range(ZOOM_ROUNDS):
         frame = frame_of(n)
-        cand = _unit_rows(n + half * (offsets @ frame))
+        cand = np.concatenate([_unit_rows(n + half * (offsets @ frame)), model])
         vals = objective(cand)
-        step = _model_minimum(stencil, vals)
-        if step is not None:
-            model = _unit_rows(n + half * (step @ frame))
-            cand = np.vstack([cand, model])
-            vals = np.append(vals, objective(model[None]))
         evals += len(vals)
+        step = _model_minimum(fit, vals[:len(offsets)])
+        model = no_model if step is None else _unit_rows(n + half * (step @ frame))[None]
         best = int(np.argmin(vals))
         if vals[best] < value:
             n, value = cand[best], float(vals[best])
         half *= 2.0 / (ZOOM_POINTS - 1)
+    if len(model):
+        last = float(objective(model)[0])
+        evals += 1
+        if last < value:
+            n, value = model[0], last
     return n, value, evals
 
 
@@ -313,11 +317,14 @@ def _axis_rank(k: np.ndarray):
     return int(np.count_nonzero(s > AXIS_RANK_RTOL * s[0])), u
 
 
+_CIRCLE_PHI = np.arange(CIRCLE_POINTS)[:, None] * (np.pi / CIRCLE_POINTS)
+_CIRCLE_COS, _CIRCLE_SIN = np.cos(_CIRCLE_PHI), np.sin(_CIRCLE_PHI)
+
+
 def _circle_grid(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """CIRCLE_POINTS directions on the half great circle from e1 towards e2
     (n and -n give the same measurement)."""
-    phi = np.arange(CIRCLE_POINTS) * (np.pi / CIRCLE_POINTS)
-    return np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2)
+    return _CIRCLE_COS * e1 + _CIRCLE_SIN * e2
 
 
 def _bloch_direction(n: np.ndarray) -> BlochDirection:
@@ -336,11 +343,12 @@ def min_conditional_entropy(rho: DensityMatrix, measured: int):
     measurements on the measured qubit of a bipartite state.
 
     The search runs over the unit sphere of the row space of the K matrices
-    only (see the module docstring): with rank 3 a hemisphere grid, with
-    rank 2 a half great circle, each followed by ZOOM_ROUNDS of local grid
-    zoom (_zoom), and with rank 1 or 0 the one axis. Singular values at or
-    below AXIS_RANK_RTOL times the largest count as zero. The largest is at
-    most sqrt(3), as each K_k has trace norm at most 1, so the dropped part
+    only (see the module docstring): with rank 3 a coarse hemisphere grid,
+    with rank 2 a coarse half great circle, each followed by ZOOM_ROUNDS of
+    local grid zoom (_zoom) in at most 8 objective calls in all, and with
+    rank 1 or 0 the one axis. Singular values at or below AXIS_RANK_RTOL
+    times the largest count as zero. The largest is at most sqrt(3), as
+    each K_k has trace norm at most 1, so the dropped part
     of n.K has Frobenius norm at most sqrt(3) AXIS_RANK_RTOL and trace norm
     T = sqrt(3 d) AXIS_RANK_RTOL / 2 on a d-dimensional unmeasured side. By
     concavity the reduced minimum exceeds the full one by at most the change
@@ -417,8 +425,7 @@ def concurrence(rho: DensityMatrix) -> float:
     """Wootters spin-flip concurrence of a two-qubit state."""
     if rho.dim != 4:
         raise ValueError(f"concurrence requires a two-qubit state, got dim {rho.dim}")
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    rt = rho.entries @ yy @ rho.entries.conj() @ yy
+    rt = rho.entries @ _YY @ rho.entries.conj() @ _YY
     lam = np.linalg.eigvals(rt)
     # eigenvalues of rho rho~ are real and nonnegative up to round-off
     lam = np.sqrt(np.clip(np.sort(lam.real)[::-1], 0.0, None))

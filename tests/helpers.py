@@ -163,6 +163,29 @@ def oracle_discord(rho: DensityMatrix, measured: int, n_polar: int = 100,
     return info - (h_other - hmin)
 
 
+def z_theta_control_hmin(theta: float, alpha: float) -> float:
+    """Closed-form control-side Hmin of the DQC1 output for U = diag(1, e^{i theta}).
+
+    The optimal measurement on the control is equatorial, at azimuth
+    beta = theta/2 or theta/2 + pi/2; each is evaluated with explicit
+    projectors on the output of circuit_output_state and a dense partial
+    trace over the control.
+    """
+    rho = circuit_output_state(np.diag([1.0, np.exp(1j * theta)]), alpha)
+    best = np.inf
+    for beta in (theta / 2.0, theta / 2.0 + np.pi / 2.0):
+        proj = (I2 + np.cos(beta) * PX + np.sin(beta) * PY) / 2.0
+        h = 0.0
+        for p_op in (proj, I2 - proj):
+            full = np.kron(p_op, I2)
+            cond = np.einsum("iaib->ab", (full @ rho @ full).reshape(2, 2, 2, 2))
+            lam = np.linalg.eigvalsh(cond)
+            p, lam = lam.sum(), lam[lam > 0.0]
+            h -= float((lam * np.log2(lam / p)).sum())
+        best = min(best, h)
+    return best
+
+
 def read_circuit(obj: dict) -> CliffordCircuit:
     """A circuit as users give one: the JSON text of obj, read back by
     circuit_from_json."""

@@ -19,6 +19,8 @@ from dqc1sim import (
     min_conditional_entropy,
     output_state,
     pure_state,
+    reconstruct,
+    simulate_counts,
     tangle,
     vn_entropy,
     z_theta,
@@ -34,15 +36,19 @@ from helpers import (
     random_density_matrix,
     random_pure_density,
     random_unitary,
+    z_theta_control_hmin,
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
-# Documented evaluation bounds per measured side: the hemisphere grid plus six
-# rounds of an 11x11 zoom and a model point, and the half great circle plus
-# six rounds of an 11-point zoom and a model point.
-SPHERE_EVALS = 2048 + 6 * 122
-CIRCLE_EVALS = 64 + 6 * 12
+# Documented evaluation bounds per measured side: the 8x16 hemisphere grid
+# plus six rounds of an 11x11 zoom and a model point, and the 16-point half
+# great circle plus six rounds of an 11-point zoom and a model point.
+SPHERE_EVALS = 128 + 6 * 122
+CIRCLE_EVALS = 16 + 6 * 12
+# Objective calls per search: the first grid, one per zoom round (its grid and
+# the previous round's model point) and one for the last model point.
+SEARCH_CALLS = 8
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -412,3 +418,49 @@ class TestReducedSearch:
         assert (evals > CIRCLE_EVALS) == above
         assert value <= oracle_min_conditional_entropy(rho, 0, 36, 72) + 1e-9
         assert value == pytest.approx(min_conditional_entropy(base, 0)[0], abs=1e-10)
+
+
+class TestSearchBudget:
+    """Each search makes at most SEARCH_CALLS objective calls, and its
+    reported evaluations are the points those calls evaluated."""
+
+    @staticmethod
+    def _search(rho, measured):
+        sizes = []
+        inner = correlations._weighted_entropy
+
+        def counted(mu):
+            sizes.append(len(mu))
+            return inner(mu)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlations, "_weighted_entropy", counted)
+            _, _, evals = min_conditional_entropy(rho, measured)
+        assert sum(sizes) == evals
+        return len(sizes), evals
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.997, 1.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.1047, 1.0, np.pi / 2, -3.0369])
+    def test_z_theta_output(self, theta, alpha):
+        rho = output_state(z_theta(theta), alpha)
+        calls, _ = self._search(rho, 0)
+        assert calls <= SEARCH_CALLS
+        assert self._search(rho, 1) == (1, 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tomography_reconstruction(self, seed):
+        rho = output_state(z_theta(0.5 + seed), 0.997)
+        recon = reconstruct(simulate_counts(rho, 1e4, seed))
+        for measured in (0, 1):
+            calls, evals = self._search(recon, measured)
+            assert calls <= SEARCH_CALLS
+            assert evals > CIRCLE_EVALS  # the hemisphere search
+
+
+class TestZThetaClosedForm:
+    @pytest.mark.parametrize("alpha", [0.3, 0.58, 0.9, 0.997, 1.0])
+    def test_control_side_matches_closed_form(self, alpha):
+        # the equatorial axes at theta/2 and theta/2 + pi/2, explicit projectors
+        for theta in np.linspace(-np.pi, np.pi, 61):
+            value, _, _ = min_conditional_entropy(output_state(z_theta(float(theta)), alpha), 0)
+            assert abs(value - z_theta_control_hmin(float(theta), alpha)) <= 1e-12, theta
