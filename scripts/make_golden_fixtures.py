@@ -113,7 +113,7 @@ def main() -> int:
         fixture = {
             "name": name,
             "state": density_to_json(rho),
-            "report": report.to_dict(),
+            "report": report,
             "oracle": {
                 "discord_rc_grid": oracle_grid_discord(rho, 0),
                 "discord_cr_grid": oracle_grid_discord(rho, 1),
@@ -125,7 +125,7 @@ def main() -> int:
         path = FIXTURE_DIR / f"{name}.json"
         path.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
-        print(f"  report: discord_rc={report.discord_rc:.9f} discord_cr={report.discord_cr:.9f}")
+        print(f"  report: discord_rc={report['discord_rc']:.9f} discord_cr={report['discord_cr']:.9f}")
         oracle = fixture["oracle"]
         print(f"  oracle: discord_rc={oracle['discord_rc_grid']:.9f} "
               f"discord_cr={oracle['discord_cr_grid']:.9f}")

@@ -22,8 +22,6 @@ from .sampling import chi2_reduced, estimate_trace, shots_required
 from .correlations import (
     MEASURE_CONTROL,
     MEASURE_REGISTER,
-    BlochDirection,
-    CorrelationReport,
     concurrence,
     correlation_report,
     discord,
@@ -39,7 +37,6 @@ from .clifford import (
 )
 from .tomography import (
     ReconstructionError,
-    TomographyRun,
     reconstruct,
     simulate_counts,
 )
@@ -50,10 +47,9 @@ __all__ = [
     "UnitaryMatrix", "exact_expectations", "normalized_trace", "output_state",
     "reduced_control", "z_theta",
     "chi2_reduced", "estimate_trace", "shots_required",
-    "MEASURE_CONTROL", "MEASURE_REGISTER", "BlochDirection", "CorrelationReport",
-    "concurrence", "correlation_report", "discord", "min_conditional_entropy",
-    "tangle",
+    "MEASURE_CONTROL", "MEASURE_REGISTER", "concurrence", "correlation_report",
+    "discord", "min_conditional_entropy", "tangle",
     "CliffordCircuit", "SignedPauliString", "dqc1_clifford_expectations", "propagate",
     "verify_zero_discord",
-    "ReconstructionError", "TomographyRun", "reconstruct", "simulate_counts",
+    "ReconstructionError", "reconstruct", "simulate_counts",
 ]

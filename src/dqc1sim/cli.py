@@ -30,7 +30,7 @@ from .serialize import (
     load_json,
     unitary_from_json,
 )
-from .tomography import check_mean_counts, reconstruct, simulate_counts
+from .tomography import SETTING_LABELS, check_mean_counts, reconstruct, simulate_counts
 
 SWEEP_OUTPUTS = ("trace", "discord", "tangle", "tomo")
 # Largest sweep grid. A trace-only sweep of this many steps takes about
@@ -148,11 +148,10 @@ def sweep_point(config: SweepConfig, index: int) -> dict:
         if "tangle" in config.outputs:
             row["tangle"] = tangle(rho)
         if "tomo" in config.outputs:
-            run = simulate_counts(
+            recon = reconstruct(simulate_counts(
                 rho, config.mean_counts,
                 np.random.SeedSequence([config.seed, index, 1]),
-            )
-            recon = reconstruct(run)
+            ))
             row["tomo_fidelity"] = fidelity(recon, rho)
             row["tomo_discord_rc"] = discord(recon, MEASURE_CONTROL)
             row["tomo_tangle"] = tangle(recon)
@@ -254,7 +253,7 @@ def _cmd_trace(args) -> str:
 
 def _cmd_discord(args) -> str:
     rho, config = _state(args, "discord")
-    report = correlation_report(rho).to_dict()
+    report = correlation_report(rho)
     report["config"] = config
     return _render_json(report)
 
@@ -271,11 +270,16 @@ def _cmd_tangle(args) -> str:
 
 def _cmd_tomo(args) -> str:
     rho, config = _state(args, "tomo")
-    run = simulate_counts(rho, args.mean_counts, args.seed)
-    recon = reconstruct(run)
+    counts = simulate_counts(rho, args.mean_counts, args.seed)
+    recon = reconstruct(counts)
     report = {
         "config": {**config, "seed": args.seed, "mean_counts": args.mean_counts},
-        "run": run.to_json(),
+        "run": {
+            "settings": list(SETTING_LABELS),
+            "counts": [int(c) for c in counts],
+            "mean": args.mean_counts,
+            "seed": args.seed,
+        },
         "reconstruction": density_to_json(recon),
         "fidelity": fidelity(recon, rho),
         "discord_rc": discord(recon, MEASURE_CONTROL),

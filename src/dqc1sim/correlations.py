@@ -42,7 +42,6 @@ plus the zoom and model points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,52 +72,6 @@ CIRCLE_POINTS = 16
 # bounds the entropy error this allows.
 AXIS_RANK_RTOL = 1e-13
 BLOCK_CHUNK_BYTES = 1 << 24
-
-
-@dataclass(frozen=True)
-class BlochDirection:
-    """Measurement axis on the upper Bloch hemisphere: polar in [0, pi/2],
-    azimuth in [0, 2 pi). Built only by _bloch_direction; the constructor
-    checks nothing."""
-
-    polar: float
-    azimuth: float
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """All correlation measures for one two-qubit state.
-
-    discord_rc measures on the control (subsystem 0), discord_cr on the
-    register; argmin_direction is the minimizing measurement axis on the
-    control.
-    """
-
-    mutual_info: float
-    discord_rc: float
-    discord_cr: float
-    tangle: float
-    argmin_direction: BlochDirection
-    optimizer_evals: int
-
-    def __post_init__(self):
-        if self.discord_rc < -1e-9 or self.discord_cr < -1e-9:
-            raise ValueError("discord values must be >= -1e-9")
-        if not -1e-9 <= self.tangle <= 1.0 + 1e-9:
-            raise ValueError(f"tangle must be in [0, 1], got {self.tangle}")
-
-    def to_dict(self) -> dict:
-        return {
-            "mutual_info": self.mutual_info,
-            "discord_rc": self.discord_rc,
-            "discord_cr": self.discord_cr,
-            "tangle": self.tangle,
-            "argmin_direction": {
-                "polar": self.argmin_direction.polar,
-                "azimuth": self.argmin_direction.azimuth,
-            },
-            "optimizer_evals": self.optimizer_evals,
-        }
 
 
 def _check_bipartite(rho: DensityMatrix) -> None:
@@ -327,15 +280,16 @@ def _circle_grid(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return _CIRCLE_COS * e1 + _CIRCLE_SIN * e2
 
 
-def _bloch_direction(n: np.ndarray) -> BlochDirection:
-    """The measurement axis of the unit vector n, on the upper hemisphere."""
+def _bloch_direction(n: np.ndarray) -> dict:
+    """The measurement axis of the unit vector n on the upper Bloch
+    hemisphere: {"polar": in [0, pi/2], "azimuth": in [0, 2 pi)}."""
     if n[2] < 0.0:
         n = -n
     polar = float(np.arccos(min(n[2], 1.0)))
     azimuth = float(np.arctan2(n[1], n[0]) % (2.0 * np.pi))
     if azimuth >= 2.0 * np.pi:  # float modulo can round up to the period
         azimuth = 0.0
-    return BlochDirection(polar, azimuth)
+    return {"polar": polar, "azimuth": azimuth}
 
 
 def min_conditional_entropy(rho: DensityMatrix, measured: int):
@@ -357,8 +311,9 @@ def min_conditional_entropy(rho: DensityMatrix, measured: int):
     eta(x) = -x log2 x): 2.1e-11 bits for a qubit partner and 1.5e-11
     sqrt(d) bits in general.
 
-    Returns (value, BlochDirection, objective evaluations); the direction
-    is reported on the upper hemisphere. Fully deterministic.
+    Returns (value, direction, objective evaluations), where direction is
+    _bloch_direction's {"polar", "azimuth"} dict on the upper hemisphere.
+    Fully deterministic.
     """
     _check_bipartite(rho)
     if measured not in (0, 1):
@@ -437,19 +392,29 @@ def tangle(rho: DensityMatrix) -> float:
     return concurrence(rho) ** 2
 
 
-def correlation_report(rho: DensityMatrix) -> CorrelationReport:
-    """Full correlation analysis of a two-qubit state."""
+def correlation_report(rho: DensityMatrix) -> dict:
+    """Full correlation analysis of a two-qubit state.
+
+    discord_rc measures on the control (subsystem 0), discord_cr on the
+    register; argmin_direction is the minimizing measurement axis on the
+    control, and optimizer_evals counts both searches' evaluations.
+    """
     if rho.qubit_dims != (1, 1):
         rho = repartition(rho, (1, 1))
     entropies = _entropies(rho)
     d_rc, direction, evals_c = _discord_detail(rho, 0, entropies)
     d_cr, _, evals_r = _discord_detail(rho, 1, entropies)
+    tau = tangle(rho)
+    if d_rc < -1e-9 or d_cr < -1e-9:
+        raise ValueError("discord values must be >= -1e-9")
+    if not -1e-9 <= tau <= 1.0 + 1e-9:
+        raise ValueError(f"tangle must be in [0, 1], got {tau}")
     h_a, h_b, h_ab = entropies
-    return CorrelationReport(
-        mutual_info=h_a + h_b - h_ab,
-        discord_rc=d_rc,
-        discord_cr=d_cr,
-        tangle=tangle(rho),
-        argmin_direction=direction,
-        optimizer_evals=evals_c + evals_r,
-    )
+    return {
+        "mutual_info": h_a + h_b - h_ab,
+        "discord_rc": d_rc,
+        "discord_cr": d_cr,
+        "tangle": tau,
+        "argmin_direction": direction,
+        "optimizer_evals": evals_c + evals_r,
+    }

@@ -11,11 +11,13 @@ O(d^3) eigensolve. Builders whose output is a valid state whenever their
 input is wrap it with _trusted_state and skip that check: partial_trace and
 repartition here, dqc1.output_state and dqc1.reduced_control,
 clifford._clifford_output_state and tomography.reconstruct. The same rule
-holds for the records that only the program builds: the constructors of
-tomography.TomographyRun, correlations.BlochDirection and
-clifford.SignedPauliString check nothing, and tomography.psd_project does
-not check linear_estimate's output. tests/test_invariants.py holds every
-one of these conditions as a property of the builders' outputs.
+holds for the values that only the program builds: the constructor of the
+record clifford.SignedPauliString checks nothing, the counts array of
+tomography.simulate_counts and the direction dict of
+correlations._bloch_direction are not re-checked where they are read, and
+tomography.psd_project does not check linear_estimate's output.
+tests/test_invariants.py holds every one of these conditions as a property
+of the builders' outputs.
 """
 
 from __future__ import annotations
@@ -108,9 +110,9 @@ class DensityMatrix:
     state built from outside data is valid or raises ValueError. The
     builders named in the module docstring bypass it through _trusted_state,
     because their output is valid by construction; tests/test_invariants.py
-    runs this constructor on their outputs. Unlike TomographyRun,
-    BlochDirection and SignedPauliString, which only the program builds and
-    whose constructors check nothing, this is an input boundary.
+    runs this constructor on their outputs. Unlike SignedPauliString,
+    which only the program builds and whose constructor checks nothing,
+    this is an input boundary.
     """
 
     entries: np.ndarray

@@ -9,7 +9,6 @@ by projection onto the physical (PSD, unit-trace) set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,46 +65,26 @@ class ReconstructionError(ValueError):
     """Raised when counts cannot be normalized into probabilities."""
 
 
-@dataclass(frozen=True)
-class TomographyRun:
-    """Read-only float counts for the 36 settings, in SETTING_LABELS order,
-    at a common mean flux per setting. Built by simulate_counts, which
-    checks its inputs; the constructor checks nothing."""
-
-    counts: np.ndarray
-    mean_counts: float
-    seed: int | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "settings": list(SETTING_LABELS),
-            "counts": [int(c) for c in self.counts],
-            "mean": self.mean_counts,
-            "seed": self.seed,
-        }
-
-
-def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> TomographyRun:
-    """Poisson counts with mean mean_counts * Tr(rho P) per setting."""
+def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> np.ndarray:
+    """Poisson counts with mean mean_counts * Tr(rho P) per setting: a
+    read-only float array of 36 whole, nonnegative counts in SETTING_LABELS
+    order."""
     check_mean_counts(mean_counts)
     if rho.dim != 4:
         raise ValueError(f"tomography requires a two-qubit state, got dim {rho.dim}")
-    probs = np.array(
-        [float(np.einsum("ij,ji->", rho.entries, p).real) for p in PROJECTORS]
-    )
+    probs = np.einsum("ij,pji->p", rho.entries, PROJECTORS).real
     rng = np.random.default_rng(seed)
     counts = rng.poisson(mean_counts * np.clip(probs, 0.0, None)).astype(float)
     counts.setflags(write=False)
-    return TomographyRun(counts, float(mean_counts),
-                         seed=int(seed) if isinstance(seed, (int, np.integer)) else None)
+    return counts
 
 
-def _group_probabilities(run: TomographyRun) -> np.ndarray:
+def _group_probabilities(counts: np.ndarray) -> np.ndarray:
     """Counts -> probabilities, each normalized by the total of its basis
     pair (the four sign outcomes of one Pauli axis pair); a pair with no
     counts at all is an error."""
     # axes: (axis of qubit 0, sign of qubit 0, axis of qubit 1, sign of qubit 1)
-    groups = run.counts.reshape(3, 2, 3, 2)
+    groups = counts.reshape(3, 2, 3, 2)
     totals = groups.sum(axis=(1, 3), keepdims=True)
     empty = np.argwhere(totals[:, 0, :, 0] <= 0)
     if len(empty):
@@ -114,7 +93,7 @@ def _group_probabilities(run: TomographyRun) -> np.ndarray:
     return (groups / totals).reshape(-1)
 
 
-def linear_estimate(run: TomographyRun) -> np.ndarray:
+def linear_estimate(counts: np.ndarray) -> np.ndarray:
     """Least-squares inversion to the 16 Pauli expectations (no projection).
 
     Returns the matrix (1/4) sum s_ij sigma_i (x) sigma_j with s_II fixed
@@ -122,7 +101,7 @@ def linear_estimate(run: TomographyRun) -> np.ndarray:
     summed in the same order on both sides of the diagonal. It may have
     small negative eigenvalues.
     """
-    sol = np.linalg.lstsq(_DESIGN, _group_probabilities(run) - 0.25, rcond=None)[0]
+    sol = np.linalg.lstsq(_DESIGN, _group_probabilities(counts) - 0.25, rcond=None)[0]
     rho = np.eye(4, dtype=complex)
     for s_val, pauli in zip(sol, _PAULI_PRODUCTS):
         rho += s_val * pauli
@@ -151,10 +130,10 @@ def psd_project(m: np.ndarray) -> np.ndarray:
     return (vec * _simplex_projection(lam)) @ vec.conj().T
 
 
-def reconstruct(run: TomographyRun) -> DensityMatrix:
+def reconstruct(counts: np.ndarray) -> DensityMatrix:
     """Full pipeline: least-squares inversion then physical projection.
 
     psd_project's water-filled spectrum is nonnegative and sums to one, so
     the result is a valid state by construction and is not re-checked.
     """
-    return _trusted_state(psd_project(linear_estimate(run)), (1, 1))
+    return _trusted_state(psd_project(linear_estimate(counts)), (1, 1))

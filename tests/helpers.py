@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import dqc1sim
-from dqc1sim import DensityMatrix, TomographyRun, UnitaryMatrix
+from dqc1sim import DensityMatrix, UnitaryMatrix
 from dqc1sim.clifford import MAX_QUBITS, CliffordCircuit, SignedPauliString, circuit_from_json
 from dqc1sim.serialize import matrix_to_json
 
@@ -104,10 +104,10 @@ def setting_probability(rho: np.ndarray, label: str) -> float:
     return float(np.real(ket.conj() @ rho @ ket))
 
 
-def noiseless_run(rho: DensityMatrix, mean_counts: float = 1.0) -> TomographyRun:
+def noiseless_run(rho: DensityMatrix, mean_counts: float = 1.0) -> np.ndarray:
     """Counts replaced by exact probabilities times the mean (no noise)."""
     probs = [setting_probability(rho.entries, lab) for lab in TOMO_LABELS]
-    return TomographyRun(mean_counts * np.array(probs), float(mean_counts))
+    return mean_counts * np.array(probs)
 
 
 def bell_state() -> DensityMatrix:

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqc1sim import output_state, z_theta
+from dqc1sim import correlations, output_state, simulate_counts, z_theta
 from dqc1sim.cli import MAX_STEPS, SweepConfig, main, sweep_rows
 from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.serialize import density_to_json, matrix_to_json
+from dqc1sim.tomography import SETTING_LABELS
 
 from helpers import package_env, save_json, unitary_to_json
 
@@ -288,6 +289,19 @@ class TestStateCommands:
         report = json.loads(out.read_text())
         assert report["tangle"] < 1e-9 and report["concurrence"] < 1e-6
 
+    @pytest.mark.parametrize("name, bad, message", [
+        ("tangle", lambda rho: 1.5, "tangle must be in [0, 1], got 1.5"),
+        ("_discord_detail", lambda rho, measured, entropies: (-1e-6, {}, 1),
+         "discord values must be >= -1e-9"),
+    ], ids=["tangle", "discord"])
+    def test_discord_out_of_range_is_a_json_error(self, monkeypatch, capsys, name, bad, message):
+        monkeypatch.setattr(correlations, name, bad)
+        assert run_cli(["discord", "--theta", 1]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+
     def test_missing_state_source(self, capsys):
         assert run_cli(["discord"]) == 1
         err = json.loads(capsys.readouterr().err)
@@ -300,8 +314,15 @@ class TestStateCommands:
         report = json.loads(out.read_text())
         assert report["fidelity"] > 0.98
         assert report["tangle"] < 0.05
-        assert len(report["run"]["counts"]) == 36
-        assert report["run"]["seed"] == 12
+        run = report["run"]
+        assert run["settings"] == list(SETTING_LABELS)
+        assert len(run["counts"]) == 36
+        assert all(type(c) is int for c in run["counts"])
+        # the library's counts, each written exactly
+        counts = simulate_counts(output_state(z_theta(np.pi / 2), 1.0), 5000.0, 12)
+        assert np.array_equal(run["counts"], counts)
+        assert type(run["mean"]) is float and run["mean"] == 5000.0
+        assert type(run["seed"]) is int and run["seed"] == 12
 
     def test_tomo_at_the_mean_counts_bound(self, tmp_path):
         out = tmp_path / "tomo.json"

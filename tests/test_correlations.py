@@ -77,13 +77,13 @@ class TestMutualInformation:
         a = random_density_matrix(rng, (1,))
         b = random_density_matrix(rng, (1,))
         joint = DensityMatrix(np.kron(a.entries, b.entries), (1, 1))
-        assert correlation_report(joint).mutual_info == pytest.approx(0.0, abs=1e-12)
+        assert correlation_report(joint)["mutual_info"] == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state(self):
-        assert correlation_report(bell_state()).mutual_info == pytest.approx(2.0, abs=1e-12)
+        assert correlation_report(bell_state())["mutual_info"] == pytest.approx(2.0, abs=1e-12)
 
     def test_classical_mixture(self):
-        assert correlation_report(classical_mixture()).mutual_info == pytest.approx(1.0, abs=1e-12)
+        assert correlation_report(classical_mixture())["mutual_info"] == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_bipartite(self):
         rho = DensityMatrix(np.eye(8) / 8, (1, 1, 1))
@@ -108,7 +108,7 @@ class TestMinConditionalEntropy:
         value, direction, _ = min_conditional_entropy(classical_mixture(), 0)
         assert value == pytest.approx(0.0, abs=1e-9)
         # optimal axis is the z axis (either pole)
-        assert min(direction.polar, np.pi - direction.polar) < 1e-3
+        assert min(direction["polar"], np.pi - direction["polar"]) < 1e-3
 
     def test_rejects_wide_measured_subsystem(self):
         rho = DensityMatrix(np.eye(8) / 8, (2, 1))
@@ -217,7 +217,7 @@ class TestGoldenFixtures:
     def test_report_matches_fixture(self, fixture_name):
         fixture = json.loads((FIXTURE_DIR / f"{fixture_name}.json").read_text())
         rho = density_from_json(fixture["state"])
-        report = correlation_report(rho).to_dict()
+        report = correlation_report(rho)
         stored = fixture["report"]
         for key in ("mutual_info", "discord_rc", "discord_cr", "tangle"):
             assert report[key] == pytest.approx(stored[key], abs=1e-7), key
@@ -256,16 +256,32 @@ class TestConcurrenceAndTangle:
 class TestReportAndDirection:
     def test_report_fields(self):
         report = correlation_report(bell_state())
-        assert report.mutual_info == pytest.approx(2.0, abs=1e-4)
-        assert report.discord_rc == pytest.approx(1.0, abs=1e-4)
-        assert report.discord_cr == pytest.approx(1.0, abs=1e-4)
-        assert report.tangle == pytest.approx(1.0, abs=1e-4)
-        assert report.optimizer_evals > 0
-        payload = report.to_dict()
-        assert set(payload) == {
+        assert report["mutual_info"] == pytest.approx(2.0, abs=1e-4)
+        assert report["discord_rc"] == pytest.approx(1.0, abs=1e-4)
+        assert report["discord_cr"] == pytest.approx(1.0, abs=1e-4)
+        assert report["tangle"] == pytest.approx(1.0, abs=1e-4)
+        assert report["optimizer_evals"] > 0
+        assert set(report) == {
             "mutual_info", "discord_rc", "discord_cr", "tangle",
             "argmin_direction", "optimizer_evals",
         }
+        assert set(report["argmin_direction"]) == {"polar", "azimuth"}
+
+    def test_rejects_tangle_above_one(self, monkeypatch):
+        monkeypatch.setattr(correlations, "tangle", lambda rho: 1.5)
+        with pytest.raises(ValueError, match=r"^tangle must be in \[0, 1\], got 1\.5$"):
+            correlation_report(bell_state())
+
+    def test_rejects_negative_discord(self, monkeypatch):
+        detail = correlations._discord_detail
+
+        def negative(rho, measured, entropies):
+            _, direction, evals = detail(rho, measured, entropies)
+            return -1e-6, direction, evals
+
+        monkeypatch.setattr(correlations, "_discord_detail", negative)
+        with pytest.raises(ValueError, match=r"^discord values must be >= -1e-9$"):
+            correlation_report(bell_state())
 
 
 class TestMinimiserContract:
@@ -334,9 +350,9 @@ class TestMinimiserContract:
         rho = random_density_matrix(rng, (1, 1), rank=int(rng.integers(1, 5)))
         for measured in (0, 1):
             _, direction, _ = min_conditional_entropy(rho, measured)
-            assert 0.0 <= direction.polar <= np.pi / 2
-        report_direction = correlation_report(rho).argmin_direction
-        assert 0.0 <= report_direction.polar <= np.pi / 2
+            assert 0.0 <= direction["polar"] <= np.pi / 2
+        report_direction = correlation_report(rho)["argmin_direction"]
+        assert 0.0 <= report_direction["polar"] <= np.pi / 2
 
 
 class TestReducedSearch:
@@ -352,7 +368,7 @@ class TestReducedSearch:
         # equal diagonal blocks make K_z vanish: the equator
         _, direction, evals = min_conditional_entropy(rho, 0)
         assert evals <= CIRCLE_EVALS
-        assert direction.polar == pytest.approx(np.pi / 2, abs=1e-12)
+        assert direction["polar"] == pytest.approx(np.pi / 2, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_haar_dqc1_control_side(self, n):

@@ -8,12 +8,12 @@ the full check (finite entries, matching qubit_dims, unit trace,
 Hermiticity, positivity), over Haar-random registers, purities, phases,
 Clifford circuits and simulated tomography counts.
 
-The records that only the program builds have constructors that check
-nothing, so their conditions live here as properties of their builders:
-TomographyRun (simulate_counts), the least-squares estimate that
-psd_project takes unchecked (linear_estimate), BlochDirection
-(_bloch_direction, through min_conditional_entropy) and SignedPauliString
-(z_on and propagate).
+The other values that only the program builds are not checked where they
+are read, so their conditions live here as properties of their builders:
+the counts array (simulate_counts), the least-squares estimate that
+psd_project takes unchecked (linear_estimate), the direction dict
+(_bloch_direction, through min_conditional_entropy) and the record
+SignedPauliString, whose constructor checks nothing (z_on and propagate).
 """
 
 import numpy as np
@@ -56,7 +56,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 alphas = st.floats(min_value=0.0, max_value=1.0)
 thetas = st.floats(min_value=-np.pi, max_value=np.pi)
 # Every seed form simulate_counts takes: a Python int, a numpy integer or a
-# SeedSequence (which the run does not store).
+# SeedSequence.
 count_seeds = st.one_of(
     seeds, seeds.map(np.uint32), seeds.map(lambda s: np.random.SeedSequence([s, 1])),
 )
@@ -163,19 +163,12 @@ def test_reconstruct_random_state_counts(seed, rank, mean_counts):
 @settings(max_examples=60, deadline=None)
 def test_simulated_counts(seed, rank, run_seed, mean_counts):
     rho = random_density_matrix(np.random.default_rng(seed), (1, 1), rank=rank)
-    run = simulate_counts(rho, mean_counts, run_seed)
-    counts = run.counts
+    counts = simulate_counts(rho, mean_counts, run_seed)
     assert counts.shape == (len(SETTING_LABELS),) and counts.dtype == float
     assert np.isfinite(counts).all() and (counts >= 0).all()
+    # whole, so the tomo report's int() of each count is exact
     assert_array_equal(counts, np.floor(counts))
     assert not counts.flags.writeable
-    assert type(run.mean_counts) is float and run.mean_counts == mean_counts
-    if isinstance(run_seed, np.random.SeedSequence):
-        assert run.seed is None
-    else:
-        assert type(run.seed) is int and run.seed == run_seed
-    # to_json writes each count with int(), which is exact for whole counts
-    assert_array_equal(run.to_json()["counts"], counts)
 
 
 @given(seed=seeds, rank=st.integers(1, 4), mean_counts=st.floats(min_value=20.0, max_value=1e8))
@@ -189,9 +182,11 @@ def test_linear_estimate_is_hermitian(seed, rank, mean_counts):
 
 
 def _assert_upper_hemisphere(direction):
-    assert type(direction.polar) is float and type(direction.azimuth) is float
-    assert 0.0 <= direction.polar <= np.pi / 2
-    assert 0.0 <= direction.azimuth < 2 * np.pi
+    assert set(direction) == {"polar", "azimuth"}
+    polar, azimuth = direction["polar"], direction["azimuth"]
+    assert type(polar) is float and type(azimuth) is float
+    assert 0.0 <= polar <= np.pi / 2
+    assert 0.0 <= azimuth < 2 * np.pi
 
 
 @given(seed=seeds, rank=st.integers(1, 4), theta=thetas, alpha=alphas)
@@ -214,7 +209,7 @@ def test_minimiser_directions(seed, rank, theta, alpha):
 def test_bloch_direction_edges(axis, polar, azimuth):
     direction = _bloch_direction(np.array(axis))
     _assert_upper_hemisphere(direction)
-    assert (direction.polar, direction.azimuth) == (polar, azimuth)
+    assert (direction["polar"], direction["azimuth"]) == (polar, azimuth)
 
 
 @given(seed=seeds, n_qubits=st.integers(1, 8), n_gates=st.integers(0, 60))
@@ -263,9 +258,9 @@ class TestNoEigensolve:
         assert eigensolves == {"eigvalsh": 0, "eigh": 0}
 
     def test_reconstruct(self, eigensolves):
-        run = simulate_counts(output_state(z_theta(0.4), 0.9), 1e4, 5)
+        counts = simulate_counts(output_state(z_theta(0.4), 0.9), 1e4, 5)
         eigensolves.update(eigvalsh=0, eigh=0)
-        reconstruct(run)
+        reconstruct(counts)
         # the one eigendecomposition is psd_project's own
         assert eigensolves == {"eigvalsh": 0, "eigh": 1}
 

@@ -9,9 +9,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 LIBRARY = sorted((ROOT / "src" / "dqc1sim").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 # Where the program reaches the library: the package itself, the scripts
 # and the benchmark. Tests do not count.
-PROGRAM = [*LIBRARY, *SCRIPTS, *sorted((ROOT / "perfbench").glob("*.py"))]
+PROGRAM = [*LIBRARY, *SCRIPTS, *BENCH]
 MODULES = {"dqc1sim", *(p.stem for p in LIBRARY)}
 
 
@@ -80,7 +81,7 @@ def _private_library_names(tree: ast.Module) -> list[str]:
     return private
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("script", [*SCRIPTS, *BENCH], ids=lambda p: p.name)
 def test_scripts_import_no_private_names(script):
     private = _private_library_names(ast.parse(script.read_text(), filename=str(script)))
     assert not private, f"{script.name} reaches private names {private}"

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from dqc1sim import (
     DensityMatrix,
     ReconstructionError,
-    TomographyRun,
     fidelity,
     output_state,
     pure_state,
@@ -17,6 +16,8 @@ from dqc1sim import (
     simulate_counts,
     z_theta,
 )
+from dqc1sim.cli import main
+from dqc1sim.serialize import density_to_json
 from dqc1sim.tomography import PROJECTORS, SETTING_LABELS, linear_estimate, psd_project
 
 from helpers import (
@@ -55,8 +56,7 @@ class TestSettings:
 class TestSimulateCounts:
     def test_logical_zero_projections(self):
         rho = pure_state([1, 0, 0, 0], (1, 1))
-        run = simulate_counts(rho, 500.0, 1)
-        by_label = dict(zip(run.to_json()["settings"], run.counts))
+        by_label = dict(zip(SETTING_LABELS, simulate_counts(rho, 500.0, 1)))
         for label in TOMO_LABELS:
             if setting_probability(rho.entries, label) == 0.0:
                 assert by_label[label] == 0  # orthogonal projectors never fire
@@ -66,7 +66,7 @@ class TestSimulateCounts:
         rho = DensityMatrix(np.eye(4) / 4, (1, 1))
         totals = np.zeros(36)
         for k in range(40):
-            totals += simulate_counts(rho, 400.0, k).counts
+            totals += simulate_counts(rho, 400.0, k)
         means = totals / 40
         # every projector overlaps I/4 with probability 1/4
         assert np.all(np.abs(means - 100.0) < 5 * np.sqrt(100.0 / 40) + 8)
@@ -76,15 +76,14 @@ class TestSimulateCounts:
         mean_counts = 2000.0
         oracle_mean = mean_counts * setting_probability(rho.entries, "x+z+")
         idx = SETTING_LABELS.index("x+z+")
-        draws = [simulate_counts(rho, mean_counts, k).counts[idx] for k in range(60)]
+        draws = [simulate_counts(rho, mean_counts, k)[idx] for k in range(60)]
         assert abs(np.mean(draws) - oracle_mean) < 5 * np.sqrt(oracle_mean / 60)
 
     def test_reproducible_per_seed(self):
         rho = bell_state()
         a = simulate_counts(rho, 1000.0, 42)
         b = simulate_counts(rho, 1000.0, 42)
-        assert np.array_equal(a.counts, b.counts)
-        assert a.seed == 42
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_mean(self):
         with pytest.raises(ValueError, match="mean_counts"):
@@ -103,11 +102,10 @@ class TestLinearEstimate:
     @pytest.mark.parametrize("pair", [a + b for a in "ZXY" for b in "ZXY"])
     def test_zero_signal_group_is_an_error(self, pair):
         # every basis pair of a Bell state carries 1/9 of the counts
-        run = noiseless_run(bell_state(), 100.0)
         counts = np.array([0.0 if (lab[0] + lab[2]).upper() == pair else c
-                           for lab, c in zip(TOMO_LABELS, run.counts)])
+                           for lab, c in zip(TOMO_LABELS, noiseless_run(bell_state(), 100.0))])
         with pytest.raises(ReconstructionError, match=f"^no signal in basis pair {pair}$"):
-            linear_estimate(TomographyRun(counts, 100.0))
+            linear_estimate(counts)
 
 
 class TestPsdProject:
@@ -156,15 +154,13 @@ class TestReconstruct:
     def test_bell_state_high_fidelity(self):
         good = 0
         for seed in range(100):
-            run = simulate_counts(bell_state(), 1e4, seed)
-            recon = reconstruct(run)
+            recon = reconstruct(simulate_counts(bell_state(), 1e4, seed))
             if fidelity(recon, bell_state()) >= 0.99:
                 good += 1
         assert good >= 95
 
     def test_output_is_valid_density_matrix(self):
-        run = simulate_counts(output_state(z_theta(1.0), 1.0), 300.0, 7)
-        recon = reconstruct(run)
+        recon = reconstruct(simulate_counts(output_state(z_theta(1.0), 1.0), 300.0, 7))
         assert recon.qubit_dims == (1, 1)  # construction enforces the invariants
 
     def test_error_scales_with_counts(self):
@@ -174,8 +170,8 @@ class TestReconstruct:
         def mean_error(mean_counts, tag):
             errs = []
             for k in range(40):
-                run = simulate_counts(rho, mean_counts, 1000 * tag + k)
-                errs.append(trace_distance(reconstruct(run).entries, rho.entries))
+                counts = simulate_counts(rho, mean_counts, 1000 * tag + k)
+                errs.append(trace_distance(reconstruct(counts).entries, rho.entries))
             return float(np.mean(errs))
 
         ratio = mean_error(1e3, 1) / mean_error(1e5, 2)
@@ -183,11 +179,17 @@ class TestReconstruct:
 
 
 class TestRunJson:
-    def test_round_trip(self):
-        # run -> JSON text -> the labels and integer counts that tomo writes
-        run = simulate_counts(bell_state(), 500.0, 9)
-        obj = json.loads(json.dumps(run.to_json()))
-        assert obj["mean"] == 500.0 and obj["seed"] == 9
-        assert obj["settings"] == list(TOMO_LABELS)
-        assert all(isinstance(c, int) for c in obj["counts"])
-        assert np.array_equal(obj["counts"], run.counts)
+    def test_round_trip(self, tmp_path):
+        # counts -> the run record tomo writes -> the same counts and reconstruction
+        out = tmp_path / "tomo.json"
+        assert main(["tomo", "--theta", "1.0", "--mean-counts", "500",
+                     "--seed", "9", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        run = report["run"]
+        assert run["mean"] == 500.0 and run["seed"] == 9
+        assert run["settings"] == list(TOMO_LABELS)
+        assert all(isinstance(c, int) for c in run["counts"])
+        counts = simulate_counts(output_state(z_theta(1.0), 1.0), 500.0, 9)
+        assert np.array_equal(run["counts"], counts)
+        recon = reconstruct(np.array(run["counts"], dtype=float))
+        assert json.loads(json.dumps(density_to_json(recon))) == report["reconstruction"]
