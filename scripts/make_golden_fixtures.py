@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the golden correlation fixtures under tests/fixtures/.
 
-Each fixture stores a two-qubit state, the package's correlation report at
-generation time (regression pin), and an independent brute-force grid value
-for the discord. The oracle here builds explicit projectors and uses
-closed-form 2x2 eigenvalues, sharing no code with the package optimizer.
+Each fixture stores a two-qubit state, the four pinned values of the
+package's correlation report at generation time (regression pin), and an
+independent brute-force grid value for the discord. The oracle here builds
+explicit projectors and uses closed-form 2x2 eigenvalues, sharing no code
+with the package optimizer.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from dqc1sim import DensityMatrix, correlation_report, output_state, pure_state,
 from dqc1sim.serialize import density_to_json
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
+
+# The report values tests/test_correlations.py pins at 1e-7; the fixture
+# stores these and nothing else of the report.
+PINNED = ("mutual_info", "discord_rc", "discord_cr", "tangle")
 
 GRID_POLAR = 800
 GRID_AZIMUTH = 1600
@@ -109,7 +114,8 @@ def fixture_states() -> dict[str, DensityMatrix]:
 def main() -> int:
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     for name, rho in fixture_states().items():
-        report = correlation_report(rho)
+        full = correlation_report(rho)
+        report = {key: full[key] for key in PINNED}
         fixture = {
             "name": name,
             "state": density_to_json(rho),

@@ -114,18 +114,23 @@ class SweepConfig:
 
 
 def sweep_point(config: SweepConfig, index: int) -> dict:
-    """All requested quantities for one theta grid point."""
+    """All requested quantities for one theta grid point. An error raised
+    at the point keeps its class and names the point's theta."""
     theta = float(config.thetas[index])
+    try:
+        return _point_row(config, index, theta)
+    except ValueError as exc:
+        raise type(exc)(f"at theta={theta!r}: {exc}") from None
+
+
+def _point_row(config: SweepConfig, index: int, theta: float) -> dict:
     u = z_theta(theta)
     x, y = exact_expectations(u, config.alpha)
-    try:
-        est = estimate_trace(
-            u, config.alpha, config.shots,
-            np.random.SeedSequence([config.seed, index]),
-            mode=config.mode,
-        )
-    except ValueError as exc:
-        raise ValueError(f"at theta={theta!r}: {exc}") from None
+    est = estimate_trace(
+        u, config.alpha, config.shots,
+        np.random.SeedSequence([config.seed, index]),
+        mode=config.mode,
+    )
     row = {
         "theta": theta,
         "alpha": config.alpha,

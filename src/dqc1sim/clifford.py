@@ -13,6 +13,7 @@ Conjugating a Hermitian Pauli by a Clifford keeps the phase in {+1, -1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -192,19 +193,15 @@ def _register_discord_certificate(rho: DensityMatrix, out: SignedPauliString) ->
     nonnegative for every measurement, the returned gap bounds the discord
     from above.
     """
-    n = out.n_qubits - 1
     h_c, h_r, h_cr = correlations._entropies(rho)
     info = h_c + h_r - h_cr
-    t = rho.entries.reshape(2, 2**n, 2, 2**n)
-    # Any basis diagonalizes I; use Z's.
-    eigenstates = [PAULI_EIGENSTATES["Z" if lab == "I" else lab] for lab in out.labels[1:]]
-    blocks = []
-    for k in range(2**n):
-        vec = np.array([1.0], dtype=complex)
-        for i, basis in enumerate(eigenstates):
-            vec = np.kron(vec, basis[(k >> (n - 1 - i)) & 1])
-        blocks.append(np.einsum("s,asbr,r->ab", vec.conj(), t, vec))
-    cond = correlations._weighted_entropy(np.linalg.eigvalsh(np.stack(blocks)))
+    t = rho.entries.reshape(2, rho.dim // 2, 2, rho.dim // 2)
+    # Row k is the product eigenvector of outcome k, register qubit 0
+    # slowest; any basis diagonalizes I, so I takes Z's.
+    basis = reduce(np.kron, [np.array(PAULI_EIGENSTATES["Z" if lab == "I" else lab])
+                             for lab in out.labels[1:]])
+    blocks = np.einsum("ks,asbr,kr->kab", basis.conj(), t, basis)
+    cond = correlations._weighted_entropy(np.linalg.eigvalsh(blocks))
     return info - (h_c - float(cond.sum()))
 
 

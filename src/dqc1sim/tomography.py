@@ -2,8 +2,9 @@
 
 Simulates the 36-setting over-complete measurement scheme (all products of
 the six single-qubit Pauli eigenstates) and reconstructs density matrices
-by linear least squares over the 16 two-qubit Pauli expectations followed
-by projection onto the physical (PSD, unit-trace) set.
+by least-squares inversion, in closed form, to the 16 two-qubit Pauli
+expectations followed by projection onto the physical (PSD, unit-trace)
+set.
 """
 
 from __future__ import annotations
@@ -36,23 +37,9 @@ def _projector(label: str) -> np.ndarray:
 PROJECTORS = np.array([_projector(lab) for lab in SETTING_LABELS])
 PROJECTORS.setflags(write=False)
 
-# The 15 unknown Pauli components s_ij (s_II = 1 is fixed by the trace).
-_UNKNOWNS = [i + j for i in "IXYZ" for j in "IXYZ" if i + j != "II"]
-_PAULI_PRODUCTS = [np.kron(PAULIS[i], PAULIS[j]) for i, j in _UNKNOWNS]
-
-
-def _design_row(label: str) -> np.ndarray:
-    """Coefficients of Tr(rho P) - 1/4 = (sa s_aI + sb s_Ib + sa sb s_ab) / 4."""
-    a, b = label[0].upper(), label[2].upper()
-    sa, sb = (1 if label[1] == "+" else -1), (1 if label[3] == "+" else -1)
-    row = np.zeros(len(_UNKNOWNS))
-    row[_UNKNOWNS.index(a + "I")] = sa / 4.0
-    row[_UNKNOWNS.index("I" + b)] = sb / 4.0
-    row[_UNKNOWNS.index(a + b)] = sa * sb / 4.0
-    return row
-
-
-_DESIGN = np.array([_design_row(lab) for lab in SETTING_LABELS])
+# I, then the Pauli axes in BASIS_LABELS order: Z, X, Y.
+_PAULI_STACK = np.array([PAULIS[c] for c in "IZXY"])
+_SIGNS = np.array([1.0, -1.0])
 
 
 def check_mean_counts(mean_counts: float) -> None:
@@ -82,29 +69,37 @@ def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> np.ndarray:
 def _group_probabilities(counts: np.ndarray) -> np.ndarray:
     """Counts -> probabilities, each normalized by the total of its basis
     pair (the four sign outcomes of one Pauli axis pair); a pair with no
-    counts at all is an error."""
-    # axes: (axis of qubit 0, sign of qubit 0, axis of qubit 1, sign of qubit 1)
+    counts at all is an error. Axes: (axis of qubit 0, sign of qubit 0,
+    axis of qubit 1, sign of qubit 1)."""
     groups = counts.reshape(3, 2, 3, 2)
     totals = groups.sum(axis=(1, 3), keepdims=True)
     empty = np.argwhere(totals[:, 0, :, 0] <= 0)
     if len(empty):
         a, b = empty[0]
         raise ReconstructionError(f"no signal in basis pair {'ZXY'[a]}{'ZXY'[b]}")
-    return (groups / totals).reshape(-1)
+    return groups / totals
 
 
 def linear_estimate(counts: np.ndarray) -> np.ndarray:
     """Least-squares inversion to the 16 Pauli expectations (no projection).
 
-    Returns the matrix (1/4) sum s_ij sigma_i (x) sigma_j with s_II fixed
-    at 1, exactly Hermitian: real coefficients times Hermitian Paulis,
+    Setting (a, sa, b, sb) has probability (1 + sa s_aI + sb s_Ib +
+    sa sb s_ab) / 4. Over each basis pair's four outcomes sa, sb and sa sb
+    sum to zero and are orthogonal, so the 36 x 15 design has orthogonal
+    columns and least squares decouples: s_ab = sum sa sb p over its one
+    pair, and s_aI (s_Ib) is the mean of sum sa p (sum sb p) over its three.
+
+    Returns (1/4) sum s_ij sigma_i (x) sigma_j with s_II = 1, exactly
+    Hermitian: real coefficients times Pauli entries in {0, +-1, +-i},
     summed in the same order on both sides of the diagonal. It may have
     small negative eigenvalues.
     """
-    sol = np.linalg.lstsq(_DESIGN, _group_probabilities(counts) - 0.25, rcond=None)[0]
-    rho = np.eye(4, dtype=complex)
-    for s_val, pauli in zip(sol, _PAULI_PRODUCTS):
-        rho += s_val * pauli
+    p = _group_probabilities(counts)
+    s = np.ones((4, 4))
+    s[1:, 1:] = np.einsum("s,r,asbr->ab", _SIGNS, _SIGNS, p)
+    s[1:, 0] = np.einsum("s,asbr->ab", _SIGNS, p).mean(axis=1)
+    s[0, 1:] = np.einsum("r,asbr->ab", _SIGNS, p).mean(axis=0)
+    rho = np.einsum("ij,ikl,jmn->kmln", s, _PAULI_STACK, _PAULI_STACK).reshape(4, 4)
     return rho / 4.0
 
 

@@ -110,6 +110,27 @@ def noiseless_run(rho: DensityMatrix, mean_counts: float = 1.0) -> np.ndarray:
     return mean_counts * np.array(probs)
 
 
+# The least-squares oracle's unknowns, the 15 Pauli products sigma_i (x)
+# sigma_j other than II, and its design: row |ab> holds <ab|P|ab> / 4.
+TOMO_PAULI_PRODUCTS = [np.kron(p, q) for p in (I2, PX, PY, PZ) for q in (I2, PX, PY, PZ)][1:]
+TOMO_DESIGN = np.array([
+    [np.real(ket.conj() @ p @ ket) / 4.0 for p in TOMO_PAULI_PRODUCTS]
+    for ket in (np.kron(TOMO_KETS[lab[:2]], TOMO_KETS[lab[2:]]) for lab in TOMO_LABELS)
+])
+
+
+def least_squares_estimate(counts) -> np.ndarray:
+    """Linear-inversion oracle: (1/4) sum s_ij sigma_i (x) sigma_j from
+    counts in TOMO_LABELS order, each normalized by the total of its basis
+    pair, with the 15 unknown s_ij (s_II = 1) solved by np.linalg.lstsq
+    over TOMO_DESIGN."""
+    pairs = [lab[0] + lab[2] for lab in TOMO_LABELS]
+    totals = {pair: sum(c for c, q in zip(counts, pairs) if q == pair) for pair in pairs}
+    probs = np.array([c / totals[q] for c, q in zip(counts, pairs)])
+    coef = np.linalg.lstsq(TOMO_DESIGN, probs - 0.25, rcond=None)[0]
+    return (np.eye(4) + sum(c * p for c, p in zip(coef, TOMO_PAULI_PRODUCTS))) / 4.0
+
+
 def bell_state() -> DensityMatrix:
     v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     return DensityMatrix(np.outer(v, v.conj()), (1, 1))

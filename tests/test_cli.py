@@ -496,6 +496,8 @@ class TestBadInputs:
         (["sweep", "--steps", "41", "--shots", "1", "--mode", "poisson"], "no counts recorded"),
         (["sweep", "--steps", "3", "--shots", "5", "--alpha", "0"],
          "alpha=0 leaves no pure fraction to sample with shots=5"),
+        (["sweep", "--steps", "3", "--outputs", "tomo", "--mean-counts", "0.001"],
+         "at theta=-3.141592653589793: no signal in basis pair ZZ"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"
@@ -505,7 +507,9 @@ class TestBadInputs:
         lines = err.splitlines()
         assert len(lines) == 1, err
         payload = json.loads(lines[0])
-        assert payload["error"] == "ValueError"
+        # a sweep point's error keeps its class: tomography raises the
+        # ValueError subclass ReconstructionError
+        assert payload["error"] == ("ReconstructionError" if "no signal" in needle else "ValueError")
         assert needle in payload["message"]
         assert not out.exists()
 

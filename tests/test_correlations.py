@@ -219,7 +219,8 @@ class TestGoldenFixtures:
         rho = density_from_json(fixture["state"])
         report = correlation_report(rho)
         stored = fixture["report"]
-        for key in ("mutual_info", "discord_rc", "discord_cr", "tangle"):
+        assert set(stored) == {"mutual_info", "discord_rc", "discord_cr", "tangle"}
+        for key in stored:
             assert report[key] == pytest.approx(stored[key], abs=1e-7), key
         oracle = fixture["oracle"]
         assert report["discord_rc"] == pytest.approx(oracle["discord_rc_grid"], abs=2e-4)

@@ -24,6 +24,7 @@ from helpers import (
     TOMO_KETS,
     TOMO_LABELS,
     bell_state,
+    least_squares_estimate,
     noiseless_run,
     random_density_matrix,
     setting_probability,
@@ -98,6 +99,25 @@ class TestLinearEstimate:
         rho = random_density_matrix(rng, (1, 1))
         estimate = linear_estimate(noiseless_run(rho, 1e4))
         assert np.max(np.abs(estimate - rho.entries)) < 1e-10
+
+    def test_least_squares_on_noisy_counts(self):
+        # noiseless counts fit every consistent inverse exactly; Poisson
+        # counts leave residuals, and only the least-squares solution
+        # matches the oracle's
+        rng = np.random.default_rng(115)
+        checked = 0
+        for k in range(400):
+            rho = (random_density_matrix(rng, (1, 1), rank=1 + k % 4) if k % 2 == 0
+                   else output_state(z_theta(rng.uniform(-np.pi, np.pi)), rng.uniform(0.0, 1.0)))
+            rates = noiseless_run(rho, 10.0 ** rng.uniform(0.0, 6.0))
+            counts = rng.poisson(np.clip(rates, 0.0, None)).astype(float)
+            try:
+                estimate = linear_estimate(counts)
+            except ReconstructionError:
+                continue  # a basis pair drew no counts
+            assert np.max(np.abs(estimate - least_squares_estimate(counts))) <= 1e-13
+            checked += 1
+        assert checked >= 300
 
     @pytest.mark.parametrize("pair", [a + b for a in "ZXY" for b in "ZXY"])
     def test_zero_signal_group_is_an_error(self, pair):
