@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlations import (
-    MEASURE_CONTROL, _discord_detail, _entropies, correlation_report, discord, tangle, concurrence,
+    MEASURE_CONTROL, correlation_report, discord, discords, tangle, concurrence,
 )
 from .clifford import circuit_from_json, verify_zero_discord
 from .dqc1 import exact_expectations, normalized_trace, output_state, z_theta
@@ -147,9 +147,8 @@ def _point_row(config: SweepConfig, index: int, theta: float) -> dict:
     if needs_state:
         rho = output_state(u, config.alpha)
         if "discord" in config.outputs:
-            entropies = _entropies(rho)
-            row["discord_rc"] = _discord_detail(rho, 0, entropies)[0]
-            row["discord_cr"] = _discord_detail(rho, 1, entropies)[0]
+            _, [(d_rc, _, _), (d_cr, _, _)] = discords(rho, (0, 1))
+            row["discord_rc"], row["discord_cr"] = d_rc, d_cr
         if "tangle" in config.outputs:
             row["tangle"] = tangle(rho)
         if "tomo" in config.outputs:

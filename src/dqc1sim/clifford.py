@@ -185,35 +185,16 @@ def _clifford_output_state(out: SignedPauliString) -> DensityMatrix:
     )
 
 
-def _register_discord_certificate(rho: DensityMatrix, out: SignedPauliString) -> float:
-    """Upper bound on the register-side discord via the diagonalizing basis.
-
-    Measuring the register in the product basis that diagonalizes the
-    propagated Pauli string attains J = I for these states; since I - J is
-    nonnegative for every measurement, the returned gap bounds the discord
-    from above.
-    """
-    h_c, h_r, h_cr = correlations._entropies(rho)
-    info = h_c + h_r - h_cr
-    t = rho.entries.reshape(2, rho.dim // 2, 2, rho.dim // 2)
-    # Row k is the product eigenvector of outcome k, register qubit 0
-    # slowest; any basis diagonalizes I, so I takes Z's.
-    basis = reduce(np.kron, [np.array(PAULI_EIGENSTATES["Z" if lab == "I" else lab])
-                             for lab in out.labels[1:]])
-    blocks = np.einsum("ks,asbr,kr->kab", basis.conj(), t, basis)
-    cond = correlations._weighted_entropy(np.linalg.eigvalsh(blocks))
-    return info - (h_c - float(cond.sum()))
-
-
 def verify_zero_discord(circuit: CliffordCircuit) -> dict:
     """Structural zero-discord report for a Clifford DQC1 circuit.
 
     Reports the propagated Pauli string and the per-qubit local rotations
     that diagonalize the output state in a product basis. For up to 4 qubits
     the output state is also built densely and both discords are checked
-    numerically: the control side by full minimization, the register side by
-    full minimization when the register is a single qubit and by the
-    diagonalizing-basis certificate otherwise.
+    numerically: with a one-qubit register, both by one correlations.discords
+    call; otherwise the control side by full minimization and the register
+    side by correlations.basis_discord in the product eigenbasis of the
+    propagated string, where J = I, so the gap bounds the discord from above.
     """
     out = propagate(circuit, SignedPauliString.z_on(0, circuit.n_qubits))
     rotations = []
@@ -237,12 +218,16 @@ def verify_zero_discord(circuit: CliffordCircuit) -> dict:
     }
     if 2 <= circuit.n_qubits <= 4:
         rho = _clifford_output_state(out)
-        d_control = correlations.discord(rho, correlations.MEASURE_CONTROL)
         if circuit.n_qubits == 2:
-            d_register = correlations.discord(rho, correlations.MEASURE_REGISTER)
+            _, [(d_control, _, _), (d_register, _, _)] = correlations.discords(rho, (0, 1))
             method = "full minimization"
         else:
-            d_register = _register_discord_certificate(rho, out)
+            d_control = correlations.discord(rho, correlations.MEASURE_CONTROL)
+            # Row k is the product eigenvector of outcome k, register qubit
+            # 0 slowest; any basis diagonalizes I, so I takes Z's.
+            basis = reduce(np.kron, [np.array(PAULI_EIGENSTATES["Z" if lab == "I" else lab])
+                                     for lab in out.labels[1:]])
+            d_register = correlations.basis_discord(rho, basis)
             method = "diagonalizing-basis certificate"
         report["dense_check"] = {
             "discord_measure_control": d_control,

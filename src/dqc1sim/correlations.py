@@ -348,14 +348,32 @@ def min_conditional_entropy(rho: DensityMatrix, measured: int):
     return value, _bloch_direction(n), len(vals) + evals
 
 
-def _discord_detail(rho: DensityMatrix, measured: int, entropies):
-    """Discord, minimising direction and evaluations for one measured side;
-    entropies is _entropies(rho), computed once per state by the caller."""
-    h_a, h_b, h_ab = entropies
+def discords(rho: DensityMatrix, measured) -> tuple[float, list]:
+    """Mutual information and, for each measured subsystem in measured (0
+    or 1, in that order), the tuple (discord, direction, evaluations) of
+    min_conditional_entropy's search. H(A), H(B) and H(AB) are computed
+    once for all sides."""
+    h_a, h_b, h_ab = _entropies(rho)
     info = h_a + h_b - h_ab
-    h_other = entropies[1 - measured]
-    h_min, direction, evals = min_conditional_entropy(rho, measured)
-    return info - (h_other - h_min), direction, evals
+    sides = []
+    for m in measured:
+        h_min, direction, evals = min_conditional_entropy(rho, m)
+        h_other = (h_a, h_b)[1 - m]
+        sides.append((info - (h_other - h_min), direction, evals))
+    return info, sides
+
+
+def basis_discord(rho: DensityMatrix, basis: np.ndarray) -> float:
+    """I - J for measuring subsystem 1 in the orthonormal basis whose rows
+    are basis: an upper bound on the discord of that side, since I - J is
+    nonnegative for every measurement and the discord is its minimum."""
+    h_a, h_b, h_ab = _entropies(rho)
+    info = h_a + h_b - h_ab
+    d0, d1 = rho.subsystem_dims
+    t = rho.entries.reshape(d0, d1, d0, d1)
+    blocks = np.einsum("ks,asbr,kr->kab", basis.conj(), t, basis)
+    cond = float(_weighted_entropy(np.linalg.eigvalsh(blocks)).sum())
+    return info - (h_a - cond)
 
 
 def discord(rho: DensityMatrix, direction: str) -> float:
@@ -372,7 +390,7 @@ def discord(rho: DensityMatrix, direction: str) -> float:
         raise ValueError(
             f"direction must be {MEASURE_CONTROL!r} or {MEASURE_REGISTER!r}, got {direction!r}"
         )
-    value, _, _ = _discord_detail(rho, measured, _entropies(rho))
+    _, [(value, _, _)] = discords(rho, (measured,))
     return value
 
 
@@ -401,17 +419,14 @@ def correlation_report(rho: DensityMatrix) -> dict:
     """
     if rho.qubit_dims != (1, 1):
         rho = repartition(rho, (1, 1))
-    entropies = _entropies(rho)
-    d_rc, direction, evals_c = _discord_detail(rho, 0, entropies)
-    d_cr, _, evals_r = _discord_detail(rho, 1, entropies)
+    info, [(d_rc, direction, evals_c), (d_cr, _, evals_r)] = discords(rho, (0, 1))
     tau = tangle(rho)
     if d_rc < -1e-9 or d_cr < -1e-9:
         raise ValueError("discord values must be >= -1e-9")
     if not -1e-9 <= tau <= 1.0 + 1e-9:
         raise ValueError(f"tangle must be in [0, 1], got {tau}")
-    h_a, h_b, h_ab = entropies
     return {
-        "mutual_info": h_a + h_b - h_ab,
+        "mutual_info": info,
         "discord_rc": d_rc,
         "discord_cr": d_cr,
         "tangle": tau,

@@ -97,8 +97,10 @@ def estimate_trace(u: UnitaryMatrix, alpha: float, shots: int, seed,
     The X and Y quadratures, of exact values alpha (Re, Im) Tr(U)/N, use
     independent shot streams spawned from the seed, an int or a
     SeedSequence, and the result is divided by alpha so it estimates the
-    trace itself. shots = 0 bypasses sampling and returns the exact value,
-    which needs no pure fraction, so alpha may then be 0.
+    trace itself, so with shots > 0 an alpha whose reciprocal overflows
+    (below about 5.56e-309) is an error. shots = 0 bypasses sampling and
+    returns the exact value, which needs no pure fraction, so alpha may then
+    be 0.
     """
     check_range("alpha", alpha, 0.0, 1.0)
     check_mode(mode)
@@ -107,6 +109,8 @@ def estimate_trace(u: UnitaryMatrix, alpha: float, shots: int, seed,
     if shots == 0:
         return trace
     _check_pure_fraction(alpha)
+    if 1.0 / alpha == math.inf:
+        raise ValueError(f"alpha={alpha} is too small to divide the estimate by: 1/alpha overflows")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
     gen_x, gen_y = (np.random.default_rng(c) for c in ss.spawn(2))
     x_est = _draw_quadrature(alpha * trace.real, shots, gen_x, mode)

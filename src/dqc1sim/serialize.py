@@ -25,23 +25,32 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _excerpt(value) -> str:
+    """The start of value as JSON, for an error message. A value read by
+    load_json can be too deep to encode from a deeper stack."""
+    try:
+        return json.dumps(value)[:40]
+    except RecursionError:
+        return "a value nested too deeply"
+
+
 def json_int(value, what: str) -> int:
     """value if the JSON held an integer there; the one type check of the
     sizes and indices read from a file (bool, float, null and string fail)."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {json.dumps(value)[:40]}")
+        raise ValueError(f"{what} must be an integer, got {_excerpt(value)}")
     return value
 
 
 def json_list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, got {json.dumps(value)[:40]}")
+        raise ValueError(f"{what} must be a list, got {_excerpt(value)}")
     return value
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
-        raise ValueError(f"matrix JSON must be an object, got {json.dumps(obj)[:40]}")
+        raise ValueError(f"matrix JSON must be an object, got {_excerpt(obj)}")
     for key in ("dim", "re", "im"):
         if key not in obj:
             raise ValueError(f"matrix JSON is missing key {key!r}")
@@ -85,5 +94,9 @@ def unitary_from_json(obj: dict) -> UnitaryMatrix:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"JSON file {str(path)!r} is nested too deeply") from None
 

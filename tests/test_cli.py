@@ -93,6 +93,27 @@ class TestSweep:
         endpoints = [r for r in rows if abs(abs(float(r["theta"])) - np.pi) < 1e-9]
         assert endpoints and all(float(r["discord_rc"]) < 1e-6 for r in endpoints)
 
+    def test_csv_floats_parse_back_exactly(self, tmp_path):
+        out = tmp_path / "corr.csv"
+        args = ["sweep", "--steps", 7, "--alpha", 0.997, "--shots", 300, "--seed", 4,
+                "--outputs", "discord,tangle,tomo", "--mean-counts", 3000]
+        assert run_cli([*args, "--out", out]) == 0
+        _, header, cells = read_csv(out)
+        rows = sweep_rows(SweepConfig(
+            theta_min=-np.pi, theta_max=np.pi, steps=7, alpha=0.997, shots=300, seed=4,
+            outputs=("discord", "tangle", "tomo"), mean_counts=3000.0))
+        assert len(cells) == len(rows)
+        floats = 0
+        for row, line in zip(rows, cells):
+            for column in header:
+                if isinstance(row[column], float):
+                    floats += 1
+                    # repr tells -0.0 from 0.0
+                    assert repr(float(line[column])) == repr(row[column]), column
+                else:
+                    assert line[column] == str(row[column]), column
+        assert floats == 7 * 14
+
     def test_sampled_sweep_deterministic(self, tmp_path):
         out1 = tmp_path / "s1.csv"
         out2 = tmp_path / "s2.csv"
@@ -291,7 +312,7 @@ class TestStateCommands:
 
     @pytest.mark.parametrize("name, bad, message", [
         ("tangle", lambda rho: 1.5, "tangle must be in [0, 1], got 1.5"),
-        ("_discord_detail", lambda rho, measured, entropies: (-1e-6, {}, 1),
+        ("discords", lambda rho, measured: (0.0, [(-1e-6, {}, 1)] * len(measured)),
          "discord values must be >= -1e-9"),
     ], ids=["tangle", "discord"])
     def test_discord_out_of_range_is_a_json_error(self, monkeypatch, capsys, name, bad, message):
@@ -433,6 +454,7 @@ class TestBadInputs:
         }
         for name, value in {**malformed, **valid}.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(value))
+        (tmp_path / "deep.json").write_text("[" * 10**5)
         return tmp_path
 
     @pytest.mark.filterwarnings("error")
@@ -498,6 +520,10 @@ class TestBadInputs:
          "alpha=0 leaves no pure fraction to sample with shots=5"),
         (["sweep", "--steps", "3", "--outputs", "tomo", "--mean-counts", "0.001"],
          "at theta=-3.141592653589793: no signal in basis pair ZZ"),
+        *[([command, "{dir}/deep.json"], "deep.json' is nested too deeply")
+          for command in ("discord", "tangle", "tomo", "trace", "verify-clifford")],
+        (["sweep", "--steps", "2", "--alpha", "1e-309", "--shots", "5"],
+         "at theta=-3.141592653589793: alpha=1e-309 is too small"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"
@@ -527,6 +553,22 @@ class TestBadInputs:
         assert json.loads(lines[0]) == {"error": "ValueError", "message": (
             f"{where}no counts recorded, cannot form a ratio: with shots=1 "
             "a Poisson quadrature is empty with probability e^-shots = 0.368")}
+
+    @pytest.mark.parametrize("command, slot", [
+        ("discord", "%s"),
+        ("verify-clifford", '{"n": %s, "gates": []}'),
+        ("tangle", '{"dim": %s, "re": [], "im": []}'),
+    ], ids=["discord", "verify-clifford", "tangle"])
+    def test_every_depth_near_the_recursion_limit(self, command, slot, tmp_path, capsys):
+        # Around the limit a file can parse and still be too deep for an
+        # error message to encode it from the deeper stack of the reader.
+        path = tmp_path / "deep.json"
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 200, limit + 10):
+            path.write_text(slot % ("[" * depth + "]" * depth))
+            assert run_cli([command, path]) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1, (depth, lines[-1])
 
     @pytest.mark.parametrize("args", [["--help"], ["sweep", "--help"]])
     def test_help_exits_zero(self, args, capsys):
@@ -565,14 +607,26 @@ _matrix_like = st.fixed_dictionaries(
 )
 
 
+# Text nested to a drawn depth, closed or not, in one of the places a
+# reader looks; the depths cluster at the recursion limit.
+_DEEP_SLOTS = ("%s", '{"n": %s, "gates": []}', '{"n": 2, "gates": [{"g": "H", "q": %s}]}',
+               '{"n": 2, "gates": [{"g": %s, "q": 0}]}', '{"dim": %s, "re": [], "im": []}',
+               '{"dim": 2, "re": %s, "im": [[0, 0], [0, 0]]}',
+               '{"dim": 1, "re": [[1]], "im": [[0]], "qubit_dims": [%s]}')
+_depth = (st.integers(1, 2 * sys.getrecursionlimit())
+          | st.integers(sys.getrecursionlimit() - 200, sys.getrecursionlimit()) | st.just(10**5))
+_deep_text = st.builds(lambda slot, depth, closed: slot % ("[" * depth + "]" * depth * closed),
+                       st.sampled_from(_DEEP_SLOTS), _depth, st.booleans())
+
+
 class TestJsonFuzz:
     @pytest.mark.parametrize("command", ["verify-clifford", "tangle", "trace"])
-    @given(value=st.one_of(_any_json, _circuit_like, _matrix_like))
+    @given(text=st.one_of(_any_json, _circuit_like, _matrix_like).map(json.dumps) | _deep_text)
     @settings(max_examples=60, deadline=None)
-    def test_report_or_one_json_error_line(self, command, value):
+    def test_report_or_one_json_error_line(self, command, text):
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "input.json", Path(tmp) / "out.json"
-            path.write_text(json.dumps(value))
+            path.write_text(text)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main([command, str(path), "--out", str(out)])
@@ -586,7 +640,7 @@ class TestJsonFuzz:
                 assert not out.exists()
 
 
-_LITERALS = ("nan", "inf", "-inf", "-1", "5e-324", "1e-200", "1e300",
+_LITERALS = ("nan", "inf", "-inf", "-1", "5e-324", "1e-309", "1e-200", "1e300",
              "99999999999999999999999", "abc")
 # Literals a quarter of the time; the rest are mostly in range, so that
 # reports are written too.

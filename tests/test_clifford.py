@@ -15,6 +15,8 @@ from dqc1sim import (
     verify_zero_discord,
 )
 from dqc1sim.clifford import GATE_ARITY, GATE_NAMES, circuit_from_json
+from dqc1sim.correlations import basis_discord
+from dqc1sim.qmath import PAULI_EIGENSTATES
 
 from helpers import GATE_ARITY as ORACLE_ARITY
 from helpers import (
@@ -245,13 +247,15 @@ class TestVerifyZeroDiscord:
     def test_register_certificate_agrees_with_full_minimization(self):
         # for 2-qubit outputs both register-side methods are available
         rng = np.random.default_rng(5)
-        from dqc1sim.clifford import _clifford_output_state, _register_discord_certificate
+        from dqc1sim.clifford import _clifford_output_state
 
         for _ in range(10):
             circuit = read_circuit(random_clifford_circuit(2, 12, rng))
             out = propagate(circuit, SignedPauliString.z_on(0, 2))
             rho = _clifford_output_state(out)
-            cert = _register_discord_certificate(rho, out)
+            # the eigenbasis of the register's label; any basis for I
+            register = out.labels[1]
+            cert = basis_discord(rho, np.array(PAULI_EIGENSTATES["Z" if register == "I" else register]))
             full = discord(rho, "measure_register")
             assert cert >= full - 1e-9
             assert cert < 1e-6

@@ -26,6 +26,7 @@ from dqc1sim import (
     z_theta,
 )
 from dqc1sim import correlations
+from dqc1sim.correlations import basis_discord, discords
 from dqc1sim.qmath import partial_trace
 from dqc1sim.serialize import density_from_json
 
@@ -274,15 +275,94 @@ class TestReportAndDirection:
             correlation_report(bell_state())
 
     def test_rejects_negative_discord(self, monkeypatch):
-        detail = correlations._discord_detail
+        inner = correlations.discords
 
-        def negative(rho, measured, entropies):
-            _, direction, evals = detail(rho, measured, entropies)
-            return -1e-6, direction, evals
+        def negative(rho, measured):
+            info, sides = inner(rho, measured)
+            return info, [(-1e-6, direction, evals) for _, direction, evals in sides]
 
-        monkeypatch.setattr(correlations, "_discord_detail", negative)
+        monkeypatch.setattr(correlations, "discords", negative)
         with pytest.raises(ValueError, match=r"^discord values must be >= -1e-9$"):
             correlation_report(bell_state())
+
+
+def werner_state(p: float) -> DensityMatrix:
+    return DensityMatrix(p * bell_state().entries + (1 - p) * np.eye(4) / 4, (1, 1))
+
+
+ORACLE_STATES = {
+    "bell": bell_state,
+    "werner": lambda: werner_state(0.6),
+    "z_theta_1.0": lambda: output_state(z_theta(1.0), 0.9),
+    "z_theta_-2.5": lambda: output_state(z_theta(-2.5), 0.997),
+    "z_theta_pi/2": lambda: output_state(z_theta(np.pi / 2), 1.0),
+}
+
+
+class TestDiscords:
+    @pytest.mark.parametrize("state", ORACLE_STATES.values(), ids=ORACLE_STATES)
+    def test_agrees_with_discord_and_report(self, state):
+        rho = state()
+        info, [(d_rc, direction, evals_c), (d_cr, _, evals_r)] = discords(rho, (0, 1))
+        assert d_rc == discord(rho, MEASURE_CONTROL)
+        assert d_cr == discord(rho, MEASURE_REGISTER)
+        report = correlation_report(rho)
+        assert report["mutual_info"] == info
+        assert report["discord_rc"] == d_rc
+        assert report["discord_cr"] == d_cr
+        assert report["argmin_direction"] == direction
+        assert report["optimizer_evals"] == evals_c + evals_r
+
+    def test_sides_follow_the_order_asked(self):
+        rho = ORACLE_STATES["werner"]()
+        info, sides = discords(rho, (0, 1))
+        assert discords(rho, (1, 0)) == (info, sides[::-1])
+        assert discords(rho, ()) == (info, [])
+
+    def test_one_call_computes_three_entropies(self, monkeypatch):
+        calls = []
+
+        def counted(rho):
+            calls.append(rho.qubit_dims)
+            return vn_entropy(rho)
+
+        monkeypatch.setattr(correlations, "vn_entropy", counted)
+        discords(output_state(z_theta(1.0), 0.9), (0, 1))
+        assert sorted(calls) == [(1,), (1,), (1, 1)]
+
+    def test_rejects_a_bad_side(self):
+        with pytest.raises(ValueError, match="must be 0 or 1, got 2"):
+            discords(bell_state(), (0, 2))
+
+
+class TestBasisDiscord:
+    def test_classical_mixture_closed_form(self):
+        # I = 1; the Z basis reads the correlation out (J = 1), the X basis
+        # leaves the control maximally mixed (J = 0)
+        z_basis = np.eye(2)
+        x_basis = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        assert basis_discord(classical_mixture(), z_basis) == pytest.approx(0.0, abs=1e-12)
+        assert basis_discord(classical_mixture(), x_basis) == pytest.approx(1.0, abs=1e-12)
+
+    @given(seed=seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_zero_in_the_basis_of_a_classical_quantum_state(self, seed):
+        # (|0><0| (x) |u0><u0| + |1><1| (x) |u1><u1|) / 2 with u_k the rows
+        # of a random unitary: measuring the register in that basis reads
+        # the control out
+        rng = np.random.default_rng(seed)
+        basis = random_unitary(rng, 2)
+        rho = DensityMatrix(sum(
+            np.kron(np.diag(np.eye(2)[k]), np.outer(basis[k], basis[k].conj())) for k in range(2)
+        ) / 2, (1, 1))
+        assert basis_discord(rho, basis) == pytest.approx(0.0, abs=1e-9)
+
+    @given(seed=seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_bounds_the_register_discord(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(rng, (1, 1))
+        assert basis_discord(rho, random_unitary(rng, 2)) >= discord(rho, MEASURE_REGISTER) - 1e-9
 
 
 class TestMinimiserContract:

@@ -167,6 +167,17 @@ class TestEstimateTrace:
         # the exact value needs no pure fraction
         assert estimate_trace(z_theta(0.0), 0.0, 0, 0) == 1 + 0j
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-309, 5.56e-309])
+    def test_alpha_with_an_overflowing_reciprocal(self, alpha):
+        with pytest.raises(ValueError, match=f"^alpha={alpha} is too small"):
+            estimate_trace(z_theta(1.0), alpha, 100, 0)
+        assert estimate_trace(z_theta(1.0), alpha, 0, 0) == estimate_trace(z_theta(1.0), 1.0, 0, 0)
+
+    def test_smallest_alpha_with_a_finite_reciprocal(self):
+        alpha = np.nextafter(1.0 / np.finfo(float).max, 1.0)
+        est = estimate_trace(z_theta(0.0), float(alpha), 100, 0)
+        assert math.isfinite(est.real) and math.isfinite(est.imag)
+
     @pytest.mark.parametrize("shots", [0, 100])
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan, math.inf])
     def test_alpha_out_of_range(self, alpha, shots):

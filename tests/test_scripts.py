@@ -52,17 +52,24 @@ def test_reproduce_discord_tangle(flags, tmp_path):
 
 def _private_library_names(tree: ast.Module) -> list[str]:
     """The _-prefixed names a file takes from dqc1sim: imported with
-    ``from dqc1sim... import _name``, or read off a dqc1sim module, as in
-    ``qmath._name``, ``dqc1sim.qmath._name`` or ``getattr(qmath, "_name")``."""
+    ``from dqc1sim... import _name`` or, inside the package, ``from .qmath
+    import _name`` (reported as ``dqc1sim.qmath._name``), or read off a
+    dqc1sim module, as in ``qmath._name``, ``dqc1sim.qmath._name`` or
+    ``getattr(qmath, "_name")``, where the module may come from ``from .
+    import qmath``."""
     modules, private = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules |= {alias.asname or "dqc1sim" for alias in node.names
                         if alias.name.partition(".")[0] == "dqc1sim"}
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dqc1sim"):
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("dqc1sim")):
+            module = node.module or ""
+            if node.level:  # the package has no subpackages
+                module = f"dqc1sim.{module}".rstrip(".")
             for alias in node.names:
                 if alias.name.startswith("_"):
-                    private.append(f"{node.module}.{alias.name}")
+                    private.append(f"{module}.{alias.name}")
                 elif alias.name in MODULES:
                     modules.add(alias.asname or alias.name)
 
@@ -95,9 +102,26 @@ def test_scripts_import_no_private_names(script):
     ("from dqc1sim import clifford\ngetattr(clifford, '_GATES')",
      ["getattr(clifford, '_GATES')"]),
     ("from dqc1sim import qmath as q\nq.PAULIS\nrng._bit_generator\nnp._core", []),
+    ("from .qmath import _trusted_state, pure_state", ["dqc1sim.qmath._trusted_state"]),
+    ("from . import _version", ["dqc1sim._version"]),
+    ("from . import correlations\ncorrelations._entropies(rho)", ["correlations._entropies"]),
+    ("from . import correlations as c\ngetattr(c, '_PAULIS')", ["getattr(c, '_PAULIS')"]),
+    ("from .correlations import discords\nfrom . import qmath\nqmath.PAULIS", []),
 ])
 def test_private_name_finder(source, found):
     assert _private_library_names(ast.parse(source)) == found
+
+
+# The one private name the package's modules share: the constructor that
+# builders of states valid by construction use to skip DensityMatrix's
+# checks (see the qmath module docstring).
+PACKAGE_INTERNAL = {"dqc1sim.qmath._trusted_state"}
+
+
+@pytest.mark.parametrize("module", LIBRARY, ids=lambda p: p.name)
+def test_library_modules_read_no_other_private_names(module):
+    private = _private_library_names(ast.parse(module.read_text(), filename=str(module)))
+    assert not set(private) - PACKAGE_INTERNAL, f"{module.name} reaches private names {private}"
 
 
 def _public_definitions(tree: ast.Module) -> list[str]:

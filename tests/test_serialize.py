@@ -6,6 +6,7 @@ from dqc1sim import DensityMatrix, output_state, z_theta
 from dqc1sim.serialize import (
     density_from_json,
     density_to_json,
+    json_int,
     load_json,
     matrix_from_json,
     matrix_to_json,
@@ -76,3 +77,15 @@ def test_save_and_load(tmp_path):
     rho = DensityMatrix(np.eye(4) / 4, (1, 1))
     save_json(path, density_to_json(rho))
     assert_allclose(density_from_json(load_json(path)).entries, rho.entries)
+
+
+def test_too_deep_a_value_is_named_in_one_line(tmp_path):
+    deep = []
+    for _ in range(10**5):
+        deep = [deep]
+    with pytest.raises(ValueError, match="^n must be an integer, got a value nested too deeply$"):
+        json_int(deep, "n")
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5)
+    with pytest.raises(ValueError, match=r"^JSON file '.*deep\.json' is nested too deeply$"):
+        load_json(path)
