@@ -30,6 +30,24 @@ built to make few calls: the first grid is coarse, and each zoom round
 evaluates its grid together with the previous round's model point, in one
 call. A rank 3 or rank 2 search makes at most 8 calls.
 
+The search runs on a stack of states with the same qubit_dims
+(stack_discords, stack_min_conditional_entropy), so that this fixed cost is
+paid once per stack rather than once per state: the states are grouped by
+rank, each first grid and each zoom round is one objective call for the
+whole group, and each state's scalar bookkeeping (its tangent frame,
+quadratic fit and strict-improvement update) runs in Python floats. Every
+state goes through exactly the search it would get alone, to the bit: the
+same directions, the same strict-improvement and model-point rules, and the
+same evaluation count, so the counts per state are those of a one-state
+search. A state whose fitted quadratic has no minimum in a round where
+others in its group have one gets a padding candidate in that call, which
+is neither counted nor chosen. discords, discord, min_conditional_entropy
+and correlation_report are the one-state case. H(A), H(B) and H(AB) come
+from batched eigvalsh. A stack is cut into chunks of stack_chunk(dim)
+states, as many as keep one hemisphere grid's conditional blocks within
+BLOCK_CHUNK_BYTES (1024 two-qubit states), so memory stays bounded for any
+stack size.
+
 A DQC1 output has equal diagonal blocks, so K_z = 0 and the control side
 has rank at most 2 (the optimum lies on the equator); it is classical on
 the register, so with a one-qubit register the register side has rank 1.
@@ -52,12 +70,14 @@ from .qmath import (
     SIGMA_Z,
     partial_trace,
     repartition,
+    spectrum_entropy,
     vn_entropy,
 )
 
 _PAULIS = np.stack([np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z])  # I, X, Y, Z
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 _SMALLEST_DOUBLE = np.nextafter(0.0, 1.0)
+_SIGN = np.array([1.0, -1.0])  # outcomes +n and -n
 
 MEASURE_CONTROL = "measure_control"
 MEASURE_REGISTER = "measure_register"
@@ -74,21 +94,48 @@ AXIS_RANK_RTOL = 1e-13
 BLOCK_CHUNK_BYTES = 1 << 24
 
 
-def _check_bipartite(rho: DensityMatrix) -> None:
-    if len(rho.qubit_dims) != 2:
-        raise ValueError(
-            f"state is not bipartite: qubit_dims = {rho.qubit_dims}"
-        )
+def _stacked(states) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The entries (S, D, D) and the common qubit_dims of a nonempty
+    sequence of states."""
+    if not states:
+        raise ValueError("a stack needs at least one state")
+    dims = states[0].qubit_dims
+    for rho in states:
+        if rho.qubit_dims != dims:
+            raise ValueError(
+                f"stacked states must share qubit_dims: {dims} and {rho.qubit_dims}"
+            )
+    return np.array([rho.entries for rho in states]), dims
 
 
-def _entropies(rho: DensityMatrix) -> tuple[float, float, float]:
-    """H(A), H(B) and H(AB) in bits of a bipartite state."""
-    _check_bipartite(rho)
-    return (
-        vn_entropy(partial_trace(rho, 0)),
-        vn_entropy(partial_trace(rho, 1)),
-        vn_entropy(rho),
-    )
+def _check_bipartite(qubit_dims) -> None:
+    if len(qubit_dims) != 2:
+        raise ValueError(f"state is not bipartite: qubit_dims = {qubit_dims}")
+
+
+def _check_measured(qubit_dims, measured) -> None:
+    if measured not in (0, 1):
+        raise ValueError(f"measured subsystem index must be 0 or 1, got {measured}")
+    if qubit_dims[measured] != 1:
+        raise ValueError("measured subsystem must be a single qubit")
+
+
+def stack_chunk(dim: int) -> int:
+    """How many dim x dim bipartite states one stacked search holds at a
+    time: as many as keep the conditional blocks of one hemisphere grid (two
+    complex blocks per direction, on a partner of dimension dim / 2) within
+    BLOCK_CHUNK_BYTES."""
+    block_bytes = len(_HEMISPHERE) * 2 * (dim // 2) ** 2 * 16
+    return max(1, BLOCK_CHUNK_BYTES // block_bytes)
+
+
+def _entropies(entries: np.ndarray, subsystem_dims) -> tuple:
+    """H(A), H(B) and H(AB) in bits of each bipartite state in a stack."""
+    d0, d1 = subsystem_dims
+    t = entries.reshape(-1, d0, d1, d0, d1)
+    reduced_a = np.trace(t, axis1=2, axis2=4)
+    reduced_b = np.trace(t, axis1=1, axis2=3)
+    return tuple(spectrum_entropy(np.linalg.eigvalsh(m)) for m in (reduced_a, reduced_b, entries))
 
 
 def _weighted_entropy(mu: np.ndarray) -> np.ndarray:
@@ -105,18 +152,19 @@ def _weighted_entropy(mu: np.ndarray) -> np.ndarray:
     return -(mu * logs).sum(axis=-1)
 
 
-def _measurement_blocks(rho: DensityMatrix, measured: int):
+def _measurement_blocks(entries: np.ndarray, subsystem_dims, measured: int):
     """Reduce the conditional-state computation to B(n) = (R + n.K)/2.
 
     For a projector (I + n.sigma)/2 on the measured qubit, the unnormalized
     conditional state of the other side is (R + sum_k n_k K_k)/2 with R the
-    reduced other-side state and K_k fixed Hermitian matrices.
+    reduced other-side state and K_k fixed Hermitian matrices. Returns R
+    (S, d, d) and K (S, 3, d, d) for each state of the stack entries.
     """
-    d0, d1 = rho.subsystem_dims
-    t = rho.entries.reshape(d0, d1, d0, d1)
+    d0, d1 = subsystem_dims
+    t = entries.reshape(-1, d0, d1, d0, d1)
     if measured == 0:
-        return np.einsum("iaib->ab", t), np.einsum("kij,jaib->kab", _PAULIS[1:], t)
-    return np.einsum("arbr->ab", t), np.einsum("krs,asbr->kab", _PAULIS[1:], t)
+        return np.einsum("niaib->nab", t), np.einsum("kij,njaib->nkab", _PAULIS[1:], t)
+    return np.einsum("narbr->nab", t), np.einsum("krs,nasbr->nkab", _PAULIS[1:], t)
 
 
 def _hemisphere_grid() -> np.ndarray:
@@ -155,23 +203,33 @@ _CIRCLE_ZOOM = _zoom_stencil(1)
 
 
 # Both spectra builders take the blocks of _measurement_blocks and return a
-# function from directions (G, 3) to the eigenvalues (G, 2, d) of the
-# conditional blocks (R + n.K)/2 and (R - n.K)/2.
+# function from directions (S, G, 3), G per state, to the eigenvalues
+# (S, G, 2, d) of the conditional blocks (R + n.K)/2 and (R - n.K)/2.
 
 def _qubit_spectra(r: np.ndarray, k: np.ndarray):
     """Closed form for 2x2 blocks: X = (tr X I + x.sigma)/2 with
     x_j = tr(X sigma_j) has eigenvalues (tr X +- |x|)/2."""
     # Rows (tr X, x) of R, K_x, K_y and K_z, over 4: exact, and it saves a
     # division per call.
-    coef = (np.einsum("jab,mba->mj", _PAULIS, np.concatenate([r[None], k])) / 4.0).real
-    tr_r, vec_r, tr_k, vec_k = coef[0, 0], coef[0, 1:], coef[1:, 0], coef[1:, 1:]
-    sign = np.array([1.0, -1.0])  # outcomes +n and -n
+    coef = (np.einsum("jab,nmba->nmj", _PAULIS, np.concatenate([r[:, None], k], axis=1)) / 4.0).real
+    tr_r, vec_r = coef[:, 0, 0, None, None], coef[:, 0, None, 1:]
+    tr_k, vec_k = coef[:, 1:, :1], coef[:, 1:, 1:]
 
+    # vec (outcomes +n, -n) and mu (eigenvalues tr - rad, tr + rad) are
+    # written as a + b and a - b into the halves of one array: to the bit
+    # what adding a sign array times b gives, and cheaper than broadcasting
+    # one over these larger arrays.
     def spectra(nvec: np.ndarray) -> np.ndarray:
-        tr = tr_r + (nvec @ tr_k)[:, None] * sign
-        vec = vec_r + (nvec @ vec_k)[:, None] * sign[:, None]
+        tr = tr_r + (nvec @ tr_k) * _SIGN
+        b = nvec @ vec_k
+        vec = np.empty(b.shape[:2] + (2, 3))
+        np.add(vec_r, b, out=vec[:, :, 0])
+        np.subtract(vec_r, b, out=vec[:, :, 1])
         rad = np.sqrt((vec * vec).sum(axis=-1))
-        return tr[..., None] - rad[..., None] * sign  # ascending: tr - rad, tr + rad
+        mu = np.empty(tr.shape + (2,))  # ascending: tr - rad, tr + rad
+        np.subtract(tr, rad, out=mu[..., 0])
+        np.add(tr, rad, out=mu[..., 1])
+        return mu
 
     return spectra
 
@@ -179,46 +237,60 @@ def _qubit_spectra(r: np.ndarray, k: np.ndarray):
 def _dense_spectra(r: np.ndarray, k: np.ndarray):
     """Batched eigvalsh, in chunks of directions whose stacked blocks fit in
     BLOCK_CHUNK_BYTES, so memory stays bounded for any register size."""
-    d = r.shape[0]
-    chunk = max(1, BLOCK_CHUNK_BYTES // (2 * d * d * r.itemsize))
+    d = r.shape[-1]
+    chunk = max(1, BLOCK_CHUNK_BYTES // (len(r) * 2 * d * d * r.itemsize))
+    r = r[:, None]
 
     def spectra(nvec: np.ndarray) -> np.ndarray:
-        mu = np.empty((len(nvec), 2, d))
-        for start in range(0, len(nvec), chunk):
-            m = np.einsum("gk,kab->gab", nvec[start:start + chunk], k)
-            mu[start:start + chunk] = np.linalg.eigvalsh(
-                np.stack([(r + m) / 2.0, (r - m) / 2.0], axis=1)
+        mu = np.empty(nvec.shape[:2] + (2, d))
+        for start in range(0, nvec.shape[1], chunk):
+            m = np.einsum("ngk,nkab->ngab", nvec[:, start:start + chunk], k)
+            mu[:, start:start + chunk] = np.linalg.eigvalsh(
+                np.stack([(r + m) / 2.0, (r - m) / 2.0], axis=2)
             )
         return mu
 
     return spectra
 
 
-def _tangent_frame(n: np.ndarray) -> np.ndarray:
+def _tangent_frame(n) -> list:
     """Rows: the unit polar and azimuth directions at the unit vector n.
 
     Both are defined at the poles too (with azimuth 0 there), so the zoom
-    has no coordinate singularity.
+    has no coordinate singularity. Scalar math, whose rounding numpy's
+    vectorised acos and atan2 do not all share.
     """
     polar = math.acos(max(-1.0, min(1.0, float(n[2]))))
     azimuth = math.atan2(float(n[1]), float(n[0]))
     cp, sp = math.cos(polar), math.sin(polar)
     ca, sa = math.cos(azimuth), math.sin(azimuth)
-    return np.array([[cp * ca, cp * sa, -sp], [-sa, ca, 0.0]])
+    return [[cp * ca, cp * sa, -sp], [-sa, ca, 0.0]]
+
+
+def _tangent_frames(n: np.ndarray) -> np.ndarray:
+    return np.array([_tangent_frame(v) for v in n.tolist()])
 
 
 def _model_minimum(fit: np.ndarray, vals: np.ndarray):
-    """Minimum of the least-squares quadratic through the zoom-grid values,
-    in units of the window half-width, or None if the fit has no minimum
-    (its Hessian is not positive definite). Solved in closed form."""
-    c = (fit @ vals).tolist()
-    if len(c) == 3:  # c0 + c1 u + c2 u^2
-        return np.array([-c[1] / (2.0 * c[2])]) if c[2] > 0.0 else None
-    _, c1, c2, c3, c4, c5 = c  # Hessian [[2 c3, c4], [c4, 2 c5]]
-    det = 4.0 * c3 * c5 - c4 * c4
-    if not (c3 > 0.0 and det > 0.0):
-        return None
-    return np.array([(c4 * c2 - 2.0 * c5 * c1) / det, (c4 * c1 - 2.0 * c3 * c2) / det])
+    """Minimum of the least-squares quadratic through each state's zoom-grid
+    values (S, P), in units of the window half-width, and a list of whether
+    each fit has one (its Hessian is positive definite). Solved in closed
+    form, per state in Python floats, which cost less than numpy's fixed
+    cost per operation on a few states; the step of a fit without a minimum
+    is 0."""
+    steps, found = [], []
+    for c in (fit @ vals[:, :, None])[:, :, 0].tolist():
+        if len(c) == 3:  # c0 + c1 u + c2 u^2
+            ok = c[2] > 0.0
+            steps.append([-c[1] / (2.0 * c[2])] if ok else [0.0])
+        else:
+            _, c1, c2, c3, c4, c5 = c  # Hessian [[2 c3, c4], [c4, 2 c5]]
+            det = 4.0 * c3 * c5 - c4 * c4
+            ok = c3 > 0.0 and det > 0.0
+            steps.append([(c4 * c2 - 2.0 * c5 * c1) / det, (c4 * c1 - 2.0 * c3 * c2) / det]
+                         if ok else [0.0, 0.0])
+        found.append(ok)
+    return np.array(steps), found
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -226,48 +298,64 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 
 
 def _zoom(objective, n, value, frame_of, stencil, half):
-    """ZOOM_ROUNDS of local grid zoom from the direction n of value value.
+    """ZOOM_ROUNDS of local grid zoom from the directions n (S, 3) of values
+    value (S,), one per state.
 
     Each round evaluates the stencil's grid along the tangent directions
-    frame_of(n) (rows) at the best direction known, spanning +-half, so the
-    step shrinks (ZOOM_POINTS - 1)/2 times per round. The grid alone can
+    frame_of(n) (S, dim, 3) at the best direction known, spanning +-half, so
+    the step shrinks (ZOOM_POINTS - 1)/2 times per round. The grid alone can
     lose the minimum of a narrow valley that runs across it (near the
     Clifford points, or any state under a local rotation), so each round
     also tries the minimum of the quadratic fitted to its grid values. That
     model point is evaluated in the next round's call, stacked after its
     grid, and the last one in a call of its own: one objective call per
-    round, plus one. Returns the best direction, its value and the
-    evaluations made.
+    round, plus one. A state whose fit has no minimum evaluates its grid
+    centre there instead, as padding that is neither counted nor chosen; a
+    call where no state has a model point has no such column.
+    The objective calls run on the whole stack; the strict-improvement
+    update runs state by state in Python, which costs less than numpy's
+    fixed cost per operation unless the stack is large. Returns the best
+    directions, their values and the evaluations made.
     """
     offsets, fit = stencil
-    no_model = np.empty((0, len(n)))
-    evals, model = 0, no_model
+    n, value = n.copy(), value.tolist()
+    counted = []  # the model flags of each call that had a model column
+    model = None
     for _ in range(ZOOM_ROUNDS):
         frame = frame_of(n)
-        cand = np.concatenate([_unit_rows(n + half * (offsets @ frame)), model])
+        cand = n[:, None] + half * (offsets @ frame)
+        if model is not None:
+            cand = np.concatenate([cand, model[:, None]], axis=1)
+        cand = _unit_rows(cand)  # the model point too, row by row
         vals = objective(cand)
-        evals += len(vals)
-        step = _model_minimum(fit, vals[:len(offsets)])
-        model = no_model if step is None else _unit_rows(n + half * (step @ frame))[None]
-        best = int(np.argmin(vals))
-        if vals[best] < value:
-            n, value = cand[best], float(vals[best])
+        if model is not None:
+            counted.append(found)
+            if not all(found):
+                vals[[i for i, f in enumerate(found) if not f], -1] = np.inf
+        step, found = _model_minimum(fit, vals[:, :len(offsets)])
+        model = n + half * (step[:, None] @ frame)[:, 0] if any(found) else None
+        for i, best in enumerate(vals.argmin(axis=1).tolist()):
+            if vals[i, best] < value[i]:
+                n[i], value[i] = cand[i, best], vals[i, best]
         half *= 2.0 / (ZOOM_POINTS - 1)
-    if len(model):
-        last = float(objective(model)[0])
-        evals += 1
-        if last < value:
-            n, value = model[0], last
-    return n, value, evals
+    if model is not None:
+        counted.append(found)
+        model = _unit_rows(model)
+        last = objective(model[:, None])[:, 0]
+        for i, f in enumerate(found):
+            if f and last[i] < value[i]:
+                n[i], value[i] = model[i], last[i]
+    model_evals = [sum(flags) for flags in zip(*counted)] if counted else [0] * len(n)
+    return n, np.array(value), ZOOM_ROUNDS * len(offsets) + np.array(model_evals)
 
 
 def _axis_rank(k: np.ndarray):
-    """Rank of the three K matrices as real vectors, and the left singular
-    vectors (columns, largest singular value first) of the real 3 x 2d^2
-    matrix of their real and imaginary parts, whose first rank columns span
-    the axes the conditional blocks depend on."""
-    u, s, _ = np.linalg.svd(k.reshape(3, -1).view(np.float64), full_matrices=False)
-    return int(np.count_nonzero(s > AXIS_RANK_RTOL * s[0])), u
+    """Rank of each state's three K matrices as real vectors (a list), and
+    the left singular vectors (columns, largest singular value first) of the
+    real 3 x 2d^2 matrix of their real and imaginary parts, whose first rank
+    columns span the axes the conditional blocks depend on."""
+    u, s, _ = np.linalg.svd(k.reshape(len(k), 3, -1).view(np.float64), full_matrices=False)
+    return [sum(v > AXIS_RANK_RTOL * row[0] for v in row) for row in s.tolist()], u
 
 
 _CIRCLE_PHI = np.arange(CIRCLE_POINTS)[:, None] * (np.pi / CIRCLE_POINTS)
@@ -275,9 +363,9 @@ _CIRCLE_COS, _CIRCLE_SIN = np.cos(_CIRCLE_PHI), np.sin(_CIRCLE_PHI)
 
 
 def _circle_grid(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """CIRCLE_POINTS directions on the half great circle from e1 towards e2
-    (n and -n give the same measurement)."""
-    return _CIRCLE_COS * e1 + _CIRCLE_SIN * e2
+    """CIRCLE_POINTS directions on each half great circle from e1 towards
+    e2 (S, 3) (n and -n give the same measurement)."""
+    return _CIRCLE_COS * e1[:, None] + _CIRCLE_SIN * e2[:, None]
 
 
 def _bloch_direction(n: np.ndarray) -> dict:
@@ -290,6 +378,73 @@ def _bloch_direction(n: np.ndarray) -> dict:
     if azimuth >= 2.0 * np.pi:  # float modulo can round up to the period
         azimuth = 0.0
     return {"polar": polar, "azimuth": azimuth}
+
+
+def _rank_search(r, k, axes, rank):
+    """The search of one rank group: blocks r (S, d, d) and k (S, 3, d, d),
+    the left singular vectors axes (S, 3, 3) of _axis_rank. Returns the
+    minima, their unit axes and the evaluations, per state."""
+    spectra = (_qubit_spectra if r.shape[-1] == 2 else _dense_spectra)(r, k)
+
+    def objective(nvec: np.ndarray) -> np.ndarray:
+        s, g = nvec.shape[:2]
+        mu = spectra(nvec)
+        return _weighted_entropy(mu.reshape(s * g, 2, -1)).sum(axis=1).reshape(s, g)
+
+    if rank <= 1:
+        n = axes[:, :, 0]
+        return objective(n[:, None])[:, 0], n, np.ones(len(n), dtype=int)
+    if rank == 2:
+        e1, e2 = axes[:, :, 0], axes[:, :, 1]
+        grid = _circle_grid(e1, e2)
+        # a quarter turn in each state's plane
+        turn = e2[:, :, None] * e1[:, None, :] - e1[:, :, None] * e2[:, None, :]
+
+        def frame_of(n: np.ndarray) -> np.ndarray:
+            return (turn @ n[:, :, None]).reshape(-1, 1, 3)
+
+        stencil, half = _CIRCLE_ZOOM, np.pi / CIRCLE_POINTS
+    else:
+        grid = np.broadcast_to(_HEMISPHERE, (len(r),) + _HEMISPHERE.shape)
+        frame_of, stencil, half = _tangent_frames, _SPHERE_ZOOM, _COARSE_STEP
+    vals = objective(grid)
+    best = vals.argmin(axis=1)
+    rows = np.arange(len(r))
+    n, value, evals = _zoom(objective, grid[rows, best], vals[rows, best], frame_of, stencil, half)
+    return value, n, evals + grid.shape[1]
+
+
+def _search(entries: np.ndarray, subsystem_dims, measured: int):
+    """Hmin, its unit axis and the evaluations for each state of the stack
+    entries, chunk by chunk and, within a chunk, one rank group at a time."""
+    parts = []
+    per = stack_chunk(entries.shape[-1])
+    for start in range(0, len(entries), per):
+        r, k = _measurement_blocks(entries[start:start + per], subsystem_dims, measured)
+        rank, axes = _axis_rank(k)
+        ranks = [max(g, 1) for g in rank]  # rank 0 has one axis too
+        for g in sorted(set(ranks)):
+            members = [i for i, h in enumerate(ranks) if h == g]
+            sel = slice(None) if len(members) == len(ranks) else members
+            parts.append(([start + i for i in members], _rank_search(r[sel], k[sel], axes[sel], g)))
+    if len(parts) == 1:
+        return parts[0][1]
+    values, axes_out = np.empty(len(entries)), np.empty((len(entries), 3))
+    evals = np.empty(len(entries), dtype=int)
+    for out, (v, a, e) in parts:
+        values[out], axes_out[out], evals[out] = v, a, e
+    return values, axes_out, evals
+
+
+def stack_min_conditional_entropy(states, measured: int):
+    """min_conditional_entropy of each state in a nonempty sequence of
+    bipartite states with the same qubit_dims, as arrays over the stack:
+    the minima (S,), their unit measurement axes (S, 3) and the objective
+    evaluations (S,)."""
+    entries, dims = _stacked(states)
+    _check_bipartite(dims)
+    _check_measured(dims, measured)
+    return _search(entries, states[0].subsystem_dims, measured)
 
 
 def min_conditional_entropy(rho: DensityMatrix, measured: int):
@@ -313,61 +468,56 @@ def min_conditional_entropy(rho: DensityMatrix, measured: int):
 
     Returns (value, direction, objective evaluations), where direction is
     _bloch_direction's {"polar", "azimuth"} dict on the upper hemisphere.
-    Fully deterministic.
+    Fully deterministic; the one-state case of stack_min_conditional_entropy.
     """
-    _check_bipartite(rho)
-    if measured not in (0, 1):
-        raise ValueError(f"measured subsystem index must be 0 or 1, got {measured}")
-    if rho.qubit_dims[measured] != 1:
-        raise ValueError("measured subsystem must be a single qubit")
+    values, axes, evals = stack_min_conditional_entropy([rho], measured)
+    return float(values[0]), _bloch_direction(axes[0]), int(evals[0])
 
-    r, k = _measurement_blocks(rho, measured)
-    spectra = (_qubit_spectra if r.shape[0] == 2 else _dense_spectra)(r, k)
 
-    def objective(nvec: np.ndarray) -> np.ndarray:
-        return _weighted_entropy(spectra(nvec)).sum(axis=1)
+def _side_discords(entropies, searches, measured) -> tuple:
+    """The mutual information and, for each side in measured, I - J with
+    that side's (Hmin, axis, evaluations) search result, from H(A), H(B)
+    and H(AB): floats for one state, arrays over a stack."""
+    h_a, h_b, h_ab = entropies
+    info = h_a + h_b - h_ab
+    return info, [
+        (info - ((h_a, h_b)[1 - m] - h_min), axis, evals)
+        for m, (h_min, axis, evals) in zip(measured, searches)
+    ]
 
-    rank, axes = _axis_rank(k)
-    if rank <= 1:
-        n = axes[:, 0]
-        return float(objective(n[None])[0]), _bloch_direction(n), 1
-    if rank == 2:
-        e1, e2 = axes[:, 0], axes[:, 1]
-        grid = _circle_grid(e1, e2)
-        turn = np.outer(e2, e1) - np.outer(e1, e2)  # a quarter turn in the plane
 
-        def frame_of(n: np.ndarray) -> np.ndarray:
-            return (turn @ n)[None]
-
-        stencil, half = _CIRCLE_ZOOM, np.pi / CIRCLE_POINTS
-    else:
-        grid, frame_of, stencil, half = _HEMISPHERE, _tangent_frame, _SPHERE_ZOOM, _COARSE_STEP
-    vals = objective(grid)
-    best = int(np.argmin(vals))
-    n, value, evals = _zoom(objective, grid[best], float(vals[best]), frame_of, stencil, half)
-    return value, _bloch_direction(n), len(vals) + evals
+def stack_discords(states, measured) -> tuple:
+    """discords of each state in a nonempty sequence of bipartite states
+    with the same qubit_dims, as arrays over the stack: the mutual
+    information (S,) and, for each measured side, the tuple of discords
+    (S,), unit measurement axes (S, 3) and evaluations (S,)."""
+    entries, dims = _stacked(states)
+    _check_bipartite(dims)
+    for m in measured:
+        _check_measured(dims, m)
+    subsystem_dims = states[0].subsystem_dims
+    searches = [_search(entries, subsystem_dims, m) for m in measured]
+    return _side_discords(_entropies(entries, subsystem_dims), searches, measured)
 
 
 def discords(rho: DensityMatrix, measured) -> tuple[float, list]:
     """Mutual information and, for each measured subsystem in measured (0
     or 1, in that order), the tuple (discord, direction, evaluations) of
     min_conditional_entropy's search. H(A), H(B) and H(AB) are computed
-    once for all sides."""
-    h_a, h_b, h_ab = _entropies(rho)
-    info = h_a + h_b - h_ab
-    sides = []
-    for m in measured:
-        h_min, direction, evals = min_conditional_entropy(rho, m)
-        h_other = (h_a, h_b)[1 - m]
-        sides.append((info - (h_other - h_min), direction, evals))
-    return info, sides
+    once for all sides; the one-state case of stack_discords."""
+    _check_bipartite(rho.qubit_dims)
+    entropies = [float(h[0]) for h in _entropies(rho.entries[None], rho.subsystem_dims)]
+    searches = [min_conditional_entropy(rho, m) for m in measured]
+    return _side_discords(entropies, searches, measured)
 
 
 def basis_discord(rho: DensityMatrix, basis: np.ndarray) -> float:
     """I - J for measuring subsystem 1 in the orthonormal basis whose rows
     are basis: an upper bound on the discord of that side, since I - J is
     nonnegative for every measurement and the discord is its minimum."""
-    h_a, h_b, h_ab = _entropies(rho)
+    _check_bipartite(rho.qubit_dims)
+    h_a, h_b, h_ab = (vn_entropy(partial_trace(rho, 0)), vn_entropy(partial_trace(rho, 1)),
+                      vn_entropy(rho))
     info = h_a + h_b - h_ab
     d0, d1 = rho.subsystem_dims
     t = rho.entries.reshape(d0, d1, d0, d1)
@@ -394,20 +544,34 @@ def discord(rho: DensityMatrix, direction: str) -> float:
     return value
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Wootters spin-flip concurrence of a two-qubit state."""
-    if rho.dim != 4:
-        raise ValueError(f"concurrence requires a two-qubit state, got dim {rho.dim}")
-    rt = rho.entries @ _YY @ rho.entries.conj() @ _YY
+def stack_concurrence(states) -> np.ndarray:
+    """Wootters spin-flip concurrence of each state in a nonempty sequence
+    of two-qubit states."""
+    entries, _ = _stacked(states)
+    if entries.shape[-1] != 4:
+        raise ValueError(f"concurrence requires a two-qubit state, got dim {entries.shape[-1]}")
+    rt = entries @ _YY @ entries.conj() @ _YY
     lam = np.linalg.eigvals(rt)
     # eigenvalues of rho rho~ are real and nonnegative up to round-off
-    lam = np.sqrt(np.clip(np.sort(lam.real)[::-1], 0.0, None))
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sqrt(np.clip(np.sort(lam.real, axis=-1)[:, ::-1], 0.0, None))
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """Wootters spin-flip concurrence of a two-qubit state."""
+    return float(stack_concurrence([rho])[0])
+
+
+def stack_tangle(states) -> np.ndarray:
+    """Concurrence squared of each state in a nonempty sequence of two-qubit
+    states. Squared as Python floats: numpy's array power and libm's pow,
+    which float ** 2 calls, can round the last bit differently."""
+    return np.array([c ** 2 for c in stack_concurrence(states).tolist()])
 
 
 def tangle(rho: DensityMatrix) -> float:
     """Concurrence squared."""
-    return concurrence(rho) ** 2
+    return float(stack_tangle([rho])[0])
 
 
 def correlation_report(rho: DensityMatrix) -> dict:

@@ -10,7 +10,8 @@ checks shape, finiteness, trace, Hermiticity and positivity, the last with an
 O(d^3) eigensolve. Builders whose output is a valid state whenever their
 input is wrap it with _trusted_state and skip that check: partial_trace and
 repartition here, dqc1.output_state and dqc1.reduced_control,
-clifford._clifford_output_state and tomography.reconstruct. The same rule
+clifford._clifford_output_state and tomography.stack_reconstruct (and so
+reconstruct). The same rule
 holds for the values that only the program builds: the constructor of the
 record clifford.SignedPauliString checks nothing, the counts array of
 tomography.simulate_counts and the direction dict of
@@ -210,31 +211,45 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     return _trusted_state(t.reshape(d, d), (rho.qubit_dims[keep],))
 
 
-def vn_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy in bits: -sum(lam * log2(lam)) over eigenvalues.
+def spectrum_entropy(lam: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy in bits of each spectrum along the last axis of
+    lam: -sum(lam * log2(lam)) over the positive eigenvalues.
 
     Eigenvalues in [-1e-9, 0) are treated as reconstruction round-off and
-    clamped to zero; anything lower already fails the state invariants.
+    count as zero; anything lower already fails the state invariants.
     """
-    lam = np.linalg.eigvalsh(rho.entries)
-    lam = np.clip(lam, 0.0, None)
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log2(lam)))
+    lam = np.maximum(lam, 0.0)
+    return -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+
+
+def vn_entropy(rho: DensityMatrix) -> float:
+    """Von Neumann entropy in bits: spectrum_entropy of rho's eigenvalues."""
+    return float(spectrum_entropy(np.linalg.eigvalsh(rho.entries)))
 
 
 def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of each PSD matrix in a stack (..., d, d)."""
     lam, vec = np.linalg.eigh(m)
     lam = np.clip(lam, 0.0, None)
-    return (vec * np.sqrt(lam)) @ vec.conj().T
+    return (vec * np.sqrt(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+
+
+def stack_fidelity(rhos, sigmas) -> np.ndarray:
+    """Uhlmann fidelity of each pair of states in two nonempty sequences of
+    states of one dimension. Squared as Python floats: numpy's array power
+    and libm's pow, which float ** 2 calls, can round the last bit
+    differently."""
+    for rho, sigma in zip(rhos, sigmas):
+        if rho.dim != sigma.dim:
+            raise ValueError(
+                f"dimension mismatch: {rho.dim}x{rho.dim} vs {sigma.dim}x{sigma.dim}"
+            )
+    sq = _hermitian_sqrt(np.stack([rho.entries for rho in rhos]))
+    inner = _hermitian_sqrt(sq @ np.stack([sigma.entries for sigma in sigmas]) @ sq)
+    roots = np.trace(inner, axis1=-2, axis2=-1).real
+    return np.array([min(max(f ** 2, 0.0), 1.0) for f in roots.tolist()])
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (trace sqrt(sqrt(rho) sigma sqrt(rho)))**2 in [0, 1]."""
-    if rho.dim != sigma.dim:
-        raise ValueError(
-            f"dimension mismatch: {rho.dim}x{rho.dim} vs {sigma.dim}x{sigma.dim}"
-        )
-    sq = _hermitian_sqrt(rho.entries)
-    inner = _hermitian_sqrt(sq @ sigma.entries @ sq)
-    f = float(np.trace(inner).real) ** 2
-    return min(max(f, 0.0), 1.0)
+    return float(stack_fidelity([rho], [sigma])[0])

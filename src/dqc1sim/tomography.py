@@ -49,7 +49,12 @@ def check_mean_counts(mean_counts: float) -> None:
 
 
 class ReconstructionError(ValueError):
-    """Raised when counts cannot be normalized into probabilities."""
+    """Raised when counts cannot be normalized into probabilities; index is
+    the position of the first such row in a stack of count rows."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> np.ndarray:
@@ -67,21 +72,24 @@ def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> np.ndarray:
 
 
 def _group_probabilities(counts: np.ndarray) -> np.ndarray:
-    """Counts -> probabilities, each normalized by the total of its basis
-    pair (the four sign outcomes of one Pauli axis pair); a pair with no
-    counts at all is an error. Axes: (axis of qubit 0, sign of qubit 0,
-    axis of qubit 1, sign of qubit 1)."""
-    groups = counts.reshape(3, 2, 3, 2)
-    totals = groups.sum(axis=(1, 3), keepdims=True)
-    empty = np.argwhere(totals[:, 0, :, 0] <= 0)
+    """Count rows (..., 36) -> probabilities, each normalized by the total of
+    its basis pair (the four sign outcomes of one Pauli axis pair); a pair
+    with no counts at all is an error, reported for the first such row.
+    Last four axes: (axis of qubit 0, sign of qubit 0, axis of qubit 1, sign
+    of qubit 1)."""
+    groups = counts.reshape(counts.shape[:-1] + (3, 2, 3, 2))
+    totals = groups.sum(axis=(-3, -1), keepdims=True)
+    empty = np.argwhere(totals[..., 0, :, 0] <= 0)
     if len(empty):
-        a, b = empty[0]
-        raise ReconstructionError(f"no signal in basis pair {'ZXY'[a]}{'ZXY'[b]}")
+        *row, a, b = empty[0].tolist()
+        index = int(np.ravel_multi_index(row, counts.shape[:-1])) if row else 0
+        raise ReconstructionError(f"no signal in basis pair {'ZXY'[a]}{'ZXY'[b]}", index)
     return groups / totals
 
 
 def linear_estimate(counts: np.ndarray) -> np.ndarray:
-    """Least-squares inversion to the 16 Pauli expectations (no projection).
+    """Least-squares inversion of each count row (..., 36) to the 16 Pauli
+    expectations (no projection).
 
     Setting (a, sa, b, sb) has probability (1 + sa s_aI + sb s_Ib +
     sa sb s_ab) / 4. Over each basis pair's four outcomes sa, sb and sa sb
@@ -89,40 +97,50 @@ def linear_estimate(counts: np.ndarray) -> np.ndarray:
     columns and least squares decouples: s_ab = sum sa sb p over its one
     pair, and s_aI (s_Ib) is the mean of sum sa p (sum sb p) over its three.
 
-    Returns (1/4) sum s_ij sigma_i (x) sigma_j with s_II = 1, exactly
-    Hermitian: real coefficients times Pauli entries in {0, +-1, +-i},
-    summed in the same order on both sides of the diagonal. It may have
-    small negative eigenvalues.
+    Returns (1/4) sum s_ij sigma_i (x) sigma_j with s_II = 1, (..., 4, 4),
+    exactly Hermitian: real coefficients times Pauli entries in {0, +-1,
+    +-i}, summed in the same order on both sides of the diagonal. It may
+    have small negative eigenvalues.
     """
     p = _group_probabilities(counts)
-    s = np.ones((4, 4))
-    s[1:, 1:] = np.einsum("s,r,asbr->ab", _SIGNS, _SIGNS, p)
-    s[1:, 0] = np.einsum("s,asbr->ab", _SIGNS, p).mean(axis=1)
-    s[0, 1:] = np.einsum("r,asbr->ab", _SIGNS, p).mean(axis=0)
-    rho = np.einsum("ij,ikl,jmn->kmln", s, _PAULI_STACK, _PAULI_STACK).reshape(4, 4)
-    return rho / 4.0
+    s = np.ones(p.shape[:-4] + (4, 4))
+    s[..., 1:, 1:] = np.einsum("s,r,...asbr->...ab", _SIGNS, _SIGNS, p)
+    s[..., 1:, 0] = np.einsum("s,...asbr->...ab", _SIGNS, p).mean(axis=-1)
+    s[..., 0, 1:] = np.einsum("r,...asbr->...ab", _SIGNS, p).mean(axis=-2)
+    rho = np.einsum("...ij,ikl,jmn->...kmln", s, _PAULI_STACK, _PAULI_STACK)
+    return rho.reshape(p.shape[:-4] + (4, 4)) / 4.0
 
 
 def _simplex_projection(lam: np.ndarray) -> np.ndarray:
-    """Euclidean projection of eigenvalues onto {lam >= 0, sum = 1}."""
-    srt = np.sort(lam)[::-1]
-    csum = np.cumsum(srt)
-    ks = np.arange(1, len(lam) + 1)
+    """Euclidean projection of each spectrum along the last axis of lam onto
+    {lam >= 0, sum = 1}."""
+    srt = np.sort(lam, axis=-1)[..., ::-1]
+    csum = np.cumsum(srt, axis=-1)
+    ks = np.arange(1, lam.shape[-1] + 1)
     taus = (csum - 1.0) / ks
-    k = int(np.nonzero(srt - taus > 0)[0][-1]) + 1
-    tau = (csum[k - 1] - 1.0) / k
-    return np.clip(lam - tau, 0.0, None)
+    # the last k with srt - taus > 0; k = 1 always qualifies
+    k = lam.shape[-1] - np.argmax((srt - taus > 0)[..., ::-1], axis=-1)
+    tau = (np.take_along_axis(csum, k[..., None] - 1, axis=-1)[..., 0] - 1.0) / k
+    return np.clip(lam - tau[..., None], 0.0, None)
 
 
 def psd_project(m: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix with unit trace to the Hermitian m.
+    """Nearest (Frobenius) PSD matrix with unit trace to each Hermitian
+    matrix in a stack m (..., d, d).
 
     Shares the input's eigenvectors; the eigenvalues are water-filled onto
     the probability simplex. m is not checked: its one caller passes
     linear_estimate's output, which is Hermitian by construction.
     """
     lam, vec = np.linalg.eigh(m)
-    return (vec * _simplex_projection(lam)) @ vec.conj().T
+    return (vec * _simplex_projection(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+
+
+def stack_reconstruct(counts: np.ndarray) -> list[DensityMatrix]:
+    """reconstruct of each row of a (S, 36) counts array: one state per
+    row. A row that cannot be normalized raises ReconstructionError with
+    the row's index."""
+    return [_trusted_state(m, (1, 1)) for m in psd_project(linear_estimate(counts))]
 
 
 def reconstruct(counts: np.ndarray) -> DensityMatrix:
@@ -130,5 +148,6 @@ def reconstruct(counts: np.ndarray) -> DensityMatrix:
 
     psd_project's water-filled spectrum is nonnegative and sums to one, so
     the result is a valid state by construction and is not re-checked.
+    The one-state case of stack_reconstruct.
     """
-    return _trusted_state(psd_project(linear_estimate(counts)), (1, 1))
+    return stack_reconstruct(counts[None])[0]

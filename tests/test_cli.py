@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqc1sim import correlations, output_state, simulate_counts, z_theta
+from dqc1sim import cli, correlations, output_state, simulate_counts, z_theta
 from dqc1sim.cli import MAX_STEPS, SweepConfig, main, sweep_rows
 from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.serialize import density_to_json, matrix_to_json
@@ -189,6 +189,32 @@ class TestSweep:
         rows = sweep_rows(config)
         assert [r["theta"] for r in rows] == list(linspace(-1.0, 1.0, 50))
         assert len(calls) == 1
+
+    def test_state_columns_are_stacked(self, monkeypatch):
+        # The discord search runs once per sweep on a stack of states, not
+        # once per point: the number of stacked calls does not grow with
+        # the steps, and no one-state search runs.
+        calls = []
+        stacked = cli.stack_discords
+
+        def counted(states, measured):
+            calls.append(len(states))
+            return stacked(states, measured)
+
+        def one_state(*args):
+            raise AssertionError("one-state discord search in a sweep")
+
+        monkeypatch.setattr(cli, "stack_discords", counted)
+        for name in ("discords", "min_conditional_entropy"):
+            monkeypatch.setattr(correlations, name, one_state)
+        monkeypatch.setattr(cli, "discord", one_state)
+        counts = {}
+        for steps in (3, 61):
+            calls.clear()
+            sweep_rows(SweepConfig(-np.pi, np.pi, steps, 0.997, 0, 101,
+                                   ("discord", "tangle", "tomo")))
+            counts[steps] = list(calls)
+        assert counts == {3: [3, 3], 61: [61, 61]}
 
     def test_import_loads_no_process_pool(self):
         code = ("import sys, dqc1sim.cli; print([m for m in "
@@ -524,6 +550,11 @@ class TestBadInputs:
           for command in ("discord", "tangle", "tomo", "trace", "verify-clifford")],
         (["sweep", "--steps", "2", "--alpha", "1e-309", "--shots", "5"],
          "at theta=-3.141592653589793: alpha=1e-309 is too small"),
+        # the first point fails at reconstruction, the second already at
+        # sampling: the first point's error is the one reported
+        (["sweep", "--steps", "4", "--outputs", "tomo", "--shots", "1", "--mode", "poisson",
+          "--mean-counts", "0.001", "--seed", "2"],
+         "at theta=-3.141592653589793: no signal in basis pair ZZ"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"

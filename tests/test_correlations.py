@@ -26,9 +26,13 @@ from dqc1sim import (
     z_theta,
 )
 from dqc1sim import correlations
-from dqc1sim.correlations import basis_discord, discords
-from dqc1sim.qmath import partial_trace
+from dqc1sim.correlations import (
+    basis_discord, discords, stack_chunk, stack_concurrence, stack_discords,
+    stack_min_conditional_entropy, stack_tangle,
+)
+from dqc1sim.qmath import fidelity, partial_trace, stack_fidelity
 from dqc1sim.serialize import density_from_json
+from dqc1sim.tomography import ReconstructionError, stack_reconstruct
 
 from helpers import (
     bell_state,
@@ -321,14 +325,16 @@ class TestDiscords:
 
     def test_one_call_computes_three_entropies(self, monkeypatch):
         calls = []
+        inner = correlations.spectrum_entropy
 
-        def counted(rho):
-            calls.append(rho.qubit_dims)
-            return vn_entropy(rho)
+        def counted(lam):
+            calls.append(lam.shape)
+            return inner(lam)
 
-        monkeypatch.setattr(correlations, "vn_entropy", counted)
+        monkeypatch.setattr(correlations, "spectrum_entropy", counted)
         discords(output_state(z_theta(1.0), 0.9), (0, 1))
-        assert sorted(calls) == [(1,), (1,), (1, 1)]
+        # H(A), H(B) and H(AB), each from one batched eigvalsh
+        assert sorted(calls) == [(1, 2), (1, 2), (1, 4)]
 
     def test_rejects_a_bad_side(self):
         with pytest.raises(ValueError, match="must be 0 or 1, got 2"):
@@ -393,9 +399,9 @@ class TestMinimiserContract:
         nvec = rng.normal(size=(50, 3))
         nvec /= np.linalg.norm(nvec, axis=1, keepdims=True)
         for measured in (0, 1):
-            r, k = correlations._measurement_blocks(rho, measured)
-            closed = np.sort(correlations._qubit_spectra(r, k)(nvec), axis=-1)
-            dense = correlations._dense_spectra(r, k)(nvec)
+            r, k = correlations._measurement_blocks(rho.entries[None], rho.subsystem_dims, measured)
+            closed = np.sort(correlations._qubit_spectra(r, k)(nvec[None]), axis=-1)
+            dense = correlations._dense_spectra(r, k)(nvec[None])
             np.testing.assert_allclose(closed, dense, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("theta, alpha", [(0.1047, 0.997), (0.01, 1.0), (3.0369, 0.997)])
@@ -502,7 +508,7 @@ class TestReducedSearch:
             return DensityMatrix(base.entries + delta * tilt, (1, 1))
 
         def third_ratio(rho):
-            _, k = correlations._measurement_blocks(rho, 0)
+            _, [k] = correlations._measurement_blocks(rho.entries[None], rho.subsystem_dims, 0)
             flat = np.concatenate([k.real, k.imag], axis=-1).reshape(3, -1)
             s = np.linalg.svd(flat, compute_uv=False)
             return s[2] / s[0]
@@ -561,3 +567,120 @@ class TestZThetaClosedForm:
         for theta in np.linspace(-np.pi, np.pi, 61):
             value, _, _ = min_conditional_entropy(output_state(z_theta(float(theta)), alpha), 0)
             assert abs(value - z_theta_control_hmin(float(theta), alpha)) <= 1e-12, theta
+
+
+def mixed_rank_stack(rng, qubit_dims=(1, 1)) -> list:
+    """Bipartite states whose searches take every rank that qubit_dims allows."""
+    n = qubit_dims[1]
+    states = []
+    if qubit_dims == (1, 1):
+        # theta = 0 and +-pi drop the control side to rank 1; the register
+        # side of every Z_theta output has rank 1
+        states += [output_state(z_theta(t), a) for t in (0.0, -np.pi, np.pi, 0.1047, 2.0)
+                   for a in (0.997, 1.0)]
+        states.append(ORACLE_STATES["werner"]())
+        states.append(bell_state())
+    else:
+        states += [output_state(UnitaryMatrix(n, random_unitary(rng, 2**n)), a) for a in (0.5, 1.0)]
+    # register sides of rank 0 (a maximally mixed register) and 1
+    a = random_density_matrix(rng, (1,)).entries
+    states.append(DensityMatrix(np.kron(a, np.eye(2**n) / 2**n), qubit_dims))
+    states.append(DensityMatrix(np.kron(a, random_pure_density(rng, (n,)).entries), qubit_dims))
+    states += [random_density_matrix(rng, qubit_dims, rank=r) for r in (1, 2, 3, 3, 4)]
+    return states
+
+
+def assert_same_search(stacked, alone):
+    """Stacked search results (arrays) against one-state ones, to the bit."""
+    values, axes, evals = stacked
+    assert values.tolist() == [v for v, _, _ in alone]
+    assert [correlations._bloch_direction(n) for n in axes] == [d for _, d, _ in alone]
+    assert evals.tolist() == [e for _, _, e in alone]
+
+
+class TestStackedSearch:
+    """A stack of states goes through exactly the searches each state gets
+    alone: the same values, directions and evaluation counts, to the bit."""
+
+    @pytest.mark.parametrize("qubit_dims", [(1, 1), (1, 2), (1, 3)])
+    def test_mixed_ranks_match_one_state_calls(self, qubit_dims):
+        states = mixed_rank_stack(np.random.default_rng(sum(qubit_dims)), qubit_dims)
+        measured = (0, 1) if qubit_dims == (1, 1) else (0,)
+        info, sides = stack_discords(states, measured)
+        alone = [discords(rho, measured) for rho in states]
+        assert info.tolist() == [i for i, _ in alone]
+        for k, m in enumerate(measured):
+            searches = [min_conditional_entropy(rho, m) for rho in states]
+            assert_same_search(stack_min_conditional_entropy(states, m), searches)
+            values, axes, evals = sides[k]
+            assert values.tolist() == [s[k][0] for _, s in alone]
+            assert evals.tolist() == [e for _, _, e in searches]
+        entries = np.array([rho.entries for rho in states])
+        ranks = {g for m in measured for g in correlations._axis_rank(
+            correlations._measurement_blocks(entries, states[0].subsystem_dims, m)[1])[0]}
+        assert ranks >= ({0, 1, 2, 3} if qubit_dims == (1, 1) else {1, 2, 3})
+
+    def test_padding_for_fits_without_a_minimum(self, monkeypatch):
+        # A Werner state's objective is flat, so its fitted quadratics may
+        # have no minimum while the other states' have one.
+        flags = []
+        inner = correlations._model_minimum
+
+        def recorded(fit, vals):
+            step, found = inner(fit, vals)
+            flags.append(list(found))
+            return step, found
+
+        monkeypatch.setattr(correlations, "_model_minimum", recorded)
+        rng = np.random.default_rng(5)
+        states = [werner_state(p) for p in (0.0, 0.3, 0.7)] + [
+            random_density_matrix(rng, (1, 1)) for _ in range(5)]
+        stacked = stack_min_conditional_entropy(states, 0)
+        assert any(0 < sum(f) < len(f) for f in flags)  # some call padded
+        monkeypatch.setattr(correlations, "_model_minimum", inner)
+        assert_same_search(stacked, [min_conditional_entropy(rho, 0) for rho in states])
+
+    def test_chunks_do_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        states = [output_state(z_theta(t), 0.997) for t in np.linspace(-np.pi, np.pi, 61)]
+        recons = stack_reconstruct(np.stack(
+            [simulate_counts(rho, 1e4, seed) for seed, rho in enumerate(states)]))
+        mixed = states[::2] + recons[::2] + mixed_rank_stack(rng)
+        whole = [stack_discords(group, (0, 1)) for group in (states, recons, mixed)]
+        assert stack_chunk(4) >= 61
+        monkeypatch.setattr(correlations, "BLOCK_CHUNK_BYTES", 7 * 128 * 2 * 2 * 2 * 16)
+        assert stack_chunk(4) == 7
+        for group, (info, sides) in zip((states, recons, mixed), whole):
+            chunked_info, chunked_sides = stack_discords(group, (0, 1))
+            np.testing.assert_array_equal(chunked_info, info)
+            for got, want in zip(chunked_sides, sides):
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_tangle_and_fidelity_match_one_state_calls(self):
+        rng = np.random.default_rng(11)
+        states = mixed_rank_stack(rng)
+        others = [random_density_matrix(rng, (1, 1)) for _ in states]
+        assert stack_concurrence(states).tolist() == [concurrence(rho) for rho in states]
+        assert stack_tangle(states).tolist() == [tangle(rho) for rho in states]
+        assert stack_fidelity(states, others).tolist() == [
+            fidelity(rho, sigma) for rho, sigma in zip(states, others)]
+
+    def test_reconstructions_match_one_state_calls(self):
+        counts = np.stack([simulate_counts(output_state(z_theta(t), 0.997), 1e4, s)
+                           for s, t in enumerate(np.linspace(-3.0, 3.0, 13))])
+        for got, row in zip(stack_reconstruct(counts), counts):
+            np.testing.assert_array_equal(got.entries, reconstruct(row).entries)
+
+    def test_reconstruction_error_names_the_first_bad_row(self):
+        counts = np.stack([simulate_counts(output_state(z_theta(1.0), 0.997), 1e4, s)
+                           for s in range(4)])
+        counts[2, [0, 1, 6, 7]] = counts[3, [14, 15, 20, 21]] = 0.0  # pairs ZZ and XX
+        with pytest.raises(ReconstructionError) as info:
+            stack_reconstruct(counts)
+        assert (info.value.index, str(info.value)) == (2, "no signal in basis pair ZZ")
+
+    def test_stacks_share_qubit_dims(self):
+        states = [bell_state(), random_density_matrix(np.random.default_rng(0), (2,))]
+        with pytest.raises(ValueError, match="share qubit_dims"):
+            stack_discords(states, (0,))

@@ -14,6 +14,8 @@ the counts array (simulate_counts), the least-squares estimate that
 psd_project takes unchecked (linear_estimate), the direction dict
 (_bloch_direction, through min_conditional_entropy) and the record
 SignedPauliString, whose constructor checks nothing (z_on and propagate).
+The stacked discord search gives each state of a stack, in chunks of any
+size, what its one-state call gives.
 """
 
 import numpy as np
@@ -39,6 +41,7 @@ from dqc1sim import (
     tangle,
     z_theta,
 )
+from dqc1sim import correlations
 from dqc1sim.clifford import _clifford_output_state
 from dqc1sim.correlations import _bloch_direction, min_conditional_entropy
 from dqc1sim.sampling import MAX_SHOTS
@@ -199,6 +202,29 @@ def test_minimiser_directions(seed, rank, theta, alpha):
     for rho in states:
         for measured in (0, 1):
             _assert_upper_hemisphere(min_conditional_entropy(rho, measured)[1])
+
+
+@given(seed=seeds, size=st.integers(1, 6), per_chunk=st.integers(1, 7),
+       theta=thetas, alpha=alphas)
+@settings(max_examples=25, deadline=None)
+def test_stacked_search_is_each_state_alone(seed, size, per_chunk, theta, alpha):
+    # A stack of random states of any rank and DQC1 outputs, cut into chunks
+    # of per_chunk states, gives each state's one-state discords to the bit.
+    rng = np.random.default_rng(seed)
+    states = [random_density_matrix(rng, (1, 1), rank=int(rng.integers(1, 5)))
+              for _ in range(size)]
+    states.insert(int(rng.integers(size + 1)), output_state(z_theta(theta), alpha))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlations, "BLOCK_CHUNK_BYTES", per_chunk * correlations.BLOCK_CHUNK_BYTES
+                      // correlations.stack_chunk(4))
+        assert correlations.stack_chunk(4) == per_chunk
+        info, sides = correlations.stack_discords(states, (0, 1))
+    for i, rho in enumerate(states):
+        one_info, one_sides = correlations.discords(rho, (0, 1))
+        assert info[i] == one_info
+        for (values, axes, evals), (value, direction, count) in zip(sides, one_sides):
+            assert (values[i], evals[i]) == (value, count)
+            assert _bloch_direction(axes[i]) == direction
 
 
 @pytest.mark.parametrize("axis, polar, azimuth", [
