@@ -25,7 +25,6 @@ from .correlations import (
     concurrence,
     correlation_report,
     discord,
-    min_conditional_entropy,
     tangle,
 )
 from .clifford import (
@@ -48,7 +47,7 @@ __all__ = [
     "reduced_control", "z_theta",
     "chi2_reduced", "estimate_trace", "shots_required",
     "MEASURE_CONTROL", "MEASURE_REGISTER", "concurrence", "correlation_report",
-    "discord", "min_conditional_entropy", "tangle",
+    "discord", "tangle",
     "CliffordCircuit", "SignedPauliString", "dqc1_clifford_expectations", "propagate",
     "verify_zero_discord",
     "ReconstructionError", "reconstruct", "simulate_counts",

@@ -31,22 +31,21 @@ evaluates its grid together with the previous round's model point, in one
 call. A rank 3 or rank 2 search makes at most 8 calls.
 
 The search runs on a stack of states with the same qubit_dims
-(stack_discords, stack_min_conditional_entropy), so that this fixed cost is
-paid once per stack rather than once per state: the states are grouped by
-rank, each first grid and each zoom round is one objective call for the
-whole group, and each state's scalar bookkeeping (its tangent frame,
-quadratic fit and strict-improvement update) runs in Python floats. Every
-state goes through exactly the search it would get alone, to the bit: the
-same directions, the same strict-improvement and model-point rules, and the
-same evaluation count, so the counts per state are those of a one-state
-search. A state whose fitted quadratic has no minimum in a round where
-others in its group have one gets a padding candidate in that call, which
-is neither counted nor chosen. discords, discord, min_conditional_entropy
-and correlation_report are the one-state case. H(A), H(B) and H(AB) come
-from batched eigvalsh. A stack is cut into chunks of stack_chunk(dim)
-states, as many as keep one hemisphere grid's conditional blocks within
-BLOCK_CHUNK_BYTES (1024 two-qubit states), so memory stays bounded for any
-stack size.
+(stack_discords), so that this fixed cost is paid once per stack rather
+than once per state: the states are grouped by rank, each first grid and
+each zoom round is one objective call for the whole group, and each state's
+scalar bookkeeping (its tangent frame, quadratic fit and strict-improvement
+update) runs in Python floats. Every state goes through exactly the search
+it would get alone, to the bit: the same directions, the same
+strict-improvement and model-point rules, and the same evaluation count, so
+the counts per state are those of a one-state search. A state whose fitted
+quadratic has no minimum in a round where others in its group have one gets
+a padding candidate in that call, which is neither counted nor chosen.
+discords, discord and correlation_report are the one-state case. H(A), H(B)
+and H(AB) come from batched eigvalsh. A stack is cut into chunks of
+stack_chunk(dim) states, as many as keep one hemisphere grid's conditional
+blocks within BLOCK_CHUNK_BYTES (1024 two-qubit states), so memory stays
+bounded for any stack size.
 
 A DQC1 output has equal diagonal blocks, so K_z = 0 and the control side
 has rank at most 2 (the optimum lies on the equator); it is classical on
@@ -88,8 +87,8 @@ ZOOM_ROUNDS = 6
 ZOOM_POINTS = 11
 CIRCLE_POINTS = 16
 # Singular values of the K matrices at or below this fraction of the largest
-# count as zero when the searched axes are chosen; min_conditional_entropy
-# bounds the entropy error this allows.
+# count as zero when the searched axes are chosen; _search's docstring bounds
+# the entropy error this allows.
 AXIS_RANK_RTOL = 1e-13
 BLOCK_CHUNK_BYTES = 1 << 24
 
@@ -253,22 +252,22 @@ def _dense_spectra(r: np.ndarray, k: np.ndarray):
     return spectra
 
 
-def _tangent_frame(n) -> list:
-    """Rows: the unit polar and azimuth directions at the unit vector n.
+def _tangent_frames(n: np.ndarray) -> np.ndarray:
+    """Rows: the unit polar and azimuth directions at each unit vector of n
+    (S, 3), as (S, 2, 3).
 
     Both are defined at the poles too (with azimuth 0 there), so the zoom
     has no coordinate singularity. Scalar math, whose rounding numpy's
     vectorised acos and atan2 do not all share.
     """
-    polar = math.acos(max(-1.0, min(1.0, float(n[2]))))
-    azimuth = math.atan2(float(n[1]), float(n[0]))
-    cp, sp = math.cos(polar), math.sin(polar)
-    ca, sa = math.cos(azimuth), math.sin(azimuth)
-    return [[cp * ca, cp * sa, -sp], [-sa, ca, 0.0]]
-
-
-def _tangent_frames(n: np.ndarray) -> np.ndarray:
-    return np.array([_tangent_frame(v) for v in n.tolist()])
+    frames = []
+    for x, y, z in n.tolist():
+        polar = math.acos(max(-1.0, min(1.0, z)))
+        azimuth = math.atan2(y, x)
+        cp, sp = math.cos(polar), math.sin(polar)
+        ca, sa = math.cos(azimuth), math.sin(azimuth)
+        frames.append([[cp * ca, cp * sa, -sp], [-sa, ca, 0.0]])
+    return np.array(frames)
 
 
 def _model_minimum(fit: np.ndarray, vals: np.ndarray):
@@ -416,7 +415,24 @@ def _rank_search(r, k, axes, rank):
 
 def _search(entries: np.ndarray, subsystem_dims, measured: int):
     """Hmin, its unit axis and the evaluations for each state of the stack
-    entries, chunk by chunk and, within a chunk, one rank group at a time."""
+    entries, as arrays (S,), (S, 3) and (S,): chunk by chunk and, within a
+    chunk, one rank group at a time. Fully deterministic.
+
+    The search runs over the unit sphere of the row space of the K matrices
+    only (see the module docstring): with rank 3 a coarse hemisphere grid,
+    with rank 2 a coarse half great circle, each followed by ZOOM_ROUNDS of
+    local grid zoom (_zoom) in at most 8 objective calls in all, and with
+    rank 1 or 0 the one axis. Singular values at or below AXIS_RANK_RTOL
+    times the largest count as zero. The largest is at most sqrt(3), as
+    each K_k has trace norm at most 1, so the dropped part
+    of n.K has Frobenius norm at most sqrt(3) AXIS_RANK_RTOL and trace norm
+    T = sqrt(3 d) AXIS_RANK_RTOL / 2 on a d-dimensional unmeasured side. By
+    concavity the reduced minimum exceeds the full one by at most the change
+    of the two block entropies under that perturbation, 2 T log2(d / T^2)
+    (Mirsky's inequality and |eta(x) - eta(y)| <= eta(|x - y|) for
+    eta(x) = -x log2 x): 2.1e-11 bits for a qubit partner and 1.5e-11
+    sqrt(d) bits in general.
+    """
     parts = []
     per = stack_chunk(entries.shape[-1])
     for start in range(0, len(entries), per):
@@ -436,79 +452,36 @@ def _search(entries: np.ndarray, subsystem_dims, measured: int):
     return values, axes_out, evals
 
 
-def stack_min_conditional_entropy(states, measured: int):
-    """min_conditional_entropy of each state in a nonempty sequence of
-    bipartite states with the same qubit_dims, as arrays over the stack:
-    the minima (S,), their unit measurement axes (S, 3) and the objective
-    evaluations (S,)."""
-    entries, dims = _stacked(states)
-    _check_bipartite(dims)
-    _check_measured(dims, measured)
-    return _search(entries, states[0].subsystem_dims, measured)
-
-
-def min_conditional_entropy(rho: DensityMatrix, measured: int):
-    """Minimum average entropy of the unmeasured side over projective
-    measurements on the measured qubit of a bipartite state.
-
-    The search runs over the unit sphere of the row space of the K matrices
-    only (see the module docstring): with rank 3 a coarse hemisphere grid,
-    with rank 2 a coarse half great circle, each followed by ZOOM_ROUNDS of
-    local grid zoom (_zoom) in at most 8 objective calls in all, and with
-    rank 1 or 0 the one axis. Singular values at or below AXIS_RANK_RTOL
-    times the largest count as zero. The largest is at most sqrt(3), as
-    each K_k has trace norm at most 1, so the dropped part
-    of n.K has Frobenius norm at most sqrt(3) AXIS_RANK_RTOL and trace norm
-    T = sqrt(3 d) AXIS_RANK_RTOL / 2 on a d-dimensional unmeasured side. By
-    concavity the reduced minimum exceeds the full one by at most the change
-    of the two block entropies under that perturbation, 2 T log2(d / T^2)
-    (Mirsky's inequality and |eta(x) - eta(y)| <= eta(|x - y|) for
-    eta(x) = -x log2 x): 2.1e-11 bits for a qubit partner and 1.5e-11
-    sqrt(d) bits in general.
-
-    Returns (value, direction, objective evaluations), where direction is
-    _bloch_direction's {"polar", "azimuth"} dict on the upper hemisphere.
-    Fully deterministic; the one-state case of stack_min_conditional_entropy.
-    """
-    values, axes, evals = stack_min_conditional_entropy([rho], measured)
-    return float(values[0]), _bloch_direction(axes[0]), int(evals[0])
-
-
-def _side_discords(entropies, searches, measured) -> tuple:
-    """The mutual information and, for each side in measured, I - J with
-    that side's (Hmin, axis, evaluations) search result, from H(A), H(B)
-    and H(AB): floats for one state, arrays over a stack."""
-    h_a, h_b, h_ab = entropies
-    info = h_a + h_b - h_ab
-    return info, [
-        (info - ((h_a, h_b)[1 - m] - h_min), axis, evals)
-        for m, (h_min, axis, evals) in zip(measured, searches)
-    ]
-
-
 def stack_discords(states, measured) -> tuple:
     """discords of each state in a nonempty sequence of bipartite states
     with the same qubit_dims, as arrays over the stack: the mutual
     information (S,) and, for each measured side, the tuple of discords
-    (S,), unit measurement axes (S, 3) and evaluations (S,)."""
+    (S,), unit measurement axes (S, 3) and evaluations (S,). H(A), H(B) and
+    H(AB) are computed once for all sides."""
     entries, dims = _stacked(states)
     _check_bipartite(dims)
     for m in measured:
         _check_measured(dims, m)
     subsystem_dims = states[0].subsystem_dims
-    searches = [_search(entries, subsystem_dims, m) for m in measured]
-    return _side_discords(_entropies(entries, subsystem_dims), searches, measured)
+    h_a, h_b, h_ab = _entropies(entries, subsystem_dims)
+    info = h_a + h_b - h_ab
+    sides = []
+    for m in measured:
+        h_min, axes, evals = _search(entries, subsystem_dims, m)
+        sides.append((info - ((h_a, h_b)[1 - m] - h_min), axes, evals))
+    return info, sides
 
 
 def discords(rho: DensityMatrix, measured) -> tuple[float, list]:
     """Mutual information and, for each measured subsystem in measured (0
-    or 1, in that order), the tuple (discord, direction, evaluations) of
-    min_conditional_entropy's search. H(A), H(B) and H(AB) are computed
-    once for all sides; the one-state case of stack_discords."""
-    _check_bipartite(rho.qubit_dims)
-    entropies = [float(h[0]) for h in _entropies(rho.entries[None], rho.subsystem_dims)]
-    searches = [min_conditional_entropy(rho, m) for m in measured]
-    return _side_discords(entropies, searches, measured)
+    or 1, in that order), the tuple (discord, direction, evaluations) of its
+    search, where direction is _bloch_direction's {"polar", "azimuth"} dict
+    on the upper hemisphere. The one-state case of stack_discords."""
+    info, sides = stack_discords([rho], measured)
+    return float(info[0]), [
+        (float(values[0]), _bloch_direction(axes[0]), int(evals[0]))
+        for values, axes, evals in sides
+    ]
 
 
 def basis_discord(rho: DensityMatrix, basis: np.ndarray) -> float:

@@ -239,6 +239,8 @@ def stack_fidelity(rhos, sigmas) -> np.ndarray:
     states of one dimension. Squared as Python floats: numpy's array power
     and libm's pow, which float ** 2 calls, can round the last bit
     differently."""
+    if not 0 < len(rhos) == len(sigmas):
+        raise ValueError(f"need two nonempty sequences of one length: {len(rhos)} and {len(sigmas)}")
     for rho, sigma in zip(rhos, sigmas):
         if rho.dim != sigma.dim:
             raise ValueError(

@@ -31,7 +31,10 @@ def check_mode(mode: str) -> None:
 
 
 def check_shots(shots: int) -> None:
-    """The one check of a shot count: an integer from 0 to MAX_SHOTS."""
+    """The one check of a shot count: an integer from 0 to MAX_SHOTS. A float
+    (2.0 too) or a bool is an error: either would reach the draws as a count."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots > MAX_SHOTS:

@@ -205,8 +205,7 @@ class TestSweep:
             raise AssertionError("one-state discord search in a sweep")
 
         monkeypatch.setattr(cli, "stack_discords", counted)
-        for name in ("discords", "min_conditional_entropy"):
-            monkeypatch.setattr(correlations, name, one_state)
+        monkeypatch.setattr(correlations, "discords", one_state)
         monkeypatch.setattr(cli, "discord", one_state)
         counts = {}
         for steps in (3, 61):

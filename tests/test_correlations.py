@@ -16,7 +16,6 @@ from dqc1sim import (
     concurrence,
     correlation_report,
     discord,
-    min_conditional_entropy,
     output_state,
     pure_state,
     reconstruct,
@@ -27,8 +26,7 @@ from dqc1sim import (
 )
 from dqc1sim import correlations
 from dqc1sim.correlations import (
-    basis_discord, discords, stack_chunk, stack_concurrence, stack_discords,
-    stack_min_conditional_entropy, stack_tangle,
+    basis_discord, discords, stack_chunk, stack_concurrence, stack_discords, stack_tangle,
 )
 from dqc1sim.qmath import fidelity, partial_trace, stack_fidelity
 from dqc1sim.serialize import density_from_json
@@ -56,6 +54,13 @@ CIRCLE_EVALS = 16 + 6 * 12
 SEARCH_CALLS = 8
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def one_state_search(rho, measured):
+    """The library's own search (not an oracle) on a stack of one state:
+    Hmin, its direction dict and the evaluations."""
+    values, axes, evals = correlations._search(rho.entries[None], rho.subsystem_dims, measured)
+    return float(values[0]), correlations._bloch_direction(axes[0]), int(evals[0])
 
 
 def classical_mixture():
@@ -95,22 +100,22 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="bipartite"):
             discord(rho, MEASURE_CONTROL)
         with pytest.raises(ValueError, match="bipartite"):
-            min_conditional_entropy(rho, 0)
+            discords(rho, (0,))
 
 
 class TestMinConditionalEntropy:
     def test_maximally_mixed(self):
         rho = DensityMatrix(np.eye(4) / 4, (1, 1))
         for side in (0, 1):
-            value, _, _ = min_conditional_entropy(rho, side)
+            value, _, _ = one_state_search(rho, side)
             assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_bell_state_collapses(self):
-        value, _, _ = min_conditional_entropy(bell_state(), 0)
+        value, _, _ = one_state_search(bell_state(), 0)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_classical_mixture_z_readout(self):
-        value, direction, _ = min_conditional_entropy(classical_mixture(), 0)
+        value, direction, _ = one_state_search(classical_mixture(), 0)
         assert value == pytest.approx(0.0, abs=1e-9)
         # optimal axis is the z axis (either pole)
         assert min(direction["polar"], np.pi - direction["polar"]) < 1e-3
@@ -118,14 +123,14 @@ class TestMinConditionalEntropy:
     def test_rejects_wide_measured_subsystem(self):
         rho = DensityMatrix(np.eye(8) / 8, (2, 1))
         with pytest.raises(ValueError, match="single qubit"):
-            min_conditional_entropy(rho, 0)
+            discords(rho, (0,))
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)
     def test_bounded_by_reduced_entropy(self, seed):
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(rng, (1, 1))
-        value, _, evals = min_conditional_entropy(rho, 0)
+        value, _, evals = one_state_search(rho, 0)
         assert -1e-12 <= value <= vn_entropy(partial_trace(rho, 1)) + 1e-9
         # a full-rank state distinguishes every axis: the hemisphere search
         assert CIRCLE_EVALS < evals <= SPHERE_EVALS
@@ -209,7 +214,7 @@ class TestOptimizerAgainstBruteForce:
         fixture = json.loads((FIXTURE_DIR / f"{fixture_name}.json").read_text())
         rho = density_from_json(fixture["state"])
         for measured in (0, 1):
-            refined, _, _ = min_conditional_entropy(rho, measured)
+            refined, _, _ = one_state_search(rho, measured)
             grid = oracle_min_conditional_entropy(rho, measured, 100, 200)
             assert refined <= grid + 1e-9
 
@@ -384,10 +389,10 @@ class TestMinimiserContract:
         rng = np.random.default_rng(n)
         rho = output_state(UnitaryMatrix(n, random_unitary(rng, 2**n)), 0.9)
         monkeypatch.setattr(correlations, "BLOCK_CHUNK_BYTES", 1 << 40)
-        whole = min_conditional_entropy(rho, 0)
+        whole = one_state_search(rho, 0)
         # seven directions per chunk, so the last chunk is ragged
         monkeypatch.setattr(correlations, "BLOCK_CHUNK_BYTES", 7 * 2 * 4**n * 16)
-        chunked = min_conditional_entropy(rho, 0)
+        chunked = one_state_search(rho, 0)
         assert chunked[0] == pytest.approx(whole[0], abs=1e-12)
         assert chunked[2] == whole[2]
 
@@ -412,13 +417,13 @@ class TestMinimiserContract:
         # The rotation also turns the axes the state cannot tell apart, so
         # the reduced search must find them off the coordinate axes too.
         rho = output_state(z_theta(theta), alpha)
-        plain = [min_conditional_entropy(rho, m)[0] for m in (0, 1)]
+        plain = [one_state_search(rho, m)[0] for m in (0, 1)]
         rng = np.random.default_rng(4)
         for _ in range(4):
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             turned = DensityMatrix(u @ rho.entries @ u.conj().T, (1, 1))
             for measured, bound in ((0, CIRCLE_EVALS), (1, 1)):
-                value, _, evals = min_conditional_entropy(turned, measured)
+                value, _, evals = one_state_search(turned, measured)
                 assert value == pytest.approx(plain[measured], abs=1e-10)
                 assert evals <= bound
 
@@ -427,7 +432,7 @@ class TestMinimiserContract:
         (0.6, 0.0, -0.8), (0.48, -0.6, 0.64),
     ])
     def test_tangent_frame_is_orthonormal(self, n):
-        frame = np.vstack([n, correlations._tangent_frame(np.array(n))])
+        frame = np.vstack([n, correlations._tangent_frames(np.array([n]))[0]])
         np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
 
     @given(seeds)
@@ -436,7 +441,7 @@ class TestMinimiserContract:
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(rng, (1, 1), rank=int(rng.integers(1, 5)))
         for measured in (0, 1):
-            _, direction, _ = min_conditional_entropy(rho, measured)
+            _, direction, _ = one_state_search(rho, measured)
             assert 0.0 <= direction["polar"] <= np.pi / 2
         report_direction = correlation_report(rho)["argmin_direction"]
         assert 0.0 <= report_direction["polar"] <= np.pi / 2
@@ -451,9 +456,9 @@ class TestReducedSearch:
     def test_z_theta_sweep_states(self, theta, alpha):
         rho = output_state(z_theta(theta), alpha)
         # classical on the register, whose K_x and K_y vanish: one axis
-        assert min_conditional_entropy(rho, 1)[2] == 1
+        assert one_state_search(rho, 1)[2] == 1
         # equal diagonal blocks make K_z vanish: the equator
-        _, direction, evals = min_conditional_entropy(rho, 0)
+        _, direction, evals = one_state_search(rho, 0)
         assert evals <= CIRCLE_EVALS
         assert direction["polar"] == pytest.approx(np.pi / 2, abs=1e-12)
 
@@ -464,7 +469,7 @@ class TestReducedSearch:
         # a local unitary on the measured qubit tilts the null axis off z
         v = np.kron(random_unitary(rng, 2), np.eye(2**n))
         turned = DensityMatrix(v @ rho.entries @ v.conj().T, (1, n))
-        plain, rotated = (min_conditional_entropy(state, 0) for state in (rho, turned))
+        plain, rotated = (one_state_search(state, 0) for state in (rho, turned))
         assert plain[2] <= CIRCLE_EVALS and rotated[2] <= CIRCLE_EVALS
         assert rotated[0] == pytest.approx(plain[0], abs=1e-10)
         for state, (value, _, _) in ((rho, plain), (turned, rotated)):
@@ -481,18 +486,18 @@ class TestReducedSearch:
             root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
             b = root @ random_unitary(rng, 2**n) @ root * rng.uniform(0.2, 1.0)
             rho = DensityMatrix(np.block([[a, b], [b.conj().T, a]]) / 2, (1, n))
-            value, _, evals = min_conditional_entropy(rho, 0)
+            value, _, evals = one_state_search(rho, 0)
             assert evals <= CIRCLE_EVALS
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(correlations, "AXIS_RANK_RTOL", -1.0)  # every axis counts
-                full, _, full_evals = min_conditional_entropy(rho, 0)
+                full, _, full_evals = one_state_search(rho, 0)
             assert full_evals > CIRCLE_EVALS
             assert value <= full + 1e-12
 
     def test_full_rank_state_keeps_the_hemisphere_search(self):
         rho = random_density_matrix(np.random.default_rng(0), (1, 1))
         for measured in (0, 1):
-            assert min_conditional_entropy(rho, measured)[2] == SPHERE_EVALS
+            assert one_state_search(rho, measured)[2] == SPHERE_EVALS
 
     @pytest.mark.parametrize("scale", [0.8, 1.25])
     def test_rank_tolerance_boundary(self, scale):
@@ -517,10 +522,10 @@ class TestReducedSearch:
         rho = tilted(delta)
         above = scale > 1.0
         assert (third_ratio(rho) > correlations.AXIS_RANK_RTOL) == above
-        value, _, evals = min_conditional_entropy(rho, 0)
+        value, _, evals = one_state_search(rho, 0)
         assert (evals > CIRCLE_EVALS) == above
         assert value <= oracle_min_conditional_entropy(rho, 0, 36, 72) + 1e-9
-        assert value == pytest.approx(min_conditional_entropy(base, 0)[0], abs=1e-10)
+        assert value == pytest.approx(one_state_search(base, 0)[0], abs=1e-10)
 
 
 class TestSearchBudget:
@@ -538,7 +543,7 @@ class TestSearchBudget:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(correlations, "_weighted_entropy", counted)
-            _, _, evals = min_conditional_entropy(rho, measured)
+            _, _, evals = one_state_search(rho, measured)
         assert sum(sizes) == evals
         return len(sizes), evals
 
@@ -565,7 +570,7 @@ class TestZThetaClosedForm:
     def test_control_side_matches_closed_form(self, alpha):
         # the equatorial axes at theta/2 and theta/2 + pi/2, explicit projectors
         for theta in np.linspace(-np.pi, np.pi, 61):
-            value, _, _ = min_conditional_entropy(output_state(z_theta(float(theta)), alpha), 0)
+            value, _, _ = one_state_search(output_state(z_theta(float(theta)), alpha), 0)
             assert abs(value - z_theta_control_hmin(float(theta), alpha)) <= 1e-12, theta
 
 
@@ -591,11 +596,20 @@ def mixed_rank_stack(rng, qubit_dims=(1, 1)) -> list:
 
 
 def assert_same_search(stacked, alone):
-    """Stacked search results (arrays) against one-state ones, to the bit."""
+    """A stacked side of stack_discords (arrays) against one-state
+    (discord, direction, evaluations) tuples, to the bit."""
     values, axes, evals = stacked
     assert values.tolist() == [v for v, _, _ in alone]
     assert [correlations._bloch_direction(n) for n in axes] == [d for _, d, _ in alone]
     assert evals.tolist() == [e for _, _, e in alone]
+
+
+def assert_same_axes(stacked, states, measured):
+    """The axes and evaluations of a stacked side of stack_discords against
+    one_state_search's, to the bit."""
+    searches = [one_state_search(rho, measured) for rho in states]
+    assert [correlations._bloch_direction(n) for n in stacked[1]] == [d for _, d, _ in searches]
+    assert stacked[2].tolist() == [e for _, _, e in searches]
 
 
 class TestStackedSearch:
@@ -610,11 +624,8 @@ class TestStackedSearch:
         alone = [discords(rho, measured) for rho in states]
         assert info.tolist() == [i for i, _ in alone]
         for k, m in enumerate(measured):
-            searches = [min_conditional_entropy(rho, m) for rho in states]
-            assert_same_search(stack_min_conditional_entropy(states, m), searches)
-            values, axes, evals = sides[k]
-            assert values.tolist() == [s[k][0] for _, s in alone]
-            assert evals.tolist() == [e for _, _, e in searches]
+            assert_same_search(sides[k], [s[k] for _, s in alone])
+            assert_same_axes(sides[k], states, m)
         entries = np.array([rho.entries for rho in states])
         ranks = {g for m in measured for g in correlations._axis_rank(
             correlations._measurement_blocks(entries, states[0].subsystem_dims, m)[1])[0]}
@@ -635,10 +646,11 @@ class TestStackedSearch:
         rng = np.random.default_rng(5)
         states = [werner_state(p) for p in (0.0, 0.3, 0.7)] + [
             random_density_matrix(rng, (1, 1)) for _ in range(5)]
-        stacked = stack_min_conditional_entropy(states, 0)
+        _, [stacked] = stack_discords(states, (0,))
         assert any(0 < sum(f) < len(f) for f in flags)  # some call padded
         monkeypatch.setattr(correlations, "_model_minimum", inner)
-        assert_same_search(stacked, [min_conditional_entropy(rho, 0) for rho in states])
+        assert_same_search(stacked, [discords(rho, (0,))[1][0] for rho in states])
+        assert_same_axes(stacked, states, 0)
 
     def test_chunks_do_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(9)

@@ -12,7 +12,7 @@ The other values that only the program builds are not checked where they
 are read, so their conditions live here as properties of their builders:
 the counts array (simulate_counts), the least-squares estimate that
 psd_project takes unchecked (linear_estimate), the direction dict
-(_bloch_direction, through min_conditional_entropy) and the record
+(_bloch_direction, through discords) and the record
 SignedPauliString, whose constructor checks nothing (z_on and propagate).
 The stacked discord search gives each state of a stack, in chunks of any
 size, what its one-state call gives.
@@ -43,7 +43,7 @@ from dqc1sim import (
 )
 from dqc1sim import correlations
 from dqc1sim.clifford import _clifford_output_state
-from dqc1sim.correlations import _bloch_direction, min_conditional_entropy
+from dqc1sim.correlations import _bloch_direction, discords
 from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.tomography import SETTING_LABELS, linear_estimate
 
@@ -200,8 +200,9 @@ def test_minimiser_directions(seed, rank, theta, alpha):
     states = (random_density_matrix(np.random.default_rng(seed), (1, 1), rank=rank),
               output_state(z_theta(theta), alpha))
     for rho in states:
-        for measured in (0, 1):
-            _assert_upper_hemisphere(min_conditional_entropy(rho, measured)[1])
+        _, sides = discords(rho, (0, 1))
+        for _, direction, _ in sides:
+            _assert_upper_hemisphere(direction)
 
 
 @given(seed=seeds, size=st.integers(1, 6), per_chunk=st.integers(1, 7),

@@ -13,6 +13,7 @@ from dqc1sim import (
     vn_entropy,
 )
 from dqc1sim.dqc1 import output_state, z_theta
+from dqc1sim.qmath import stack_fidelity
 
 from helpers import bell_state, random_density_matrix, random_pure_density, random_unitary
 
@@ -179,4 +180,12 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             fidelity(bell_state(), pure_state([1, 0], (1,)))
+
+    @pytest.mark.parametrize("lengths", [(2, 1), (1, 2), (0, 0), (0, 1)])
+    def test_stack_lengths_must_match(self, lengths):
+        a, b = (pure_state([1, 0], (1,)), pure_state([0, 1], (1,)))
+        rhos, sigmas = ([a, b][:k] for k in lengths)
+        with pytest.raises(ValueError, match=rf"^need two nonempty sequences of one length: "
+                                             rf"{lengths[0]} and {lengths[1]}$"):
+            stack_fidelity(rhos, sigmas)
 

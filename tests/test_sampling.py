@@ -190,6 +190,13 @@ class TestEstimateTrace:
             estimate_trace(z_theta(0.0), 1.0, MAX_SHOTS + 1, 0, mode=mode)
         with pytest.raises(ValueError, match="shots must be >= 0"):
             estimate_trace(z_theta(0.0), 1.0, -1, 0, mode=mode)
+        # a fractional count would reach the draws: N- = 2.5 - N+
+        for shots in (2.5, 2.0, np.float64(3.0), True, False, np.True_):
+            with pytest.raises(ValueError, match=r"^shots must be an integer, got "):
+                estimate_trace(z_theta(0.4), 1.0, shots, 0, mode=mode)
+        for shots in (np.int64(5), np.uint16(5)):
+            assert estimate_trace(z_theta(0.4), 1.0, shots, 0, mode=mode) == estimate_trace(
+                z_theta(0.4), 1.0, 5, 0, mode=mode)
         est = estimate_trace(z_theta(0.0), 1.0, MAX_SHOTS, 0, mode=mode)
         assert abs(est - 1) < 1e-6
 
