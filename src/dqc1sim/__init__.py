@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 from .qmath import (
     DensityMatrix,
     fidelity,
-    partial_trace,
     pure_state,
     repartition,
-    vn_entropy,
 )
 from .dqc1 import (
     UnitaryMatrix,
@@ -41,8 +39,7 @@ from .tomography import (
 )
 
 __all__ = [
-    "DensityMatrix", "fidelity", "partial_trace", "pure_state", "repartition",
-    "vn_entropy",
+    "DensityMatrix", "fidelity", "pure_state", "repartition",
     "UnitaryMatrix", "exact_expectations", "normalized_trace", "output_state",
     "reduced_control", "z_theta",
     "chi2_reduced", "estimate_trace", "shots_required",

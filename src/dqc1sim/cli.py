@@ -128,19 +128,22 @@ def sweep_point(config: SweepConfig, index: int) -> tuple:
     class and names the point's theta."""
     theta = float(config.thetas[index])
     try:
-        return _point_row(config, index, theta)
+        u = z_theta(theta)
+        x, y = exact_expectations(u, config.alpha)
+        est = estimate_trace(
+            u, config.alpha, config.shots,
+            np.random.SeedSequence([config.seed, index]),
+            mode=config.mode,
+        )
+        rho = counts = None
+        if {"discord", "tangle", "tomo"} & set(config.outputs):
+            rho = output_state(u, config.alpha)
+        if "tomo" in config.outputs:
+            counts = simulate_counts(
+                rho, config.mean_counts, np.random.SeedSequence([config.seed, index, 1]),
+            )
     except ValueError as exc:
         raise type(exc)(f"at theta={theta!r}: {exc}") from None
-
-
-def _point_row(config: SweepConfig, index: int, theta: float) -> tuple:
-    u = z_theta(theta)
-    x, y = exact_expectations(u, config.alpha)
-    est = estimate_trace(
-        u, config.alpha, config.shots,
-        np.random.SeedSequence([config.seed, index]),
-        mode=config.mode,
-    )
     row = {
         "theta": theta,
         "alpha": config.alpha,
@@ -153,13 +156,6 @@ def _point_row(config: SweepConfig, index: int, theta: float) -> tuple:
         "re_trace": est.real,
         "im_trace": est.imag,
     }
-    rho = counts = None
-    if {"discord", "tangle", "tomo"} & set(config.outputs):
-        rho = output_state(u, config.alpha)
-    if "tomo" in config.outputs:
-        counts = simulate_counts(
-            rho, config.mean_counts, np.random.SeedSequence([config.seed, index, 1]),
-        )
     return row, rho, counts
 
 

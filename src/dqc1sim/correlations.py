@@ -42,10 +42,11 @@ the counts per state are those of a one-state search. A state whose fitted
 quadratic has no minimum in a round where others in its group have one gets
 a padding candidate in that call, which is neither counted nor chosen.
 discords, discord and correlation_report are the one-state case. H(A), H(B)
-and H(AB) come from batched eigvalsh. A stack is cut into chunks of
-stack_chunk(dim) states, as many as keep one hemisphere grid's conditional
-blocks within BLOCK_CHUNK_BYTES (1024 two-qubit states), so memory stays
-bounded for any stack size.
+and H(AB) come from batched eigvalsh (_entropies), for the register
+certificate basis_discord too. A stack is searched whole, so its caller keeps
+it within stack_chunk(dim) states, as many as keep one hemisphere grid's
+conditional blocks within BLOCK_CHUNK_BYTES (1024 two-qubit states); the
+sweep cuts its grid into such chunks.
 
 A DQC1 output has equal diagonal blocks, so K_z = 0 and the control side
 has rank at most 2 (the optimum lies on the equator); it is classical on
@@ -67,10 +68,8 @@ from .qmath import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    partial_trace,
     repartition,
     spectrum_entropy,
-    vn_entropy,
 )
 
 _PAULIS = np.stack([np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z])  # I, X, Y, Z
@@ -113,17 +112,19 @@ def _check_bipartite(qubit_dims) -> None:
 
 
 def _check_measured(qubit_dims, measured) -> None:
-    if measured not in (0, 1):
+    # True == 1 and 0.0 == 0: only a Python or numpy integer names a side
+    integer = isinstance(measured, (int, np.integer)) and not isinstance(measured, bool)
+    if not integer or measured not in (0, 1):
         raise ValueError(f"measured subsystem index must be 0 or 1, got {measured}")
     if qubit_dims[measured] != 1:
         raise ValueError("measured subsystem must be a single qubit")
 
 
 def stack_chunk(dim: int) -> int:
-    """How many dim x dim bipartite states one stacked search holds at a
-    time: as many as keep the conditional blocks of one hemisphere grid (two
-    complex blocks per direction, on a partner of dimension dim / 2) within
-    BLOCK_CHUNK_BYTES."""
+    """How many dim x dim bipartite states a caller puts in one stacked
+    search: as many as keep the conditional blocks of one hemisphere grid
+    (two complex blocks per direction, on a partner of dimension dim / 2)
+    within BLOCK_CHUNK_BYTES."""
     block_bytes = len(_HEMISPHERE) * 2 * (dim // 2) ** 2 * 16
     return max(1, BLOCK_CHUNK_BYTES // block_bytes)
 
@@ -415,8 +416,8 @@ def _rank_search(r, k, axes, rank):
 
 def _search(entries: np.ndarray, subsystem_dims, measured: int):
     """Hmin, its unit axis and the evaluations for each state of the stack
-    entries, as arrays (S,), (S, 3) and (S,): chunk by chunk and, within a
-    chunk, one rank group at a time. Fully deterministic.
+    entries, as arrays (S,), (S, 3) and (S,), one rank group at a time.
+    Fully deterministic.
 
     The search runs over the unit sphere of the row space of the K matrices
     only (see the module docstring): with rank 3 a coarse hemisphere grid,
@@ -433,22 +434,18 @@ def _search(entries: np.ndarray, subsystem_dims, measured: int):
     eta(x) = -x log2 x): 2.1e-11 bits for a qubit partner and 1.5e-11
     sqrt(d) bits in general.
     """
-    parts = []
-    per = stack_chunk(entries.shape[-1])
-    for start in range(0, len(entries), per):
-        r, k = _measurement_blocks(entries[start:start + per], subsystem_dims, measured)
-        rank, axes = _axis_rank(k)
-        ranks = [max(g, 1) for g in rank]  # rank 0 has one axis too
-        for g in sorted(set(ranks)):
-            members = [i for i, h in enumerate(ranks) if h == g]
-            sel = slice(None) if len(members) == len(ranks) else members
-            parts.append(([start + i for i in members], _rank_search(r[sel], k[sel], axes[sel], g)))
-    if len(parts) == 1:
-        return parts[0][1]
+    r, k = _measurement_blocks(entries, subsystem_dims, measured)
+    rank, axes = _axis_rank(k)
+    ranks = [max(g, 1) for g in rank]  # rank 0 has one axis too
+    groups = sorted(set(ranks))
+    if len(groups) == 1:
+        return _rank_search(r, k, axes, groups[0])
     values, axes_out = np.empty(len(entries)), np.empty((len(entries), 3))
     evals = np.empty(len(entries), dtype=int)
-    for out, (v, a, e) in parts:
-        values[out], axes_out[out], evals[out] = v, a, e
+    for g in groups:
+        members = [i for i, h in enumerate(ranks) if h == g]
+        values[members], axes_out[members], evals[members] = _rank_search(
+            r[members], k[members], axes[members], g)
     return values, axes_out, evals
 
 
@@ -457,7 +454,8 @@ def stack_discords(states, measured) -> tuple:
     with the same qubit_dims, as arrays over the stack: the mutual
     information (S,) and, for each measured side, the tuple of discords
     (S,), unit measurement axes (S, 3) and evaluations (S,). H(A), H(B) and
-    H(AB) are computed once for all sides."""
+    H(AB) are computed once for all sides. The stack is searched whole: the
+    caller sizes it, within stack_chunk(dim) states to bound its memory."""
     entries, dims = _stacked(states)
     _check_bipartite(dims)
     for m in measured:
@@ -489,8 +487,7 @@ def basis_discord(rho: DensityMatrix, basis: np.ndarray) -> float:
     are basis: an upper bound on the discord of that side, since I - J is
     nonnegative for every measurement and the discord is its minimum."""
     _check_bipartite(rho.qubit_dims)
-    h_a, h_b, h_ab = (vn_entropy(partial_trace(rho, 0)), vn_entropy(partial_trace(rho, 1)),
-                      vn_entropy(rho))
+    h_a, h_b, h_ab = (float(h[0]) for h in _entropies(rho.entries[None], rho.subsystem_dims))
     info = h_a + h_b - h_ab
     d0, d1 = rho.subsystem_dims
     t = rho.entries.reshape(d0, d1, d0, d1)

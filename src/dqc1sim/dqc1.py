@@ -98,10 +98,9 @@ def normalized_trace(u: UnitaryMatrix) -> complex:
 
 
 def reduced_control(u: UnitaryMatrix, alpha: float) -> DensityMatrix:
-    """Control qubit after tracing out the register.
-
-    Off-diagonals are alpha Tr(U)/2N, i.e. the normalized trace scaled by
-    alpha/2; equals partial_trace(output_state(u, alpha), keep=0).
+    """Control qubit of output_state(u, alpha) after tracing out the
+    register: [[1/2, conj(c)], [c, 1/2]] with c = alpha Tr(U)/2N, the
+    normalized trace scaled by alpha/2.
     """
     check_range("alpha", alpha, 0.0, 1.0)
     t = complex(np.trace(u.entries))

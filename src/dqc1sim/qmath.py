@@ -8,11 +8,10 @@ A state is validated once, where its entries enter the program: the public
 DensityMatrix constructor (and so pure_state and serialize.density_from_json)
 checks shape, finiteness, trace, Hermiticity and positivity, the last with an
 O(d^3) eigensolve. Builders whose output is a valid state whenever their
-input is wrap it with _trusted_state and skip that check: partial_trace and
-repartition here, dqc1.output_state and dqc1.reduced_control,
-clifford._clifford_output_state and tomography.stack_reconstruct (and so
-reconstruct). The same rule
-holds for the values that only the program builds: the constructor of the
+input is wrap it with _trusted_state and skip that check: repartition here,
+dqc1.output_state and dqc1.reduced_control, clifford._clifford_output_state
+and tomography.stack_reconstruct (and so reconstruct). The same rule holds
+for the values that only the program builds: the constructor of the
 record clifford.SignedPauliString checks nothing, the counts array of
 tomography.simulate_counts and the direction dict of
 correlations._bloch_direction are not re-checked where they are read, and
@@ -191,26 +190,6 @@ def repartition(rho: DensityMatrix, qubit_dims) -> DensityMatrix:
     return _trusted_state(rho.entries, dims)
 
 
-def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Reduced state of one subsystem, tracing out all others.
-
-    keep indexes into rho.qubit_dims; unit trace, Hermiticity and
-    positivity are preserved by construction.
-    """
-    dims = list(rho.subsystem_dims)
-    n_sub = len(dims)
-    if n_sub < 2:
-        raise ValueError("state has no subsystem to trace out")
-    if not 0 <= keep < n_sub:
-        raise ValueError(f"invalid subsystem index {keep} for {n_sub} subsystems")
-    t = rho.entries.reshape(dims + dims)
-    for idx in sorted((i for i in range(n_sub) if i != keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + len(dims))
-        dims.pop(idx)
-    d = dims[0]
-    return _trusted_state(t.reshape(d, d), (rho.qubit_dims[keep],))
-
-
 def spectrum_entropy(lam: np.ndarray) -> np.ndarray:
     """Von Neumann entropy in bits of each spectrum along the last axis of
     lam: -sum(lam * log2(lam)) over the positive eigenvalues.
@@ -220,11 +199,6 @@ def spectrum_entropy(lam: np.ndarray) -> np.ndarray:
     """
     lam = np.maximum(lam, 0.0)
     return -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
-
-
-def vn_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy in bits: spectrum_entropy of rho's eigenvalues."""
-    return float(spectrum_entropy(np.linalg.eigvalsh(rho.entries)))
 
 
 def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:

@@ -137,9 +137,11 @@ def psd_project(m: np.ndarray) -> np.ndarray:
 
 
 def stack_reconstruct(counts: np.ndarray) -> list[DensityMatrix]:
-    """reconstruct of each row of a (S, 36) counts array: one state per
-    row. A row that cannot be normalized raises ReconstructionError with
-    the row's index."""
+    """reconstruct of each row of a nonempty (S, 36) counts array: one
+    state per row. A row that cannot be normalized raises
+    ReconstructionError with the row's index."""
+    if not len(counts):
+        raise ValueError("a stack needs at least one counts row")
     return [_trusted_state(m, (1, 1)) for m in psd_project(linear_estimate(counts))]
 
 

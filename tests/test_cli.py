@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from dqc1sim import cli, correlations, output_state, simulate_counts, z_theta
 from dqc1sim.cli import MAX_STEPS, SweepConfig, main, sweep_rows
 from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.serialize import density_to_json, matrix_to_json
-from dqc1sim.tomography import SETTING_LABELS
+from dqc1sim.tomography import SETTING_LABELS, ReconstructionError
 
 from helpers import package_env, save_json, unitary_to_json
 
@@ -33,6 +34,14 @@ def read_csv(path):
     header = lines[1].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
     return config, header, rows
+
+
+def chunks_of_seven(monkeypatch):
+    """Make a sweep cut its grid into chunks of 7 points, so that a 61-step
+    sweep crosses eight chunk boundaries and ends with a chunk of 5."""
+    monkeypatch.setattr(correlations, "BLOCK_CHUNK_BYTES",
+                        7 * correlations.BLOCK_CHUNK_BYTES // correlations.stack_chunk(4))
+    assert correlations.stack_chunk(4) == 7
 
 
 @pytest.fixture
@@ -191,9 +200,9 @@ class TestSweep:
         assert len(calls) == 1
 
     def test_state_columns_are_stacked(self, monkeypatch):
-        # The discord search runs once per sweep on a stack of states, not
+        # The discord search runs once per chunk on a stack of states, not
         # once per point: the number of stacked calls does not grow with
-        # the steps, and no one-state search runs.
+        # the steps within a chunk, and no one-state search runs.
         calls = []
         stacked = cli.stack_discords
 
@@ -214,6 +223,31 @@ class TestSweep:
                                    ("discord", "tangle", "tomo")))
             counts[steps] = list(calls)
         assert counts == {3: [3, 3], 61: [61, 61]}
+        chunks_of_seven(monkeypatch)
+        calls.clear()
+        sweep_rows(SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 101, ("discord", "tangle", "tomo")))
+        # the output states' search, then the reconstructions', per chunk
+        assert calls == 8 * [7, 7] + [5, 5]
+
+    @pytest.mark.parametrize("shots, mode", [(0, "binomial"), (2000, "poisson")],
+                             ids=["exact", "poisson"])
+    def test_chunks_do_not_change_rows(self, shots, mode, monkeypatch):
+        config = SweepConfig(-np.pi, np.pi, 61, 0.997, shots, 101,
+                             ("trace", "discord", "tangle", "tomo"), mode=mode)
+        whole = sweep_rows(config)
+        chunks_of_seven(monkeypatch)
+        assert sweep_rows(config) == whole
+
+    def test_failure_in_a_later_chunk_names_its_point(self, monkeypatch):
+        # With 5 mean counts per basis pair, point 18 (chunk 2, its fifth
+        # point) is the first whose tomography counts leave a pair empty.
+        config = SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 9, ("tomo",), mean_counts=5.0)
+        message = f"at theta={float(config.thetas[18])!r}: no signal in basis pair ZX"
+        with pytest.raises(ReconstructionError, match=f"^{re.escape(message)}$"):
+            sweep_rows(config)
+        chunks_of_seven(monkeypatch)
+        with pytest.raises(ReconstructionError, match=f"^{re.escape(message)}$"):
+            sweep_rows(config)
 
     def test_import_loads_no_process_pool(self):
         code = ("import sys, dqc1sim.cli; print([m for m in "
