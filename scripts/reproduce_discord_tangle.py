@@ -44,7 +44,7 @@ def main() -> int:
     )
     rows = sweep_rows(sweep)
     path = outdir / "discord_tangle_alpha_0.997.csv"
-    path.write_text(render_csv(sweep.to_dict(), sweep.columns, rows))
+    path.write_text(render_csv(sweep.to_dict(), rows))
 
     discords = np.array([row["discord_rc"] for row in rows])
     tangles = np.array([row["tangle"] for row in rows])

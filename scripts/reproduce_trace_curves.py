@@ -41,7 +41,7 @@ def run_alpha(alpha: float, outdir: Path) -> None:
     )
     rows = sweep_rows(sweep)
     path = outdir / f"trace_alpha_{alpha:.2f}.csv"
-    path.write_text(render_csv(sweep.to_dict(), sweep.columns, rows))
+    path.write_text(render_csv(sweep.to_dict(), rows))
 
     for part in ("re", "im"):
         observed = np.array([row[f"{part}_est"] for row in rows])

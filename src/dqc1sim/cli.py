@@ -1,8 +1,9 @@
 """Command-line surface: sweeps, trace estimation, correlation analysis.
 
-Every output embeds the resolved configuration, with the seed wherever
-numbers are drawn, and repeated runs with identical arguments are
-byte-identical. Numeric CSV columns use 17 significant digits so
+Every output embeds the resolved configuration: every argument the command
+parsed, defaults included, except --out and --format. The seed is among
+them wherever numbers are drawn, and repeated runs with identical arguments
+are byte-identical. Numeric CSV columns use 17 significant digits so
 downstream plotting is language-neutral.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -46,12 +47,6 @@ SWEEP_OUTPUTS = ("trace", "discord", "tangle", "tomo")
 # about 1 KB each.
 MAX_STEPS = 100_000
 
-BASE_COLUMNS = (
-    "theta", "alpha", "re_exact", "im_exact", "re_est", "im_est",
-    "shots", "seed", "re_trace", "im_trace",
-)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Resolved settings for a theta sweep."""
@@ -77,6 +72,7 @@ class SweepConfig:
             raise ValueError(
                 f"theta_min must be < theta_max, got {self.theta_min} and {self.theta_max}"
             )
+        check_range("theta_max - theta_min", self.theta_max - self.theta_min)
         check_range("alpha", self.alpha, 0.0, 1.0)
         check_mean_counts(self.mean_counts)
         check_shots(self.shots)
@@ -95,30 +91,9 @@ class SweepConfig:
         """The theta grid, built on first use and kept for every point."""
         return np.linspace(self.theta_min, self.theta_max, self.steps)
 
-    @property
-    def columns(self) -> tuple[str, ...]:
-        cols = list(BASE_COLUMNS)
-        if "discord" in self.outputs:
-            cols += ["discord_rc", "discord_cr"]
-        if "tangle" in self.outputs:
-            cols += ["tangle"]
-        if "tomo" in self.outputs:
-            cols += ["tomo_fidelity", "tomo_discord_rc", "tomo_tangle"]
-        return tuple(cols)
-
     def to_dict(self) -> dict:
-        return {
-            "command": "sweep",
-            "theta_min": self.theta_min,
-            "theta_max": self.theta_max,
-            "steps": self.steps,
-            "alpha": self.alpha,
-            "shots": self.shots,
-            "seed": self.seed,
-            "outputs": sorted(self.outputs),
-            "mean_counts": self.mean_counts,
-            "mode": self.mode,
-        }
+        config = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"command": "sweep", **config, "outputs": sorted(self.outputs)}
 
 
 def sweep_point(config: SweepConfig, index: int) -> tuple:
@@ -214,7 +189,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_csv(config_dict: dict, columns, rows) -> str:
+def render_csv(config_dict: dict, rows) -> str:
+    """The config line, the header, then one line per row; the columns are
+    the first row's keys, in the order the sweep wrote them."""
+    columns = list(rows[0])
     lines = ["# config: " + json.dumps(config_dict, sort_keys=True)]
     lines.append(",".join(columns))
     for row in rows:
@@ -236,37 +214,33 @@ def _write_output(path, text: str) -> None:
         raise OSError(f"cannot write output file {str(path)!r}: {exc.strerror or exc}") from None
 
 
-def _state(args, command: str):
-    """The state and the config that names its source: a JSON file, or the
-    Z_theta output built from --theta and --alpha, never both."""
+def _config(args) -> dict:
+    """Every argument the command parsed that has a value, except --out
+    and the dispatch function."""
+    return {k: v for k, v in vars(args).items() if v is not None and k not in ("out", "func")}
+
+
+def _state(args):
+    """The state from a JSON file, or the Z_theta output built from --theta
+    and --alpha, never both. The --alpha default, 1.0, is written into args
+    so that the config shows it."""
     if args.state is not None:
         if args.theta is not None or args.alpha is not None:
             raise ValueError("give a state JSON file or --theta/--alpha, not both")
-        config = {"command": command, "state": str(args.state)}
-        return density_from_json(load_json(args.state)), config
+        return density_from_json(load_json(args.state))
     if args.theta is None:
         raise ValueError("provide a state JSON file or --theta")
-    alpha = 1.0 if args.alpha is None else args.alpha
-    config = {"command": command, "theta": args.theta, "alpha": alpha}
-    return output_state(z_theta(args.theta), alpha), config
+    if args.alpha is None:
+        args.alpha = 1.0
+    return output_state(z_theta(args.theta), args.alpha)
 
 
 def _cmd_sweep(args) -> str:
-    config = SweepConfig(
-        theta_min=args.theta_min,
-        theta_max=args.theta_max,
-        steps=args.steps,
-        alpha=args.alpha,
-        shots=args.shots,
-        seed=args.seed,
-        outputs=tuple(sorted(set(args.outputs.split(",")))),
-        mean_counts=args.mean_counts,
-        mode=args.mode,
-    )
+    config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
     rows = sweep_rows(config)
     if args.format == "csv":
-        return render_csv(config.to_dict(), config.columns, rows)
-    return _render_json({"config": config.to_dict(), "columns": list(config.columns), "rows": rows})
+        return render_csv(config.to_dict(), rows)
+    return _render_json({"config": config.to_dict(), "columns": list(rows[0]), "rows": rows})
 
 
 def _cmd_trace(args) -> str:
@@ -275,15 +249,7 @@ def _cmd_trace(args) -> str:
     est = estimate_trace(u, args.alpha, shots, args.seed, mode=args.mode)
     exact = normalized_trace(u)
     report = {
-        "config": {
-            "command": "trace",
-            "unitary": str(args.unitary),
-            "alpha": args.alpha,
-            "epsilon": args.epsilon,
-            "p_error": args.p_error,
-            "seed": args.seed,
-            "mode": args.mode,
-        },
+        "config": _config(args),
         "shots_used": shots,
         "estimate_re": est.real,
         "estimate_im": est.imag,
@@ -297,16 +263,15 @@ def _cmd_trace(args) -> str:
 
 
 def _cmd_discord(args) -> str:
-    rho, config = _state(args, "discord")
-    report = correlation_report(rho)
-    report["config"] = config
+    report = correlation_report(_state(args))
+    report["config"] = _config(args)
     return _render_json(report)
 
 
 def _cmd_tangle(args) -> str:
-    rho, config = _state(args, "tangle")
+    rho = _state(args)
     report = {
-        "config": config,
+        "config": _config(args),
         "concurrence": concurrence(rho),
         "tangle": tangle(rho),
     }
@@ -314,11 +279,11 @@ def _cmd_tangle(args) -> str:
 
 
 def _cmd_tomo(args) -> str:
-    rho, config = _state(args, "tomo")
+    rho = _state(args)
     counts = simulate_counts(rho, args.mean_counts, args.seed)
     recon = reconstruct(counts)
     report = {
-        "config": {**config, "seed": args.seed, "mean_counts": args.mean_counts},
+        "config": _config(args),
         "run": {
             "settings": list(SETTING_LABELS),
             "counts": [int(c) for c in counts],
@@ -336,7 +301,7 @@ def _cmd_tomo(args) -> str:
 def _cmd_verify_clifford(args) -> str:
     circuit = circuit_from_json(load_json(args.circuit))
     report = verify_zero_discord(circuit)
-    report["config"] = {"command": "verify-clifford", "circuit": str(args.circuit)}
+    report["config"] = _config(args)
     return _render_json(report)
 
 
@@ -386,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--shots", type=int, default=0, help="shots per quadrature, 0 = exact")
     p.add_argument("--outputs", default="trace",
+                   type=lambda text: tuple(sorted(set(text.split(",")))),
                    help="comma list from trace,discord,tangle,tomo")
     p.add_argument("--mean-counts", type=float, default=1e4, dest="mean_counts")
     p.add_argument("--mode", choices=SAMPLING_MODES, default="binomial",
@@ -436,7 +402,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _write_output(args.out, args.func(args))
         return 0
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error) + "\n")
         return 1

@@ -123,6 +123,24 @@ class TestSweep:
                     assert line[column] == str(row[column]), column
         assert floats == 7 * 14
 
+    @pytest.mark.parametrize("extra", [[], ["discord"], ["tangle"], ["tomo"], ["discord", "tangle"],
+                                       ["discord", "tomo"], ["tangle", "tomo"],
+                                       ["discord", "tangle", "tomo"]], ids=",".join)
+    def test_column_order_is_fixed(self, extra, tmp_path):
+        order = ["theta", "alpha", "re_exact", "im_exact", "re_est", "im_est", "shots", "seed",
+                 "re_trace", "im_trace", "discord_rc", "discord_cr", "tangle", "tomo_fidelity",
+                 "tomo_discord_rc", "tomo_tangle"]
+        names = ["trace", *extra]
+        # each state column's name starts with the output that selects it
+        expected = order[:10] + [c for c in order[10:] if c.split("_")[0] in extra]
+        for listed in (names, names[::-1]):
+            args = ["sweep", "--steps", 2, "--outputs", ",".join(listed)]
+            csv_out, json_out = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+            assert run_cli([*args, "--out", csv_out]) == 0
+            assert run_cli([*args, "--format", "json", "--out", json_out]) == 0
+            _, header, _ = read_csv(csv_out)
+            assert header == json.loads(json_out.read_text())["columns"] == expected
+
     def test_sampled_sweep_deterministic(self, tmp_path):
         out1 = tmp_path / "s1.csv"
         out2 = tmp_path / "s2.csv"
@@ -343,6 +361,11 @@ class TestTrace:
         assert good >= 95
 
 
+TRACE_KEYS = {"command", "unitary", "alpha", "epsilon", "p_error", "seed", "mode"}
+SWEEP_KEYS = {"command", "theta_min", "theta_max", "steps", "alpha", "shots", "seed", "outputs",
+              "mean_counts", "mode"}
+
+
 class TestStateCommands:
     def test_discord_from_theta(self, tmp_path):
         out = tmp_path / "discord.json"
@@ -425,18 +448,37 @@ class TestStateCommands:
         (["tomo", "--theta", "1"], {"command", "theta", "alpha", "seed", "mean_counts"}),
         (["tomo", "{state}"], {"command", "state", "seed", "mean_counts"}),
         (["verify-clifford", "{circuit}"], {"command", "circuit"}),
+        (["trace", "{unitary}"], TRACE_KEYS),
+        (["trace", "{unitary}", "--alpha", "0.5", "--mode", "poisson", "--seed", "3"], TRACE_KEYS),
+        (["sweep", "--steps", "3"], SWEEP_KEYS),
+        (["sweep", "--steps", "3", "--outputs", "tangle,trace,tangle", "--shots", "10",
+          "--format", "json", "--theta-min=-1", "--mean-counts", "50"], SWEEP_KEYS),
     ])
     def test_config_names_only_the_inputs_used(self, args, keys, tmp_path):
         state, circuit = tmp_path / "state.json", tmp_path / "circuit.json"
+        unitary = tmp_path / "unitary.json"
         save_json(state, density_to_json(output_state(z_theta(1.0), 0.9)))
         save_json(circuit, {"n": 2, "gates": [{"g": "H", "q": 0}]})
+        save_json(unitary, unitary_to_json(z_theta(1.0)))
         out = tmp_path / "report.json"
-        argv = [a.format(state=state, circuit=circuit) for a in args]
+        argv = [a.format(state=state, circuit=circuit, unitary=unitary) for a in args]
         assert run_cli(argv + ["--out", out]) == 0
-        config = json.loads(out.read_text())["config"]
+        if out.read_text().startswith("# config: "):
+            config, _, _ = read_csv(out)
+        else:
+            config = json.loads(out.read_text())["config"]
         assert set(config) == keys
         if args[1] == "--theta" and "--alpha" not in args:
             assert config["alpha"] == 1.0
+        # the config is the parsed arguments, so a flag it leaves out fails
+        parsed = vars(cli.build_parser().parse_args(argv))
+        expected = {k: v for k, v in parsed.items()
+                    if v is not None and k not in ("out", "format", "func")}
+        if "theta" in expected:
+            expected.setdefault("alpha", 1.0)
+        if "outputs" in expected:
+            expected["outputs"] = list(expected["outputs"])
+        assert config == expected
 
     def test_csv_format_rejected(self, capsys):
         assert run_cli(["discord", "--theta", 1.0, "--format", "csv"]) == 1
@@ -588,6 +630,9 @@ class TestBadInputs:
         (["sweep", "--steps", "4", "--outputs", "tomo", "--shots", "1", "--mode", "poisson",
           "--mean-counts", "0.001", "--seed", "2"],
          "at theta=-3.141592653589793: no signal in basis pair ZZ"),
+        # both ends finite, the span between them not: rejected before linspace
+        (["sweep", "--theta-min=-1e308", "--theta-max=1e308", "--steps", "3"],
+         "theta_max - theta_min must be finite, got inf"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"
@@ -705,7 +750,7 @@ class TestJsonFuzz:
 
 
 _LITERALS = ("nan", "inf", "-inf", "-1", "5e-324", "1e-309", "1e-200", "1e300",
-             "99999999999999999999999", "abc")
+             "99999999999999999999999", "abc", "1e308", "-1e308")
 # Literals a quarter of the time; the rest are mostly in range, so that
 # reports are written too.
 _number_text = (st.sampled_from(_LITERALS) | st.integers(0, 5000).map(str)
@@ -755,7 +800,10 @@ def _argv(draw, command):
     names = draw(st.lists(st.sampled_from(own), max_size=5, unique=True)) if own else []
     names += draw(st.lists(st.sampled_from(sorted(_ALL_FLAGS)), max_size=1))
     for name in names:
-        argv += [name, draw(_ALL_FLAGS[name])]
+        value = draw(_ALL_FLAGS[name])
+        # A value that starts with "-" and is not a plain decimal, such as
+        # -1e308, reaches the parser only when joined to its flag by "=".
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
     return argv
 
 
