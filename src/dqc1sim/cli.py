@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -269,13 +270,9 @@ def _cmd_discord(args) -> str:
 
 
 def _cmd_tangle(args) -> str:
-    rho = _state(args)
-    report = {
-        "config": _config(args),
-        "concurrence": concurrence(rho),
-        "tangle": tangle(rho),
-    }
-    return _render_json(report)
+    c = concurrence(_state(args))
+    # the Python-float square tangle(rho) takes, without a second eigensolve
+    return _render_json({"config": _config(args), "concurrence": c, "tangle": c ** 2})
 
 
 def _cmd_tomo(args) -> str:
@@ -331,7 +328,12 @@ def _add_state_source(parser: argparse.ArgumentParser) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Raises a bad argument as ValueError, so main reports it as one JSON
-    line with exit 1 like every other input error; subparsers inherit it."""
+    line with exit 1 like every other input error; subparsers inherit it.
+    Reads -1e-3 as a number, not a flag, on every Python (3.11's argparse does not)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d+|\d*\.\d+)(?:[eE][+-]?\d+)?$")
 
     def error(self, message):
         raise ValueError(message)

@@ -438,8 +438,6 @@ def _search(entries: np.ndarray, subsystem_dims, measured: int):
     rank, axes = _axis_rank(k)
     ranks = [max(g, 1) for g in rank]  # rank 0 has one axis too
     groups = sorted(set(ranks))
-    if len(groups) == 1:
-        return _rank_search(r, k, axes, groups[0])
     values, axes_out = np.empty(len(entries)), np.empty((len(entries), 3))
     evals = np.empty(len(entries), dtype=int)
     for g in groups:

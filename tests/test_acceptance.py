@@ -35,9 +35,7 @@ from dqc1sim.tomography import linear_estimate
 
 from helpers import (
     bell_state,
-    circuit_unitary,
     controlled_pauli_circuit,
-    dense_pauli,
     disk_unitary,
     noiseless_run,
     random_clifford_circuit,
@@ -47,6 +45,7 @@ from helpers import (
     save_json,
     unitary_to_json,
 )
+from oracles import circuit_unitary, dense_pauli, witness_matrix
 
 
 @contextmanager
@@ -221,12 +220,7 @@ def test_criterion_8_correlation_oracles():
             assert abs(discord(product, MEASURE_REGISTER)) < 1e-6
             assert tangle(product) < 1e-6
 
-        zero = np.zeros((2, 2), dtype=complex)
-        zero[0, 0] = 1.0
-        one = np.zeros((2, 2), dtype=complex)
-        one[1, 1] = 1.0
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        witness = DensityMatrix(0.5 * np.kron(zero, zero) + 0.5 * np.kron(one, plus), (1, 1))
+        witness = DensityMatrix(witness_matrix(), (1, 1))
         assert discord(witness, MEASURE_REGISTER) > 0.05
         assert discord(witness, MEASURE_CONTROL) < 1e-4
 

@@ -9,6 +9,7 @@ API fail these tests and not only the benchmark's suite.
 
 import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 @pytest.fixture
 def bench(monkeypatch):
-    """The benchmark's workloads and large_register modules; they import
-    each other by bare name, so their directory goes on sys.path."""
+    """The benchmark's workloads and large_register modules, imported afresh;
+    they import each other and the benchmark's oracles by bare name, so their
+    directory goes on sys.path, and `oracles`, also the name of the tests'
+    oracle module, leaves sys.modules while they load."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("oracles", "workloads", "large_register"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
     return importlib.import_module("workloads"), importlib.import_module("large_register")
 
 

@@ -687,6 +687,45 @@ class TestBadInputs:
         assert "usage:" in capsys.readouterr().out
 
 
+# (command, flag) for every flag whose type reads "1" as a number: the ints,
+# the floats and --seed.
+NUMERIC_FLAGS = [(command, action.option_strings[0])
+                 for command, sub in next(a for a in cli.build_parser()._actions
+                                          if a.dest == "command").choices.items()
+                 for action in sub._actions
+                 if action.type and isinstance(action.type("1"), (int, float))]
+
+
+class TestNegativeNumbers:
+    @pytest.mark.parametrize("command, flag", NUMERIC_FLAGS, ids=map(" ".join, NUMERIC_FLAGS))
+    def test_own_word_reads_like_joined(self, command, flag, identity_unitary, tmp_path, capsys):
+        # -1e-3 as its own word is the flag's value, as when joined by "=";
+        # the flag follows a call that completes, and its later value wins
+        base = {"sweep": ["--steps", 2], "trace": [identity_unitary]}.get(command, ["--theta", 1])
+        out = tmp_path / "out"
+        for word in ("-1e-3", "-2.5E+1"):
+            results = []
+            for value in ([flag, word], [f"{flag}={word}"]):
+                code = run_cli([command, *base, *value, "--out", out])
+                results.append((code, *capsys.readouterr(), out.exists() and out.read_bytes()))
+                out.unlink(missing_ok=True)
+            assert results[0] == results[1] and "expected one argument" not in results[0][2]
+
+    def test_parser_sets_the_pattern_argparse_reads(self):
+        # The fix sets argparse's private _negative_number_matcher: with a
+        # pattern that matches nothing, argparse reads even -1 as a flag.
+        parser = cli._Parser()
+        parser.add_argument("--x", type=float)
+        for word in ("-1", "-0.5", "-.5", "-1e-3", "-2.5E+1", "-7e2"):
+            assert parser.parse_args(["--x", word]).x == float(word)
+        for word in ("-inf", "-1.", "-e3", "-1e"):
+            with pytest.raises(ValueError, match="expected one argument"):
+                parser.parse_args(["--x", word])
+        parser._negative_number_matcher = re.compile(r"(?!)")
+        with pytest.raises(ValueError, match="expected one argument"):
+            parser.parse_args(["--x", "-1"])
+
+
 GATE_NAMES = ("H", "S", "X", "Z", "CZ", "CNOT")
 _leaves = (st.none() | st.booleans() | st.integers(-2, 5) | st.integers() | st.floats()
            | st.sampled_from(GATE_NAMES) | st.text(max_size=3))
@@ -801,8 +840,8 @@ def _argv(draw, command):
     names += draw(st.lists(st.sampled_from(sorted(_ALL_FLAGS)), max_size=1))
     for name in names:
         value = draw(_ALL_FLAGS[name])
-        # A value that starts with "-" and is not a plain decimal, such as
-        # -1e308, reaches the parser only when joined to its flag by "=".
+        # Both spellings of a flag and its value: "--flag=value" and
+        # "--flag value".
         argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
     return argv
 

@@ -18,18 +18,15 @@ from dqc1sim.clifford import GATE_ARITY, GATE_NAMES, circuit_from_json
 from dqc1sim.correlations import basis_discord
 from dqc1sim.qmath import PAULI_EIGENSTATES
 
-from helpers import GATE_ARITY as ORACLE_ARITY
 from helpers import (
-    ONE_QUBIT_GATES,
-    circuit_unitary,
     controlled_pauli_circuit,
-    dense_pauli,
-    gate_unitary,
     random_clifford_circuit,
     random_pauli_string,
     read_circuit,
     reference_circuit,
 )
+from oracles import GATE_ARITY as ORACLE_ARITY
+from oracles import HADAMARD, ONE_QUBIT_GATES, circuit_unitary, dense_pauli, gate_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 CONTROLLED_Z = {"n": 2, "gates": [{"g": "H", "q": 0}, {"g": "CZ", "q": [0, 1]}]}
@@ -224,10 +221,7 @@ class TestVerifyZeroDiscord:
     def test_reported_rotations_diagonalize_the_state(self, seed):
         # applying the per-qubit rotations from the report must leave the
         # dense output state diagonal in the computational basis
-        gate_mats = {
-            "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-            "Sdg": np.diag([1.0, -1.0j]),
-        }
+        gate_mats = {"H": HADAMARD, "Sdg": np.diag([1.0, -1.0j])}
         rng = np.random.default_rng(seed)
         n_qubits = int(rng.integers(2, 5))
         circuit = read_circuit(random_clifford_circuit(n_qubits, 15, rng))

@@ -31,13 +31,15 @@ from dqc1sim.qmath import fidelity, stack_fidelity
 from dqc1sim.serialize import density_from_json
 from dqc1sim.tomography import ReconstructionError, stack_reconstruct
 
-from helpers import (
-    bell_state,
+from helpers import bell_state, package_env, random_density_matrix, random_pure_density
+from oracles import (
+    HADAMARD,
+    entropy_bits,
     oracle_min_conditional_entropy,
-    package_env,
-    random_density_matrix,
-    random_pure_density,
     random_unitary,
+    reduced_states,
+    werner_matrix,
+    witness_matrix,
     z_theta_control_hmin,
 )
 
@@ -62,30 +64,12 @@ def one_state_search(rho, measured):
     return float(values[0]), correlations._bloch_direction(axes[0]), int(evals[0])
 
 
-def register_entropy(rho):
-    """H(B) of a two-qubit state, written out here: the register's reduced
-    state by einsum, then -sum p log2 p over its positive eigenvalues."""
-    lam = np.linalg.eigvalsh(np.einsum("iaib->ab", rho.entries.reshape(2, 2, 2, 2)))
-    lam = lam[lam > 0.0]
-    return float(-(lam * np.log2(lam)).sum())
-
-
 def classical_mixture():
     """(|00><00| + |11><11|) / 2, classically correlated."""
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = 0.5
     m[3, 3] = 0.5
     return DensityMatrix(m, (1, 1))
-
-
-def witness_state():
-    """(|0><0| (x) |0><0| + |1><1| (x) |+><+|) / 2, classical-quantum."""
-    zero = np.zeros((2, 2), dtype=complex)
-    zero[0, 0] = 1.0
-    one = np.zeros((2, 2), dtype=complex)
-    one[1, 1] = 1.0
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    return DensityMatrix(0.5 * np.kron(zero, zero) + 0.5 * np.kron(one, plus), (1, 1))
 
 
 class TestMutualInformation:
@@ -138,7 +122,7 @@ class TestMinConditionalEntropy:
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(rng, (1, 1))
         value, _, evals = one_state_search(rho, 0)
-        assert -1e-12 <= value <= register_entropy(rho) + 1e-9
+        assert -1e-12 <= value <= entropy_bits(reduced_states(rho.entries, (2, 2))[1]) + 1e-9
         # a full-rank state distinguishes every axis: the hemisphere search
         assert CIRCLE_EVALS < evals <= SPHERE_EVALS
 
@@ -166,7 +150,7 @@ class TestDiscord:
         assert value == pytest.approx(fixture["oracle"]["discord_rc_grid"], abs=2e-4)
 
     def test_directionality_witness(self):
-        rho = witness_state()
+        rho = DensityMatrix(witness_matrix(), (1, 1))
         assert discord(rho, MEASURE_CONTROL) < 1e-4
         assert discord(rho, MEASURE_REGISTER) > 0.05
 
@@ -183,7 +167,7 @@ class TestDiscord:
     def test_pure_state_discord_is_entanglement(self, seed):
         rng = np.random.default_rng(seed)
         rho = random_pure_density(rng, (1, 1))
-        ent = register_entropy(rho)
+        ent = entropy_bits(reduced_states(rho.entries, (2, 2))[1])
         assert discord(rho, MEASURE_CONTROL) == pytest.approx(ent, abs=1e-4)
         # for amplitudes (a, b, c, d) the concurrence is 2|ad - bc|
         vec = np.linalg.eigh(rho.entries)[1][:, -1]
@@ -222,7 +206,8 @@ class TestOptimizerAgainstBruteForce:
         rho = density_from_json(fixture["state"])
         for measured in (0, 1):
             refined, _, _ = one_state_search(rho, measured)
-            grid = oracle_min_conditional_entropy(rho, measured, 100, 200)
+            grid = oracle_min_conditional_entropy(
+                rho.entries, rho.subsystem_dims, measured, 100, 200)
             assert refined <= grid + 1e-9
 
 
@@ -259,7 +244,7 @@ class TestConcurrenceAndTangle:
     @pytest.mark.parametrize("p", [0.2, 1 / 3, 0.6, 1.0])
     def test_werner_closed_form(self, p):
         # oracle: concurrence of p*Bell + (1-p)*I/4 is max(0, (3p-1)/2)
-        rho = DensityMatrix(p * bell_state().entries + (1 - p) * np.eye(4) / 4, (1, 1))
+        rho = DensityMatrix(werner_matrix(p), (1, 1))
         assert concurrence(rho) == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=1e-10)
 
     def test_dqc1_outputs_never_entangle(self):
@@ -302,13 +287,9 @@ class TestReportAndDirection:
             correlation_report(bell_state())
 
 
-def werner_state(p: float) -> DensityMatrix:
-    return DensityMatrix(p * bell_state().entries + (1 - p) * np.eye(4) / 4, (1, 1))
-
-
 ORACLE_STATES = {
     "bell": bell_state,
-    "werner": lambda: werner_state(0.6),
+    "werner": lambda: DensityMatrix(werner_matrix(0.6), (1, 1)),
     "z_theta_1.0": lambda: output_state(z_theta(1.0), 0.9),
     "z_theta_-2.5": lambda: output_state(z_theta(-2.5), 0.997),
     "z_theta_pi/2": lambda: output_state(z_theta(np.pi / 2), 1.0),
@@ -360,10 +341,8 @@ class TestBasisDiscord:
     def test_classical_mixture_closed_form(self):
         # I = 1; the Z basis reads the correlation out (J = 1), the X basis
         # leaves the control maximally mixed (J = 0)
-        z_basis = np.eye(2)
-        x_basis = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        assert basis_discord(classical_mixture(), z_basis) == pytest.approx(0.0, abs=1e-12)
-        assert basis_discord(classical_mixture(), x_basis) == pytest.approx(1.0, abs=1e-12)
+        assert basis_discord(classical_mixture(), np.eye(2)) == pytest.approx(0.0, abs=1e-12)
+        assert basis_discord(classical_mixture(), HADAMARD) == pytest.approx(1.0, abs=1e-12)
 
     @given(seed=seeds)
     @settings(max_examples=20, deadline=None)
@@ -483,7 +462,8 @@ class TestReducedSearch:
         assert plain[2] <= CIRCLE_EVALS and rotated[2] <= CIRCLE_EVALS
         assert rotated[0] == pytest.approx(plain[0], abs=1e-10)
         for state, (value, _, _) in ((rho, plain), (turned, rotated)):
-            assert value <= oracle_min_conditional_entropy(state, 0, 36, 72) + 1e-9
+            assert value <= oracle_min_conditional_entropy(
+                state.entries, state.subsystem_dims, 0, 36, 72) + 1e-9
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_equal_block_states_match_the_hemisphere_search(self, n):
@@ -534,7 +514,8 @@ class TestReducedSearch:
         assert (third_ratio(rho) > correlations.AXIS_RANK_RTOL) == above
         value, _, evals = one_state_search(rho, 0)
         assert (evals > CIRCLE_EVALS) == above
-        assert value <= oracle_min_conditional_entropy(rho, 0, 36, 72) + 1e-9
+        assert value <= oracle_min_conditional_entropy(
+            rho.entries, rho.subsystem_dims, 0, 36, 72) + 1e-9
         assert value == pytest.approx(one_state_search(base, 0)[0], abs=1e-10)
 
 
@@ -654,7 +635,7 @@ class TestStackedSearch:
 
         monkeypatch.setattr(correlations, "_model_minimum", recorded)
         rng = np.random.default_rng(5)
-        states = [werner_state(p) for p in (0.0, 0.3, 0.7)] + [
+        states = [DensityMatrix(werner_matrix(p), (1, 1)) for p in (0.0, 0.3, 0.7)] + [
             random_density_matrix(rng, (1, 1)) for _ in range(5)]
         _, [stacked] = stack_discords(states, (0,))
         assert any(0 < sum(f) < len(f) for f in flags)  # some call padded

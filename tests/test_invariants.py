@@ -50,9 +50,9 @@ from helpers import (
     random_clifford_circuit,
     random_density_matrix,
     random_pauli_string,
-    random_unitary,
     read_circuit,
 )
+from oracles import random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 alphas = st.floats(min_value=0.0, max_value=1.0)

@@ -14,6 +14,7 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 # and the benchmark. Tests do not count.
 PROGRAM = [*LIBRARY, *SCRIPTS, *BENCH]
 MODULES = {"dqc1sim", *(p.stem for p in LIBRARY)}
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def _run_script(name: str, outdir: Path, *flags: str) -> str:
@@ -110,6 +111,31 @@ def test_scripts_import_no_private_names(script):
 ])
 def test_private_name_finder(source, found):
     assert _private_library_names(ast.parse(source)) == found
+
+
+def test_oracles_import_only_numpy_and_the_standard_library():
+    """The shared oracles stay independent of what they check: nothing from
+    dqc1sim, nor from the test helpers, which build dqc1sim objects. A
+    relative import counts as its leading dots, which no module matches."""
+    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    allowed = {"numpy", *sys.stdlib_module_names}
+    foreign = [name for name in imported if name.partition(".")[0] not in allowed]
+    assert not foreign, f"oracles.py imports {foreign}"
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_scripts_define_no_oracle_of_their_own(script):
+    """A script takes its oracles from tests/oracles.py, the copy the tests
+    check, and keeps none of its own."""
+    tree = ast.parse(script.read_text(), filename=str(script))
+    own = [node.name for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+           and (node.name.startswith("oracle_") or node.name == "entropy_bits")]
+    assert not own, f"{script.name} defines {own}"
 
 
 # The one private name the package's modules share: the constructor that
