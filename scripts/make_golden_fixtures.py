@@ -5,7 +5,8 @@ Each fixture stores a two-qubit state, the four pinned values of the
 package's correlation report at generation time (regression pin), and an
 independent brute-force value for the discord on a grid of explicit
 projectors. The oracle and the witness and Werner states come from
-tests/oracles.py, shared with the tests and sharing no code with the package.
+tests/reference_oracles.py, shared with the tests and sharing no code with
+the package.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from dqc1sim import DensityMatrix, correlation_report, output_state, pure_state, z_theta
 from dqc1sim.serialize import density_to_json
-from oracles import oracle_discord, werner_matrix, witness_matrix
+from reference_oracles import oracle_discord, werner_matrix, witness_matrix
 
 FIXTURE_DIR = ROOT / "tests" / "fixtures"
 

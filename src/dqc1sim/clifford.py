@@ -5,7 +5,7 @@ DQC1 instance whose whole circuit is Clifford reduces to tracking a single
 signed Pauli string: the output state is (1/2^(n+1)) (I + alpha W Z_0 W+),
 which is diagonal in a product basis and therefore carries no discord.
 
-Circuits are gate-code and qubit arrays, checked once by circuit_from_json;
+Circuits are gate-code and qubit arrays, read in one pass by circuit_from_json;
 strings are X/Z bit vectors plus a sign, with O(1) updates per gate.
 Conjugating a Hermitian Pauli by a Clifford keeps the phase in {+1, -1}.
 """
@@ -66,9 +66,11 @@ class CliffordCircuit:
 
 
 def circuit_from_json(obj: dict) -> CliffordCircuit:
-    """Read {"n": n, "gates": [{"g": name, "q": qubits}, ...]}: one loop
-    checks each entry, naming the first bad one by its index; then come the
-    qubit count and the qubit range."""
+    """Read {"n": n, "gates": [{"g": name, "q": qubits}, ...]} in one pass.
+    The loop checks each entry once, in this order: its keys, the type of
+    each qubit (a list of them, or one), the name, the arity, distinct
+    qubits; the first check that fails names the entry by its index. Then
+    come the qubit count and the qubit range."""
     if not isinstance(obj, dict) or "n" not in obj or "gates" not in obj:
         raise ValueError("circuit JSON must be an object with 'n' and 'gates'")
     n = json_int(obj["n"], "n")
@@ -76,14 +78,20 @@ def circuit_from_json(obj: dict) -> CliffordCircuit:
     codes, first, second = [], [], []
     for i, item in enumerate(items):
         try:
-            (code, arity), q = _GATES[item["g"]], item["q"]
+            name, q = item["g"], item["q"]
             qs = q if type(q) is list else [q]
-            ok = (len(qs) == arity and type(qs[0]) is int and type(qs[-1]) is int
-                  and (arity == 1 or qs[0] != qs[1]))
-        except (TypeError, KeyError):
-            ok = False
-        if not ok:
-            raise ValueError(f"bad gate at index {i}: {_gate_error(item)}")
+            for k in qs:
+                if type(k) is not int:  # spares good qubits the call
+                    json_int(k, "qubit index")
+            if name not in _GATES:
+                raise ValueError(f"unknown gate {name!r}")
+            code, arity = _GATES[name]
+            if len(qs) != arity:
+                raise ValueError(f"{name} takes {arity} qubit(s), got {tuple(qs)}")
+            if arity == 2 and qs[0] == qs[1]:
+                raise ValueError(f"{name} qubits must be distinct, got {tuple(qs)}")
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"bad gate at index {i}: {exc}") from None
         codes.append(code)
         first.append(qs[0])
         second.append(qs[-1])
@@ -101,23 +109,6 @@ def circuit_from_json(obj: dict) -> CliffordCircuit:
     for array in (gates, qubits):
         array.setflags(write=False)
     return CliffordCircuit(n, gates, qubits)
-
-
-def _gate_error(item) -> str:
-    """Why an entry is not a gate. The checks run in this order: its keys,
-    the type of each qubit, the name, the arity, distinct qubits."""
-    try:
-        name, q = item["g"], item["q"]
-        qubits = tuple(q) if isinstance(q, list) else (q,)
-        for k in qubits:
-            json_int(k, "qubit index")
-        if name not in GATE_ARITY:
-            return f"unknown gate {name!r}"
-    except (TypeError, KeyError, ValueError) as exc:
-        return str(exc)
-    if len(qubits) != GATE_ARITY[name]:
-        return f"{name} takes {GATE_ARITY[name]} qubit(s), got {qubits}"
-    return f"{name} qubits must be distinct, got {qubits}"
 
 
 def propagate(circuit: CliffordCircuit, p: SignedPauliString) -> SignedPauliString:

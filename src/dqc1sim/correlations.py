@@ -549,6 +549,8 @@ def correlation_report(rho: DensityMatrix) -> dict:
     register; argmin_direction is the minimizing measurement axis on the
     control, and optimizer_evals counts both searches' evaluations.
     """
+    if rho.dim != 4:
+        raise ValueError(f"correlation report requires a two-qubit state, got dim {rho.dim}")
     if rho.qubit_dims != (1, 1):
         rho = repartition(rho, (1, 1))
     info, [(d_rc, direction, evals_c), (d_cr, _, evals_r)] = discords(rho, (0, 1))

@@ -3,7 +3,7 @@ random states, circuit JSON, JSON writers, the entry-by-entry reference
 reader of circuit JSON, and the environment of a child interpreter.
 
 The independent oracles, which import nothing from dqc1sim, are in
-oracles.py.
+reference_oracles.py.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dqc1sim import DensityMatrix, UnitaryMatrix
 from dqc1sim.clifford import MAX_QUBITS, CliffordCircuit, SignedPauliString, circuit_from_json
 from dqc1sim.serialize import matrix_to_json
 
-from oracles import GATE_ARITY, TOMO_LABELS, bell_matrix, setting_probability
+from reference_oracles import GATE_ARITY, TOMO_LABELS, bell_matrix, setting_probability
 
 
 def random_density_matrix(rng, qubit_dims, rank=None) -> DensityMatrix:

@@ -45,7 +45,7 @@ from helpers import (
     save_json,
     unitary_to_json,
 )
-from oracles import circuit_unitary, dense_pauli, witness_matrix
+from reference_oracles import circuit_unitary, dense_pauli, witness_matrix
 
 
 @contextmanager

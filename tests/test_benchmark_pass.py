@@ -21,10 +21,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def bench(monkeypatch):
     """The benchmark's workloads and large_register modules, imported afresh;
     they import each other and the benchmark's oracles by bare name, so their
-    directory goes on sys.path, and `oracles`, also the name of the tests'
-    oracle module, leaves sys.modules while they load."""
+    directory goes on sys.path."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    for name in ("oracles", "workloads", "large_register"):
+    for name in ("workloads", "large_register"):
         monkeypatch.delitem(sys.modules, name, raising=False)
     return importlib.import_module("workloads"), importlib.import_module("large_register")
 

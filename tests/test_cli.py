@@ -547,6 +547,8 @@ class TestBadInputs:
             "qubit_dims_float": {**mixed, "qubit_dims": [1, 1.0]},
             "qubit_dims_huge": {**mixed, "qubit_dims": [10**12, 1]},
             "entries_object": {**mixed, "re": {"a": 1}},
+            "one_qubit": matrix_to_json(np.eye(2) / 2),
+            "three_qubits": matrix_to_json(np.eye(8) / 8),
         }
         valid = {
             "state": density_to_json(output_state(z_theta(1.0), 0.9)),
@@ -633,6 +635,11 @@ class TestBadInputs:
         # both ends finite, the span between them not: rejected before linspace
         (["sweep", "--theta-min=-1e308", "--theta-max=1e308", "--steps", "3"],
          "theta_max - theta_min must be finite, got inf"),
+        # checked before the state is split into control and register
+        (["discord", "{dir}/one_qubit.json"],
+         "correlation report requires a two-qubit state, got dim 2"),
+        (["discord", "{dir}/three_qubits.json"],
+         "correlation report requires a two-qubit state, got dim 8"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"

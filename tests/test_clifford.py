@@ -25,8 +25,8 @@ from helpers import (
     read_circuit,
     reference_circuit,
 )
-from oracles import GATE_ARITY as ORACLE_ARITY
-from oracles import HADAMARD, ONE_QUBIT_GATES, circuit_unitary, dense_pauli, gate_unitary
+from reference_oracles import GATE_ARITY as ORACLE_ARITY
+from reference_oracles import HADAMARD, ONE_QUBIT_GATES, circuit_unitary, dense_pauli, gate_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 CONTROLLED_Z = {"n": 2, "gates": [{"g": "H", "q": 0}, {"g": "CZ", "q": [0, 1]}]}
@@ -255,9 +255,14 @@ class TestVerifyZeroDiscord:
             assert cert < 1e-6
 
 
+class _QubitList(list):
+    """Not a JSON list: the reader takes it for one qubit, as it does a tuple."""
+
+
 # Reader errors word for word, as (circuit JSON, message). The first bad
 # entry in index order is named first, then the qubit count, then the first
-# gate out of range.
+# gate out of range. The last four rows are entries the Hypothesis
+# strategy below never builds.
 READER_ERRORS = {
     "unknown_name": ({"n": 2, "gates": [{"g": "T", "q": 0}]},
                      "bad gate at index 0: unknown gate 'T'"),
@@ -290,6 +295,13 @@ READER_ERRORS = {
                          "bad gate at index 0: H takes 1 qubit(s), got ()"),
     "qubit_beyond_int64": ({"n": 2, "gates": [{"g": "X", "q": 10**30}]},
                            f"gate 0 (X on ({10**30},)) out of range for 2 qubits"),
+    "list_subclass_qubits": ({"n": 2, "gates": [{"g": "CZ", "q": _QubitList([0, 1])}]},
+                             "bad gate at index 0: qubit index must be an integer, got [0, 1]"),
+    "missing_qubits": ({"n": 2, "gates": [{"g": "H"}]}, "bad gate at index 0: 'q'"),
+    "null_name": ({"n": 2, "gates": [{"g": None, "q": 0}]},
+                  "bad gate at index 0: unknown gate None"),
+    "object_name": ({"n": 2, "gates": [{"g": {}, "q": 0}]},
+                    "bad gate at index 0: unhashable type: 'dict'"),
 }
 
 # Near-valid circuit JSON, so that every check of the reader is reached.

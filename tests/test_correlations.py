@@ -32,7 +32,7 @@ from dqc1sim.serialize import density_from_json
 from dqc1sim.tomography import ReconstructionError, stack_reconstruct
 
 from helpers import bell_state, package_env, random_density_matrix, random_pure_density
-from oracles import (
+from reference_oracles import (
     HADAMARD,
     entropy_bits,
     oracle_min_conditional_entropy,

@@ -14,7 +14,7 @@ from dqc1sim import (
 )
 from dqc1sim.qmath import SIGMA_Z
 
-from oracles import circuit_output_state, random_unitary
+from reference_oracles import circuit_output_state, random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

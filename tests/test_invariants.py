@@ -52,7 +52,7 @@ from helpers import (
     random_pauli_string,
     read_circuit,
 )
-from oracles import random_unitary
+from reference_oracles import random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 alphas = st.floats(min_value=0.0, max_value=1.0)

@@ -16,7 +16,7 @@ from dqc1sim.dqc1 import z_theta
 from dqc1sim.qmath import spectrum_entropy, stack_fidelity
 
 from helpers import bell_state, random_density_matrix, random_pure_density
-from oracles import random_unitary
+from reference_oracles import random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

@@ -16,7 +16,7 @@ from dqc1sim import (
 from dqc1sim.sampling import FITTED_PARAMETERS, MAX_SHOTS
 
 from helpers import disk_unitary
-from oracles import quadrature_draws
+from reference_oracles import quadrature_draws
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

@@ -14,7 +14,7 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 # and the benchmark. Tests do not count.
 PROGRAM = [*LIBRARY, *SCRIPTS, *BENCH]
 MODULES = {"dqc1sim", *(p.stem for p in LIBRARY)}
-ORACLES = ROOT / "tests" / "oracles.py"
+ORACLES = ROOT / "tests" / "reference_oracles.py"
 
 
 def _run_script(name: str, outdir: Path, *flags: str) -> str:
@@ -124,18 +124,28 @@ def test_oracles_import_only_numpy_and_the_standard_library():
                  if isinstance(node, ast.ImportFrom)]
     allowed = {"numpy", *sys.stdlib_module_names}
     foreign = [name for name in imported if name.partition(".")[0] not in allowed]
-    assert not foreign, f"oracles.py imports {foreign}"
+    assert not foreign, f"reference_oracles.py imports {foreign}"
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_scripts_define_no_oracle_of_their_own(script):
-    """A script takes its oracles from tests/oracles.py, the copy the tests
-    check, and keeps none of its own."""
+    """A script takes its oracles from tests/reference_oracles.py, the copy
+    the tests check, and keeps none of its own."""
     tree = ast.parse(script.read_text(), filename=str(script))
     own = [node.name for node in ast.walk(tree)
            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
            and (node.name.startswith("oracle_") or node.name == "entropy_bits")]
     assert not own, f"{script.name} defines {own}"
+
+
+def test_no_module_shares_a_name_with_the_benchmarks():
+    """The benchmark's modules import each other by bare name. In one pytest
+    session over tests and perfbench, a module under tests/ or scripts/
+    named as one under perfbench/ would clash with it: whichever is
+    imported first would serve both suites."""
+    ours = {p.stem for folder in ("tests", "scripts") for p in (ROOT / folder).glob("*.py")}
+    shared = sorted(ours & {p.stem for p in BENCH})
+    assert not shared, f"modules named as in perfbench/: {shared}"
 
 
 # The one private name the package's modules share: the constructor that

@@ -21,7 +21,7 @@ from dqc1sim.serialize import density_to_json
 from dqc1sim.tomography import PROJECTORS, SETTING_LABELS, linear_estimate, psd_project
 
 from helpers import bell_state, noiseless_run, random_density_matrix
-from oracles import TOMO_KETS, TOMO_LABELS, least_squares_estimate, setting_probability
+from reference_oracles import TOMO_KETS, TOMO_LABELS, least_squares_estimate, setting_probability
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
