@@ -33,14 +33,16 @@ call. A rank 3 or rank 2 search makes at most 8 calls.
 The search runs on a stack of states with the same qubit_dims
 (stack_discords), so that this fixed cost is paid once per stack rather
 than once per state: the states are grouped by rank, each first grid and
-each zoom round is one objective call for the whole group, and each state's
-scalar bookkeeping (its tangent frame, quadratic fit and strict-improvement
-update) runs in Python floats. Every state goes through exactly the search
-it would get alone, to the bit: the same directions, the same
-strict-improvement and model-point rules, and the same evaluation count, so
-the counts per state are those of a one-state search. A state whose fitted
-quadratic has no minimum in a round where others in its group have one gets
-a padding candidate in that call, which is neither counted nor chosen.
+each zoom round is one objective call for the whole group, and the quadratic
+fits and strict-improvement updates are array arithmetic over it. Only the
+rank 3 tangent frames are built state by state, with the math module, as
+numpy's vectorised acos and atan2 round differently on some inputs. Every
+state goes through exactly the search it would get alone, to the bit: the
+same directions, the same strict-improvement and model-point rules, and the
+same evaluation count, so the counts per state are those of a one-state
+search. A state whose fitted quadratic has no minimum in a round where
+others in its group have one gets a padding candidate in that call, which
+is neither counted nor chosen.
 discords, discord and correlation_report are the one-state case. H(A), H(B)
 and H(AB) come from batched eigvalsh (_entropies), for the register
 certificate basis_discord too. A stack is searched whole, so its caller keeps
@@ -273,24 +275,21 @@ def _tangent_frames(n: np.ndarray) -> np.ndarray:
 
 def _model_minimum(fit: np.ndarray, vals: np.ndarray):
     """Minimum of the least-squares quadratic through each state's zoom-grid
-    values (S, P), in units of the window half-width, and a list of whether
-    each fit has one (its Hessian is positive definite). Solved in closed
-    form, per state in Python floats, which cost less than numpy's fixed
-    cost per operation on a few states; the step of a fit without a minimum
-    is 0."""
-    steps, found = [], []
-    for c in (fit @ vals[:, :, None])[:, :, 0].tolist():
-        if len(c) == 3:  # c0 + c1 u + c2 u^2
-            ok = c[2] > 0.0
-            steps.append([-c[1] / (2.0 * c[2])] if ok else [0.0])
-        else:
-            _, c1, c2, c3, c4, c5 = c  # Hessian [[2 c3, c4], [c4, 2 c5]]
-            det = 4.0 * c3 * c5 - c4 * c4
-            ok = c3 > 0.0 and det > 0.0
-            steps.append([(c4 * c2 - 2.0 * c5 * c1) / det, (c4 * c1 - 2.0 * c3 * c2) / det]
-                         if ok else [0.0, 0.0])
-        found.append(ok)
-    return np.array(steps), found
+    values (S, P), in units of the window half-width (S, dim), and whether
+    each fit has one (S,): its Hessian is positive definite. Closed forms in
+    +, -, * and /, which round as Python floats do. A fit without a minimum
+    gets step 0, and np.where gives it a divisor of 1, so no division warns."""
+    c = (fit @ vals[:, :, None])[:, :, 0].T
+    if len(c) == 3:  # c0 + c1 u + c2 u^2
+        found = c[2] > 0.0
+        steps = [-c[1] / np.where(found, 2.0 * c[2], 1.0)]
+    else:
+        _, c1, c2, c3, c4, c5 = c  # Hessian [[2 c3, c4], [c4, 2 c5]]
+        det = 4.0 * c3 * c5 - c4 * c4
+        found = (c3 > 0.0) & (det > 0.0)
+        det = np.where(found, det, 1.0)
+        steps = [(c4 * c2 - 2.0 * c5 * c1) / det, (c4 * c1 - 2.0 * c3 * c2) / det]
+    return np.where(found[:, None], np.stack(steps, axis=1), 0.0), found
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -307,55 +306,51 @@ def _zoom(objective, n, value, frame_of, stencil, half):
     lose the minimum of a narrow valley that runs across it (near the
     Clifford points, or any state under a local rotation), so each round
     also tries the minimum of the quadratic fitted to its grid values. That
-    model point is evaluated in the next round's call, stacked after its
-    grid, and the last one in a call of its own: one objective call per
-    round, plus one. A state whose fit has no minimum evaluates its grid
-    centre there instead, as padding that is neither counted nor chosen; a
-    call where no state has a model point has no such column.
-    The objective calls run on the whole stack; the strict-improvement
-    update runs state by state in Python, which costs less than numpy's
-    fixed cost per operation unless the stack is large. Returns the best
-    directions, their values and the evaluations made.
+    model point is evaluated in the next pass's call, stacked after its
+    grid; a last pass, after the rounds, evaluates the last one alone: one
+    objective call per round, plus one. A state whose fit has no minimum
+    evaluates its grid centre there instead, as padding that is neither
+    counted nor chosen; a call where no state has a model point has no such
+    column. The calls, the fits and the strict-improvement update all run on
+    the whole stack as arrays; only frame_of may go state by state, as
+    _tangent_frames does. Returns the best directions, their values and the
+    evaluations made.
     """
     offsets, fit = stencil
-    n, value = n.copy(), value.tolist()
-    counted = []  # the model flags of each call that had a model column
+    n, value = n.copy(), value.copy()
+    evals = np.full(len(n), ZOOM_ROUNDS * len(offsets))
+    rows = np.arange(len(n))
     model = None
-    for _ in range(ZOOM_ROUNDS):
-        frame = frame_of(n)
-        cand = n[:, None] + half * (offsets @ frame)
-        if model is not None:
-            cand = np.concatenate([cand, model[:, None]], axis=1)
-        cand = _unit_rows(cand)  # the model point too, row by row
+    for round_ in range(ZOOM_ROUNDS + 1):
+        grid = round_ < ZOOM_ROUNDS
+        if not grid and model is None:
+            break
+        columns = [model[:, None]] if model is not None else []
+        if grid:
+            frame = frame_of(n)
+            columns.insert(0, n[:, None] + half * (offsets @ frame))
+        cand = _unit_rows(np.concatenate(columns, axis=1))  # the model point too, row by row
         vals = objective(cand)
         if model is not None:
-            counted.append(found)
-            if not all(found):
-                vals[[i for i, f in enumerate(found) if not f], -1] = np.inf
-        step, found = _model_minimum(fit, vals[:, :len(offsets)])
-        model = n + half * (step[:, None] @ frame)[:, 0] if any(found) else None
-        for i, best in enumerate(vals.argmin(axis=1).tolist()):
-            if vals[i, best] < value[i]:
-                n[i], value[i] = cand[i, best], vals[i, best]
+            evals += found
+            vals[~found, -1] = np.inf
+        if grid:
+            step, found = _model_minimum(fit, vals[:, :len(offsets)])
+            model = n + half * (step[:, None] @ frame)[:, 0] if found.any() else None
+        best = vals.argmin(axis=1)
+        better = vals[rows, best] < value
+        n[better], value[better] = cand[better, best[better]], vals[better, best[better]]
         half *= 2.0 / (ZOOM_POINTS - 1)
-    if model is not None:
-        counted.append(found)
-        model = _unit_rows(model)
-        last = objective(model[:, None])[:, 0]
-        for i, f in enumerate(found):
-            if f and last[i] < value[i]:
-                n[i], value[i] = model[i], last[i]
-    model_evals = [sum(flags) for flags in zip(*counted)] if counted else [0] * len(n)
-    return n, np.array(value), ZOOM_ROUNDS * len(offsets) + np.array(model_evals)
+    return n, value, evals
 
 
 def _axis_rank(k: np.ndarray):
-    """Rank of each state's three K matrices as real vectors (a list), and
+    """Rank of each state's three K matrices as real vectors (S,), and
     the left singular vectors (columns, largest singular value first) of the
     real 3 x 2d^2 matrix of their real and imaginary parts, whose first rank
     columns span the axes the conditional blocks depend on."""
     u, s, _ = np.linalg.svd(k.reshape(len(k), 3, -1).view(np.float64), full_matrices=False)
-    return [sum(v > AXIS_RANK_RTOL * row[0] for v in row) for row in s.tolist()], u
+    return (s > AXIS_RANK_RTOL * s[:, :1]).sum(axis=1), u
 
 
 _CIRCLE_PHI = np.arange(CIRCLE_POINTS)[:, None] * (np.pi / CIRCLE_POINTS)
@@ -436,12 +431,12 @@ def _search(entries: np.ndarray, subsystem_dims, measured: int):
     """
     r, k = _measurement_blocks(entries, subsystem_dims, measured)
     rank, axes = _axis_rank(k)
-    ranks = [max(g, 1) for g in rank]  # rank 0 has one axis too
-    groups = sorted(set(ranks))
+    rank = np.maximum(rank, 1)  # rank 0 has one axis too
     values, axes_out = np.empty(len(entries)), np.empty((len(entries), 3))
     evals = np.empty(len(entries), dtype=int)
-    for g in groups:
-        members = [i for i, h in enumerate(ranks) if h == g]
+    # The ranks present, ascending; np.unique would import numpy.ma (about 15 ms).
+    for g in np.flatnonzero(np.bincount(rank)):
+        members = np.flatnonzero(rank == g)
         values[members], axes_out[members], evals[members] = _rank_search(
             r[members], k[members], axes[members], g)
     return values, axes_out, evals

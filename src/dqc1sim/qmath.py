@@ -48,7 +48,7 @@ PAULI_EIGENSTATES = {
 
 def square_complex(m) -> np.ndarray:
     """Copy of m as a finite, square complex matrix; the one entry check
-    shared by states, unitaries and tomography estimates."""
+    shared by states and unitaries."""
     out = np.array(m, dtype=complex)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {out.shape}")

@@ -99,7 +99,7 @@ def reference_circuit(obj: dict) -> tuple[int, list]:
     for i, item in enumerate(obj["gates"]):
         try:
             name, q = item["g"], item["q"]
-            qubits = tuple(q) if isinstance(q, list) else (q,)
+            qubits = tuple(q) if type(q) is list else (q,)
             for k in qubits:
                 if type(k) is not int:
                     raise ValueError(f"qubit index must be an integer, got {json.dumps(k)[:40]}")

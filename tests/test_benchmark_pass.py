@@ -42,3 +42,20 @@ def test_shrunken_large_register_pass(bench, tmp_path):
     result = large_register.run_pass(tmp_path)
     assert workload.check(json.dumps(result, sort_keys=True)) == []
     assert (result["clifford"]["n_qubits"], result["clifford"]["n_gates"]) == (50, workload.n_gates)
+
+
+# Traced names that no longer exist in dqc1sim and that the benchmark still
+# lists; a benchmark change deletes them. No other traced name may go.
+STALE_TARGETS = {"qmath.vn_entropy", "qmath.partial_trace",
+                 "correlations.minimize", "correlations.mutual_information"}
+
+
+def test_traced_names_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    tracer = importlib.import_module("spans").Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert set(tracer.missing) <= STALE_TARGETS

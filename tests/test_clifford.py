@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqc1sim import (
@@ -316,6 +316,10 @@ _circuit_json = st.fixed_dictionaries({
 })
 
 
+class ListSubclass(list):
+    """A list that the reader, like JSON, does not take for a qubit list."""
+
+
 class TestCircuitJson:
     def test_round_trip(self):
         obj = {"n": 3, "gates": [{"g": "H", "q": 0}, {"g": "CZ", "q": [0, 1]},
@@ -369,6 +373,7 @@ class TestCircuitJson:
             assert [a, b] == (gate["q"] if GATE_ARITY[gate["g"]] == 2 else [gate["q"]] * 2)
 
     @given(obj=_circuit_json)
+    @example(obj={"n": 2, "gates": [{"g": "CZ", "q": ListSubclass([0, 1])}]})
     @settings(max_examples=300, deadline=None)
     def test_matches_the_reference_reader(self, obj):
         try:

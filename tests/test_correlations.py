@@ -373,6 +373,14 @@ class TestMinimiserContract:
         )
         assert out.stdout.strip() == "False"
 
+    def test_search_loads_no_masked_arrays(self):
+        # numpy.ma, which np.unique imports, costs about 15 ms of start-up.
+        code = ("import sys; from dqc1sim import correlation_report, output_state, z_theta; "
+                "correlation_report(output_state(z_theta(1.0), 0.9)); print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=package_env(), check=True)
+        assert out.stdout.strip() == "False"
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_chunked_blocks_match_one_batch(self, n, monkeypatch):
         rng = np.random.default_rng(n)
@@ -586,6 +594,20 @@ def mixed_rank_stack(rng, qubit_dims=(1, 1)) -> list:
     return states
 
 
+def scalar_model_minimum(c) -> tuple[list, bool]:
+    """The closed forms of _model_minimum on one state's coefficients c, in
+    Python floats: the step (zero without a minimum) and whether the fit has
+    a minimum."""
+    if len(c) == 3:  # c0 + c1 u + c2 u^2
+        ok = c[2] > 0.0
+        return ([-c[1] / (2.0 * c[2])] if ok else [0.0]), ok
+    _, c1, c2, c3, c4, c5 = c
+    det = 4.0 * c3 * c5 - c4 * c4
+    ok = c3 > 0.0 and det > 0.0
+    return ([(c4 * c2 - 2.0 * c5 * c1) / det, (c4 * c1 - 2.0 * c3 * c2) / det]
+            if ok else [0.0, 0.0]), ok
+
+
 def assert_same_search(stacked, alone):
     """A stacked side of stack_discords (arrays) against one-state
     (discord, direction, evaluations) tuples, to the bit."""
@@ -642,6 +664,50 @@ class TestStackedSearch:
         monkeypatch.setattr(correlations, "_model_minimum", inner)
         assert_same_search(stacked, [discords(rho, (0,))[1][0] for rho in states])
         assert_same_axes(stacked, states, 0)
+
+    @pytest.mark.parametrize("terms", [3, 6])  # the 1-D and 2-D stencils' quadratics
+    def test_model_minimum_matches_the_scalar_formulas(self, terms):
+        rng = np.random.default_rng(terms)
+        coef = rng.normal(size=(300, terms))
+        if terms == 3:
+            coef[:10, 2] = 0.0  # c2 = 0
+        else:
+            coef[:10, 3] = 0.0  # c3 = 0
+            coef[10:20, 3:] = [1.0, 2.0, 1.0]  # det = 4 c3 c5 - c4^2 = 0
+        # An identity fit hands the coefficients through unchanged.
+        steps, found = correlations._model_minimum(np.eye(terms), coef)
+        expected = [scalar_model_minimum(c) for c in coef.tolist()]
+        assert steps.tolist() == [step for step, _ in expected]
+        assert found.tolist() == [ok for _, ok in expected]
+        assert found.any() and not found.all()
+        if terms == 6:  # c3 <= 0, and c3 > 0 with det <= 0
+            det = 4.0 * coef[:, 3] * coef[:, 5] - coef[:, 4] ** 2
+            assert (coef[:, 3] <= 0.0).any() and ((coef[:, 3] > 0.0) & (det <= 0.0)).any()
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_evaluations_count_each_found_model_point(self, monkeypatch, rank):
+        flags = []
+        inner = correlations._model_minimum
+
+        def recorded(fit, vals):
+            step, found = inner(fit, vals)
+            flags.append(found.tolist())
+            return step, found
+
+        monkeypatch.setattr(correlations, "_model_minimum", recorded)
+        if rank == 3:
+            rng = np.random.default_rng(5)
+            states = [DensityMatrix(werner_matrix(p), (1, 1)) for p in (0.3, 0.7)] + [
+                random_density_matrix(rng, (1, 1)) for _ in range(5)]
+            grid, (offsets, _) = len(correlations._HEMISPHERE), correlations._SPHERE_ZOOM
+        else:
+            states = [output_state(z_theta(t), 0.997) for t in np.linspace(-3.0, 3.0, 8)]
+            grid, (offsets, _) = correlations.CIRCLE_POINTS, correlations._CIRCLE_ZOOM
+        _, [(_, _, evals)] = stack_discords(states, (0,))
+        assert len(flags) == correlations.ZOOM_ROUNDS  # one rank group, one fit per round
+        assert any(flags[-1])  # so the last model call counts too
+        models = np.array(flags).sum(axis=0)
+        assert evals.tolist() == (grid + correlations.ZOOM_ROUNDS * len(offsets) + models).tolist()
 
     def test_tangle_and_fidelity_match_one_state_calls(self):
         rng = np.random.default_rng(11)
