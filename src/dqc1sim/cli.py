@@ -206,7 +206,7 @@ def _render_json(payload: dict) -> str:
 
 
 def _write_output(path, text: str) -> None:
-    if path in (None, "-"):
+    if path == "-":
         sys.stdout.write(text)
         return
     try:
@@ -271,8 +271,7 @@ def _cmd_discord(args) -> str:
 
 def _cmd_tangle(args) -> str:
     c = concurrence(_state(args))
-    # the Python-float square tangle(rho) takes, without a second eigensolve
-    return _render_json({"config": _config(args), "concurrence": c, "tangle": c ** 2})
+    return _render_json({"config": _config(args), "concurrence": c, "tangle": c * c})
 
 
 def _cmd_tomo(args) -> str:
@@ -404,7 +403,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _write_output(args.out, args.func(args))
         return 0
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error) + "\n")
         return 1

@@ -33,16 +33,15 @@ call. A rank 3 or rank 2 search makes at most 8 calls.
 The search runs on a stack of states with the same qubit_dims
 (stack_discords), so that this fixed cost is paid once per stack rather
 than once per state: the states are grouped by rank, each first grid and
-each zoom round is one objective call for the whole group, and the quadratic
-fits and strict-improvement updates are array arithmetic over it. Only the
-rank 3 tangent frames are built state by state, with the math module, as
-numpy's vectorised acos and atan2 round differently on some inputs. Every
-state goes through exactly the search it would get alone, to the bit: the
-same directions, the same strict-improvement and model-point rules, and the
-same evaluation count, so the counts per state are those of a one-state
-search. A state whose fitted quadratic has no minimum in a round where
-others in its group have one gets a padding candidate in that call, which
-is neither counted nor chosen.
+each zoom round is one objective call for the whole group, and the rank 3
+tangent frames (closed form in x, y and z), the quadratic fits and the
+strict-improvement updates are array arithmetic over it, with no loop over
+states. Every state goes through exactly the search it would get alone, to
+the bit: the same directions, the same strict-improvement and model-point
+rules, and the same evaluation count, so the counts per state are those of
+a one-state search. A state whose fitted quadratic has no minimum in a round
+where others in its group have one gets a padding candidate in that call,
+which is neither counted nor chosen.
 discords, discord and correlation_report are the one-state case. H(A), H(B)
 and H(AB) come from batched eigvalsh (_entropies), for the register
 certificate basis_discord too. A stack is searched whole, so its caller keeps
@@ -60,8 +59,6 @@ plus the zoom and model points.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -257,20 +254,19 @@ def _dense_spectra(r: np.ndarray, k: np.ndarray):
 
 def _tangent_frames(n: np.ndarray) -> np.ndarray:
     """Rows: the unit polar and azimuth directions at each unit vector of n
-    (S, 3), as (S, 2, 3).
+    (S, 3), as (S, 2, 3), in closed form from (x, y, z) with s = hypot(x, y):
+    (z x/s, z y/s, -s) and (-y/s, x/s, 0).
 
-    Both are defined at the poles too (with azimuth 0 there), so the zoom
-    has no coordinate singularity. Scalar math, whose rounding numpy's
-    vectorised acos and atan2 do not all share.
+    Both are defined at the poles too (azimuth 0 there: (z, 0, -0) and
+    (0, 1, 0)), so the zoom has no coordinate singularity. hypot keeps s
+    exact where x^2 + y^2 would underflow.
     """
-    frames = []
-    for x, y, z in n.tolist():
-        polar = math.acos(max(-1.0, min(1.0, z)))
-        azimuth = math.atan2(y, x)
-        cp, sp = math.cos(polar), math.sin(polar)
-        ca, sa = math.cos(azimuth), math.sin(azimuth)
-        frames.append([[cp * ca, cp * sa, -sp], [-sa, ca, 0.0]])
-    return np.array(frames)
+    x, y, z = n.T
+    s = np.hypot(x, y)
+    pole = s == 0.0
+    d = np.where(pole, 1.0, s)
+    ca, sa = np.where(pole, 1.0, x / d), y / d  # y / d is 0 at a pole
+    return np.stack([z * ca, z * sa, -s, -sa, ca, np.zeros_like(s)], axis=-1).reshape(-1, 2, 3)
 
 
 def _model_minimum(fit: np.ndarray, vals: np.ndarray):
@@ -311,10 +307,9 @@ def _zoom(objective, n, value, frame_of, stencil, half):
     objective call per round, plus one. A state whose fit has no minimum
     evaluates its grid centre there instead, as padding that is neither
     counted nor chosen; a call where no state has a model point has no such
-    column. The calls, the fits and the strict-improvement update all run on
-    the whole stack as arrays; only frame_of may go state by state, as
-    _tangent_frames does. Returns the best directions, their values and the
-    evaluations made.
+    column. The calls, the frames, the fits and the strict-improvement
+    update all run on the whole stack as arrays. Returns the best
+    directions, their values and the evaluations made.
     """
     offsets, fit = stencil
     n, value = n.copy(), value.copy()
@@ -526,10 +521,10 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def stack_tangle(states) -> np.ndarray:
-    """Concurrence squared of each state in a nonempty sequence of two-qubit
-    states. Squared as Python floats: numpy's array power and libm's pow,
-    which float ** 2 calls, can round the last bit differently."""
-    return np.array([c ** 2 for c in stack_concurrence(states).tolist()])
+    """Concurrence squared, c * c, of each state in a nonempty sequence of
+    two-qubit states."""
+    c = stack_concurrence(states)
+    return c * c
 
 
 def tangle(rho: DensityMatrix) -> float:

@@ -210,9 +210,8 @@ def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
 
 def stack_fidelity(rhos, sigmas) -> np.ndarray:
     """Uhlmann fidelity of each pair of states in two nonempty sequences of
-    states of one dimension. Squared as Python floats: numpy's array power
-    and libm's pow, which float ** 2 calls, can round the last bit
-    differently."""
+    states of one dimension: the square root's trace, squared as r * r and
+    clipped to [0, 1]."""
     if not 0 < len(rhos) == len(sigmas):
         raise ValueError(f"need two nonempty sequences of one length: {len(rhos)} and {len(sigmas)}")
     for rho, sigma in zip(rhos, sigmas):
@@ -223,7 +222,7 @@ def stack_fidelity(rhos, sigmas) -> np.ndarray:
     sq = _hermitian_sqrt(np.stack([rho.entries for rho in rhos]))
     inner = _hermitian_sqrt(sq @ np.stack([sigma.entries for sigma in sigmas]) @ sq)
     roots = np.trace(inner, axis1=-2, axis2=-1).real
-    return np.array([min(max(f ** 2, 0.0), 1.0) for f in roots.tolist()])
+    return np.clip(roots * roots, 0.0, 1.0)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqc1sim import cli, correlations, output_state, simulate_counts, z_theta
+from dqc1sim import DensityMatrix, cli, correlations, output_state, simulate_counts, tangle, z_theta
 from dqc1sim.cli import MAX_STEPS, SweepConfig, main, sweep_rows
 from dqc1sim.sampling import MAX_SHOTS
-from dqc1sim.serialize import density_to_json, matrix_to_json
+from dqc1sim.serialize import density_from_json, density_to_json, matrix_to_json
 from dqc1sim.tomography import SETTING_LABELS, ReconstructionError
 
 from helpers import package_env, save_json, unitary_to_json
@@ -391,6 +391,21 @@ class TestStateCommands:
         run_cli(["tangle", "--theta", 1.0, "--out", out])
         report = json.loads(out.read_text())
         assert report["tangle"] < 1e-9 and report["concurrence"] < 1e-6
+
+    def test_tangle_report_squares_as_the_library_does(self, tmp_path):
+        # Entangled states, whose tangle is not 0: the report's tangle is
+        # its concurrence squared and the library's tangle, to the bit.
+        rng = np.random.default_rng(3)
+        for i in range(8):
+            psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            psi /= np.linalg.norm(psi)
+            state, out = tmp_path / f"state{i}.json", tmp_path / f"tangle{i}.json"
+            save_json(state, density_to_json(DensityMatrix(np.outer(psi, psi.conj()), (1, 1))))
+            assert run_cli(["tangle", state, "--out", out]) == 0
+            report = json.loads(out.read_text())
+            rho = density_from_json(json.loads(state.read_text()))
+            assert report["tangle"] > 0.0
+            assert report["tangle"] == report["concurrence"] * report["concurrence"] == tangle(rho)
 
     @pytest.mark.parametrize("name, bad, message", [
         ("tangle", lambda rho: 1.5, "tangle must be in [0, 1], got 1.5"),

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,20 @@ def one_state_search(rho, measured):
     Hmin, its direction dict and the evaluations."""
     values, axes, evals = correlations._search(rho.entries[None], rho.subsystem_dims, measured)
     return float(values[0]), correlations._bloch_direction(axes[0]), int(evals[0])
+
+
+def angle_tangent_frames(n: np.ndarray) -> np.ndarray:
+    """The tangent frames of _tangent_frames built from the polar and
+    azimuth angles with the math module, one vector at a time (azimuth
+    atan2(y, x), also at the poles): the earlier form, kept as a reference."""
+    frames = []
+    for x, y, z in n.tolist():
+        polar = math.acos(max(-1.0, min(1.0, z)))
+        azimuth = math.atan2(y, x)
+        cp, sp = math.cos(polar), math.sin(polar)
+        ca, sa = math.cos(azimuth), math.sin(azimuth)
+        frames.append([[cp * ca, cp * sa, -sp], [-sa, ca, 0.0]])
+    return np.array(frames)
 
 
 def classical_mixture():
@@ -427,10 +442,28 @@ class TestMinimiserContract:
     @pytest.mark.parametrize("n", [
         (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 1.0, -0.0), (1.0, 0.0, 0.0),
         (0.6, 0.0, -0.8), (0.48, -0.6, 0.64),
+        # x^2 + y^2 underflows to 0 at the first, hypot(x, y) does not
+        (1e-160, 1e-160, 1.0), (-0.0, 0.0, 1.0),
     ])
     def test_tangent_frame_is_orthonormal(self, n):
         frame = np.vstack([n, correlations._tangent_frames(np.array([n]))[0]])
         np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
+
+    def test_tangent_frames_match_the_angle_frames(self):
+        # Away from the poles, where the angle form loses accuracy (acos
+        # rounds a polar angle below about 1e-8 to 0).
+        rng = np.random.default_rng(12)
+        n = rng.standard_normal((12000, 3))
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        n = n[np.abs(n[:, 2]) <= 0.999999]
+        assert len(n) >= 10000
+        np.testing.assert_allclose(correlations._tangent_frames(n), angle_tangent_frames(n),
+                                   rtol=0.0, atol=1e-13)
+
+    def test_tangent_frame_at_a_pole_has_azimuth_zero(self):
+        n = np.array([[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]])
+        frames = correlations._tangent_frames(n)
+        np.testing.assert_array_equal(frames, [[[z, 0.0, 0.0], [0.0, 1.0, 0.0]] for z in n[:, 2]])
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)
