@@ -12,50 +12,36 @@ Hmin is found by a deterministic, vectorised search. The unnormalized
 conditional blocks are (R +- n.K)/2, so the objective depends on the axis n
 only through n.K, and it is concave on the Bloch ball; its minimum over the
 sphere is therefore its minimum over the unit sphere of the row space of the
-three K matrices, whose dimension (the rank) an SVD gives:
-
-- rank 3: an 8x16 polar-azimuth grid over the upper hemisphere (n and -n
-  give the same measurement), then six rounds of an 11x11 grid zoom in the
-  plane tangent to the best direction, each spanning +-1 step of the
-  previous grid, plus the minimum of a quadratic fitted to each round's
-  grid: at most 128 + 6 x 122 = 860 evaluations;
-- rank 2: a 16-point half great circle, then six rounds of the same zoom
-  along the circle with 11 points and a model point: at most 16 + 6 x 12 =
-  88 evaluations;
-- rank 1 or 0: one axis, one evaluation.
-
-On a 4x4 state an objective call costs nearly as much at 1 point as at a
-hundred (numpy's fixed cost per operation dominates), so the search is
-built to make few calls: the first grid is coarse, and each zoom round
-evaluates its grid together with the previous round's model point, in one
-call. A rank 3 or rank 2 search makes at most 8 calls.
+three K matrices, whose dimension (the rank) an SVD gives. A coarse grid of
+that sphere comes first: with rank 3 an 8x16 polar-azimuth grid over the
+upper hemisphere (n and -n give the same measurement), with rank 2 a
+16-point half great circle from the larger singular axis, with rank 1 or 0
+the one axis and nothing more. From each state's best grid point a
+saddle-free Riemannian Newton search (_newton) finishes, with derivatives
+from the blocks' eigendecomposition for any partner dimension
+(_derivatives). The evaluations reported are the grid points, the
+line-search points and one per derivative evaluation: per side at most
+128 + 16 x 9 = 272 (rank 3), 16 + 16 x 9 = 160 (rank 2) or 1 (rank 1 or 0).
+The rank split keeps DQC1 outputs cheap: K_z = 0 gives the control side
+rank at most 2 (the optimum lies on the equator), a one-qubit register side
+has rank 1, and a Z_theta output's circle starts on one candidate optimum
+and passes the other, so its search stops at the first derivative
+evaluation.
 
 The search runs on a stack of states with the same qubit_dims
-(stack_discords), so that this fixed cost is paid once per stack rather
-than once per state: the states are grouped by rank, each first grid and
-each zoom round is one objective call for the whole group, and the rank 3
-tangent frames (closed form in x, y and z), the quadratic fits and the
-strict-improvement updates are array arithmetic over it, with no loop over
-states. Every state goes through exactly the search it would get alone, to
-the bit: the same directions, the same strict-improvement and model-point
-rules, and the same evaluation count, so the counts per state are those of
-a one-state search. A state whose fitted quadratic has no minimum in a round
-where others in its group have one gets a padding candidate in that call,
-which is neither counted nor chosen.
-discords, discord and correlation_report are the one-state case. H(A), H(B)
-and H(AB) come from batched eigvalsh (_entropies), for the register
-certificate basis_discord too. A stack is searched whole, so its caller keeps
-it within stack_chunk(dim) states, as many as keep one hemisphere grid's
-conditional blocks within BLOCK_CHUNK_BYTES (1024 two-qubit states); the
-sweep cuts its grid into such chunks.
-
-A DQC1 output has equal diagonal blocks, so K_z = 0 and the control side
-has rank at most 2 (the optimum lies on the equator); it is classical on
-the register, so with a one-qubit register the register side has rank 1.
-When the unmeasured side is a qubit, the conditional blocks are 2x2 and
-their eigenvalues come in closed form; larger blocks go to batched eigvalsh
-in chunks of BLOCK_CHUNK_BYTES. The evaluation count reported is the grid
-plus the zoom and model points.
+(stack_discords), grouped by rank, so that numpy's fixed cost per operation
+is paid once per group: each grid, derivative evaluation and line search is
+one call, with a mask for the states that have stopped. Each state's
+arithmetic is its own, so it gets the search it would get alone, to the
+bit, evaluation count included; discords, discord and correlation_report
+are the one-state case. H(A), H(B) and H(AB) come from batched eigvalsh
+(_entropies), for the register certificate basis_discord too. A stack is
+searched whole, so its caller keeps it within stack_chunk(dim) states, as
+many as keep one hemisphere grid's conditional blocks within
+BLOCK_CHUNK_BYTES (1024 two-qubit states); the sweep cuts its grid into such
+chunks. The objective's 2x2 blocks of a qubit partner have closed-form
+eigenvalues; larger blocks go to batched eigvalsh in chunks of
+BLOCK_CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -75,15 +61,21 @@ _PAULIS = np.stack([np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z])  # I, X, Y, Z
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 _SMALLEST_DOUBLE = np.nextafter(0.0, 1.0)
 _SIGN = np.array([1.0, -1.0])  # outcomes +n and -n
+_LN2 = np.log(2.0)
+_EIGEN_FLOOR = np.finfo(float).eps  # the eigensolver's round-off
 
 MEASURE_CONTROL = "measure_control"
 MEASURE_REGISTER = "measure_register"
 
 HEMISPHERE_POLAR = 8
 HEMISPHERE_AZIMUTH = 16
-ZOOM_ROUNDS = 6
-ZOOM_POINTS = 11
 CIRCLE_POINTS = 16
+# At most NEWTON_STEPS Newton steps, a state stopping once its gradient
+# along the sphere is below NEWTON_GTOL; each tries LINE_POINTS step lengths.
+NEWTON_STEPS = 16
+NEWTON_GTOL = 1e-13
+LINE_POINTS = 8
+_STEP_LENGTHS = 0.5 ** np.arange(LINE_POINTS)[:, None]
 # Singular values of the K matrices at or below this fraction of the largest
 # count as zero when the searched axes are chosen; _search's docstring bounds
 # the entropy error this allows.
@@ -177,28 +169,6 @@ def _hemisphere_grid() -> np.ndarray:
 
 
 _HEMISPHERE = _hemisphere_grid()
-# Half-width of the first zoom window on the hemisphere: the larger of the
-# polar step and half the azimuth step. The grid points of later rounds reach
-# 1.25 of it in all, which covers the half-diagonal of a grid cell even at
-# the equator; the quadratic-model points may go further.
-_COARSE_STEP = max((np.pi / 2.0) / (HEMISPHERE_POLAR - 1), np.pi / HEMISPHERE_AZIMUTH)
-
-
-def _zoom_stencil(dim: int):
-    """The ZOOM_POINTS^dim grid of offsets in [-1, 1]^dim and the
-    least-squares map from values on it to the coefficients of a quadratic
-    in dim variables (the constant, the linear terms, then u_i u_j for
-    i <= j; for dim 2: c0 + c1 u + c2 v + c3 u^2 + c4 u v + c5 v^2)."""
-    offsets = np.stack(
-        np.meshgrid(*dim * [np.linspace(-1.0, 1.0, ZOOM_POINTS)], indexing="ij"), axis=-1
-    ).reshape(-1, dim)
-    i, j = np.triu_indices(dim)
-    design = np.column_stack([np.ones(len(offsets)), offsets, offsets[:, i] * offsets[:, j]])
-    return offsets, np.linalg.pinv(design)
-
-
-_SPHERE_ZOOM = _zoom_stencil(2)
-_CIRCLE_ZOOM = _zoom_stencil(1)
 
 
 # Both spectra builders take the blocks of _measurement_blocks and return a
@@ -252,91 +222,8 @@ def _dense_spectra(r: np.ndarray, k: np.ndarray):
     return spectra
 
 
-def _tangent_frames(n: np.ndarray) -> np.ndarray:
-    """Rows: the unit polar and azimuth directions at each unit vector of n
-    (S, 3), as (S, 2, 3), in closed form from (x, y, z) with s = hypot(x, y):
-    (z x/s, z y/s, -s) and (-y/s, x/s, 0).
-
-    Both are defined at the poles too (azimuth 0 there: (z, 0, -0) and
-    (0, 1, 0)), so the zoom has no coordinate singularity. hypot keeps s
-    exact where x^2 + y^2 would underflow.
-    """
-    x, y, z = n.T
-    s = np.hypot(x, y)
-    pole = s == 0.0
-    d = np.where(pole, 1.0, s)
-    ca, sa = np.where(pole, 1.0, x / d), y / d  # y / d is 0 at a pole
-    return np.stack([z * ca, z * sa, -s, -sa, ca, np.zeros_like(s)], axis=-1).reshape(-1, 2, 3)
-
-
-def _model_minimum(fit: np.ndarray, vals: np.ndarray):
-    """Minimum of the least-squares quadratic through each state's zoom-grid
-    values (S, P), in units of the window half-width (S, dim), and whether
-    each fit has one (S,): its Hessian is positive definite. Closed forms in
-    +, -, * and /, which round as Python floats do. A fit without a minimum
-    gets step 0, and np.where gives it a divisor of 1, so no division warns."""
-    c = (fit @ vals[:, :, None])[:, :, 0].T
-    if len(c) == 3:  # c0 + c1 u + c2 u^2
-        found = c[2] > 0.0
-        steps = [-c[1] / np.where(found, 2.0 * c[2], 1.0)]
-    else:
-        _, c1, c2, c3, c4, c5 = c  # Hessian [[2 c3, c4], [c4, 2 c5]]
-        det = 4.0 * c3 * c5 - c4 * c4
-        found = (c3 > 0.0) & (det > 0.0)
-        det = np.where(found, det, 1.0)
-        steps = [(c4 * c2 - 2.0 * c5 * c1) / det, (c4 * c1 - 2.0 * c3 * c2) / det]
-    return np.where(found[:, None], np.stack(steps, axis=1), 0.0), found
-
-
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt((v * v).sum(axis=-1, keepdims=True))
-
-
-def _zoom(objective, n, value, frame_of, stencil, half):
-    """ZOOM_ROUNDS of local grid zoom from the directions n (S, 3) of values
-    value (S,), one per state.
-
-    Each round evaluates the stencil's grid along the tangent directions
-    frame_of(n) (S, dim, 3) at the best direction known, spanning +-half, so
-    the step shrinks (ZOOM_POINTS - 1)/2 times per round. The grid alone can
-    lose the minimum of a narrow valley that runs across it (near the
-    Clifford points, or any state under a local rotation), so each round
-    also tries the minimum of the quadratic fitted to its grid values. That
-    model point is evaluated in the next pass's call, stacked after its
-    grid; a last pass, after the rounds, evaluates the last one alone: one
-    objective call per round, plus one. A state whose fit has no minimum
-    evaluates its grid centre there instead, as padding that is neither
-    counted nor chosen; a call where no state has a model point has no such
-    column. The calls, the frames, the fits and the strict-improvement
-    update all run on the whole stack as arrays. Returns the best
-    directions, their values and the evaluations made.
-    """
-    offsets, fit = stencil
-    n, value = n.copy(), value.copy()
-    evals = np.full(len(n), ZOOM_ROUNDS * len(offsets))
-    rows = np.arange(len(n))
-    model = None
-    for round_ in range(ZOOM_ROUNDS + 1):
-        grid = round_ < ZOOM_ROUNDS
-        if not grid and model is None:
-            break
-        columns = [model[:, None]] if model is not None else []
-        if grid:
-            frame = frame_of(n)
-            columns.insert(0, n[:, None] + half * (offsets @ frame))
-        cand = _unit_rows(np.concatenate(columns, axis=1))  # the model point too, row by row
-        vals = objective(cand)
-        if model is not None:
-            evals += found
-            vals[~found, -1] = np.inf
-        if grid:
-            step, found = _model_minimum(fit, vals[:, :len(offsets)])
-            model = n + half * (step[:, None] @ frame)[:, 0] if found.any() else None
-        best = vals.argmin(axis=1)
-        better = vals[rows, best] < value
-        n[better], value[better] = cand[better, best[better]], vals[better, best[better]]
-        half *= 2.0 / (ZOOM_POINTS - 1)
-    return n, value, evals
 
 
 def _axis_rank(k: np.ndarray):
@@ -370,6 +257,97 @@ def _bloch_direction(n: np.ndarray) -> dict:
     return {"polar": polar, "azimuth": azimuth}
 
 
+def _derivatives(r: np.ndarray, k: np.ndarray, n: np.ndarray):
+    """The gradient (S, 3) and Hessian (S, 3, 3) of the objective in the
+    axis, at the axes n (S, 3), for blocks r (S, d, d) and k (S, 3, d, d) of
+    any partner dimension d.
+
+    With eta(x) = -x log2 x, the objective is sum_j eta(mu_j) - eta(p) over
+    the eigenvalues mu_j and the trace p of each block (R +- n.K)/2. Axis
+    component k moves them by +-(V+ K_k V)_jj / 2 (first-order perturbation
+    in the eigenvectors V of eigh) and +-tr(K_k) / 2, so the gradient is
+    sum_s +-(log2 p tr(K_k) - sum_j log2 mu_j (V+ K_k V)_jj) / 2; the
+    constant part of eta' cancels, as the (V+ K_k V)_jj sum to tr(K_k). The
+    Hessian takes the Daleckii-Krein divided differences
+    (eta'(mu_i) - eta'(mu_j)) / (mu_i - mu_j), written as
+    -log1p(x)/x / (mu_j ln 2) with x = mu_i/mu_j - 1, which is eta''(mu_j)
+    where the two eigenvalues coincide. The eigenvalues are floored at
+    _EIGEN_FLOOR.
+    """
+    m = (n[:, :, None, None] * k).sum(axis=1)
+    mu, v = np.linalg.eigh(np.stack([(r + m) / 2.0, (r - m) / 2.0], axis=1))
+    mu = np.maximum(mu, _EIGEN_FLOOR)
+    p = mu.sum(axis=-1)
+    kt = v.conj().swapaxes(-1, -2)[:, :, None] @ k[:, None] @ v[:, :, None]  # (S, 2, 3, d, d)
+    tr_k = np.trace(k, axis1=-2, axis2=-1).real
+    diag = np.diagonal(kt, axis1=-2, axis2=-1).real
+    slope = np.log2(p)[..., None] * tr_k[:, None] - (diag @ np.log2(mu)[..., None])[..., 0]
+    grad = (slope * (_SIGN[:, None] / 2.0)).sum(axis=1)
+    x = mu[..., :, None] / mu[..., None, :] - 1.0
+    safe = np.where(x == 0.0, 1.0, x)
+    weight = np.where(x == 0.0, 1.0, np.log1p(safe) / safe) / mu[..., None, :]
+    a = (np.sqrt(weight)[:, :, None] * kt).reshape(len(n), 2, 3, -1)
+    curv = (a @ a.conj().swapaxes(-1, -2)).real
+    outer = tr_k[:, None, :, None] * tr_k[:, None, None, :] / p[..., None, None]
+    return grad, (outer - curv).sum(axis=1) / (4.0 * _LN2)
+
+
+def _newton(objective, r, k, q, n, value):
+    """Saddle-free Riemannian Newton search from the axes n (S, 3) of values
+    value (S,) over the unit sphere of the span of the columns of q
+    (S, 3, rank), on the whole rank group at once. Returns the axes, their
+    values and the evaluations made per state: one per derivative
+    evaluation and one per line-search point.
+
+    With the tangent projector P = q q^T - n n^T, each step takes the
+    Riemannian gradient g = P grad and Hessian H = P Hess P - (n.grad) P,
+    and the direction -|H|^-1 g over the tangent eigenvectors (from H plus
+    the normal projector I - P, whose eigenvalue 1 leaves the tangent part
+    alone), or -g where that is not a descent direction, shortened to
+    length 1 if longer (a tangent step of 1 turns the axis by 45 degrees
+    once normalised; a nearly flat direction can ask for far more). One
+    objective call tries the LINE_POINTS step lengths 1, 1/2, ..., retracted
+    by normalising, and the state moves to the lowest if it is below its
+    value. Taking the lowest rather than the first that drops matters at a
+    sharp minimum, where a conditional state is pure: the full step can
+    land just below the start on the far side of it. A state stops once its
+    tangent gradient norm is below NEWTON_GTOL or no step length lowers its
+    value, and after NEWTON_STEPS steps, so it ends at or below its start.
+    Every state's arithmetic is its own, so a state gets the same search in
+    any stack.
+    """
+    n, value = n.copy(), value.copy()
+    evals = np.zeros(len(n), dtype=int)
+    searching = np.ones(len(n), dtype=bool)
+    rows = np.arange(len(n))
+    span = q @ q.swapaxes(1, 2)
+    for _ in range(NEWTON_STEPS):
+        grad, hess = _derivatives(r, k, n)
+        evals += searching
+        proj = span - n[:, :, None] * n[:, None, :]
+        g = (proj @ grad[:, :, None])[:, :, 0]
+        searching &= np.sqrt((g * g).sum(axis=1)) >= NEWTON_GTOL
+        if not searching.any():
+            break
+        h = proj @ hess @ proj - (n * grad).sum(axis=1)[:, None, None] * proj
+        lam, w = np.linalg.eigh(h + np.eye(3) - proj)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = -(w @ ((g[:, None] @ w)[:, 0] / np.abs(lam))[:, :, None])[:, :, 0]
+        descent = np.isfinite(d).all(axis=1) & ((d * g).sum(axis=1) < 0.0)
+        d = np.where(descent[:, None], d, -g)
+        d /= np.maximum(np.sqrt((d * d).sum(axis=1, keepdims=True)), 1.0)
+        cand = _unit_rows(n[:, None] + _STEP_LENGTHS * d[:, None])
+        vals = objective(cand)
+        evals += searching * len(_STEP_LENGTHS)
+        best = vals.argmin(axis=1)
+        drop = searching & (vals[rows, best] < value)
+        n[drop], value[drop] = cand[drop, best[drop]], vals[drop, best[drop]]
+        searching = drop
+        if not searching.any():
+            break
+    return n, value, evals
+
+
 def _rank_search(r, k, axes, rank):
     """The search of one rank group: blocks r (S, d, d) and k (S, 3, d, d),
     the left singular vectors axes (S, 3, 3) of _axis_rank. Returns the
@@ -385,22 +363,13 @@ def _rank_search(r, k, axes, rank):
         n = axes[:, :, 0]
         return objective(n[:, None])[:, 0], n, np.ones(len(n), dtype=int)
     if rank == 2:
-        e1, e2 = axes[:, :, 0], axes[:, :, 1]
-        grid = _circle_grid(e1, e2)
-        # a quarter turn in each state's plane
-        turn = e2[:, :, None] * e1[:, None, :] - e1[:, :, None] * e2[:, None, :]
-
-        def frame_of(n: np.ndarray) -> np.ndarray:
-            return (turn @ n[:, :, None]).reshape(-1, 1, 3)
-
-        stencil, half = _CIRCLE_ZOOM, np.pi / CIRCLE_POINTS
+        grid = _circle_grid(axes[:, :, 0], axes[:, :, 1])
     else:
         grid = np.broadcast_to(_HEMISPHERE, (len(r),) + _HEMISPHERE.shape)
-        frame_of, stencil, half = _tangent_frames, _SPHERE_ZOOM, _COARSE_STEP
     vals = objective(grid)
     best = vals.argmin(axis=1)
     rows = np.arange(len(r))
-    n, value, evals = _zoom(objective, grid[rows, best], vals[rows, best], frame_of, stencil, half)
+    n, value, evals = _newton(objective, r, k, axes[:, :, :rank], grid[rows, best], vals[rows, best])
     return value, n, evals + grid.shape[1]
 
 
@@ -411,11 +380,10 @@ def _search(entries: np.ndarray, subsystem_dims, measured: int):
 
     The search runs over the unit sphere of the row space of the K matrices
     only (see the module docstring): with rank 3 a coarse hemisphere grid,
-    with rank 2 a coarse half great circle, each followed by ZOOM_ROUNDS of
-    local grid zoom (_zoom) in at most 8 objective calls in all, and with
-    rank 1 or 0 the one axis. Singular values at or below AXIS_RANK_RTOL
-    times the largest count as zero. The largest is at most sqrt(3), as
-    each K_k has trace norm at most 1, so the dropped part
+    with rank 2 a coarse half great circle, each followed by the Newton
+    search (_newton), and with rank 1 or 0 the one axis. Singular values at
+    or below AXIS_RANK_RTOL times the largest count as zero. The largest is
+    at most sqrt(3), as each K_k has trace norm at most 1, so the dropped part
     of n.K has Frobenius norm at most sqrt(3) AXIS_RANK_RTOL and trace norm
     T = sqrt(3 d) AXIS_RANK_RTOL / 2 on a d-dimensional unmeasured side. By
     concavity the reduced minimum exceeds the full one by at most the change

@@ -63,9 +63,18 @@ class UnitaryMatrix:
 
 
 def z_theta(theta: float) -> UnitaryMatrix:
-    """Single-qubit phase unitary diag(1, exp(i theta))."""
+    """Single-qubit phase unitary diag(1, exp(i theta)).
+
+    Unitary by construction, so it is wrapped without the constructor's
+    copy and unitarity check, as qmath._trusted_state wraps states.
+    """
     check_range("theta", theta)
-    return UnitaryMatrix(1, np.diag([1.0, np.exp(1j * theta)]))
+    entries = np.diag([1.0, np.exp(1j * theta)])
+    entries.setflags(write=False)
+    u = object.__new__(UnitaryMatrix)
+    object.__setattr__(u, "n", 1)
+    object.__setattr__(u, "entries", entries)
+    return u
 
 
 def output_state(u: UnitaryMatrix, alpha: float) -> DensityMatrix:

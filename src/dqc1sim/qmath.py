@@ -10,7 +10,9 @@ checks shape, finiteness, trace, Hermiticity and positivity, the last with an
 O(d^3) eigensolve. Builders whose output is a valid state whenever their
 input is wrap it with _trusted_state and skip that check: repartition here,
 dqc1.output_state and dqc1.reduced_control, clifford._clifford_output_state
-and tomography.stack_reconstruct (and so reconstruct). The same rule holds
+and tomography.stack_reconstruct (and so reconstruct). dqc1.z_theta wraps
+its closed-form diag(1, e^{i theta}) the same way, without UnitaryMatrix's
+unitarity check. The same rule holds
 for the values that only the program builds: the constructor of the
 record clifford.SignedPauliString checks nothing, the counts array of
 tomography.simulate_counts and the direction dict of

@@ -155,6 +155,29 @@ def oracle_min_conditional_entropy(entries: np.ndarray, subsystem_dims, measured
     return best
 
 
+def equator_min_conditional_entropy(entries: np.ndarray, subsystem_dims, points: int = 20001,
+                                    chunk: int = 5000) -> float:
+    """Minimum over `points` equatorial axes, azimuth beta = k pi / points,
+    of the average post-measurement entropy of subsystem 1 after measuring
+    qubit 0 in the basis (|0> +- e^{i beta} |1>) / sqrt(2): each outcome's
+    unnormalized state (<v| (x) I) rho (|v> (x) I) is contracted from its
+    basis vector v, `chunk` axes at a time."""
+    d0, d1 = subsystem_dims
+    t = entries.reshape(d0, d1, d0, d1)
+    best = np.inf
+    for start in range(0, points, chunk):
+        phase = np.exp(1j * np.pi * np.arange(start, min(start + chunk, points)) / points)
+        # (axis, outcome, component) of the two basis vectors
+        v = np.stack([np.stack([np.ones_like(phase), s * phase], axis=-1) for s in (1, -1)],
+                     axis=1) / np.sqrt(2.0)
+        cond = np.einsum("xoi,iajb,xoj->xoab", v.conj(), t, v)
+        p = np.trace(cond, axis1=-2, axis2=-1).real
+        kept = p > 1e-14
+        h = entropy_bits(cond / np.where(kept, p, 1.0)[..., None, None])
+        best = min(best, float(np.where(kept, p * h, 0.0).sum(axis=1).min()))
+    return best
+
+
 def oracle_discord(entries: np.ndarray, subsystem_dims, measured: int, n_polar: int = 100,
                    n_azimuth: int = 200) -> float:
     """Grid-oracle discord, with every entropy computed here from eigenvalues."""
@@ -186,6 +209,28 @@ def z_theta_control_hmin(theta: float, alpha: float) -> float:
             h -= float((lam * np.log2(lam / p)).sum())
         best = min(best, h)
     return best
+
+
+# (xx, yy, zz) eigenvalues of the Bell states Phi+, Phi-, Psi+ and Psi-.
+BELL_SIGNS = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+
+
+def bell_diagonal_matrix(c) -> np.ndarray:
+    """The Bell-diagonal state (I + sum_i c_i sigma_i (x) sigma_i) / 4."""
+    return (np.eye(4) + sum(ci * np.kron(p, p) for ci, p in zip(c, (PX, PY, PZ)))) / 4.0
+
+
+def bell_diagonal_discord(c) -> float:
+    """Luo's closed form (PRA 77, 042303 (2008)) for the discord of
+    bell_diagonal_matrix(c), the same on either side: both marginals are
+    maximally mixed, the spectrum is (1 + BELL_SIGNS c) / 4, and the best
+    measurement is along the axis of the largest |c_i|, which leaves the
+    other qubit with Bloch vectors +-c_max, so Hmin = h2((1 + c_max) / 2)."""
+    lam = (1.0 + BELL_SIGNS @ np.asarray(c, dtype=float)) / 4.0
+    lam = lam[lam > 0.0]
+    q = (1.0 + max(abs(float(x)) for x in c)) / 2.0
+    hmin = -sum(x * np.log2(x) for x in (q, 1.0 - q) if x > 0.0)
+    return 2.0 + float((lam * np.log2(lam)).sum()) - (1.0 - hmin)
 
 
 def dense_pauli(labels: str, phase: complex = 1.0) -> np.ndarray:

@@ -1,5 +1,4 @@
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from dqc1sim import (
     tangle,
     z_theta,
 )
-from dqc1sim import correlations
+from dqc1sim import cli, correlations
 from dqc1sim.correlations import (
     basis_discord, discords, stack_concurrence, stack_discords, stack_tangle,
 )
@@ -34,8 +33,12 @@ from dqc1sim.tomography import ReconstructionError, stack_reconstruct
 
 from helpers import bell_state, package_env, random_density_matrix, random_pure_density
 from reference_oracles import (
+    BELL_SIGNS,
     HADAMARD,
+    bell_diagonal_discord,
+    bell_diagonal_matrix,
     entropy_bits,
+    equator_min_conditional_entropy,
     oracle_min_conditional_entropy,
     random_unitary,
     reduced_states,
@@ -47,13 +50,11 @@ from reference_oracles import (
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 # Documented evaluation bounds per measured side: the 8x16 hemisphere grid
-# plus six rounds of an 11x11 zoom and a model point, and the 16-point half
-# great circle plus six rounds of an 11-point zoom and a model point.
-SPHERE_EVALS = 128 + 6 * 122
-CIRCLE_EVALS = 16 + 6 * 12
-# Objective calls per search: the first grid, one per zoom round (its grid and
-# the previous round's model point) and one for the last model point.
-SEARCH_CALLS = 8
+# or the 16-point half great circle, plus at most 16 Newton steps, each one
+# derivative evaluation and 8 line-search points.
+NEWTON_EVALS = 16 * (1 + 8)
+SPHERE_EVALS = 128 + NEWTON_EVALS
+CIRCLE_EVALS = 16 + NEWTON_EVALS
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -65,18 +66,26 @@ def one_state_search(rho, measured):
     return float(values[0]), correlations._bloch_direction(axes[0]), int(evals[0])
 
 
-def angle_tangent_frames(n: np.ndarray) -> np.ndarray:
-    """The tangent frames of _tangent_frames built from the polar and
-    azimuth angles with the math module, one vector at a time (azimuth
-    atan2(y, x), also at the poles): the earlier form, kept as a reference."""
-    frames = []
-    for x, y, z in n.tolist():
-        polar = math.acos(max(-1.0, min(1.0, z)))
-        azimuth = math.atan2(y, x)
-        cp, sp = math.cos(polar), math.sin(polar)
-        ca, sa = math.cos(azimuth), math.sin(azimuth)
-        frames.append([[cp * ca, cp * sa, -sp], [-sa, ca, 0.0]])
-    return np.array(frames)
+def counted_search(rho, measured):
+    """one_state_search, with the number of points of each objective call
+    (the first is the coarse grid) and the number of derivative
+    evaluations it made."""
+    sizes, derivatives = [], []
+    inner_entropy, inner_derivatives = correlations._weighted_entropy, correlations._derivatives
+
+    def points(mu):
+        sizes.append(len(mu))
+        return inner_entropy(mu)
+
+    def derivative(r, k, n):
+        derivatives.append(len(n))
+        return inner_derivatives(r, k, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlations, "_weighted_entropy", points)
+        patch.setattr(correlations, "_derivatives", derivative)
+        search = one_state_search(rho, measured)
+    return search, sizes, len(derivatives)
 
 
 def classical_mixture():
@@ -139,7 +148,7 @@ class TestMinConditionalEntropy:
         value, _, evals = one_state_search(rho, 0)
         assert -1e-12 <= value <= entropy_bits(reduced_states(rho.entries, (2, 2))[1]) + 1e-9
         # a full-rank state distinguishes every axis: the hemisphere search
-        assert CIRCLE_EVALS < evals <= SPHERE_EVALS
+        assert len(correlations._HEMISPHERE) < evals <= SPHERE_EVALS
 
 
 class TestDiscord:
@@ -224,6 +233,63 @@ class TestOptimizerAgainstBruteForce:
             grid = oracle_min_conditional_entropy(
                 rho.entries, rho.subsystem_dims, measured, 100, 200)
             assert refined <= grid + 1e-9
+
+    @pytest.mark.parametrize("seed, index, theta", [(120, 29, -0.105), (108, 27, -0.314)])
+    def test_reconstructed_sweep_state(self, seed, index, theta):
+        # Two states of the 61-step sweep's tomography column whose minimum
+        # lies far from the best coarse grid point along a nearly flat
+        # direction: a search that stops short there stays up to 1.5e-4
+        # (seed 120) or 3.3e-4 (seed 108) above this grid. At seed 108 the
+        # first Newton step is 65 long before it is shortened to 1.
+        config = cli.SweepConfig(-np.pi, np.pi, 61, 0.997, 2000, seed, ("tomo",), 1e4)
+        row, _, counts = cli.sweep_point(config, index)
+        assert row["theta"] == pytest.approx(theta, abs=1e-3)
+        recon = reconstruct(counts)
+        value, _, _ = one_state_search(recon, 0)
+        assert value <= oracle_min_conditional_entropy(recon.entries, recon.subsystem_dims, 0, 100, 200)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dense_partner_against_an_equator_scan(self, n, alpha):
+        # K_z = 0 puts the control-side optimum of a DQC1 output on the
+        # equator, which the oracle scans at 20 001 axes.
+        rng = np.random.default_rng([n, int(10 * alpha)])
+        for _ in range(2):
+            rho = output_state(UnitaryMatrix(n, random_unitary(rng, 2**n)), alpha)
+            value, _, _ = one_state_search(rho, 0)
+            assert value <= equator_min_conditional_entropy(rho.entries, rho.subsystem_dims) + 1e-12
+
+
+class TestLuoClosedForm:
+    """Locally rotated Bell-diagonal states, whose discord on either side is
+    Luo's closed form, through stack_discords."""
+
+    @staticmethod
+    def _coefficients(rng) -> list:
+        cs = [rng.dirichlet(np.ones(4)) @ BELL_SIGNS for _ in range(200)]
+        for _ in range(200):
+            # The two largest |c_i| a factor 1 - delta apart, which leaves
+            # the objective nearly flat along the great circle through their
+            # axes; |c_1| + |c_2| + |c_3| <= 1 keeps every Bell weight >= 0.
+            delta = 10.0 ** rng.uniform(-6.0, np.log10(0.3))
+            mags = np.array([1.0, 1.0 - delta, rng.uniform(0.0, 1.0 - delta)])
+            c = mags * (rng.uniform(0.05, 1.0) / mags.sum()) * rng.choice([-1.0, 1.0], 3)
+            cs.append(c[rng.permutation(3)])
+        return cs
+
+    def test_both_sides_match_luo(self):
+        rng = np.random.default_rng(2008)
+        cs = self._coefficients(rng)
+        states = []
+        for c in cs:
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+            states.append(DensityMatrix(u @ bell_diagonal_matrix(c) @ u.conj().T, (1, 1)))
+        _, sides = stack_discords(states, (0, 1))
+        luo = np.array([bell_diagonal_discord(c) for c in cs])
+        for values, _, _ in sides:
+            gap = values - luo
+            assert np.abs(gap).max() <= 1e-10
+            assert gap.min() >= -1e-12
 
 
 class TestGoldenFixtures:
@@ -424,7 +490,7 @@ class TestMinimiserContract:
     @pytest.mark.parametrize("theta, alpha", [(0.1047, 0.997), (0.01, 1.0), (3.0369, 0.997)])
     def test_invariant_under_local_rotations(self, theta, alpha):
         # Near the Clifford points the objective has a narrow valley; a local
-        # unitary turns it across the zoom grid but leaves Hmin unchanged.
+        # unitary turns it across the coarse grid but leaves Hmin unchanged.
         # 1e-10 is ten times inside the slack of the benchmark discord oracle.
         # The rotation also turns the axes the state cannot tell apart, so
         # the reduced search must find them off the coordinate axes too.
@@ -439,31 +505,39 @@ class TestMinimiserContract:
                 assert value == pytest.approx(plain[measured], abs=1e-10)
                 assert evals <= bound
 
-    @pytest.mark.parametrize("n", [
-        (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 1.0, -0.0), (1.0, 0.0, 0.0),
-        (0.6, 0.0, -0.8), (0.48, -0.6, 0.64),
-        # x^2 + y^2 underflows to 0 at the first, hypot(x, y) does not
-        (1e-160, 1e-160, 1.0), (-0.0, 0.0, 1.0),
-    ])
-    def test_tangent_frame_is_orthonormal(self, n):
-        frame = np.vstack([n, correlations._tangent_frames(np.array([n]))[0]])
-        np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
+    @pytest.mark.parametrize("qubit_dims", [(1, 1), (1, 2)])
+    def test_derivatives_match_finite_differences(self, qubit_dims):
+        # Central differences of the objective in the axis, inside the Bloch
+        # ball, where every block is positive definite. The last state's
+        # blocks are multiples of I, whose coinciding eigenvalues take the
+        # eta'' branch; its objective is constant, so both derivatives are 0.
+        rng = np.random.default_rng(sum(qubit_dims))
+        d = 2 ** qubit_dims[1]
+        control = random_density_matrix(rng, (1,)).entries
+        states = [random_density_matrix(rng, qubit_dims) for _ in range(4)]
+        states.append(DensityMatrix(np.kron(control, np.eye(d) / d), qubit_dims))
+        entries = np.array([rho.entries for rho in states])
+        r, k = correlations._measurement_blocks(entries, states[0].subsystem_dims, 0)
+        spectra = correlations._dense_spectra(r, k)
 
-    def test_tangent_frames_match_the_angle_frames(self):
-        # Away from the poles, where the angle form loses accuracy (acos
-        # rounds a polar angle below about 1e-8 to 0).
-        rng = np.random.default_rng(12)
-        n = rng.standard_normal((12000, 3))
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        n = n[np.abs(n[:, 2]) <= 0.999999]
-        assert len(n) >= 10000
-        np.testing.assert_allclose(correlations._tangent_frames(n), angle_tangent_frames(n),
-                                   rtol=0.0, atol=1e-13)
+        def f(n):
+            return correlations._weighted_entropy(spectra(n[:, None])[:, 0]).sum(axis=-1)
 
-    def test_tangent_frame_at_a_pole_has_azimuth_zero(self):
-        n = np.array([[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]])
-        frames = correlations._tangent_frames(n)
-        np.testing.assert_array_equal(frames, [[[z, 0.0, 0.0], [0.0, 1.0, 0.0]] for z in n[:, 2]])
+        n = rng.normal(size=(len(states), 3))
+        n *= 0.8 / np.linalg.norm(n, axis=1, keepdims=True)
+        grad, hess = correlations._derivatives(r, k, n)
+        eye = np.eye(3)
+        h = 1e-5
+        diff_grad = np.stack([(f(n + h * e) - f(n - h * e)) / (2 * h) for e in eye], axis=1)
+        np.testing.assert_allclose(grad, diff_grad, rtol=0, atol=1e-8)
+        h = 1e-4
+        diff_hess = np.stack([np.stack([
+            (f(n + h * (a + b)) - f(n + h * (a - b)) - f(n - h * (a - b)) + f(n - h * (a + b)))
+            / (4 * h * h) for b in eye], axis=1) for a in eye], axis=1)
+        np.testing.assert_allclose(hess, diff_hess, rtol=0, atol=1e-5)
+        assert np.abs(hess).max() > 0.1  # the random states' Hessians are not small
+        np.testing.assert_allclose(grad[-1], 0.0, atol=1e-14)
+        np.testing.assert_allclose(hess[-1], 0.0, atol=1e-12)
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)
@@ -501,6 +575,8 @@ class TestReducedSearch:
         turned = DensityMatrix(v @ rho.entries @ v.conj().T, (1, n))
         plain, rotated = (one_state_search(state, 0) for state in (rho, turned))
         assert plain[2] <= CIRCLE_EVALS and rotated[2] <= CIRCLE_EVALS
+        # the Newton steps stay on the circle: K_z = 0 keeps it on the equator
+        assert plain[1]["polar"] == pytest.approx(np.pi / 2, abs=1e-12)
         assert rotated[0] == pytest.approx(plain[0], abs=1e-10)
         for state, (value, _, _) in ((rho, plain), (turned, rotated)):
             assert value <= oracle_min_conditional_entropy(
@@ -521,14 +597,16 @@ class TestReducedSearch:
             assert evals <= CIRCLE_EVALS
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(correlations, "AXIS_RANK_RTOL", -1.0)  # every axis counts
-                full, _, full_evals = one_state_search(rho, 0)
-            assert full_evals > CIRCLE_EVALS
+                (full, _, _), sizes, _ = counted_search(rho, 0)
+            assert sizes[0] == len(correlations._HEMISPHERE)
             assert value <= full + 1e-12
 
     def test_full_rank_state_keeps_the_hemisphere_search(self):
         rho = random_density_matrix(np.random.default_rng(0), (1, 1))
         for measured in (0, 1):
-            assert one_state_search(rho, measured)[2] == SPHERE_EVALS
+            (_, _, evals), sizes, _ = counted_search(rho, measured)
+            assert sizes[0] == len(correlations._HEMISPHERE)
+            assert evals <= SPHERE_EVALS
 
     @pytest.mark.parametrize("scale", [0.8, 1.25])
     def test_rank_tolerance_boundary(self, scale):
@@ -553,48 +631,63 @@ class TestReducedSearch:
         rho = tilted(delta)
         above = scale > 1.0
         assert (third_ratio(rho) > correlations.AXIS_RANK_RTOL) == above
-        value, _, evals = one_state_search(rho, 0)
-        assert (evals > CIRCLE_EVALS) == above
+        (value, _, _), sizes, _ = counted_search(rho, 0)
+        assert sizes[0] == (len(correlations._HEMISPHERE) if above else correlations.CIRCLE_POINTS)
         assert value <= oracle_min_conditional_entropy(
             rho.entries, rho.subsystem_dims, 0, 36, 72) + 1e-9
         assert value == pytest.approx(one_state_search(base, 0)[0], abs=1e-10)
 
 
 class TestSearchBudget:
-    """Each search makes at most SEARCH_CALLS objective calls, and its
-    reported evaluations are the points those calls evaluated."""
+    """A search's reported evaluations are its grid points, its line-search
+    points and one per derivative evaluation, within at most 16 Newton
+    steps of 8 line-search points each."""
 
     @staticmethod
     def _search(rho, measured):
-        sizes = []
-        inner = correlations._weighted_entropy
+        (_, _, evals), sizes, derivatives = counted_search(rho, measured)
+        assert evals == sum(sizes) + derivatives
+        # one line search per derivative evaluation at most, each of 8 points
+        assert derivatives <= correlations.NEWTON_STEPS
+        assert len(sizes) - 1 <= derivatives
+        assert sizes[1:] == [correlations.LINE_POINTS] * (len(sizes) - 1)
+        return sizes, derivatives
 
-        def counted(mu):
-            sizes.append(len(mu))
-            return inner(mu)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(correlations, "_weighted_entropy", counted)
-            _, _, evals = one_state_search(rho, measured)
-        assert sum(sizes) == evals
-        return len(sizes), evals
+    def test_documented_constants(self):
+        assert (correlations.NEWTON_STEPS, correlations.LINE_POINTS) == (16, 8)
+        assert correlations.NEWTON_GTOL == 1e-13
 
     @pytest.mark.parametrize("alpha", [0.3, 0.997, 1.0])
     @pytest.mark.parametrize("theta", [0.0, 0.1047, 1.0, np.pi / 2, -3.0369])
     def test_z_theta_output(self, theta, alpha):
+        # The circle starts at the larger singular axis and passes the other
+        # one, the two candidate optima, so the best grid point is already
+        # stationary: one derivative evaluation and no Newton step (rank 1,
+        # at theta = 0, has neither).
         rho = output_state(z_theta(theta), alpha)
-        calls, _ = self._search(rho, 0)
-        assert calls <= SEARCH_CALLS
-        assert self._search(rho, 1) == (1, 1)
+        sizes, derivatives = self._search(rho, 0)
+        assert sizes == [correlations.CIRCLE_POINTS] and derivatives == 1 or (
+            sizes == [1] and derivatives == 0 and theta == 0.0)
+        assert self._search(rho, 1) == ([1], 0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tomography_reconstruction(self, seed):
         rho = output_state(z_theta(0.5 + seed), 0.997)
         recon = reconstruct(simulate_counts(rho, 1e4, seed))
         for measured in (0, 1):
-            calls, evals = self._search(recon, measured)
-            assert calls <= SEARCH_CALLS
-            assert evals > CIRCLE_EVALS  # the hemisphere search
+            sizes, derivatives = self._search(recon, measured)
+            assert sizes[0] == len(correlations._HEMISPHERE)
+            assert 2 <= derivatives <= correlations.NEWTON_STEPS
+
+    def test_steps_stop_at_the_cap(self, monkeypatch):
+        # With no gradient small enough to stop it, a search runs until its
+        # line search fails or the cap ends it.
+        monkeypatch.setattr(correlations, "NEWTON_GTOL", 0.0)
+        recon = reconstruct(simulate_counts(output_state(z_theta(0.5), 0.997), 1e4, 0))
+        _, uncapped = self._search(recon, 0)
+        assert uncapped > 3
+        monkeypatch.setattr(correlations, "NEWTON_STEPS", 3)
+        assert self._search(recon, 0)[1] == 3
 
 
 class TestZThetaClosedForm:
@@ -625,20 +718,6 @@ def mixed_rank_stack(rng, qubit_dims=(1, 1)) -> list:
     states.append(DensityMatrix(np.kron(a, random_pure_density(rng, (n,)).entries), qubit_dims))
     states += [random_density_matrix(rng, qubit_dims, rank=r) for r in (1, 2, 3, 3, 4)]
     return states
-
-
-def scalar_model_minimum(c) -> tuple[list, bool]:
-    """The closed forms of _model_minimum on one state's coefficients c, in
-    Python floats: the step (zero without a minimum) and whether the fit has
-    a minimum."""
-    if len(c) == 3:  # c0 + c1 u + c2 u^2
-        ok = c[2] > 0.0
-        return ([-c[1] / (2.0 * c[2])] if ok else [0.0]), ok
-    _, c1, c2, c3, c4, c5 = c
-    det = 4.0 * c3 * c5 - c4 * c4
-    ok = c3 > 0.0 and det > 0.0
-    return ([(c4 * c2 - 2.0 * c5 * c1) / det, (c4 * c1 - 2.0 * c3 * c2) / det]
-            if ok else [0.0, 0.0]), ok
 
 
 def assert_same_search(stacked, alone):
@@ -677,70 +756,20 @@ class TestStackedSearch:
             correlations._measurement_blocks(entries, states[0].subsystem_dims, m)[1])[0]}
         assert ranks >= ({0, 1, 2, 3} if qubit_dims == (1, 1) else {1, 2, 3})
 
-    def test_padding_for_fits_without_a_minimum(self, monkeypatch):
-        # A Werner state's objective is flat, so its fitted quadratics may
-        # have no minimum while the other states' have one.
-        flags = []
-        inner = correlations._model_minimum
-
-        def recorded(fit, vals):
-            step, found = inner(fit, vals)
-            flags.append(list(found))
-            return step, found
-
-        monkeypatch.setattr(correlations, "_model_minimum", recorded)
+    def test_states_stop_one_by_one(self):
+        # I/4 has rank 0; a Werner state's objective is flat, so its search
+        # stops at the first derivative evaluation, while random states take
+        # several Newton steps. Each state's mask keeps the others' searches
+        # alone.
         rng = np.random.default_rng(5)
         states = [DensityMatrix(werner_matrix(p), (1, 1)) for p in (0.0, 0.3, 0.7)] + [
             random_density_matrix(rng, (1, 1)) for _ in range(5)]
         _, [stacked] = stack_discords(states, (0,))
-        assert any(0 < sum(f) < len(f) for f in flags)  # some call padded
-        monkeypatch.setattr(correlations, "_model_minimum", inner)
+        grid = len(correlations._HEMISPHERE)
+        assert stacked[2][:3].tolist() == [1, grid + 1, grid + 1]
+        assert (stacked[2][3:] > grid + 1 + correlations.LINE_POINTS).all()
         assert_same_search(stacked, [discords(rho, (0,))[1][0] for rho in states])
         assert_same_axes(stacked, states, 0)
-
-    @pytest.mark.parametrize("terms", [3, 6])  # the 1-D and 2-D stencils' quadratics
-    def test_model_minimum_matches_the_scalar_formulas(self, terms):
-        rng = np.random.default_rng(terms)
-        coef = rng.normal(size=(300, terms))
-        if terms == 3:
-            coef[:10, 2] = 0.0  # c2 = 0
-        else:
-            coef[:10, 3] = 0.0  # c3 = 0
-            coef[10:20, 3:] = [1.0, 2.0, 1.0]  # det = 4 c3 c5 - c4^2 = 0
-        # An identity fit hands the coefficients through unchanged.
-        steps, found = correlations._model_minimum(np.eye(terms), coef)
-        expected = [scalar_model_minimum(c) for c in coef.tolist()]
-        assert steps.tolist() == [step for step, _ in expected]
-        assert found.tolist() == [ok for _, ok in expected]
-        assert found.any() and not found.all()
-        if terms == 6:  # c3 <= 0, and c3 > 0 with det <= 0
-            det = 4.0 * coef[:, 3] * coef[:, 5] - coef[:, 4] ** 2
-            assert (coef[:, 3] <= 0.0).any() and ((coef[:, 3] > 0.0) & (det <= 0.0)).any()
-
-    @pytest.mark.parametrize("rank", [2, 3])
-    def test_evaluations_count_each_found_model_point(self, monkeypatch, rank):
-        flags = []
-        inner = correlations._model_minimum
-
-        def recorded(fit, vals):
-            step, found = inner(fit, vals)
-            flags.append(found.tolist())
-            return step, found
-
-        monkeypatch.setattr(correlations, "_model_minimum", recorded)
-        if rank == 3:
-            rng = np.random.default_rng(5)
-            states = [DensityMatrix(werner_matrix(p), (1, 1)) for p in (0.3, 0.7)] + [
-                random_density_matrix(rng, (1, 1)) for _ in range(5)]
-            grid, (offsets, _) = len(correlations._HEMISPHERE), correlations._SPHERE_ZOOM
-        else:
-            states = [output_state(z_theta(t), 0.997) for t in np.linspace(-3.0, 3.0, 8)]
-            grid, (offsets, _) = correlations.CIRCLE_POINTS, correlations._CIRCLE_ZOOM
-        _, [(_, _, evals)] = stack_discords(states, (0,))
-        assert len(flags) == correlations.ZOOM_ROUNDS  # one rank group, one fit per round
-        assert any(flags[-1])  # so the last model call counts too
-        models = np.array(flags).sum(axis=0)
-        assert evals.tolist() == (grid + correlations.ZOOM_ROUNDS * len(offsets) + models).tolist()
 
     def test_tangle_and_fidelity_match_one_state_calls(self):
         rng = np.random.default_rng(11)

@@ -2,9 +2,10 @@
 
 output_state, reduced_control, repartition, _clifford_output_state and
 reconstruct wrap their results without running DensityMatrix's validation,
-because the results are valid by construction. Here every such result goes
-back through the public constructor, which runs the full check (finite
-entries, matching qubit_dims, unit trace, Hermiticity, positivity), over
+and z_theta without UnitaryMatrix's, because the results are valid by
+construction. Here every such result goes back through the public
+constructor, which runs the full check (finite entries, matching
+qubit_dims, unit trace, Hermiticity, positivity, or unitarity), over
 Haar-random registers, purities, phases, Clifford circuits and simulated
 tomography counts.
 
@@ -103,6 +104,16 @@ def test_dqc1_builders(seed, n, alpha):
         assert discord(rho, MEASURE_REGISTER) >= DISCORD_FLOOR
     if n <= 2:
         assert discord(rho, MEASURE_CONTROL) >= DISCORD_FLOOR
+
+
+def test_z_theta_is_unitary():
+    edges = [0.0, np.pi, -np.pi, 1e-300, -1e-300, 5e-324]
+    for theta in edges + np.linspace(-np.pi, np.pi, 61).tolist():
+        u = z_theta(theta)
+        checked_u = UnitaryMatrix(u.n, u.entries)
+        assert_array_equal(checked_u.entries, u.entries)
+        assert type(u.n) is int and u.n == 1
+        assert u.entries.dtype == complex and not u.entries.flags.writeable
 
 
 @given(theta=thetas, alpha=alphas)
