@@ -20,7 +20,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from dqc1sim import DensityMatrix, correlation_report, output_state, pure_state, z_theta
+from dqc1sim import DensityMatrix, correlation_report, output_state, z_theta
 from dqc1sim.serialize import density_to_json
 from reference_oracles import oracle_discord, werner_matrix, witness_matrix
 
@@ -35,12 +35,11 @@ GRID_AZIMUTH = 1600
 
 
 def fixture_states() -> dict[str, DensityMatrix]:
-    bell = pure_state([1, 0, 0, 1], (1, 1)).entries  # as a user of the package builds it
     return {
         "dqc1_quarter_phase": output_state(z_theta(np.pi / 2), 1.0),
         "dqc1_third_phase_alpha_0p997": output_state(z_theta(np.pi / 3), 0.997),
         "classical_quantum_witness": DensityMatrix(witness_matrix(), (1, 1)),
-        "werner_p0p8": DensityMatrix(werner_matrix(0.8, bell), (1, 1)),
+        "werner_p0p8": DensityMatrix(werner_matrix(0.8), (1, 1)),
     }
 
 

@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .qmath import (
     DensityMatrix,
     fidelity,
-    pure_state,
     repartition,
 )
 from .dqc1 import (
@@ -39,7 +38,7 @@ from .tomography import (
 )
 
 __all__ = [
-    "DensityMatrix", "fidelity", "pure_state", "repartition",
+    "DensityMatrix", "fidelity", "repartition",
     "UnitaryMatrix", "exact_expectations", "normalized_trace", "output_state",
     "reduced_control", "z_theta",
     "chi2_reduced", "estimate_trace", "shots_required",

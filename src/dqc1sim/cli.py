@@ -20,13 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .correlations import (
-    MEASURE_CONTROL, concurrence, correlation_report, discord, stack_chunk, stack_discords,
-    stack_tangle, tangle,
+    MEASURE_CONTROL, MEASURE_REGISTER, concurrence, correlation_report, discord, stack_chunk,
+    stack_discords, stack_tangle, tangle,
 )
 from .clifford import circuit_from_json, verify_zero_discord
 from .dqc1 import exact_expectations, normalized_trace, output_state, z_theta
 from .qmath import check_range, fidelity, stack_fidelity
-from .sampling import SAMPLING_MODES, check_mode, check_shots, estimate_trace, shots_required
+from .sampling import (
+    SAMPLING_MODES, check_mode, check_pure_fraction, check_shots, estimate_trace, shots_required,
+)
 from .serialize import (
     density_from_json,
     density_to_json,
@@ -81,11 +83,7 @@ class SweepConfig:
         bad = set(self.outputs) - set(SWEEP_OUTPUTS)
         if bad:
             raise ValueError(f"unknown sweep outputs {sorted(bad)}; choose from {SWEEP_OUTPUTS}")
-        if self.alpha == 0.0 and self.shots > 0:
-            raise ValueError(
-                f"alpha=0 leaves no pure fraction to sample with shots={self.shots}; "
-                "use alpha > 0 or shots 0"
-            )
+        check_pure_fraction(self.alpha, self.shots)
 
     @cached_property
     def thetas(self) -> np.ndarray:
@@ -143,7 +141,7 @@ def _state_columns(config: SweepConfig, points: list) -> None:
     states = [rho for _, rho, _ in points]
     columns = {}
     if "discord" in config.outputs:
-        _, [(d_rc, _, _), (d_cr, _, _)] = stack_discords(states, (0, 1))
+        _, [(d_rc, _, _), (d_cr, _, _)] = stack_discords(states, (MEASURE_CONTROL, MEASURE_REGISTER))
         columns["discord_rc"], columns["discord_cr"] = d_rc, d_cr
     if "tangle" in config.outputs:
         columns["tangle"] = stack_tangle(states)
@@ -153,7 +151,7 @@ def _state_columns(config: SweepConfig, points: list) -> None:
         except ReconstructionError as exc:
             raise ReconstructionError(f"at theta={rows[exc.index]['theta']!r}: {exc}") from None
         columns["tomo_fidelity"] = stack_fidelity(recons, states)
-        _, [(columns["tomo_discord_rc"], _, _)] = stack_discords(recons, (0,))
+        _, [(columns["tomo_discord_rc"], _, _)] = stack_discords(recons, (MEASURE_CONTROL,))
         columns["tomo_tangle"] = stack_tangle(recons)
     for name, values in columns.items():
         for row, value in zip(rows, values.tolist()):

@@ -210,7 +210,8 @@ def verify_zero_discord(circuit: CliffordCircuit) -> dict:
     if 2 <= circuit.n_qubits <= 4:
         rho = _clifford_output_state(out)
         if circuit.n_qubits == 2:
-            _, [(d_control, _, _), (d_register, _, _)] = correlations.discords(rho, (0, 1))
+            _, [(d_control, _, _), (d_register, _, _)] = correlations.discords(
+                rho, (correlations.MEASURE_CONTROL, correlations.MEASURE_REGISTER))
             method = "full minimization"
         else:
             d_control = correlations.discord(rho, correlations.MEASURE_CONTROL)

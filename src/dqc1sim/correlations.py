@@ -64,8 +64,9 @@ _SIGN = np.array([1.0, -1.0])  # outcomes +n and -n
 _LN2 = np.log(2.0)
 _EIGEN_FLOOR = np.finfo(float).eps  # the eigensolver's round-off
 
-MEASURE_CONTROL = "measure_control"
-MEASURE_REGISTER = "measure_register"
+# A measured side is named by the index of its subsystem, and only so.
+MEASURE_CONTROL = 0
+MEASURE_REGISTER = 1
 
 HEMISPHERE_POLAR = 8
 HEMISPHERE_AZIMUTH = 16
@@ -427,10 +428,11 @@ def stack_discords(states, measured) -> tuple:
 
 
 def discords(rho: DensityMatrix, measured) -> tuple[float, list]:
-    """Mutual information and, for each measured subsystem in measured (0
-    or 1, in that order), the tuple (discord, direction, evaluations) of its
-    search, where direction is _bloch_direction's {"polar", "azimuth"} dict
-    on the upper hemisphere. The one-state case of stack_discords."""
+    """Mutual information and, for each measured subsystem in measured
+    (MEASURE_CONTROL or MEASURE_REGISTER, in that order), the tuple
+    (discord, direction, evaluations) of its search, where direction is
+    _bloch_direction's {"polar", "azimuth"} dict on the upper hemisphere.
+    The one-state case of stack_discords."""
     info, sides = stack_discords([rho], measured)
     return float(info[0]), [
         (float(values[0]), _bloch_direction(axes[0]), int(evals[0]))
@@ -452,20 +454,10 @@ def basis_discord(rho: DensityMatrix, basis: np.ndarray) -> float:
     return info - (h_a - cond)
 
 
-def discord(rho: DensityMatrix, direction: str) -> float:
-    """Quantum discord I - J in bits for the given measurement side.
-
-    measure_control measures subsystem 0, measure_register subsystem 1; the
-    measured subsystem must be a single qubit.
-    """
-    if direction == MEASURE_CONTROL:
-        measured = 0
-    elif direction == MEASURE_REGISTER:
-        measured = 1
-    else:
-        raise ValueError(
-            f"direction must be {MEASURE_CONTROL!r} or {MEASURE_REGISTER!r}, got {direction!r}"
-        )
+def discord(rho: DensityMatrix, measured: int) -> float:
+    """Quantum discord I - J in bits with measured, MEASURE_CONTROL (0) or
+    MEASURE_REGISTER (1), the measured subsystem, which must be a single
+    qubit: the one-side case of discords."""
     _, [(value, _, _)] = discords(rho, (measured,))
     return value
 
@@ -511,7 +503,8 @@ def correlation_report(rho: DensityMatrix) -> dict:
         raise ValueError(f"correlation report requires a two-qubit state, got dim {rho.dim}")
     if rho.qubit_dims != (1, 1):
         rho = repartition(rho, (1, 1))
-    info, [(d_rc, direction, evals_c), (d_cr, _, evals_r)] = discords(rho, (0, 1))
+    info, [(d_rc, direction, evals_c), (d_cr, _, evals_r)] = discords(
+        rho, (MEASURE_CONTROL, MEASURE_REGISTER))
     tau = tangle(rho)
     if d_rc < -1e-9 or d_cr < -1e-9:
         raise ValueError("discord values must be >= -1e-9")

@@ -5,19 +5,19 @@ slowest-to-fastest in the tensor product; the control qubit of a DQC1
 circuit is conventionally subsystem 0.
 
 A state is validated once, where its entries enter the program: the public
-DensityMatrix constructor (and so pure_state and serialize.density_from_json)
-checks shape, finiteness, trace, Hermiticity and positivity, the last with an
-O(d^3) eigensolve. Builders whose output is a valid state whenever their
-input is wrap it with _trusted_state and skip that check: repartition here,
-dqc1.output_state and dqc1.reduced_control, clifford._clifford_output_state
-and tomography.stack_reconstruct (and so reconstruct). dqc1.z_theta wraps
-its closed-form diag(1, e^{i theta}) the same way, without UnitaryMatrix's
-unitarity check. The same rule holds
-for the values that only the program builds: the constructor of the
-record clifford.SignedPauliString checks nothing, the counts array of
-tomography.simulate_counts and the direction dict of
-correlations._bloch_direction are not re-checked where they are read, and
-tomography.psd_project does not check linear_estimate's output.
+DensityMatrix constructor, the one way a state enters (read from JSON by
+serialize.density_from_json too), checks shape, finiteness, trace,
+Hermiticity and positivity, the last with an O(d^3) eigensolve. Builders
+whose output is a valid state whenever their input is wrap it with
+_trusted_state and skip that check: repartition here, dqc1.output_state and
+dqc1.reduced_control, clifford._clifford_output_state and
+tomography.stack_reconstruct (and so reconstruct). dqc1.z_theta wraps its
+closed-form diag(1, e^{i theta}) the same way, without UnitaryMatrix's
+unitarity check. The same rule holds for the values that only the program
+builds: the constructor of the record clifford.SignedPauliString checks
+nothing, the counts array of tomography.simulate_counts and the direction
+dict of correlations._bloch_direction are not re-checked where they are
+read, and tomography.psd_project does not check linear_estimate's output.
 tests/test_invariants.py holds every one of these conditions as a property
 of the builders' outputs.
 """
@@ -168,18 +168,6 @@ def _trusted_state(entries: np.ndarray, qubit_dims) -> DensityMatrix:
     object.__setattr__(rho, "entries", entries)
     object.__setattr__(rho, "qubit_dims", tuple(qubit_dims))
     return rho
-
-
-def pure_state(amplitudes, qubit_dims) -> DensityMatrix:
-    """Density matrix |psi><psi| of a (normalized) amplitude vector."""
-    v = np.asarray(amplitudes, dtype=complex).ravel()
-    if not np.isfinite(v).all():
-        raise ValueError("amplitudes must be finite (no NaN or inf)")
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("zero state vector")
-    v = v / norm
-    return DensityMatrix(np.outer(v, v.conj()), tuple(qubit_dims))
 
 
 def repartition(rho: DensityMatrix, qubit_dims) -> DensityMatrix:

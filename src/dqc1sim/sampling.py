@@ -41,10 +41,19 @@ def check_shots(shots: int) -> None:
         raise ValueError(f"shots must be <= {MAX_SHOTS}, got {shots}")
 
 
-def _check_pure_fraction(alpha: float) -> None:
-    """Sampling needs some pure fraction; the caller checks alpha's range."""
+def check_pure_fraction(alpha: float, shots: int) -> None:
+    """The one check that alpha leaves a pure fraction to sample with shots:
+    with shots > 0, alpha = 0 is an error, and so is an alpha whose
+    reciprocal overflows (below about 5.56e-309), since the estimate is
+    divided by alpha. The caller checks alpha's range."""
+    if shots == 0:
+        return
     if alpha == 0.0:
-        raise ValueError("no pure fraction: estimation impossible")
+        raise ValueError(
+            f"alpha=0 leaves no pure fraction to sample with shots={shots}; use alpha > 0 or shots 0"
+        )
+    if 1.0 / alpha == math.inf:
+        raise ValueError(f"alpha={alpha} is too small to divide the estimate by: 1/alpha overflows")
 
 
 def shots_required(epsilon: float, p_error: float, alpha: float) -> int:
@@ -56,7 +65,8 @@ def shots_required(epsilon: float, p_error: float, alpha: float) -> int:
     """
     check_range("epsilon", epsilon, 0.0, 1.0, open_low=True, open_high=True)
     check_range("p_error", p_error, 0.0, 1.0, open_low=True, open_high=True)
-    _check_pure_fraction(alpha)
+    if alpha == 0.0:
+        raise ValueError("no pure fraction: estimation impossible")
     check_range("alpha", alpha, 0.0, 1.0, open_low=True)
     try:
         budget = math.log(2.0 / p_error) / (2.0 * epsilon**2) / alpha**2
@@ -100,20 +110,17 @@ def estimate_trace(u: UnitaryMatrix, alpha: float, shots: int, seed,
     The X and Y quadratures, of exact values alpha (Re, Im) Tr(U)/N, use
     independent shot streams spawned from the seed, an int or a
     SeedSequence, and the result is divided by alpha so it estimates the
-    trace itself, so with shots > 0 an alpha whose reciprocal overflows
-    (below about 5.56e-309) is an error. shots = 0 bypasses sampling and
-    returns the exact value, which needs no pure fraction, so alpha may then
-    be 0.
+    trace itself, so alpha must pass check_pure_fraction. shots = 0 bypasses
+    sampling and returns the exact value, which needs no pure fraction, so
+    alpha may then be 0.
     """
     check_range("alpha", alpha, 0.0, 1.0)
     check_mode(mode)
     check_shots(shots)
+    check_pure_fraction(alpha, shots)
     trace = normalized_trace(u)
     if shots == 0:
         return trace
-    _check_pure_fraction(alpha)
-    if 1.0 / alpha == math.inf:
-        raise ValueError(f"alpha={alpha} is too small to divide the estimate by: 1/alpha overflows")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
     gen_x, gen_y = (np.random.default_rng(c) for c in ss.spawn(2))
     x_est = _draw_quadrature(alpha * trace.real, shots, gen_x, mode)

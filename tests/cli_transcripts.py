@@ -29,6 +29,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -105,11 +106,11 @@ def run(call: Call, workdir: Path) -> tuple[int, dict]:
     """Run one call through cli.main in this process, from its directory:
     its exit code and the bytes of each stream."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    cwd = os.getcwd()
     os.chdir(workdir / call.directory)
-    os.environ["COLUMNS"] = COLUMNS
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with (mock.patch.dict(os.environ, COLUMNS=COLUMNS), contextlib.redirect_stdout(stdout),
+              contextlib.redirect_stderr(stderr)):
             try:
                 code = main(list(call.argv))
             except SystemExit as exc:  # argparse after a help page
@@ -117,10 +118,6 @@ def run(call: Call, workdir: Path) -> tuple[int, dict]:
         out = Path(call.out).read_bytes() if call.out and Path(call.out).exists() else b""
     finally:
         os.chdir(cwd)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     return code, {"stdout": stdout.getvalue().encode(), "stderr": stderr.getvalue().encode(),
                   "out": out}
 
@@ -175,9 +172,10 @@ def columns(data: bytes) -> dict:
         config, header, *rows = text.splitlines()
         _leaves(json.loads(config[len("# config: "):]), "config", out)
         names = header.split(",")
+        out.update((name, []) for name in names)
         for row in rows:
             for name, value in zip(names, row.split(",")):
-                out.setdefault(name, []).append(float(value))
+                out[name].append(float(value))
         return out
     try:
         _leaves(json.loads(text), "", out)
@@ -193,9 +191,10 @@ def _number(value) -> bool:
 
 def column_diffs(new: bytes, old: bytes) -> dict:
     """The largest |new - old| in each column, inf where a column's length
-    or a value that is not a number differs."""
+    or a value that is not a number differs, and under "column order" inf
+    where the columns come in another order."""
     a, b = columns(new), columns(old)
-    diffs = {}
+    diffs = {"column order": 0.0 if list(a) == list(b) else math.inf}
     for key in sorted(a.keys() | b.keys()):
         x, y = a.get(key, []), b.get(key, [])
         if len(x) != len(y):

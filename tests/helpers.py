@@ -31,6 +31,13 @@ def random_density_matrix(rng, qubit_dims, rank=None) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real, tuple(qubit_dims))
 
 
+def pure_density(amplitudes, qubit_dims) -> DensityMatrix:
+    """|psi><psi| of the normalized amplitude vector, as a user builds it."""
+    v = np.asarray(amplitudes, dtype=complex).ravel()
+    v = v / np.linalg.norm(v)
+    return DensityMatrix(np.outer(v, v.conj()), tuple(qubit_dims))
+
+
 def random_pure_density(rng, qubit_dims) -> DensityMatrix:
     return random_density_matrix(rng, qubit_dims, rank=1)
 

@@ -63,9 +63,9 @@ def bell_matrix() -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def werner_matrix(p: float, bell: np.ndarray | None = None) -> np.ndarray:
-    """p bell + (1 - p) I/4, bell by default bell_matrix(); entangled for p > 1/3."""
-    return p * (bell_matrix() if bell is None else bell) + (1 - p) * np.eye(4) / 4
+def werner_matrix(p: float) -> np.ndarray:
+    """p bell_matrix() + (1 - p) I/4; entangled for p > 1/3."""
+    return p * bell_matrix() + (1 - p) * np.eye(4) / 4
 
 
 def witness_matrix() -> np.ndarray:

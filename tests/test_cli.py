@@ -641,7 +641,7 @@ class TestBadInputs:
         *[([command, "{dir}/deep.json"], "deep.json' is nested too deeply")
           for command in ("discord", "tangle", "tomo", "trace", "verify-clifford")],
         (["sweep", "--steps", "2", "--alpha", "1e-309", "--shots", "5"],
-         "at theta=-3.141592653589793: alpha=1e-309 is too small"),
+         "alpha=1e-309 is too small"),
         # the first point fails at reconstruction, the second already at
         # sampling: the first point's error is the one reported
         (["sweep", "--steps", "4", "--outputs", "tomo", "--shots", "1", "--mode", "poisson",
@@ -669,6 +669,14 @@ class TestBadInputs:
         assert payload["error"] == ("ReconstructionError" if "no signal" in needle else "ValueError")
         assert needle in payload["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1e-320", "1e-309"])
+    def test_unsampleable_alpha_fails_before_the_first_point(self, alpha, capsys):
+        assert run_cli(["sweep", "--steps", "3", "--alpha", alpha, "--shots", "5"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["message"]
+        assert message.startswith(f"alpha={alpha} ") and "at theta=" not in message
 
     @pytest.mark.parametrize("args, where", [
         (["sweep", "--steps", "41", "--shots", "1", "--mode", "poisson"],

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqc1sim import (
+    MEASURE_REGISTER,
     SignedPauliString,
     UnitaryMatrix,
     discord,
@@ -250,7 +251,7 @@ class TestVerifyZeroDiscord:
             # the eigenbasis of the register's label; any basis for I
             register = out.labels[1]
             cert = basis_discord(rho, np.array(PAULI_EIGENSTATES["Z" if register == "I" else register]))
-            full = discord(rho, "measure_register")
+            full = discord(rho, MEASURE_REGISTER)
             assert cert >= full - 1e-9
             assert cert < 1e-6
 

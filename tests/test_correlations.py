@@ -17,7 +17,6 @@ from dqc1sim import (
     correlation_report,
     discord,
     output_state,
-    pure_state,
     reconstruct,
     simulate_counts,
     tangle,
@@ -215,8 +214,23 @@ class TestDiscord:
             d_neg = discord(output_state(z_theta(-theta), 0.997), MEASURE_CONTROL)
             assert abs(d_pos - d_neg) < 1e-6
 
+    def test_discord_is_the_one_side_case_of_discords(self):
+        """A side is named by its index alone, checked in one place."""
+        assert (MEASURE_CONTROL, MEASURE_REGISTER) == (0, 1)
+        rng = np.random.default_rng(28)
+        for rank in (1, 2, 3, 4):
+            for _ in range(5):
+                rho = random_density_matrix(rng, (1, 1), rank=rank)
+                _, [(d_rc, _, _), (d_cr, _, _)] = discords(rho, (0, 1))
+                assert discord(rho, MEASURE_CONTROL) == d_rc
+                assert discord(rho, MEASURE_REGISTER) == d_cr
+        for bad in ("measure_control", True, 2, np.int64(2)):
+            with pytest.raises(ValueError,
+                               match=f"^measured subsystem index must be 0 or 1, got {bad}$"):
+                discord(bell_state(), bad)
+
     def test_bad_direction(self):
-        with pytest.raises(ValueError, match="direction"):
+        with pytest.raises(ValueError, match="^measured subsystem index must be 0 or 1, got sideways$"):
             discord(bell_state(), "sideways")
 
 

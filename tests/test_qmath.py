@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from dqc1sim import (
     DensityMatrix,
     fidelity,
-    pure_state,
     reduced_control,
     repartition,
 )
@@ -15,7 +14,7 @@ from dqc1sim.correlations import _entropies
 from dqc1sim.dqc1 import z_theta
 from dqc1sim.qmath import spectrum_entropy, stack_fidelity
 
-from helpers import bell_state, random_density_matrix, random_pure_density
+from helpers import bell_state, pure_density, random_density_matrix, random_pure_density
 from reference_oracles import random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -55,15 +54,6 @@ class TestDensityMatrixInvariants:
         m[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(m, (1,))
-
-    def test_pure_state_checks_its_input(self):
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite"):
-                pure_state([1.0, bad], (1,))
-        with pytest.raises(ValueError, match="qubit_dims"):
-            pure_state([1.0, 0.0], (2,))
-        with pytest.raises(ValueError, match="zero state"):
-            pure_state([0.0, 0.0], (1,))
 
     def test_entries_are_frozen(self):
         rho = DensityMatrix(np.eye(2) / 2, (1,))
@@ -147,12 +137,12 @@ class TestFidelity:
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_pure_states(self):
-        assert fidelity(pure_state([1, 0], (1,)), pure_state([0, 1], (1,))) == pytest.approx(
+        assert fidelity(pure_density([1, 0], (1,)), pure_density([0, 1], (1,))) == pytest.approx(
             0.0, abs=1e-14
         )
 
     def test_pure_versus_mixed(self):
-        rho = pure_state([1, 0], (1,))
+        rho = pure_density([1, 0], (1,))
         sig = DensityMatrix(np.eye(2) / 2, (1,))
         assert fidelity(rho, sig) == pytest.approx(0.5, abs=1e-12)
 
@@ -176,11 +166,11 @@ class TestFidelity:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            fidelity(bell_state(), pure_state([1, 0], (1,)))
+            fidelity(bell_state(), pure_density([1, 0], (1,)))
 
     @pytest.mark.parametrize("lengths", [(2, 1), (1, 2), (0, 0), (0, 1)])
     def test_stack_lengths_must_match(self, lengths):
-        a, b = (pure_state([1, 0], (1,)), pure_state([0, 1], (1,)))
+        a, b = (pure_density([1, 0], (1,)), pure_density([0, 1], (1,)))
         rhos, sigmas = ([a, b][:k] for k in lengths)
         with pytest.raises(ValueError, match=rf"^need two nonempty sequences of one length: "
                                              rf"{lengths[0]} and {lengths[1]}$"):

@@ -11,7 +11,6 @@ from dqc1sim import (
     ReconstructionError,
     fidelity,
     output_state,
-    pure_state,
     reconstruct,
     simulate_counts,
     z_theta,
@@ -20,7 +19,7 @@ from dqc1sim.cli import main
 from dqc1sim.serialize import density_to_json
 from dqc1sim.tomography import PROJECTORS, SETTING_LABELS, linear_estimate, psd_project
 
-from helpers import bell_state, noiseless_run, random_density_matrix
+from helpers import bell_state, noiseless_run, pure_density, random_density_matrix
 from reference_oracles import TOMO_KETS, TOMO_LABELS, least_squares_estimate, setting_probability
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -49,7 +48,7 @@ class TestSettings:
 
 class TestSimulateCounts:
     def test_logical_zero_projections(self):
-        rho = pure_state([1, 0, 0, 0], (1, 1))
+        rho = pure_density([1, 0, 0, 0], (1, 1))
         by_label = dict(zip(SETTING_LABELS, simulate_counts(rho, 500.0, 1)))
         for label in TOMO_LABELS:
             if setting_probability(rho.entries, label) == 0.0:
