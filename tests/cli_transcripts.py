@@ -7,10 +7,11 @@ manifest.json: a header with the numpy version, the Python version and the
 platform that recorded them, then each call's name, directory, argv and
 exit code. The inputs are written from a seed: perfbench's zsweep-corr and
 cli-mix calls and inputs at seeds 101 and 102 (tier-1 already imports
-perfbench/workloads.py), discord and tomo on cli-mix's full-rank state, and
-seeded random Clifford circuits. Each call runs from its own directory with
-relative input names, because every config echoes its input path, and with
-COLUMNS fixed, because argparse wraps its help pages to the terminal width.
+perfbench/workloads.py), discord and tomo on cli-mix's full-rank state,
+seeded random Clifford circuits, and the state files and bad inputs of
+_file_calls. Each call runs from its own directory with relative input
+names, because every config echoes its input path, and with COLUMNS fixed,
+because argparse wraps its help pages to the terminal width.
 
 tests/test_transcripts.py reruns the calls; scripts/make_cli_transcripts.py
 rewrites them.
@@ -33,9 +34,10 @@ from unittest import mock
 
 import numpy as np
 
-from dqc1sim.cli import main
+from dqc1sim.cli import MAX_STEPS, main
+from dqc1sim.serialize import density_to_json, matrix_to_json
 
-from helpers import random_clifford_circuit, save_json
+from helpers import random_clifford_circuit, random_density_matrix, save_json
 
 TRANSCRIPT_DIR = Path(__file__).resolve().parent / "transcripts"
 MANIFEST = TRANSCRIPT_DIR / "manifest.json"
@@ -43,6 +45,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEEDS = (101, 102)
 CLIFFORD_QUBITS = (2, 3, 4)  # n = 2 minimizes both sides; n = 3 and 4 certify the register
 CLIFFORD_GATES = 24
+STATE_SEED = 7
 COMMANDS = ("sweep", "trace", "discord", "tangle", "tomo", "verify-clifford")
 STREAMS = ("stdout", "stderr", "out")
 COLUMNS = "80"
@@ -97,9 +100,44 @@ def write_calls(workdir: Path) -> list[Call]:
         calls.append(Call(f"verify-clifford-n{n}", ".",
                           ("verify-clifford", f"circuit{n}.json", "--out", f"clifford{n}.json"),
                           f"clifford{n}.json"))
+    calls += _file_calls(workdir)
     calls.append(Call("help", ".", ("--help",), None))
     calls += [Call(f"help-{command}", ".", (command, "--help"), None) for command in COMMANDS]
     return calls
+
+
+def _file_calls(workdir: Path) -> list[Call]:
+    """Write the state files and bad inputs under workdir and return their
+    calls: tangle from --theta; discord, tangle and tomo on a seeded rank-2
+    state, and on the same state as one four-level subsystem ("qubit_dims":
+    [2], which tangle repartitions); then bad inputs, each pinned by its
+    stderr line and exit code."""
+    rank2 = density_to_json(random_density_matrix(np.random.default_rng(STATE_SEED), (1, 1), 2))
+    inputs = {
+        "rank2": rank2,
+        "dims2": {**rank2, "qubit_dims": [2]},
+        "nonunitary": matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]])),
+        "string-entries": {"dim": 2, "re": [["1", "0"], ["0", "1.0"]], "im": [[0, 0], [0, 0]]},
+        "unknown-gate": {"n": 2, "gates": [{"g": "T", "q": 0}]},
+    }
+    for name, obj in inputs.items():
+        save_json(workdir / f"{name}.json", obj)
+    calls = [Call("tangle-theta", ".", ("tangle", "--theta", "2.5", "--alpha", "0.9",
+                                        "--out", "tangle-theta.json"), "tangle-theta.json")]
+    for state in ("rank2", "dims2"):
+        for command, extra in (("discord", ()), ("tangle", ()), ("tomo", ("--seed", str(STATE_SEED)))):
+            out = f"{state}-{command}.json"
+            calls.append(Call(f"{state}-{command}", ".",
+                              (command, f"{state}.json", *extra, "--out", out), out))
+    bad = {
+        "bad-nonunitary": ("trace", "nonunitary.json"),
+        "bad-alpha-nan": ("discord", "--theta", "1", "--alpha", "nan"),
+        "bad-seed-negative": ("tomo", "--theta", "1", "--seed", "-1"),
+        "bad-unknown-gate": ("verify-clifford", "unknown-gate.json"),
+        "bad-steps": ("sweep", "--steps", str(MAX_STEPS + 1)),
+        "bad-string-entries": ("trace", "string-entries.json"),
+    }
+    return calls + [Call(name, ".", argv, None) for name, argv in bad.items()]
 
 
 def run(call: Call, workdir: Path) -> tuple[int, dict]:
