@@ -17,7 +17,6 @@ from .qmath import (
     DensityMatrix,
     _trusted_state,
     check_range,
-    qubit_count,
     register_size,
     square_complex,
 )
@@ -51,11 +50,6 @@ class UnitaryMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_matrix(cls, m) -> "UnitaryMatrix":
-        m = np.asarray(m)
-        return cls(qubit_count(m.shape[0]), m)
 
     @property
     def dim(self) -> int:
@@ -112,8 +106,7 @@ def reduced_control(u: UnitaryMatrix, alpha: float) -> DensityMatrix:
     normalized trace scaled by alpha/2.
     """
     check_range("alpha", alpha, 0.0, 1.0)
-    t = complex(np.trace(u.entries))
-    off = alpha * t / (2 * u.dim)
+    off = alpha * normalized_trace(u) / 2
     m = np.array([[0.5, np.conj(off)], [off, 0.5]], dtype=complex)
     return _trusted_state(m, (1,))
 

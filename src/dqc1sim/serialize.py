@@ -90,7 +90,8 @@ def density_from_json(obj: dict) -> DensityMatrix:
 
 def unitary_from_json(obj: dict) -> UnitaryMatrix:
     """Load a unitary; UnitaryMatrix checks it and names the worst entry."""
-    return UnitaryMatrix.from_matrix(matrix_from_json(obj))
+    m = matrix_from_json(obj)
+    return UnitaryMatrix(qubit_count(m.shape[0]), m)
 
 
 def load_json(path) -> dict:

@@ -13,6 +13,7 @@ from dqc1sim import (
     z_theta,
 )
 from dqc1sim.qmath import SIGMA_Z
+from dqc1sim.serialize import matrix_to_json, unitary_from_json
 
 from reference_oracles import circuit_output_state, random_unitary
 
@@ -35,13 +36,13 @@ class TestUnitaryMatrix:
         with pytest.raises(ValueError, match="not unitary"):
             UnitaryMatrix(1, np.array([[1.0, 0.0], [0.0, 0.5]]))
 
-    def test_from_matrix_infers_size(self):
-        u = UnitaryMatrix.from_matrix(np.kron(SIGMA_Z, SIGMA_Z))
+    def test_from_json_infers_size(self):
+        u = unitary_from_json(matrix_to_json(np.kron(SIGMA_Z, SIGMA_Z)))
         assert u.n == 2 and u.dim == 4
 
-    def test_from_matrix_rejects_odd_dim(self):
+    def test_from_json_rejects_odd_dim(self):
         with pytest.raises(ValueError, match="power of 2"):
-            UnitaryMatrix.from_matrix(np.eye(3))
+            unitary_from_json(matrix_to_json(np.eye(3)))
 
     def test_empty_register(self):
         with pytest.raises(ValueError, match="register size must be >= 1"):
