@@ -8,6 +8,7 @@ control-register split (1, k-1) when it is absent.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,23 @@ def json_list(value, what: str) -> list:
     return value
 
 
+def _float_rows(rows) -> np.ndarray:
+    """A matrix JSON's "re" or "im" as floats. Each entry must be a JSON
+    number, int or float: numpy alone would also read a bool, a numeric
+    string or null. Lists of rows are scanned at C speed, a row at a time."""
+    kinds = set(map(type, rows)) if type(rows) is list else {type(rows)}
+    if list in kinds:
+        if kinds != {list} or len(set(map(len, rows))) > 1:
+            raise ValueError("matrix JSON rows must be lists of one length")
+        kinds = set(map(type, chain.from_iterable(rows)))
+    if not kinds <= {int, float}:
+        raise ValueError("matrix JSON entries must be numbers")
+    try:
+        return np.asarray(rows, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("matrix JSON entries must be numbers") from None
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError(f"matrix JSON must be an object, got {_excerpt(obj)}")
@@ -55,11 +73,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         if key not in obj:
             raise ValueError(f"matrix JSON is missing key {key!r}")
     dim = json_int(obj["dim"], "dim")
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, OverflowError):
-        raise ValueError("matrix JSON entries must be numbers") from None
+    re, im = _float_rows(obj["re"]), _float_rows(obj["im"])
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(
             f"matrix JSON shapes {re.shape}/{im.shape} do not match dim {dim}"

@@ -562,6 +562,10 @@ class TestBadInputs:
             "qubit_dims_float": {**mixed, "qubit_dims": [1, 1.0]},
             "qubit_dims_huge": {**mixed, "qubit_dims": [10**12, 1]},
             "entries_object": {**mixed, "re": {"a": 1}},
+            "entries_string": {**mixed, "re": [[repr(x) for x in row] for row in mixed["re"]]},
+            "entries_bool": {**mixed, "im": [[False] * 4] * 4},
+            "entries_null": {**mixed, "im": [[None, 0, 0, 0]] + mixed["im"][1:]},
+            "rows_ragged": {**mixed, "re": mixed["re"][:3] + [mixed["re"][3][:3]]},
             "one_qubit": matrix_to_json(np.eye(2) / 2),
             "three_qubits": matrix_to_json(np.eye(8) / 8),
         }
@@ -655,6 +659,12 @@ class TestBadInputs:
          "correlation report requires a two-qubit state, got dim 2"),
         (["discord", "{dir}/three_qubits.json"],
          "correlation report requires a two-qubit state, got dim 8"),
+        # numpy alone would read these as numbers or name its own error
+        *[([command, f"{{dir}}/{name}.json"], needle) for command in ("trace", "discord", "tangle")
+          for name, needle in (("entries_string", "entries must be numbers"),
+                               ("entries_bool", "entries must be numbers"),
+                               ("entries_null", "entries must be numbers"),
+                               ("rows_ragged", "matrix JSON rows must be lists of one length"))],
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"
