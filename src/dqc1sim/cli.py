@@ -41,13 +41,9 @@ from .tomography import (
 )
 
 SWEEP_OUTPUTS = ("trace", "discord", "tangle", "tomo")
-# Largest sweep grid. On a 2-core host with one BLAS thread, a trace-only
-# sweep of this many steps takes about 9.3 s, a 134 MB peak RSS and a
-# 15.1 MB CSV, and `--outputs discord,tangle,tomo` about 43 s, 209 MB and
-# 25.4 MB, its state columns computed stack_chunk(4) = 1024 points at a
-# time. For scale, 10 000 such steps took 41 s and 55 MB computed point by
-# point, and take 6.7 s and 75 MB stacked. Rows are held in memory until
-# rendered, about 1 KB each.
+# Largest sweep grid, so that no --steps makes a sweep's time or memory
+# unbounded: rows are held in memory until rendered, about 1 KB each, and
+# the state columns are computed stack_chunk(4) = 1024 points at a time.
 MAX_STEPS = 100_000
 
 @dataclass(frozen=True)

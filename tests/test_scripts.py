@@ -1,10 +1,15 @@
 import ast
+import importlib.util
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from dqc1sim.serialize import density_from_json
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -138,6 +143,22 @@ def test_scripts_define_no_oracle_of_their_own(script):
            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
            and (node.name.startswith("oracle_") or node.name == "entropy_bits")]
     assert not own, f"{script.name} defines {own}"
+
+
+def test_golden_fixture_states_are_the_scripts(monkeypatch):
+    """The committed fixtures are frozen records that the script no longer
+    rewrites byte for byte; the states it would write are still theirs."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src and tests
+    path = ROOT / "scripts" / "make_golden_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_golden_fixtures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    states = script.fixture_states()
+    assert sorted(states) == sorted(p.stem for p in script.FIXTURE_DIR.glob("*.json"))
+    for name, rho in states.items():
+        stored = density_from_json(json.loads((script.FIXTURE_DIR / f"{name}.json").read_text())["state"])
+        assert rho.qubit_dims == stored.qubit_dims
+        assert np.max(np.abs(rho.entries - stored.entries)) <= 1e-15, name
 
 
 def test_no_module_shares_a_name_with_the_benchmarks():
