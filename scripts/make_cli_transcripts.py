@@ -3,9 +3,11 @@
 
 Writes the inputs of every call in tests/cli_transcripts.py to a temporary
 directory, runs the calls in process, replaces the recorded streams, exit
-codes and header, and prints, for each call whose bytes moved, the largest
-|diff| in each column that moved (inf where text, a length or an exit code
-differs), against the transcripts it replaced.
+codes and header, and prints, for each call whose bytes moved, against the
+transcripts it replaced: a changed exit code, a move of output from one
+stream to another as one line, and the largest |diff| in each column that
+moved of the streams present on both sides (inf where text or a length
+differs).
 
 Usage: python3 scripts/make_cli_transcripts.py
 """
@@ -20,8 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from cli_transcripts import (
-    MANIFEST, STREAMS, column_diffs, read_manifest, read_streams, run, write_calls,
-    write_transcripts,
+    MANIFEST, read_manifest, read_streams, run, stream_report, write_calls, write_transcripts,
 )
 
 
@@ -44,10 +45,8 @@ def main() -> int:
             continue
         moved += 1
         print(f"{call.name}: exit {old_code} -> {code}" if code != old_code else f"{call.name}:")
-        for stream in STREAMS:
-            for column, diff in column_diffs(streams[stream], old_streams[stream]).items():
-                if diff:
-                    print(f"  {stream} {column}: max |diff| {diff:.3g}")
+        for line in stream_report(streams, old_streams):
+            print(f"  {line}")
     for name in old.keys() - {call.name for call in calls}:
         print(f"{name}: dropped")
     write_transcripts(calls, results)

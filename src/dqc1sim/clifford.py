@@ -18,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .qmath import DensityMatrix, PAULI_EIGENSTATES, PAULIS, _trusted_state, check_range
-from .serialize import json_int, json_list
+from .serialize import json_excerpt, json_int, json_list
 from . import correlations
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2}
@@ -67,10 +67,11 @@ class CliffordCircuit:
 
 def circuit_from_json(obj: dict) -> CliffordCircuit:
     """Read {"n": n, "gates": [{"g": name, "q": qubits}, ...]} in one pass.
-    The loop checks each entry once, in this order: its keys, the type of
-    each qubit (a list of them, or one), the name, the arity, distinct
-    qubits; the first check that fails names the entry by its index. Then
-    come the qubit count and the qubit range."""
+    The loop checks each entry once, in this order: its shape (an object
+    with a string "g" and a "q"), the type of each qubit (a list of them, or
+    one), the name, the arity, distinct qubits; the first check that fails
+    names the entry by its index. Then come the qubit count and the qubit
+    range."""
     if not isinstance(obj, dict) or "n" not in obj or "gates" not in obj:
         raise ValueError("circuit JSON must be an object with 'n' and 'gates'")
     n = json_int(obj["n"], "n")
@@ -78,6 +79,10 @@ def circuit_from_json(obj: dict) -> CliffordCircuit:
     codes, first, second = [], [], []
     for i, item in enumerate(items):
         try:
+            if not (isinstance(item, dict) and type(item.get("g")) is str and "q" in item):
+                raise ValueError(
+                    f'expected an object with a string "g" and a "q", got {json_excerpt(item)}'
+                )
             name, q = item["g"], item["q"]
             qs = q if type(q) is list else [q]
             for k in qs:
@@ -90,7 +95,7 @@ def circuit_from_json(obj: dict) -> CliffordCircuit:
                 raise ValueError(f"{name} takes {arity} qubit(s), got {tuple(qs)}")
             if arity == 2 and qs[0] == qs[1]:
                 raise ValueError(f"{name} qubits must be distinct, got {tuple(qs)}")
-        except (TypeError, KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad gate at index {i}: {exc}") from None
         codes.append(code)
         first.append(qs[0])

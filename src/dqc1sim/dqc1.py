@@ -16,8 +16,8 @@ import numpy as np
 from .qmath import (
     DensityMatrix,
     _trusted_state,
+    check_qubit_shape,
     check_range,
-    register_size,
     square_complex,
 )
 
@@ -33,14 +33,14 @@ class UnitaryMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        n = register_size(self.n)
+        n = int(self.n)
+        if n < 1:
+            raise ValueError(f"register size must be >= 1, got {n}")
         entries = square_complex(self.entries)
-        dim = 2**n
-        if entries.shape != (dim, dim):
-            raise ValueError(
-                f"entries shape {entries.shape} does not match n={n} qubits"
-            )
-        delta = np.abs(entries.conj().T @ entries - np.eye(dim))
+        check_qubit_shape(entries, n, f"n={n} qubits")
+        gram = entries.conj().T @ entries
+        gram[np.diag_indices_from(gram)] -= 1  # U+U - I, in place
+        delta = np.abs(gram)
         i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
         if not delta[i, j] <= UNITARY_ATOL:
             raise ValueError(

@@ -7,7 +7,9 @@ circuit is conventionally subsystem 0.
 A state is validated once, where its entries enter the program: the public
 DensityMatrix constructor, the one way a state enters (read from JSON by
 serialize.density_from_json too), checks shape, finiteness, trace,
-Hermiticity and positivity, the last with an O(d^3) eigensolve. Builders
+Hermiticity and positivity, the last with an O(d^3) eigensolve. The size
+rule, that a matrix over n qubits is 2**n square, is check_qubit_shape's
+alone: DensityMatrix and dqc1.UnitaryMatrix both call it. Builders
 whose output is a valid state whenever their input is wrap it with
 _trusted_state and skip that check: repartition here, dqc1.output_state and
 dqc1.reduced_control, clifford._clifford_output_state and
@@ -66,12 +68,12 @@ def qubit_count(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-def register_size(n: int) -> int:
-    """n as an int; the one check that a register has at least one qubit."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"register size must be >= 1, got {n}")
-    return n
+def check_qubit_shape(entries: np.ndarray, n_qubits: int, what: str) -> None:
+    """Reject square entries that are not 2**n_qubits on a side: the one size
+    rule, by bit lengths, so that a huge count never builds 2**n_qubits."""
+    dim = entries.shape[0]
+    if dim.bit_length() - 1 != n_qubits or dim & (dim - 1):
+        raise ValueError(f"entries shape {entries.shape} does not match {what}")
 
 
 def check_range(name: str, value: float, low: float = -math.inf,
@@ -123,13 +125,7 @@ class DensityMatrix:
     def __post_init__(self):
         entries = square_complex(self.entries)
         dims = _qubit_dims(self.qubit_dims)
-        # Bit lengths first, so that a huge count read from a file never
-        # builds the integer 2**sum(dims).
-        dim = entries.shape[0]
-        if dim.bit_length() - 1 != sum(dims) or dim != 2 ** sum(dims):
-            raise ValueError(
-                f"entries shape {entries.shape} does not match qubit_dims {dims}"
-            )
+        check_qubit_shape(entries, sum(dims), f"qubit_dims {dims}")
         tr = complex(np.trace(entries))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace must be 1 within {TRACE_ATOL}, got {tr}")

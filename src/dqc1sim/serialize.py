@@ -8,6 +8,7 @@ control-register split (1, k-1) when it is absent.
 from __future__ import annotations
 
 import json
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -26,7 +27,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def _excerpt(value) -> str:
+def json_excerpt(value) -> str:
     """The start of value as JSON, for an error message. A value read by
     load_json can be too deep to encode from a deeper stack."""
     try:
@@ -39,13 +40,13 @@ def json_int(value, what: str) -> int:
     """value if the JSON held an integer there; the one type check of the
     sizes and indices read from a file (bool, float, null and string fail)."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {_excerpt(value)}")
+        raise ValueError(f"{what} must be an integer, got {json_excerpt(value)}")
     return value
 
 
 def json_list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, got {_excerpt(value)}")
+        raise ValueError(f"{what} must be a list, got {json_excerpt(value)}")
     return value
 
 
@@ -69,7 +70,7 @@ def _float_rows(rows) -> np.ndarray:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
-        raise ValueError(f"matrix JSON must be an object, got {_excerpt(obj)}")
+        raise ValueError(f"matrix JSON must be an object, got {json_excerpt(obj)}")
     for key in ("dim", "re", "im"):
         if key not in obj:
             raise ValueError(f"matrix JSON is missing key {key!r}")
@@ -110,9 +111,22 @@ def unitary_from_json(obj: dict) -> UnitaryMatrix:
 
 
 def load_json(path) -> dict:
-    text = Path(path).read_text()
+    """The JSON value in the file at path. A file that is not UTF-8, is
+    nested too deeply for the parser or holds an integer past Python's
+    digit limit raises one ValueError that names the file; a syntax error
+    keeps json's own JSONDecodeError."""
+    name = str(path)
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ValueError(f"JSON file {name!r} is not UTF-8 text") from None
     except RecursionError:
-        raise ValueError(f"JSON file {str(path)!r} is nested too deeply") from None
+        raise ValueError(f"JSON file {name!r} is nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refuses a literal past the digit limit
+        raise ValueError(
+            f"JSON file {name!r} holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 

@@ -14,7 +14,7 @@ names, because every config echoes its input path, and with COLUMNS fixed,
 because argparse wraps its help pages to the terminal width.
 
 tests/test_transcripts.py reruns the calls; scripts/make_cli_transcripts.py
-rewrites them.
+rewrites them and prints stream_report's lines for each call that moved.
 """
 
 from __future__ import annotations
@@ -241,3 +241,20 @@ def column_diffs(new: bytes, old: bytes) -> dict:
         diffs[key] = max((abs(u - v) if _number(u) and _number(v) else (0.0 if u == v else math.inf)
                           for u, v in zip(x, y)), default=0.0)
     return diffs
+
+
+def stream_report(new: dict, old: dict) -> list[str]:
+    """What moved between the old and the new streams of one call, a line
+    each: first the move, where the set of nonempty streams differs (as
+    "streams stdout -> stderr"), then the largest |diff| of each column that
+    moved, for the streams nonempty on both sides only. A stream that
+    appeared or vanished is named by the move alone: against an empty
+    stream every one of its columns would read inf."""
+    had = [stream for stream in STREAMS if old[stream]]
+    has = [stream for stream in STREAMS if new[stream]]
+    lines = [] if had == has else [f"streams {'+'.join(had) or 'none'} -> {'+'.join(has) or 'none'}"]
+    for stream in STREAMS:
+        if stream in had and stream in has:
+            lines += [f"{stream} {column}: max |diff| {diff:.3g}"
+                      for column, diff in column_diffs(new[stream], old[stream]).items() if diff]
+    return lines

@@ -100,11 +100,14 @@ def reference_circuit(obj: dict) -> tuple[int, list]:
     """(n, [(name, qubits), ...]) of circuit JSON whose "n" is an integer,
     read one entry at a time: the slow reference for circuit_from_json. A
     bad circuit raises the reader's message for its first failing check:
-    each entry in index order (keys, qubit types, name, arity, distinct
+    each entry in index order (shape, qubit types, name, arity, distinct
     qubits), then the qubit count, then the first gate out of range."""
     n, gates = obj["n"], []
     for i, item in enumerate(obj["gates"]):
         try:
+            if type(item) is not dict or not isinstance(item.get("g"), str) or "q" not in item:
+                raise ValueError('expected an object with a string "g" and a "q", '
+                                 f"got {json.dumps(item)[:40]}")
             name, q = item["g"], item["q"]
             qubits = tuple(q) if type(q) is list else (q,)
             for k in qubits:
@@ -116,7 +119,7 @@ def reference_circuit(obj: dict) -> tuple[int, list]:
                 raise ValueError(f"{name} takes {GATE_ARITY[name]} qubit(s), got {qubits}")
             if len(set(qubits)) != len(qubits):
                 raise ValueError(f"{name} qubits must be distinct, got {qubits}")
-        except (TypeError, KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad gate at index {i}: {exc}") from None
         gates.append((name, qubits))
     if not 1 <= n <= MAX_QUBITS:

@@ -211,6 +211,44 @@ def z_theta_control_hmin(theta: float, alpha: float) -> float:
     return best
 
 
+def _eta_sum(x: np.ndarray) -> np.ndarray:
+    """-sum x log2 x over the last axis of x >= 0, with 0 log 0 = 0."""
+    return -(x * np.log2(np.maximum(x, np.finfo(float).tiny))).sum(axis=-1)
+
+
+def eigenphase_control_discord(u: np.ndarray, alpha: float, points: int = 200001,
+                               chunk: int = 2000) -> float:
+    """Control-side discord of the DQC1 output (1/2N) [[I, alpha U+], [alpha U, I]]
+    from the eigenphases phi_j of U (Datta, Shaji & Caves, PRL 100, 050502
+    (2008)), with no density matrix formed.
+
+    Measuring the control in (|0> +- e^{i psi} |1>) / sqrt(2) leaves the
+    register, in U's eigenbasis, in diag((1 +- alpha cos(phi_j - psi)) / 2N),
+    so Hmin(psi) = sum over +- of [sum_j eta((1 +- alpha cos(phi_j - psi))/2N)
+    - eta(p_+-)], minimised over `points` equator angles psi = k pi / points
+    (the optimum lies on the equator, and psi + pi swaps the outcomes).
+    H(AB) comes from the spectrum (1 +- alpha)/2N, each N-fold, and H(A) from
+    the control state [[1/2, conj(c)], [c, 1/2]] with c = alpha Tr(U)/2N.
+    """
+    dim = u.shape[0]
+    phases = np.angle(np.linalg.eigvals(u))
+    unit = np.stack([np.cos(phases), np.sin(phases)])
+    hmin = np.inf
+    for start in range(0, points, chunk):
+        psi = np.pi * np.arange(start, min(start + chunk, points)) / points
+        # cos(phi_j - psi) = cos psi cos phi_j + sin psi sin phi_j
+        cos = np.stack([np.cos(psi), np.sin(psi)], axis=1) @ unit
+        h = 0.0
+        for sign in (1.0, -1.0):
+            mu = (1.0 + sign * alpha * cos) / (2 * dim)
+            h = h + _eta_sum(mu) - _eta_sum(mu.sum(axis=1)[:, None])
+        hmin = min(hmin, float(h.min()))
+    h_ab = dim * float(_eta_sum(np.array([1.0 + alpha, 1.0 - alpha]) / (2 * dim)))
+    c = abs(alpha * np.trace(u) / (2 * dim))
+    h_a = float(_eta_sum(np.array([0.5 + c, 0.5 - c])))
+    return h_a - h_ab + hmin
+
+
 # (xx, yy, zz) eigenvalues of the Bell states Phi+, Phi-, Psi+ and Psi-.
 BELL_SIGNS = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
 

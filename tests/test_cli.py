@@ -568,6 +568,9 @@ class TestBadInputs:
             "rows_ragged": {**mixed, "re": mixed["re"][:3] + [mixed["re"][3][:3]]},
             "one_qubit": matrix_to_json(np.eye(2) / 2),
             "three_qubits": matrix_to_json(np.eye(8) / 8),
+            "gate_list_entry": {"n": 2, "gates": [cz, ["H", 0]]},
+            "gate_null_entry": {"n": 2, "gates": [None]},
+            "gate_missing_name": {"n": 2, "gates": [{"q": 0}]},
         }
         valid = {
             "state": density_to_json(output_state(z_theta(1.0), 0.9)),
@@ -577,6 +580,8 @@ class TestBadInputs:
         for name, value in {**malformed, **valid}.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(value))
         (tmp_path / "deep.json").write_text("[" * 10**5)
+        (tmp_path / "latin1.json").write_bytes(b'{"n": 2, "gates": [], "note": "\xe9"}')
+        (tmp_path / "long_int.json").write_text('{"n": ' + "1" * 5000 + ', "gates": []}')
         return tmp_path
 
     @pytest.mark.filterwarnings("error")
@@ -665,6 +670,17 @@ class TestBadInputs:
                                ("entries_bool", "entries must be numbers"),
                                ("entries_null", "entries must be numbers"),
                                ("rows_ragged", "matrix JSON rows must be lists of one length"))],
+        # each reader error in the reader's own words, not Python's
+        (["verify-clifford", "{dir}/gate_list_entry.json"],
+         'bad gate at index 1: expected an object with a string "g" and a "q", got ["H", 0]'),
+        (["verify-clifford", "{dir}/gate_null_entry.json"],
+         'bad gate at index 0: expected an object with a string "g" and a "q", got null'),
+        (["verify-clifford", "{dir}/gate_missing_name.json"],
+         'bad gate at index 0: expected an object with a string "g" and a "q", got {"q": 0}'),
+        *[([command, "{dir}/latin1.json"], "latin1.json' is not UTF-8 text")
+          for command in ("discord", "tangle", "tomo", "trace", "verify-clifford")],
+        *[([command, "{dir}/long_int.json"], "long_int.json' holds an integer of more than 4300")
+          for command in ("discord", "tangle", "tomo", "trace", "verify-clifford")],
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"

@@ -264,6 +264,7 @@ class _QubitList(list):
 # entry in index order is named first, then the qubit count, then the first
 # gate out of range. The last four rows are entries the Hypothesis
 # strategy below never builds.
+SHAPE_ERROR = 'bad gate at index 0: expected an object with a string "g" and a "q", got '
 READER_ERRORS = {
     "unknown_name": ({"n": 2, "gates": [{"g": "T", "q": 0}]},
                      "bad gate at index 0: unknown gate 'T'"),
@@ -277,11 +278,10 @@ READER_ERRORS = {
                    "bad gate at index 0: qubit index must be an integer, got true"),
     "float_qubit": ({"n": 2, "gates": [{"g": "H", "q": 1.0}]},
                     "bad gate at index 0: qubit index must be an integer, got 1.0"),
-    "missing_name": ({"n": 2, "gates": [{"q": 0}]}, "bad gate at index 0: 'g'"),
-    "gate_not_an_object": ({"n": 2, "gates": [3]},
-                           "bad gate at index 0: 'int' object is not subscriptable"),
+    "missing_name": ({"n": 2, "gates": [{"q": 0}]}, SHAPE_ERROR + '{"q": 0}'),
+    "gate_not_an_object": ({"n": 2, "gates": [3]}, SHAPE_ERROR + "3"),
     "list_name": ({"n": 2, "gates": [{"g": ["H"], "q": 0}]},
-                  "bad gate at index 0: unhashable type: 'list'"),
+                  SHAPE_ERROR + '{"g": ["H"], "q": 0}'),
     "qubit_above_range": ({"n": 2, "gates": [{"g": "H", "q": 5}]},
                           "gate 0 (H on (5,)) out of range for 2 qubits"),
     "negative_qubit": ({"n": 2, "gates": [{"g": "CNOT", "q": [0, -1]}]},
@@ -298,11 +298,18 @@ READER_ERRORS = {
                            f"gate 0 (X on ({10**30},)) out of range for 2 qubits"),
     "list_subclass_qubits": ({"n": 2, "gates": [{"g": "CZ", "q": _QubitList([0, 1])}]},
                              "bad gate at index 0: qubit index must be an integer, got [0, 1]"),
-    "missing_qubits": ({"n": 2, "gates": [{"g": "H"}]}, "bad gate at index 0: 'q'"),
+    "missing_qubits": ({"n": 2, "gates": [{"g": "H"}]}, SHAPE_ERROR + '{"g": "H"}'),
     "null_name": ({"n": 2, "gates": [{"g": None, "q": 0}]},
-                  "bad gate at index 0: unknown gate None"),
+                  SHAPE_ERROR + '{"g": null, "q": 0}'),
     "object_name": ({"n": 2, "gates": [{"g": {}, "q": 0}]},
-                    "bad gate at index 0: unhashable type: 'dict'"),
+                    SHAPE_ERROR + '{"g": {}, "q": 0}'),
+    "null_entry": ({"n": 2, "gates": [None]}, SHAPE_ERROR + "null"),
+    "list_entry": ({"n": 2, "gates": [{"g": "H", "q": 0}, ["H", 0]]},
+                   SHAPE_ERROR.replace("index 0", "index 1") + '["H", 0]'),
+    "number_name": ({"n": 2, "gates": [{"g": 3, "q": 0}]},
+                    SHAPE_ERROR + '{"g": 3, "q": 0}'),
+    "long_entry_excerpt": ({"n": 2, "gates": [{"q": 0, "pad": "x" * 100}]},
+                           SHAPE_ERROR + '{"q": 0, "pad": "xxxxxxxxxxxxxxxxxxxxxxx'),
 }
 
 # Near-valid circuit JSON, so that every check of the reader is reached.
@@ -313,7 +320,7 @@ _gate_json = st.fixed_dictionaries({
 })
 _circuit_json = st.fixed_dictionaries({
     "n": st.integers(0, 4) | st.just(100_001),
-    "gates": st.lists(_gate_json | st.sampled_from([3, {"q": 0}]), max_size=6),
+    "gates": st.lists(_gate_json | st.sampled_from([3, {"q": 0}, None, ["H", 0]]), max_size=6),
 })
 
 

@@ -36,6 +36,7 @@ from reference_oracles import (
     HADAMARD,
     bell_diagonal_discord,
     bell_diagonal_matrix,
+    eigenphase_control_discord,
     entropy_bits,
     equator_min_conditional_entropy,
     oracle_min_conditional_entropy,
@@ -272,6 +273,17 @@ class TestOptimizerAgainstBruteForce:
             rho = output_state(UnitaryMatrix(n, random_unitary(rng, 2**n)), alpha)
             value, _, _ = one_state_search(rho, 0)
             assert value <= equator_min_conditional_entropy(rho.entries, rho.subsystem_dims) + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_haar_control_discord_against_the_eigenphase_scan(self, n):
+        # The eigenphase form of the control-side discord scans 200 001
+        # equator angles without forming a state: the search may not be
+        # above the scan, nor further below it than the scan's grid error.
+        u = random_unitary(np.random.default_rng([31, n]), 2**n)
+        for alpha in (1.0, 0.9, 0.58):
+            value = discord(output_state(UnitaryMatrix(n, u), alpha), MEASURE_CONTROL)
+            scan = eigenphase_control_discord(u, alpha)
+            assert scan - 1e-9 <= value <= scan + 1e-12
 
 
 class TestLuoClosedForm:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from dqc1sim import (
     reduced_control,
     z_theta,
 )
+from dqc1sim.dqc1 import UNITARY_ATOL
 from dqc1sim.qmath import SIGMA_Z
 from dqc1sim.serialize import matrix_to_json, unitary_from_json
 
@@ -47,6 +50,44 @@ class TestUnitaryMatrix:
     def test_empty_register(self):
         with pytest.raises(ValueError, match="register size must be >= 1"):
             UnitaryMatrix(0, np.eye(1))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_wrong_size_names_the_register(self, dim):
+        with pytest.raises(ValueError) as exc:
+            UnitaryMatrix(1, np.eye(dim))
+        assert str(exc.value) == f"entries shape ({dim}, {dim}) does not match n=1 qubits"
+
+    def test_huge_register_is_rejected_without_forming_its_size(self):
+        # The size rule compares bit lengths: 2**(10**8) would take about a
+        # second and 45 MB to form before the comparison could fail.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                UnitaryMatrix(10**8, np.eye(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "entries shape (2, 2) does not match n=100000000 qubits"
+        assert peak < 2**20
+
+    @given(seed=seeds, n=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_residual_is_the_dense_formula(self, seed, n):
+        # The diagonal is shifted in place, not by a dense identity: the
+        # verdict and the worst entry stay those of |U+U - I|.
+        rng = np.random.default_rng(seed)
+        dim = 2**n
+        noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = random_unitary(rng, dim) + 10.0 ** rng.uniform(-10, -7) * noise
+        delta = np.abs(m.conj().T @ m - np.eye(dim))
+        i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
+        if delta[i, j] <= UNITARY_ATOL:
+            UnitaryMatrix(n, m)
+        else:
+            with pytest.raises(ValueError) as exc:
+                UnitaryMatrix(n, m)
+            assert str(exc.value) == (f"matrix is not unitary: |(U+U - I)[{i},{j}]| = "
+                                      f"{delta[i, j]:.3e} exceeds {UNITARY_ATOL:g}")
 
 
 class TestOutputState:

@@ -48,6 +48,12 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError, match="qubit_dims"):
             DensityMatrix(np.eye(4) / 4, (1,))
 
+    def test_rejects_a_size_that_is_no_power_of_two(self):
+        # 3 has the bit length of 2**1, so only the power-of-two half of the
+        # size rule rejects it
+        with pytest.raises(ValueError, match=r"^entries shape \(3, 3\) does not match qubit_dims \(1,\)$"):
+            DensityMatrix(np.eye(3) / 3, (1,))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         m = np.eye(2, dtype=complex) / 2

@@ -7,10 +7,13 @@ formats differently from one Python to the next, are compared only on the
 recording Python version.
 """
 
+import json
+
 import pytest
 
 from cli_transcripts import (
-    TOLERANCE, column_diffs, environment, read_manifest, read_streams, run, write_calls,
+    TOLERANCE, Call, column_diffs, environment, read_manifest, read_streams, run, stream_report,
+    write_calls,
 )
 
 MANIFEST = read_manifest()
@@ -48,3 +51,17 @@ def test_call_reproduces_its_transcript(entry, calls):
             moved = {column: diff for column, diff in column_diffs(streams[stream], want).items()
                      if not diff <= TOLERANCE}
             assert not moved, f"{stream} columns beyond {TOLERANCE:g}: {moved}"
+
+
+def test_a_stream_move_is_reported_as_one_line(tmp_path):
+    # bad-string-entries once printed a trace report on stdout, when numpy
+    # read the quoted entries as numbers; now it is one error line on stderr.
+    (tmp_path / "string-entries.json").write_text(json.dumps(
+        {"dim": 2, "re": [[1, 0], [0, 1.0]], "im": [[0, 0], [0, 0]]}))
+    _, old = run(Call("bad-string-entries", ".", ("trace", "string-entries.json"), None), tmp_path)
+    new = read_streams("bad-string-entries")
+    assert old["stdout"] and not old["stderr"] and new["stderr"] and not new["stdout"]
+    assert stream_report(new, old) == ["streams stdout -> stderr"]
+    # a stream present on both sides keeps its per-column diffs
+    moved = {**old, "stdout": old["stdout"].replace(b'"shots_used": ', b'"shots_used": 1')}
+    assert stream_report(moved, old) == ["stdout shots_used: max |diff| 1e+03"]
