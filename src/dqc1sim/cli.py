@@ -1,10 +1,10 @@
 """Command-line surface: sweeps, trace estimation, correlation analysis.
 
-Every output embeds the resolved configuration: every argument the command
-parsed, defaults included, except --out and --format. The seed is among
-them wherever numbers are drawn, and repeated runs with identical arguments
-are byte-identical. Numeric CSV columns use 17 significant digits so
-downstream plotting is language-neutral.
+Every output embeds the resolved configuration, which _config alone builds:
+every argument the command parsed, defaults included, except --out and
+--format. The seed is among them wherever numbers are drawn, and repeated
+runs with identical arguments are byte-identical. Numeric CSV columns use
+17 significant digits so downstream plotting is language-neutral.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class SweepConfig:
     def thetas(self) -> np.ndarray:
         """The theta grid, built on first use and kept for every point."""
         return np.linspace(self.theta_min, self.theta_max, self.steps)
-
-    def to_dict(self) -> dict:
-        config = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {"command": "sweep", **config, "outputs": sorted(self.outputs)}
 
 
 def sweep_point(config: SweepConfig, index: int) -> tuple:
@@ -210,9 +206,16 @@ def _write_output(path, text: str) -> None:
 
 
 def _config(args) -> dict:
-    """Every argument the command parsed that has a value, except --out
-    and the dispatch function."""
-    return {k: v for k, v in vars(args).items() if v is not None and k not in ("out", "func")}
+    """The one config rule: every argument the command parsed that has a
+    value, except --out, --format and the dispatch function."""
+    return {k: v for k, v in vars(args).items()
+            if v is not None and k not in ("out", "format", "func")}
+
+
+def _report(args, body: dict) -> str:
+    """A JSON report: the body and the command's config. Called once the
+    handler has run, so the config holds what _state wrote into args."""
+    return _render_json({**body, "config": _config(args)})
 
 
 def _state(args):
@@ -234,8 +237,8 @@ def _cmd_sweep(args) -> str:
     config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
     rows = sweep_rows(config)
     if args.format == "csv":
-        return render_csv(config.to_dict(), rows)
-    return _render_json({"config": config.to_dict(), "columns": list(rows[0]), "rows": rows})
+        return render_csv(_config(args), rows)
+    return _report(args, {"columns": list(rows[0]), "rows": rows})
 
 
 def _cmd_trace(args) -> str:
@@ -243,8 +246,7 @@ def _cmd_trace(args) -> str:
     shots = shots_required(args.epsilon, args.p_error, args.alpha)
     est = estimate_trace(u, args.alpha, shots, args.seed, mode=args.mode)
     exact = normalized_trace(u)
-    report = {
-        "config": _config(args),
+    return _report(args, {
         "shots_used": shots,
         "estimate_re": est.real,
         "estimate_im": est.imag,
@@ -253,27 +255,23 @@ def _cmd_trace(args) -> str:
         "exact_re": exact.real,
         "exact_im": exact.imag,
         "abs_error": abs(est - exact),
-    }
-    return _render_json(report)
+    })
 
 
 def _cmd_discord(args) -> str:
-    report = correlation_report(_state(args))
-    report["config"] = _config(args)
-    return _render_json(report)
+    return _report(args, correlation_report(_state(args)))
 
 
 def _cmd_tangle(args) -> str:
     c = concurrence(_state(args))
-    return _render_json({"config": _config(args), "concurrence": c, "tangle": c * c})
+    return _report(args, {"concurrence": c, "tangle": c * c})
 
 
 def _cmd_tomo(args) -> str:
     rho = _state(args)
     counts = simulate_counts(rho, args.mean_counts, args.seed)
     recon = reconstruct(counts)
-    report = {
-        "config": _config(args),
+    return _report(args, {
         "run": {
             "settings": list(SETTING_LABELS),
             "counts": [int(c) for c in counts],
@@ -284,15 +282,12 @@ def _cmd_tomo(args) -> str:
         "fidelity": fidelity(recon, rho),
         "discord_rc": discord(recon, MEASURE_CONTROL),
         "tangle": tangle(recon),
-    }
-    return _render_json(report)
+    })
 
 
 def _cmd_verify_clifford(args) -> str:
     circuit = circuit_from_json(load_json(args.circuit))
-    report = verify_zero_discord(circuit)
-    report["config"] = _config(args)
-    return _render_json(report)
+    return _report(args, verify_zero_discord(circuit))
 
 
 def _seed(text: str) -> int:

@@ -22,6 +22,8 @@ MAX_SHOTS = 10**18
 # Parameters fitted to a trace curve (amplitude, frequency and phase), which
 # chi2_reduced takes from the degrees of freedom.
 FITTED_PARAMETERS = 3
+# The start of both errors for alpha = 0, the shot budget's and the draws'.
+_NO_PURE_FRACTION = "alpha=0 leaves no pure fraction to sample"
 
 
 def check_mode(mode: str) -> None:
@@ -50,7 +52,7 @@ def check_pure_fraction(alpha: float, shots: int) -> None:
         return
     if alpha == 0.0:
         raise ValueError(
-            f"alpha=0 leaves no pure fraction to sample with shots={shots}; use alpha > 0 or shots 0"
+            f"{_NO_PURE_FRACTION} with shots={shots}; use alpha > 0 or shots 0"
         )
     if 1.0 / alpha == math.inf:
         raise ValueError(f"alpha={alpha} is too small to divide the estimate by: 1/alpha overflows")
@@ -66,7 +68,7 @@ def shots_required(epsilon: float, p_error: float, alpha: float) -> int:
     check_range("epsilon", epsilon, 0.0, 1.0, open_low=True, open_high=True)
     check_range("p_error", p_error, 0.0, 1.0, open_low=True, open_high=True)
     if alpha == 0.0:
-        raise ValueError("no pure fraction: estimation impossible")
+        raise ValueError(f"{_NO_PURE_FRACTION}: no shot budget reaches the accuracy target")
     check_range("alpha", alpha, 0.0, 1.0, open_low=True)
     try:
         budget = math.log(2.0 / p_error) / (2.0 * epsilon**2) / alpha**2

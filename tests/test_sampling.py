@@ -36,6 +36,17 @@ class TestShotsRequired:
         with pytest.raises(ValueError, match="no pure fraction"):
             shots_required(0.1, 0.05, 0.0)
 
+    def test_zero_purity_worded_once(self):
+        """The budget and the draws word alpha = 0 from one stem."""
+        messages = []
+        for call in (lambda: shots_required(0.1, 0.05, 0.0),
+                     lambda: estimate_trace(z_theta(0.0), 0.0, 100, 0)):
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.append(str(info.value))
+        stem = "alpha=0 leaves no pure fraction to sample"
+        assert all(m.startswith(stem) for m in messages), messages
+
     def test_monotone(self):
         assert shots_required(0.2, 0.05, 1.0) < shots_required(0.1, 0.05, 1.0)
         assert shots_required(0.1, 0.10, 1.0) < shots_required(0.1, 0.05, 1.0)

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dqc1sim import shots_required
+from dqc1sim.cli import main as cli_main
 from dqc1sim.serialize import density_from_json
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,6 +24,7 @@ TEST_TOOLING = {"make_golden_fixtures.py", "make_cli_transcripts.py"}
 PROGRAM = [*LIBRARY, *(p for p in SCRIPTS if p.name not in TEST_TOOLING), *BENCH]
 MODULES = {"dqc1sim", *(p.stem for p in LIBRARY)}
 ORACLES = ROOT / "tests" / "reference_oracles.py"
+REPRODUCTIONS = [p for p in SCRIPTS if p.name.startswith("reproduce_")]
 
 
 def _run_script(name: str, outdir: Path, *flags: str) -> str:
@@ -39,13 +42,25 @@ def _csv(path: Path) -> tuple[list[str], list[str]]:
     return lines[1].split(","), lines[2:]
 
 
+def _cli_sweep(path: Path, *flags: str) -> bytes:
+    """The --out file of `dqc1sim sweep` over the scripts' grid and seed."""
+    assert cli_main(["sweep", "--theta-min", repr(-np.pi), "--theta-max", repr(np.pi),
+                     "--steps", "41", "--seed", "2026", *flags, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
 def test_reproduce_trace_curves(tmp_path):
     stdout = _run_script("reproduce_trace_curves.py", tmp_path)
     chi2_lines = re.findall(r"alpha=(1\.00|0\.58) (re|im): shots=\d+ reduced chi2=\d+\.\d\d "
                             r"over 41 points", stdout)
     assert chi2_lines == [("1.00", "re"), ("1.00", "im"), ("0.58", "re"), ("0.58", "im")]
-    for alpha in ("1.00", "0.58"):
-        assert len(_csv(tmp_path / f"trace_alpha_{alpha}.csv")[1]) == 41
+    for alpha in (1.0, 0.58):
+        path = tmp_path / f"trace_alpha_{alpha:.2f}.csv"
+        assert len(_csv(path)[1]) == 41
+        shots = shots_required(0.1, 0.05, alpha)
+        assert path.read_bytes() == _cli_sweep(
+            tmp_path / "cli.csv", "--alpha", repr(alpha), "--shots", str(shots),
+            "--outputs", "trace")
 
 
 @pytest.mark.parametrize("flags", [(), ("--tomo",)], ids=["exact", "tomo"])
@@ -53,9 +68,13 @@ def test_reproduce_discord_tangle(flags, tmp_path):
     stdout = _run_script("reproduce_discord_tangle.py", tmp_path, *flags)
     assert "max tangle over sweep" in stdout and "discord peak" in stdout
     assert ("tomographic discord deviation" in stdout) == bool(flags)
-    columns, rows = _csv(tmp_path / "discord_tangle_alpha_0.997.csv")
+    path = tmp_path / "discord_tangle_alpha_0.997.csv"
+    columns, rows = _csv(path)
     assert len(rows) == 41
     assert ("tomo_discord_rc" in columns) == bool(flags)
+    outputs = "trace,discord,tangle" + (",tomo" if flags else "")
+    assert path.read_bytes() == _cli_sweep(tmp_path / "cli.csv", "--alpha", "0.997",
+                                           "--outputs", outputs)
 
 
 def _private_library_names(tree: ast.Module) -> list[str]:
@@ -143,6 +162,21 @@ def test_scripts_define_no_oracle_of_their_own(script):
            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
            and (node.name.startswith("oracle_") or node.name == "entropy_bits")]
     assert not own, f"{script.name} defines {own}"
+
+
+@pytest.mark.parametrize("script", REPRODUCTIONS, ids=lambda p: p.name)
+def test_reproductions_take_only_main_from_the_cli(script):
+    """A reproduction script runs `dqc1sim sweep` through the CLI's main and
+    reads back the CSV it writes, so its files are the command's by
+    construction. It takes no other name from the CLI module."""
+    tree = ast.parse(script.read_text(), filename=str(script))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+    from_cli = [name for name in imported
+                if name == "dqc1sim.cli" or name.startswith("dqc1sim.cli.")]
+    assert from_cli == ["dqc1sim.cli.main"], f"{script.name} takes {from_cli} from the CLI"
 
 
 def test_golden_fixture_states_are_the_scripts(monkeypatch):
