@@ -42,8 +42,10 @@ from .tomography import (
 
 SWEEP_OUTPUTS = ("trace", "discord", "tangle", "tomo")
 # Largest sweep grid, so that no --steps makes a sweep's time or memory
-# unbounded: rows are held in memory until rendered, about 1 KB each, and
-# the state columns are computed stack_chunk(4) = 1024 points at a time.
+# unbounded: rows are held in memory until rendered, about 1.5 KB each (a
+# sweep of every output peaks at 76 MB RSS at 10 000 steps and 207 MB at
+# 100 000), and the state columns are computed stack_chunk(4) = 1024 points
+# at a time.
 MAX_STEPS = 100_000
 
 @dataclass(frozen=True)
@@ -130,10 +132,12 @@ def _state_columns(config: SweepConfig, points: list) -> None:
     by stacked calls over all their states at once. A point whose counts
     cannot be reconstructed raises its error, naming its theta."""
     rows = [row for row, _, _ in points]
-    states = [rho for _, rho, _ in points]
+    states = np.array([rho.entries for _, rho, _ in points])
+    qubit_dims = points[0][1].qubit_dims
     columns = {}
     if "discord" in config.outputs:
-        _, [(d_rc, _, _), (d_cr, _, _)] = stack_discords(states, (MEASURE_CONTROL, MEASURE_REGISTER))
+        _, [(d_rc, _, _), (d_cr, _, _)] = stack_discords(
+            states, qubit_dims, (MEASURE_CONTROL, MEASURE_REGISTER))
         columns["discord_rc"], columns["discord_cr"] = d_rc, d_cr
     if "tangle" in config.outputs:
         columns["tangle"] = stack_tangle(states)
@@ -143,7 +147,7 @@ def _state_columns(config: SweepConfig, points: list) -> None:
         except ReconstructionError as exc:
             raise ReconstructionError(f"at theta={rows[exc.index]['theta']!r}: {exc}") from None
         columns["tomo_fidelity"] = stack_fidelity(recons, states)
-        _, [(columns["tomo_discord_rc"], _, _)] = stack_discords(recons, (MEASURE_CONTROL,))
+        _, [(columns["tomo_discord_rc"], _, _)] = stack_discords(recons, qubit_dims, (MEASURE_CONTROL,))
         columns["tomo_tangle"] = stack_tangle(recons)
     for name, values in columns.items():
         for row, value in zip(rows, values.tolist()):

@@ -27,6 +27,8 @@ _GATES = {name: (code, GATE_ARITY[name]) for code, name in enumerate(GATE_NAMES)
 # verify-clifford needs about 1.2 KB per qubit (149 MB peak RSS at this
 # bound); 10x the largest circuit the benchmark runs.
 MAX_QUBITS = 100_000
+# Both dense discords of a verified circuit lie below this, in bits.
+ZERO_DISCORD_THRESHOLD = 1e-6
 
 # Local rotations (applied left to right) taking each Pauli to I or Z.
 _DIAGONALIZING_ROTATION = {"I": (), "Z": (), "X": ("H",), "Y": ("Sdg", "H")}
@@ -230,7 +232,8 @@ def verify_zero_discord(circuit: CliffordCircuit) -> dict:
             "discord_measure_control": d_control,
             "discord_measure_register": d_register,
             "register_method": method,
-            "threshold": 1e-6,
+            "threshold": ZERO_DISCORD_THRESHOLD,
         }
-        report["verified"] = bool(d_control < 1e-6 and d_register < 1e-6)
+        report["verified"] = bool(
+            d_control < ZERO_DISCORD_THRESHOLD and d_register < ZERO_DISCORD_THRESHOLD)
     return report

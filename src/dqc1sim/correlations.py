@@ -28,13 +28,15 @@ has rank 1, and a Z_theta output's circle starts on one candidate optimum
 and passes the other, so its search stops at the first derivative
 evaluation.
 
-The search runs on a stack of states with the same qubit_dims
-(stack_discords), grouped by rank, so that numpy's fixed cost per operation
-is paid once per group: each grid, derivative evaluation and line search is
-one call, with a mask for the states that have stopped. Each state's
-arithmetic is its own, so it gets the search it would get alone, to the
-bit, evaluation count included; discords, discord and correlation_report
-are the one-state case. H(A), H(B) and H(AB) come from batched eigvalsh
+The search runs on a stack of states, one (S, D, D) entries array over one
+qubit_dims (stack_discords), grouped by rank, so that numpy's fixed cost
+per operation is paid once per group: each grid, derivative evaluation and
+line search is one call, with a mask for the states that have stopped. Each
+state's arithmetic is its own, so it gets the search it would get alone, to
+the bit, evaluation count included; discords, discord and correlation_report
+are the one-state case, which passes rho.entries[None]. Only the program
+builds a stack, so its entries are not checked again; the stacked tangle
+takes the same arrays. H(A), H(B) and H(AB) come from batched eigvalsh
 (_entropies), for the register certificate basis_discord too. A stack is
 searched whole, so its caller keeps it within stack_chunk(dim) states, as
 many as keep one hemisphere grid's conditional blocks within
@@ -82,20 +84,6 @@ _STEP_LENGTHS = 0.5 ** np.arange(LINE_POINTS)[:, None]
 # the entropy error this allows.
 AXIS_RANK_RTOL = 1e-13
 BLOCK_CHUNK_BYTES = 1 << 24
-
-
-def _stacked(states) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The entries (S, D, D) and the common qubit_dims of a nonempty
-    sequence of states."""
-    if not states:
-        raise ValueError("a stack needs at least one state")
-    dims = states[0].qubit_dims
-    for rho in states:
-        if rho.qubit_dims != dims:
-            raise ValueError(
-                f"stacked states must share qubit_dims: {dims} and {rho.qubit_dims}"
-            )
-    return np.array([rho.entries for rho in states]), dims
 
 
 def _check_bipartite(qubit_dims) -> None:
@@ -406,18 +394,17 @@ def _search(entries: np.ndarray, subsystem_dims, measured: int):
     return values, axes_out, evals
 
 
-def stack_discords(states, measured) -> tuple:
-    """discords of each state in a nonempty sequence of bipartite states
-    with the same qubit_dims, as arrays over the stack: the mutual
+def stack_discords(entries: np.ndarray, qubit_dims, measured) -> tuple:
+    """discords of each state of a stack entries (S, D, D) of bipartite
+    states over qubit_dims, as arrays over the stack: the mutual
     information (S,) and, for each measured side, the tuple of discords
     (S,), unit measurement axes (S, 3) and evaluations (S,). H(A), H(B) and
     H(AB) are computed once for all sides. The stack is searched whole: the
-    caller sizes it, within stack_chunk(dim) states to bound its memory."""
-    entries, dims = _stacked(states)
-    _check_bipartite(dims)
+    caller sizes it, within stack_chunk(D) states to bound its memory."""
+    _check_bipartite(qubit_dims)
     for m in measured:
-        _check_measured(dims, m)
-    subsystem_dims = states[0].subsystem_dims
+        _check_measured(qubit_dims, m)
+    subsystem_dims = tuple(2**k for k in qubit_dims)
     h_a, h_b, h_ab = _entropies(entries, subsystem_dims)
     info = h_a + h_b - h_ab
     sides = []
@@ -433,7 +420,7 @@ def discords(rho: DensityMatrix, measured) -> tuple[float, list]:
     (discord, direction, evaluations) of its search, where direction is
     _bloch_direction's {"polar", "azimuth"} dict on the upper hemisphere.
     The one-state case of stack_discords."""
-    info, sides = stack_discords([rho], measured)
+    info, sides = stack_discords(rho.entries[None], rho.qubit_dims, measured)
     return float(info[0]), [
         (float(values[0]), _bloch_direction(axes[0]), int(evals[0]))
         for values, axes, evals in sides
@@ -462,10 +449,9 @@ def discord(rho: DensityMatrix, measured: int) -> float:
     return value
 
 
-def stack_concurrence(states) -> np.ndarray:
-    """Wootters spin-flip concurrence of each state in a nonempty sequence
-    of two-qubit states."""
-    entries, _ = _stacked(states)
+def stack_concurrence(entries: np.ndarray) -> np.ndarray:
+    """Wootters spin-flip concurrence of each state of a stack entries
+    (S, 4, 4) of two-qubit states."""
     if entries.shape[-1] != 4:
         raise ValueError(f"concurrence requires a two-qubit state, got dim {entries.shape[-1]}")
     rt = entries @ _YY @ entries.conj() @ _YY
@@ -477,19 +463,19 @@ def stack_concurrence(states) -> np.ndarray:
 
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters spin-flip concurrence of a two-qubit state."""
-    return float(stack_concurrence([rho])[0])
+    return float(stack_concurrence(rho.entries[None])[0])
 
 
-def stack_tangle(states) -> np.ndarray:
-    """Concurrence squared, c * c, of each state in a nonempty sequence of
-    two-qubit states."""
-    c = stack_concurrence(states)
+def stack_tangle(entries: np.ndarray) -> np.ndarray:
+    """Concurrence squared, c * c, of each state of a stack entries
+    (S, 4, 4) of two-qubit states."""
+    c = stack_concurrence(entries)
     return c * c
 
 
 def tangle(rho: DensityMatrix) -> float:
     """Concurrence squared."""
-    return float(stack_tangle([rho])[0])
+    return float(stack_tangle(rho.entries[None])[0])
 
 
 def correlation_report(rho: DensityMatrix) -> dict:

@@ -13,13 +13,14 @@ alone: DensityMatrix and dqc1.UnitaryMatrix both call it. Builders
 whose output is a valid state whenever their input is wrap it with
 _trusted_state and skip that check: repartition here, dqc1.output_state and
 dqc1.reduced_control, clifford._clifford_output_state and
-tomography.stack_reconstruct (and so reconstruct). dqc1.z_theta wraps its
-closed-form diag(1, e^{i theta}) the same way, without UnitaryMatrix's
-unitarity check. The same rule holds for the values that only the program
-builds: the constructor of the record clifford.SignedPauliString checks
-nothing, the counts array of tomography.simulate_counts and the direction
-dict of correlations._bloch_direction are not re-checked where they are
-read, and tomography.psd_project does not check linear_estimate's output.
+tomography.reconstruct. dqc1.z_theta wraps its closed-form
+diag(1, e^{i theta}) the same way, without UnitaryMatrix's unitarity
+check. The same rule holds for the values that only the program builds:
+the constructor of the record clifford.SignedPauliString checks nothing,
+the counts array of tomography.simulate_counts and the direction dict of
+correlations._bloch_direction are not re-checked where they are read,
+tomography.psd_project does not check linear_estimate's output, and the
+stack_* functions take their (S, D, D) entries arrays unchecked.
 tests/test_invariants.py holds every one of these conditions as a property
 of the builders' outputs.
 """
@@ -194,23 +195,18 @@ def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
     return (vec * np.sqrt(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 
-def stack_fidelity(rhos, sigmas) -> np.ndarray:
-    """Uhlmann fidelity of each pair of states in two nonempty sequences of
-    states of one dimension: the square root's trace, squared as r * r and
+def stack_fidelity(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity of each pair of states of two stacks of entries of
+    one shape (S, D, D): the square root's trace, squared as r * r and
     clipped to [0, 1]."""
-    if not 0 < len(rhos) == len(sigmas):
-        raise ValueError(f"need two nonempty sequences of one length: {len(rhos)} and {len(sigmas)}")
-    for rho, sigma in zip(rhos, sigmas):
-        if rho.dim != sigma.dim:
-            raise ValueError(
-                f"dimension mismatch: {rho.dim}x{rho.dim} vs {sigma.dim}x{sigma.dim}"
-            )
-    sq = _hermitian_sqrt(np.stack([rho.entries for rho in rhos]))
-    inner = _hermitian_sqrt(sq @ np.stack([sigma.entries for sigma in sigmas]) @ sq)
+    sq = _hermitian_sqrt(rhos)
+    inner = _hermitian_sqrt(sq @ sigmas @ sq)
     roots = np.trace(inner, axis1=-2, axis2=-1).real
     return np.clip(roots * roots, 0.0, 1.0)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (trace sqrt(sqrt(rho) sigma sqrt(rho)))**2 in [0, 1]."""
-    return float(stack_fidelity([rho], [sigma])[0])
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim}x{rho.dim} vs {sigma.dim}x{sigma.dim}")
+    return float(stack_fidelity(rho.entries[None], sigma.entries[None])[0])

@@ -136,13 +136,11 @@ def psd_project(m: np.ndarray) -> np.ndarray:
     return (vec * _simplex_projection(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 
-def stack_reconstruct(counts: np.ndarray) -> list[DensityMatrix]:
-    """reconstruct of each row of a nonempty (S, 36) counts array: one
-    state per row. A row that cannot be normalized raises
+def stack_reconstruct(counts: np.ndarray) -> np.ndarray:
+    """reconstruct of each row of an (S, 36) counts array, as the entries
+    (S, 4, 4) of the states. A row that cannot be normalized raises
     ReconstructionError with the row's index."""
-    if not len(counts):
-        raise ValueError("a stack needs at least one counts row")
-    return [_trusted_state(m, (1, 1)) for m in psd_project(linear_estimate(counts))]
+    return psd_project(linear_estimate(counts))
 
 
 def reconstruct(counts: np.ndarray) -> DensityMatrix:
@@ -152,4 +150,4 @@ def reconstruct(counts: np.ndarray) -> DensityMatrix:
     the result is a valid state by construction and is not re-checked.
     The one-state case of stack_reconstruct.
     """
-    return stack_reconstruct(counts[None])[0]
+    return _trusted_state(stack_reconstruct(counts[None])[0], (1, 1))

@@ -57,6 +57,12 @@ def noiseless_run(rho: DensityMatrix, mean_counts: float = 1.0) -> np.ndarray:
     return mean_counts * np.array(probs)
 
 
+def stacked(states) -> np.ndarray:
+    """The entries (S, D, D) of a sequence of states, as the stack_*
+    functions take them."""
+    return np.array([rho.entries for rho in states])
+
+
 def bell_state() -> DensityMatrix:
     return DensityMatrix(bell_matrix(), (1, 1))
 

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqc1sim import DensityMatrix, cli, correlations, output_state, simulate_counts, tangle, z_theta
+from dqc1sim import (
+    DensityMatrix, cli, correlations, output_state, simulate_counts, tangle, tomography, z_theta,
+)
 from dqc1sim.cli import MAX_STEPS, SweepConfig, main, sweep_rows
 from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.serialize import density_from_json, density_to_json, matrix_to_json
@@ -224,9 +226,9 @@ class TestSweep:
         calls = []
         stacked = cli.stack_discords
 
-        def counted(states, measured):
-            calls.append(len(states))
-            return stacked(states, measured)
+        def counted(entries, qubit_dims, measured):
+            calls.append(len(entries))
+            return stacked(entries, qubit_dims, measured)
 
         def one_state(*args):
             raise AssertionError("one-state discord search in a sweep")
@@ -246,6 +248,25 @@ class TestSweep:
         sweep_rows(SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 101, ("discord", "tangle", "tomo")))
         # the output states' search, then the reconstructions', per chunk
         assert calls == 8 * [7, 7] + [5, 5]
+
+    def test_reconstructions_are_not_wrapped_one_by_one(self, monkeypatch):
+        # The sweep hands the reconstructions on as one (S, 4, 4) array: no
+        # reconstruction becomes a DensityMatrix, while reconstruct still
+        # wraps its one state.
+        calls = []
+        trusted = tomography._trusted_state
+
+        def counted(entries, qubit_dims):
+            calls.append(qubit_dims)
+            return trusted(entries, qubit_dims)
+
+        monkeypatch.setattr(tomography, "_trusted_state", counted)
+        config = SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 101, ("tomo",))
+        rows = sweep_rows(config)
+        assert len(rows) == 61 and calls == []
+        counts = simulate_counts(output_state(z_theta(1.0), 0.997), 1e4, 0)
+        tomography.reconstruct(counts)
+        assert calls == [(1, 1)]
 
     @pytest.mark.parametrize("shots, mode", [(0, "binomial"), (2000, "poisson")],
                              ids=["exact", "poisson"])

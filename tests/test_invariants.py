@@ -15,8 +15,8 @@ the counts array (simulate_counts), the least-squares estimate that
 psd_project takes unchecked (linear_estimate), the direction dict
 (_bloch_direction, through discords) and the record
 SignedPauliString, whose constructor checks nothing (z_on and propagate).
-The stacked discord search gives each state of a stack what its one-state
-call gives.
+The stacked discord search, tangle and fidelity give each state of a stack
+what its one-state call gives.
 """
 
 import numpy as np
@@ -44,6 +44,7 @@ from dqc1sim import (
 from dqc1sim import correlations
 from dqc1sim.clifford import _clifford_output_state
 from dqc1sim.correlations import _bloch_direction, discords
+from dqc1sim.qmath import fidelity, stack_fidelity
 from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.tomography import SETTING_LABELS, linear_estimate
 
@@ -52,6 +53,7 @@ from helpers import (
     random_density_matrix,
     random_pauli_string,
     read_circuit,
+    stacked,
 )
 from reference_oracles import random_unitary
 
@@ -213,18 +215,24 @@ def test_minimiser_directions(seed, rank, theta, alpha):
 @settings(max_examples=25, deadline=None)
 def test_stacked_search_is_each_state_alone(seed, size, theta, alpha):
     # A stack of random states of any rank and DQC1 outputs gives each
-    # state's one-state discords to the bit.
+    # state's one-state discords, tangle and fidelity (against a second
+    # drawn stack) to the bit.
     rng = np.random.default_rng(seed)
     states = [random_density_matrix(rng, (1, 1), rank=int(rng.integers(1, 5)))
               for _ in range(size)]
     states.insert(int(rng.integers(size + 1)), output_state(z_theta(theta), alpha))
-    info, sides = correlations.stack_discords(states, (0, 1))
-    for i, rho in enumerate(states):
+    others = [random_density_matrix(rng, (1, 1), rank=int(rng.integers(1, 5))) for _ in states]
+    entries = stacked(states)
+    info, sides = correlations.stack_discords(entries, (1, 1), (0, 1))
+    tangles = correlations.stack_tangle(entries)
+    fidelities = stack_fidelity(entries, stacked(others))
+    for i, (rho, sigma) in enumerate(zip(states, others)):
         one_info, one_sides = correlations.discords(rho, (0, 1))
         assert info[i] == one_info
         for (values, axes, evals), (value, direction, count) in zip(sides, one_sides):
             assert (values[i], evals[i]) == (value, count)
             assert _bloch_direction(axes[i]) == direction
+        assert (tangles[i], fidelities[i]) == (tangle(rho), fidelity(rho, sigma))
 
 
 @pytest.mark.parametrize("axis, polar, azimuth", [

@@ -12,7 +12,7 @@ from dqc1sim import (
 )
 from dqc1sim.correlations import _entropies
 from dqc1sim.dqc1 import z_theta
-from dqc1sim.qmath import spectrum_entropy, stack_fidelity
+from dqc1sim.qmath import spectrum_entropy
 
 from helpers import bell_state, pure_density, random_density_matrix, random_pure_density
 from reference_oracles import random_unitary
@@ -173,12 +173,3 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             fidelity(bell_state(), pure_density([1, 0], (1,)))
-
-    @pytest.mark.parametrize("lengths", [(2, 1), (1, 2), (0, 0), (0, 1)])
-    def test_stack_lengths_must_match(self, lengths):
-        a, b = (pure_density([1, 0], (1,)), pure_density([0, 1], (1,)))
-        rhos, sigmas = ([a, b][:k] for k in lengths)
-        with pytest.raises(ValueError, match=rf"^need two nonempty sequences of one length: "
-                                             rf"{lengths[0]} and {lengths[1]}$"):
-            stack_fidelity(rhos, sigmas)
-

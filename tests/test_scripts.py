@@ -1,5 +1,7 @@
 import ast
+import importlib
 import importlib.util
+import inspect
 import json
 import re
 import subprocess
@@ -290,3 +292,37 @@ def test_library_carries_no_test_only_names():
         if member.partition(".")[2] not in attributes
     ]
     assert not unused, f"public names only tests reach: {unused}"
+
+
+def _library_callables() -> dict[str, set]:
+    """The functions and classes that the dqc1sim modules define, by name
+    (__main__, which runs the CLI when imported, aside)."""
+    found = {}
+    for stem in sorted(MODULES - {"__main__", "__init__"}):
+        module = importlib.import_module(stem if stem == "dqc1sim" else f"dqc1sim.{stem}")
+        for name, obj in vars(module).items():
+            if callable(obj) and getattr(obj, "__module__", "").startswith("dqc1sim"):
+                found.setdefault(name, set()).add(obj)
+    return found
+
+
+def test_readme_calls_name_the_parameters():
+    """A call such as `stack_tangle(entries)` in README.md whose arguments
+    are all names and whose name is a dqc1sim function or class names that
+    callable's leading parameters, in order. A literal argument, as in
+    `stack_chunk(4)`, is an example value and is not checked."""
+    callables = _library_callables()
+    text = (ROOT / "README.md").read_text()
+    checked, wrong = 0, []
+    for match in re.finditer(r"`([A-Za-z_][\w.]*)\(([^`()]*)\)`", text):
+        name = match.group(1).rpartition(".")[2]
+        args = [a.strip() for a in match.group(2).split(",")]
+        if name not in callables or not all(a.isidentifier() for a in args):
+            continue
+        checked += 1
+        for obj in callables[name]:
+            params = list(inspect.signature(obj).parameters)
+            if args != params[:len(args)]:
+                wrong.append(f"{' '.join(match.group(0).split())}: parameters {params}")
+    assert checked >= 10, f"only {checked} README calls found"
+    assert not wrong, f"README calls that do not name the parameters: {wrong}"
