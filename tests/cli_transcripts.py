@@ -137,7 +137,18 @@ def _file_calls(workdir: Path) -> list[Call]:
         "bad-steps": ("sweep", "--steps", str(MAX_STEPS + 1)),
         "bad-string-entries": ("trace", "string-entries.json"),
     }
-    return calls + [Call(name, ".", argv, None) for name, argv in bad.items()]
+    calls += [Call(name, ".", argv, None) for name, argv in bad.items()]
+    # failing sweeps, with --out, so that the absent file is pinned too: in
+    # the first the first point fails at reconstruction and the second
+    # already at sampling; in the second point 18 is the first to fail
+    bad_sweeps = {
+        "bad-sweep-first-point": ("sweep", "--steps", "4", "--outputs", "tomo", "--shots", "1",
+                                  "--mode", "poisson", "--mean-counts", "0.001", "--seed", "2"),
+        "bad-sweep-point-18": ("sweep", "--steps", "61", "--outputs", "tomo", "--alpha", "0.997",
+                               "--mean-counts", "5", "--seed", "9"),
+    }
+    return calls + [Call(name, ".", (*argv, "--out", f"{name}.csv"), f"{name}.csv")
+                    for name, argv in bad_sweeps.items()]
 
 
 def run(call: Call, workdir: Path) -> tuple[int, dict]:
