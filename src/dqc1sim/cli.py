@@ -36,7 +36,7 @@ from .serialize import (
     unitary_from_json,
 )
 from .tomography import (
-    SETTING_LABELS, ReconstructionError, check_mean_counts, reconstruct, simulate_counts,
+    SETTING_LABELS, check_counts, check_mean_counts, reconstruct, simulate_counts,
     stack_reconstruct,
 )
 
@@ -92,8 +92,8 @@ class SweepConfig:
 def sweep_point(config: SweepConfig, index: int) -> tuple:
     """The steps of one theta grid point that run point by point: the row's
     trace columns and, when the outputs need them, the output state and its
-    tomography counts (else None). An error raised at the point keeps its
-    class and names the point's theta."""
+    tomography counts, checked by check_counts (else None). Every error of a
+    sweep is raised here: it keeps its class and names the point's theta."""
     theta = float(config.thetas[index])
     try:
         u = z_theta(theta)
@@ -110,6 +110,7 @@ def sweep_point(config: SweepConfig, index: int) -> tuple:
             counts = simulate_counts(
                 rho, config.mean_counts, np.random.SeedSequence([config.seed, index, 1]),
             )
+            check_counts(counts)
     except ValueError as exc:
         raise type(exc)(f"at theta={theta!r}: {exc}") from None
     row = {
@@ -129,8 +130,7 @@ def sweep_point(config: SweepConfig, index: int) -> tuple:
 
 def _state_columns(config: SweepConfig, points: list) -> None:
     """Fill the discord, tangle and tomography columns of the points' rows
-    by stacked calls over all their states at once. A point whose counts
-    cannot be reconstructed raises its error, naming its theta."""
+    by stacked calls over all their states at once."""
     rows = [row for row, _, _ in points]
     states = np.array([rho.entries for _, rho, _ in points])
     qubit_dims = points[0][1].qubit_dims
@@ -142,10 +142,7 @@ def _state_columns(config: SweepConfig, points: list) -> None:
     if "tangle" in config.outputs:
         columns["tangle"] = stack_tangle(states)
     if "tomo" in config.outputs:
-        try:
-            recons = stack_reconstruct(np.stack([counts for _, _, counts in points]))
-        except ReconstructionError as exc:
-            raise ReconstructionError(f"at theta={rows[exc.index]['theta']!r}: {exc}") from None
+        recons = stack_reconstruct(np.stack([counts for _, _, counts in points]))
         columns["tomo_fidelity"] = stack_fidelity(recons, states)
         _, [(columns["tomo_discord_rc"], _, _)] = stack_discords(recons, qubit_dims, (MEASURE_CONTROL,))
         columns["tomo_tangle"] = stack_tangle(recons)
@@ -157,23 +154,15 @@ def _state_columns(config: SweepConfig, points: list) -> None:
 def sweep_rows(config: SweepConfig) -> list[dict]:
     """Rows in theta order. The grid is cut into chunks of stack_chunk(4)
     points: sweep_point runs at each point of a chunk, then _state_columns
-    once for the whole chunk. A sweep that fails reports the error of its
-    first failing point, and within a point, sampling fails before
-    reconstruction, as if every point ran start to finish in turn."""
+    once for the whole chunk. Only sweep_point raises, point by point in
+    theta order, so a sweep that fails reports its first failing point."""
     rows = []
     chunk = stack_chunk(4)
     for start in range(0, config.steps, chunk):
-        points, failure = [], None
-        for index in range(start, min(start + chunk, config.steps)):
-            try:
-                points.append(sweep_point(config, index))
-            except ValueError as exc:
-                failure = exc
-                break
-        if points and points[0][1] is not None:
+        points = [sweep_point(config, index)
+                  for index in range(start, min(start + chunk, config.steps))]
+        if points[0][1] is not None:
             _state_columns(config, points)
-        if failure is not None:
-            raise failure
         rows += [row for row, _, _ in points]
     return rows
 

@@ -19,8 +19,11 @@ check. The same rule holds for the values that only the program builds:
 the constructor of the record clifford.SignedPauliString checks nothing,
 the counts array of tomography.simulate_counts and the direction dict of
 correlations._bloch_direction are not re-checked where they are read,
-tomography.psd_project does not check linear_estimate's output, and the
-stack_* functions take their (S, D, D) entries arrays unchecked.
+tomography.psd_project does not check linear_estimate's output, the
+stack_* functions take their (S, D, D) entries arrays unchecked, and
+tomography.linear_estimate and stack_reconstruct take their count rows
+unchecked: tomography.check_counts is the one empty-basis-pair rule, run
+by reconstruct and by each sweep point.
 tests/test_invariants.py holds every one of these conditions as a property
 of the builders' outputs.
 """

@@ -4,7 +4,8 @@ Simulates the 36-setting over-complete measurement scheme (all products of
 the six single-qubit Pauli eigenstates) and reconstructs density matrices
 by least-squares inversion, in closed form, to the 16 two-qubit Pauli
 expectations followed by projection onto the physical (PSD, unit-trace)
-set.
+set. A counts row is checked once, by check_counts, before it is
+reconstructed; the reconstruction steps take it unchecked.
 """
 
 from __future__ import annotations
@@ -49,12 +50,7 @@ def check_mean_counts(mean_counts: float) -> None:
 
 
 class ReconstructionError(ValueError):
-    """Raised when counts cannot be normalized into probabilities; index is
-    the position of the first such row in a stack of count rows."""
-
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
-        self.index = index
+    """Raised when a counts row cannot be normalized into probabilities."""
 
 
 def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> np.ndarray:
@@ -71,25 +67,21 @@ def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> np.ndarray:
     return counts
 
 
-def _group_probabilities(counts: np.ndarray) -> np.ndarray:
-    """Count rows (..., 36) -> probabilities, each normalized by the total of
-    its basis pair (the four sign outcomes of one Pauli axis pair); a pair
-    with no counts at all is an error, reported for the first such row.
-    Last four axes: (axis of qubit 0, sign of qubit 0, axis of qubit 1, sign
-    of qubit 1)."""
-    groups = counts.reshape(counts.shape[:-1] + (3, 2, 3, 2))
-    totals = groups.sum(axis=(-3, -1), keepdims=True)
-    empty = np.argwhere(totals[..., 0, :, 0] <= 0)
-    if len(empty):
-        *row, a, b = empty[0].tolist()
-        index = int(np.ravel_multi_index(row, counts.shape[:-1])) if row else 0
-        raise ReconstructionError(f"no signal in basis pair {'ZXY'[a]}{'ZXY'[b]}", index)
-    return groups / totals
+def check_counts(counts: np.ndarray) -> None:
+    """The one check of a counts row (36,) before reconstruction: each basis
+    pair (the four sign outcomes of one Pauli axis pair) must hold counts,
+    so that it can be normalized. The first empty pair, in ZXY x ZXY order,
+    is named."""
+    totals = counts.reshape(3, 2, 3, 2).sum(axis=(1, 3))
+    if (totals <= 0).any():
+        a, b = np.argwhere(totals <= 0)[0].tolist()
+        raise ReconstructionError(f"no signal in basis pair {'ZXY'[a]}{'ZXY'[b]}")
 
 
 def linear_estimate(counts: np.ndarray) -> np.ndarray:
     """Least-squares inversion of each count row (..., 36) to the 16 Pauli
-    expectations (no projection).
+    expectations (no projection). Each row is normalized within its basis
+    pairs and is not checked: check_counts is the one check that it can be.
 
     Setting (a, sa, b, sb) has probability (1 + sa s_aI + sb s_Ib +
     sa sb s_ab) / 4. Over each basis pair's four outcomes sa, sb and sa sb
@@ -102,7 +94,10 @@ def linear_estimate(counts: np.ndarray) -> np.ndarray:
     +-i}, summed in the same order on both sides of the diagonal. It may
     have small negative eigenvalues.
     """
-    p = _group_probabilities(counts)
+    # last four axes: (axis of qubit 0, sign of qubit 0, axis of qubit 1,
+    # sign of qubit 1)
+    groups = counts.reshape(counts.shape[:-1] + (3, 2, 3, 2))
+    p = groups / groups.sum(axis=(-3, -1), keepdims=True)
     s = np.ones(p.shape[:-4] + (4, 4))
     s[..., 1:, 1:] = np.einsum("s,r,...asbr->...ab", _SIGNS, _SIGNS, p)
     s[..., 1:, 0] = np.einsum("s,...asbr->...ab", _SIGNS, p).mean(axis=-1)
@@ -138,16 +133,18 @@ def psd_project(m: np.ndarray) -> np.ndarray:
 
 def stack_reconstruct(counts: np.ndarray) -> np.ndarray:
     """reconstruct of each row of an (S, 36) counts array, as the entries
-    (S, 4, 4) of the states. A row that cannot be normalized raises
-    ReconstructionError with the row's index."""
+    (S, 4, 4) of the states. The rows are not checked: each must have passed
+    check_counts."""
     return psd_project(linear_estimate(counts))
 
 
 def reconstruct(counts: np.ndarray) -> DensityMatrix:
-    """Full pipeline: least-squares inversion then physical projection.
+    """Full pipeline: check_counts, then least-squares inversion and
+    physical projection.
 
     psd_project's water-filled spectrum is nonnegative and sums to one, so
     the result is a valid state by construction and is not re-checked.
     The one-state case of stack_reconstruct.
     """
+    check_counts(counts)
     return _trusted_state(stack_reconstruct(counts[None])[0], (1, 1))

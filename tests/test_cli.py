@@ -288,6 +288,45 @@ class TestSweep:
         with pytest.raises(ReconstructionError, match=f"^{re.escape(message)}$"):
             sweep_rows(config)
 
+    def test_sweep_stops_at_its_first_failing_point(self, monkeypatch):
+        # At 0.001 mean counts the first point's counts leave a pair empty:
+        # no later point of its chunk runs.
+        calls = []
+        point = cli.sweep_point
+        monkeypatch.setattr(cli, "sweep_point",
+                            lambda config, index: calls.append(index) or point(config, index))
+        config = SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 0, ("tomo",), mean_counts=0.001)
+        with pytest.raises(ReconstructionError, match="^at theta=-3.141592653589793: "):
+            sweep_rows(config)
+        assert calls == [0]
+
+    @given(steps=st.integers(2, 20),
+           outputs=st.sets(st.sampled_from(("trace", "discord", "tangle"))),
+           mean_counts=st.floats(0.001, 5.0), shots=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_sweep_fails_as_its_first_failing_point(self, steps, outputs, mean_counts, shots,
+                                                    seed):
+        # Chunks of 7 points: a sweep either gives its rows or raises the
+        # error of the first point that fails when run on its own.
+        config = SweepConfig(-np.pi, np.pi, steps, 0.997, shots, seed, (*outputs, "tomo"),
+                             mean_counts=mean_counts, mode="poisson" if shots else "binomial")
+        first = None
+        for index in range(steps):
+            try:
+                cli.sweep_point(config, index)
+            except ValueError as exc:
+                first = exc
+                break
+        with pytest.MonkeyPatch.context() as patch:
+            chunks_of_seven(patch)
+            try:
+                rows = sweep_rows(config)
+            except ValueError as exc:
+                assert (type(exc), str(exc)) == (type(first), str(first))
+            else:
+                assert first is None and len(rows) == steps
+
     def test_import_loads_no_process_pool(self):
         code = ("import sys, dqc1sim.cli; print([m for m in "
                 "('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
@@ -587,6 +626,8 @@ class TestBadInputs:
             "entries_bool": {**mixed, "im": [[False] * 4] * 4},
             "entries_null": {**mixed, "im": [[None, 0, 0, 0]] + mixed["im"][1:]},
             "rows_ragged": {**mixed, "re": mixed["re"][:3] + [mixed["re"][3][:3]]},
+            # 400 digits: within Python's digit limit, beyond the float range
+            "entry_huge_int": {**mixed, "re": [[10**399, 0, 0, 0]] + mixed["re"][1:]},
             "one_qubit": matrix_to_json(np.eye(2) / 2),
             "three_qubits": matrix_to_json(np.eye(8) / 8),
             "gate_list_entry": {"n": 2, "gates": [cz, ["H", 0]]},
@@ -702,6 +743,11 @@ class TestBadInputs:
           for command in ("discord", "tangle", "tomo", "trace", "verify-clifford")],
         *[([command, "{dir}/long_int.json"], "long_int.json' holds an integer of more than 4300")
           for command in ("discord", "tangle", "tomo", "trace", "verify-clifford")],
+        # checked before the counts are simulated
+        (["tomo", "{dir}/one_qubit.json"], "tomography requires a two-qubit state, got dim 2"),
+        (["tomo", "{dir}/three_qubits.json"], "tomography requires a two-qubit state, got dim 8"),
+        *[([command, "{dir}/entry_huge_int.json"], "matrix JSON entries must be numbers")
+          for command in ("trace", "discord", "tangle")],
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"

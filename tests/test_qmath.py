@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from dqc1sim import (
     DensityMatrix,
+    UnitaryMatrix,
     fidelity,
     reduced_control,
     repartition,
@@ -53,6 +56,16 @@ class TestDensityMatrixInvariants:
         # size rule rejects it
         with pytest.raises(ValueError, match=r"^entries shape \(3, 3\) does not match qubit_dims \(1,\)$"):
             DensityMatrix(np.eye(3) / 3, (1,))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 1)])
+    @pytest.mark.parametrize("build", [lambda m: DensityMatrix(m, (1,)),
+                                       lambda m: UnitaryMatrix(1, m)],
+                             ids=["DensityMatrix", "UnitaryMatrix"])
+    def test_rejects_entries_that_are_not_square(self, build, shape):
+        # both constructors share the one entry check, square_complex
+        message = f"expected a square matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
