@@ -138,17 +138,21 @@ def _file_calls(workdir: Path) -> list[Call]:
         "bad-string-entries": ("trace", "string-entries.json"),
     }
     calls += [Call(name, ".", argv, None) for name, argv in bad.items()]
-    # failing sweeps, with --out, so that the absent file is pinned too: in
-    # the first the first point fails at reconstruction and the second
-    # already at sampling; in the second point 18 is the first to fail
-    bad_sweeps = {
+    # failing calls, with --out, so that the absent file is pinned too: in
+    # the first sweep the first point fails at reconstruction and the second
+    # already at sampling; in the second sweep point 18 is the first to fail;
+    # the tomo row has two empty basis pairs, XY and YZ, and names XY
+    bad_outs = {
         "bad-sweep-first-point": ("sweep", "--steps", "4", "--outputs", "tomo", "--shots", "1",
                                   "--mode", "poisson", "--mean-counts", "0.001", "--seed", "2"),
         "bad-sweep-point-18": ("sweep", "--steps", "61", "--outputs", "tomo", "--alpha", "0.997",
                                "--mean-counts", "5", "--seed", "9"),
+        "bad-tomo-empty-pair": ("tomo", "--theta", "1", "--mean-counts", "0.5", "--seed", "4"),
     }
-    return calls + [Call(name, ".", (*argv, "--out", f"{name}.csv"), f"{name}.csv")
-                    for name, argv in bad_sweeps.items()]
+    outs = {name: f"{name}.{'csv' if argv[0] == 'sweep' else 'json'}"
+            for name, argv in bad_outs.items()}
+    return calls + [Call(name, ".", (*argv, "--out", outs[name]), outs[name])
+                    for name, argv in bad_outs.items()]
 
 
 def run(call: Call, workdir: Path) -> tuple[int, dict]:
