@@ -36,7 +36,7 @@ from .serialize import (
     unitary_from_json,
 )
 from .tomography import (
-    SETTING_LABELS, check_counts, check_mean_counts, reconstruct, simulate_counts,
+    SETTING_LABELS, check_mean_counts, pair_frequencies, reconstruct, simulate_counts,
     stack_reconstruct,
 )
 
@@ -59,8 +59,8 @@ class SweepConfig:
     shots: int
     seed: int
     outputs: tuple[str, ...]
-    mean_counts: float = 1e4
-    mode: str = "binomial"
+    mean_counts: float
+    mode: str
 
     def __post_init__(self):
         if self.steps < 2:
@@ -91,8 +91,8 @@ class SweepConfig:
 
 def sweep_point(config: SweepConfig, index: int) -> tuple:
     """The steps of one theta grid point that run point by point: the row's
-    trace columns and, when the outputs need them, the output state and its
-    tomography counts, checked by check_counts (else None). Every error of a
+    trace columns and, when the outputs need them, the output state and the
+    pair_frequencies of its tomography counts (else None). Every error of a
     sweep is raised here: it keeps its class and names the point's theta."""
     theta = float(config.thetas[index])
     try:
@@ -103,14 +103,13 @@ def sweep_point(config: SweepConfig, index: int) -> tuple:
             np.random.SeedSequence([config.seed, index]),
             mode=config.mode,
         )
-        rho = counts = None
+        rho = freqs = None
         if {"discord", "tangle", "tomo"} & set(config.outputs):
             rho = output_state(u, config.alpha)
         if "tomo" in config.outputs:
-            counts = simulate_counts(
+            freqs = pair_frequencies(simulate_counts(
                 rho, config.mean_counts, np.random.SeedSequence([config.seed, index, 1]),
-            )
-            check_counts(counts)
+            ))
     except ValueError as exc:
         raise type(exc)(f"at theta={theta!r}: {exc}") from None
     row = {
@@ -125,7 +124,7 @@ def sweep_point(config: SweepConfig, index: int) -> tuple:
         "re_trace": est.real,
         "im_trace": est.imag,
     }
-    return row, rho, counts
+    return row, rho, freqs
 
 
 def _state_columns(config: SweepConfig, points: list) -> None:
@@ -142,7 +141,7 @@ def _state_columns(config: SweepConfig, points: list) -> None:
     if "tangle" in config.outputs:
         columns["tangle"] = stack_tangle(states)
     if "tomo" in config.outputs:
-        recons = stack_reconstruct(np.stack([counts for _, _, counts in points]))
+        recons = stack_reconstruct(np.stack([freqs for _, _, freqs in points]))
         columns["tomo_fidelity"] = stack_fidelity(recons, states)
         _, [(columns["tomo_discord_rc"], _, _)] = stack_discords(recons, qubit_dims, (MEASURE_CONTROL,))
         columns["tomo_tangle"] = stack_tangle(recons)

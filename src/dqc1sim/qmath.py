@@ -21,9 +21,9 @@ the counts array of tomography.simulate_counts and the direction dict of
 correlations._bloch_direction are not re-checked where they are read,
 tomography.psd_project does not check linear_estimate's output, the
 stack_* functions take their (S, D, D) entries arrays unchecked, and
-tomography.linear_estimate and stack_reconstruct take their count rows
-unchecked: tomography.check_counts is the one empty-basis-pair rule, run
-by reconstruct and by each sweep point.
+tomography.linear_estimate and stack_reconstruct take the frequencies of
+tomography.pair_frequencies unchecked: pair_frequencies is the one
+empty-basis-pair rule, run by reconstruct and by each sweep point.
 tests/test_invariants.py holds every one of these conditions as a property
 of the builders' outputs.
 """

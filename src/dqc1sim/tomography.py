@@ -4,8 +4,9 @@ Simulates the 36-setting over-complete measurement scheme (all products of
 the six single-qubit Pauli eigenstates) and reconstructs density matrices
 by least-squares inversion, in closed form, to the 16 two-qubit Pauli
 expectations followed by projection onto the physical (PSD, unit-trace)
-set. A counts row is checked once, by check_counts, before it is
-reconstructed; the reconstruction steps take it unchecked.
+set. A counts row is checked once, by pair_frequencies, which also
+normalizes it within its basis pairs; the reconstruction steps take its
+frequencies unchecked.
 """
 
 from __future__ import annotations
@@ -17,29 +18,21 @@ import numpy as np
 from .qmath import DensityMatrix, PAULI_EIGENSTATES, PAULIS, _trusted_state, check_range
 from .sampling import MAX_SHOTS
 
-# Axis-major: label 2k + s is Pauli axis "zxy"[k] with sign "+-"[s].
-BASIS_LABELS = ("z+", "z-", "x+", "x-", "y+", "y-")
+# The one axis order: basis label 2k + s is Pauli axis _AXES[k] with sign
+# "+-"[s], e.g. "x-".
+_AXES = "ZXY"
+BASIS_LABELS = tuple(a.lower() + s for a in _AXES for s in "+-")
 
 # The one scheme: setting 6a + b measures qubit 0 in BASIS_LABELS[a] and
 # qubit 1 in BASIS_LABELS[b], e.g. "x+z-".
 SETTING_LABELS = tuple(a + b for a, b in itertools.product(BASIS_LABELS, repeat=2))
 
-
-def _ket(label: str) -> np.ndarray:
-    """The one-qubit state of a basis label: "x-" is the -1 eigenvector of X."""
-    return PAULI_EIGENSTATES[label[0].upper()]["+-".index(label[1])]
-
-
-def _projector(label: str) -> np.ndarray:
-    ket = np.kron(_ket(label[:2]), _ket(label[2:]))
-    return np.outer(ket, ket.conj())
-
-
-PROJECTORS = np.array([_projector(lab) for lab in SETTING_LABELS])
+_KETS = [ket for a in _AXES for ket in PAULI_EIGENSTATES[a]]  # in BASIS_LABELS order
+PROJECTORS = np.array([np.outer(ket, ket.conj())
+                       for ket in itertools.starmap(np.kron, itertools.product(_KETS, repeat=2))])
 PROJECTORS.setflags(write=False)
 
-# I, then the Pauli axes in BASIS_LABELS order: Z, X, Y.
-_PAULI_STACK = np.array([PAULIS[c] for c in "IZXY"])
+_PAULI_STACK = np.array([PAULIS[c] for c in "I" + _AXES])
 _SIGNS = np.array([1.0, -1.0])
 
 
@@ -67,21 +60,24 @@ def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> np.ndarray:
     return counts
 
 
-def check_counts(counts: np.ndarray) -> None:
-    """The one check of a counts row (36,) before reconstruction: each basis
-    pair (the four sign outcomes of one Pauli axis pair) must hold counts,
-    so that it can be normalized. The first empty pair, in ZXY x ZXY order,
-    is named."""
-    totals = counts.reshape(3, 2, 3, 2).sum(axis=(1, 3))
+def pair_frequencies(counts: np.ndarray) -> np.ndarray:
+    """The one check of a counts row (36,), which also makes the
+    estimator's input. Each basis pair (the four sign outcomes of one Pauli
+    axis pair) must hold counts, else ReconstructionError names the first
+    empty pair, in _AXES x _AXES order. Returns the row normalized within its
+    pairs, as frequencies (3, 2, 3, 2): axis of qubit 0, sign of qubit 0,
+    axis of qubit 1, sign of qubit 1."""
+    groups = counts.reshape(3, 2, 3, 2)
+    totals = groups.sum(axis=(-3, -1), keepdims=True)
     if (totals <= 0).any():
-        a, b = np.argwhere(totals <= 0)[0].tolist()
-        raise ReconstructionError(f"no signal in basis pair {'ZXY'[a]}{'ZXY'[b]}")
+        a, _, b, _ = np.argwhere(totals <= 0)[0].tolist()
+        raise ReconstructionError(f"no signal in basis pair {_AXES[a]}{_AXES[b]}")
+    return groups / totals
 
 
-def linear_estimate(counts: np.ndarray) -> np.ndarray:
-    """Least-squares inversion of each count row (..., 36) to the 16 Pauli
-    expectations (no projection). Each row is normalized within its basis
-    pairs and is not checked: check_counts is the one check that it can be.
+def linear_estimate(p: np.ndarray) -> np.ndarray:
+    """Least-squares inversion of pair_frequencies' output, a stack
+    (..., 3, 2, 3, 2), to the 16 Pauli expectations (no projection).
 
     Setting (a, sa, b, sb) has probability (1 + sa s_aI + sb s_Ib +
     sa sb s_ab) / 4. Over each basis pair's four outcomes sa, sb and sa sb
@@ -94,10 +90,6 @@ def linear_estimate(counts: np.ndarray) -> np.ndarray:
     +-i}, summed in the same order on both sides of the diagonal. It may
     have small negative eigenvalues.
     """
-    # last four axes: (axis of qubit 0, sign of qubit 0, axis of qubit 1,
-    # sign of qubit 1)
-    groups = counts.reshape(counts.shape[:-1] + (3, 2, 3, 2))
-    p = groups / groups.sum(axis=(-3, -1), keepdims=True)
     s = np.ones(p.shape[:-4] + (4, 4))
     s[..., 1:, 1:] = np.einsum("s,r,...asbr->...ab", _SIGNS, _SIGNS, p)
     s[..., 1:, 0] = np.einsum("s,...asbr->...ab", _SIGNS, p).mean(axis=-1)
@@ -131,20 +123,18 @@ def psd_project(m: np.ndarray) -> np.ndarray:
     return (vec * _simplex_projection(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 
-def stack_reconstruct(counts: np.ndarray) -> np.ndarray:
-    """reconstruct of each row of an (S, 36) counts array, as the entries
-    (S, 4, 4) of the states. The rows are not checked: each must have passed
-    check_counts."""
-    return psd_project(linear_estimate(counts))
+def stack_reconstruct(p: np.ndarray) -> np.ndarray:
+    """reconstruct of each row of a stack (S, 3, 2, 3, 2) of
+    pair_frequencies' outputs, as the entries (S, 4, 4) of the states."""
+    return psd_project(linear_estimate(p))
 
 
 def reconstruct(counts: np.ndarray) -> DensityMatrix:
-    """Full pipeline: check_counts, then least-squares inversion and
+    """Full pipeline: pair_frequencies, then least-squares inversion and
     physical projection.
 
     psd_project's water-filled spectrum is nonnegative and sums to one, so
     the result is a valid state by construction and is not re-checked.
     The one-state case of stack_reconstruct.
     """
-    check_counts(counts)
-    return _trusted_state(stack_reconstruct(counts[None])[0], (1, 1))
+    return _trusted_state(stack_reconstruct(pair_frequencies(counts)[None])[0], (1, 1))

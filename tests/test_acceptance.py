@@ -31,7 +31,7 @@ from dqc1sim import (
     z_theta,
 )
 from dqc1sim.cli import SweepConfig, main as cli_main, sweep_rows
-from dqc1sim.tomography import linear_estimate
+from dqc1sim.tomography import linear_estimate, pair_frequencies
 
 from helpers import (
     bell_state,
@@ -66,7 +66,7 @@ def criterion(number: int, description: str, budget_seconds: float):
 def _exact_sweep(alpha: float) -> list[dict]:
     config = SweepConfig(
         theta_min=-np.pi, theta_max=np.pi, steps=41, alpha=alpha,
-        shots=0, seed=0, outputs=("trace",),
+        shots=0, seed=0, outputs=("trace",), mean_counts=1e4, mode="binomial",
     )
     return sweep_rows(config)
 
@@ -126,7 +126,8 @@ def test_criterion_4_discord_tangle_sweep():
     with criterion(4, "tangle-free sweep with discord peaks and symmetry", 120.0):
         config = SweepConfig(
             theta_min=-np.pi, theta_max=np.pi, steps=41, alpha=0.997,
-            shots=0, seed=0, outputs=("trace", "discord", "tangle"),
+            shots=0, seed=0, outputs=("trace", "discord", "tangle"), mean_counts=1e4,
+            mode="binomial",
         )
         rows = sweep_rows(config)
         assert all(row["tangle"] < 1e-9 for row in rows)
@@ -190,7 +191,7 @@ def test_criterion_7_tomography_pipeline():
         rng = np.random.default_rng(107)
         for _ in range(50):
             rho = random_density_matrix(rng, (1, 1))
-            estimate = linear_estimate(noiseless_run(rho, 1e4))
+            estimate = linear_estimate(pair_frequencies(noiseless_run(rho, 1e4)))
             assert np.max(np.abs(estimate - rho.entries)) <= 1e-10
         rho = output_state(z_theta(np.pi / 2), 1.0)
         exact_discord = discord(rho, MEASURE_CONTROL)

@@ -112,7 +112,7 @@ class TestSweep:
         _, header, cells = read_csv(out)
         rows = sweep_rows(SweepConfig(
             theta_min=-np.pi, theta_max=np.pi, steps=7, alpha=0.997, shots=300, seed=4,
-            outputs=("discord", "tangle", "tomo"), mean_counts=3000.0))
+            outputs=("discord", "tangle", "tomo"), mean_counts=3000.0, mode="binomial"))
         assert len(cells) == len(rows)
         floats = 0
         for row, line in zip(rows, cells):
@@ -214,7 +214,7 @@ class TestSweep:
         calls = []
         linspace = np.linspace
         monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
-        config = SweepConfig(-1.0, 1.0, 50, 1.0, 0, 0, ("trace",))
+        config = SweepConfig(-1.0, 1.0, 50, 1.0, 0, 0, ("trace",), 1e4, "binomial")
         rows = sweep_rows(config)
         assert [r["theta"] for r in rows] == list(linspace(-1.0, 1.0, 50))
         assert len(calls) == 1
@@ -240,12 +240,13 @@ class TestSweep:
         for steps in (3, 61):
             calls.clear()
             sweep_rows(SweepConfig(-np.pi, np.pi, steps, 0.997, 0, 101,
-                                   ("discord", "tangle", "tomo")))
+                                   ("discord", "tangle", "tomo"), 1e4, "binomial"))
             counts[steps] = list(calls)
         assert counts == {3: [3, 3], 61: [61, 61]}
         chunks_of_seven(monkeypatch)
         calls.clear()
-        sweep_rows(SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 101, ("discord", "tangle", "tomo")))
+        sweep_rows(SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 101, ("discord", "tangle", "tomo"),
+                               1e4, "binomial"))
         # the output states' search, then the reconstructions', per chunk
         assert calls == 8 * [7, 7] + [5, 5]
 
@@ -261,7 +262,7 @@ class TestSweep:
             return trusted(entries, qubit_dims)
 
         monkeypatch.setattr(tomography, "_trusted_state", counted)
-        config = SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 101, ("tomo",))
+        config = SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 101, ("tomo",), 1e4, "binomial")
         rows = sweep_rows(config)
         assert len(rows) == 61 and calls == []
         counts = simulate_counts(output_state(z_theta(1.0), 0.997), 1e4, 0)
@@ -272,7 +273,7 @@ class TestSweep:
                              ids=["exact", "poisson"])
     def test_chunks_do_not_change_rows(self, shots, mode, monkeypatch):
         config = SweepConfig(-np.pi, np.pi, 61, 0.997, shots, 101,
-                             ("trace", "discord", "tangle", "tomo"), mode=mode)
+                             ("trace", "discord", "tangle", "tomo"), mean_counts=1e4, mode=mode)
         whole = sweep_rows(config)
         chunks_of_seven(monkeypatch)
         assert sweep_rows(config) == whole
@@ -280,7 +281,8 @@ class TestSweep:
     def test_failure_in_a_later_chunk_names_its_point(self, monkeypatch):
         # With 5 mean counts per basis pair, point 18 (chunk 2, its fifth
         # point) is the first whose tomography counts leave a pair empty.
-        config = SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 9, ("tomo",), mean_counts=5.0)
+        config = SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 9, ("tomo",), mean_counts=5.0,
+                             mode="binomial")
         message = f"at theta={float(config.thetas[18])!r}: no signal in basis pair ZX"
         with pytest.raises(ReconstructionError, match=f"^{re.escape(message)}$"):
             sweep_rows(config)
@@ -295,7 +297,8 @@ class TestSweep:
         point = cli.sweep_point
         monkeypatch.setattr(cli, "sweep_point",
                             lambda config, index: calls.append(index) or point(config, index))
-        config = SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 0, ("tomo",), mean_counts=0.001)
+        config = SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 0, ("tomo",), mean_counts=0.001,
+                             mode="binomial")
         with pytest.raises(ReconstructionError, match="^at theta=-3.141592653589793: "):
             sweep_rows(config)
         assert calls == [0]
@@ -336,12 +339,12 @@ class TestSweep:
 
     def test_shot_bound(self):
         with pytest.raises(ValueError, match="shots must be <="):
-            SweepConfig(-1.0, 1.0, 5, 1.0, MAX_SHOTS + 1, 0, ("trace",))
+            SweepConfig(-1.0, 1.0, 5, 1.0, MAX_SHOTS + 1, 0, ("trace",), 1e4, "binomial")
         with pytest.raises(ValueError, match="shots must be >= 0"):
-            SweepConfig(-1.0, 1.0, 5, 1.0, -1, 0, ("trace",))
+            SweepConfig(-1.0, 1.0, 5, 1.0, -1, 0, ("trace",), 1e4, "binomial")
 
     def test_zero_alpha_sweep_is_exact(self):
-        rows = sweep_rows(SweepConfig(-1.0, 1.0, 3, 0.0, 0, 0, ("trace",)))
+        rows = sweep_rows(SweepConfig(-1.0, 1.0, 3, 0.0, 0, 0, ("trace",), 1e4, "binomial"))
         for row in rows:
             assert row["re_est"] == row["re_exact"] == 0.0
             assert row["re_trace"] == (1 + np.cos(row["theta"])) / 2
@@ -350,7 +353,7 @@ class TestSweep:
         # argparse choices catch it on the command line; the library call
         # goes through the same check as estimate_trace
         with pytest.raises(ValueError, match="sampling mode"):
-            SweepConfig(-1.0, 1.0, 5, 1.0, 0, 0, ("trace",), mode="exact")
+            SweepConfig(-1.0, 1.0, 5, 1.0, 0, 0, ("trace",), mean_counts=1e4, mode="exact")
 
 
 class TestTrace:
@@ -748,6 +751,7 @@ class TestBadInputs:
         (["tomo", "{dir}/three_qubits.json"], "tomography requires a two-qubit state, got dim 8"),
         *[([command, "{dir}/entry_huge_int.json"], "matrix JSON entries must be numbers")
           for command in ("trace", "discord", "tangle")],
+        (["sweep", "--steps", "3", "--outputs", "trace,bogus"], "unknown sweep outputs ['bogus']"),
     ])
     def test_one_json_error_line(self, args, needle, bad_files, capsys):
         out = bad_files / "out.json"
@@ -810,11 +814,12 @@ class TestBadInputs:
         assert "usage:" in capsys.readouterr().out
 
 
+# Each subcommand's parser, by name.
+_SUBPARSERS = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
 # (command, flag) for every flag whose type reads "1" as a number: the ints,
 # the floats and --seed.
 NUMERIC_FLAGS = [(command, action.option_strings[0])
-                 for command, sub in next(a for a in cli.build_parser()._actions
-                                          if a.dest == "command").choices.items()
+                 for command, sub in _SUBPARSERS.items()
                  for action in sub._actions
                  if action.type and isinstance(action.type("1"), (int, float))]
 
@@ -917,31 +922,21 @@ _LITERALS = ("nan", "inf", "-inf", "-1", "5e-324", "1e-309", "1e-200", "1e300",
 # reports are written too.
 _number_text = (st.sampled_from(_LITERALS) | st.integers(0, 5000).map(str)
                 | st.floats(0, 1).map(repr) | st.floats(-10, 10).map(repr))
-_STATE_FLAGS = {"--theta": _number_text, "--alpha": _number_text}
-_SAMPLED_FLAGS = {
-    "--alpha": _number_text,
-    "--seed": _number_text,
+# The values of the flags that take words; every other flag takes _number_text.
+_WORD_FLAGS = {
+    "--outputs": st.lists(st.sampled_from(("trace", "discord", "tangle", "tomo", "bogus")),
+                          min_size=1, max_size=4).map(",".join) | _number_text,
     "--mode": st.sampled_from(("binomial", "poisson", "exact")) | _number_text,
+    "--format": st.sampled_from(("csv", "json", "xml")),
 }
-# Each subcommand's own flags; the fuzz also draws from the others' and from
-# flags no subcommand has, so misplaced and unknown flags are exercised too.
-_FLAGS = {
-    "sweep": {
-        **_SAMPLED_FLAGS,
-        "--theta-min": _number_text,
-        "--theta-max": _number_text,
-        "--shots": _number_text,
-        "--outputs": st.lists(st.sampled_from(("trace", "discord", "tangle", "tomo", "bogus")),
-                              min_size=1, max_size=4).map(",".join) | _number_text,
-        "--mean-counts": _number_text,
-        "--format": st.sampled_from(("csv", "json", "xml")),
-    },
-    "trace": {**_SAMPLED_FLAGS, "--epsilon": _number_text, "--p-error": _number_text},
-    "discord": _STATE_FLAGS,
-    "tangle": _STATE_FLAGS,
-    "tomo": {**_STATE_FLAGS, "--seed": _number_text, "--mean-counts": _number_text},
-    "verify-clifford": {},
-}
+# Each subcommand's own flags, read from its parser, so that a new flag is
+# fuzzed too; -h exits, and _argv and the test set --steps and --out
+# themselves. The fuzz also draws from the others' flags and from flags no
+# subcommand has, so misplaced and unknown flags are exercised too.
+_FLAGS = {command: {flag: _WORD_FLAGS.get(flag, _number_text)
+                    for action in sub._actions for flag in action.option_strings[:1]
+                    if flag not in ("-h", "--steps", "--out")}
+          for command, sub in _SUBPARSERS.items()}
 _ALL_FLAGS = {"--jobs": _number_text, "--bogus": _number_text,
               **{flag: values for flags in _FLAGS.values() for flag, values in flags.items()}}
 # The positional file each subcommand reads: the state file is optional.

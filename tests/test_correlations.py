@@ -28,7 +28,7 @@ from dqc1sim.correlations import (
 )
 from dqc1sim.qmath import fidelity, stack_fidelity
 from dqc1sim.serialize import density_from_json
-from dqc1sim.tomography import stack_reconstruct
+from dqc1sim.tomography import pair_frequencies, stack_reconstruct
 
 from helpers import bell_state, package_env, random_density_matrix, random_pure_density, stacked
 from reference_oracles import (
@@ -256,10 +256,10 @@ class TestOptimizerAgainstBruteForce:
         # direction: a search that stops short there stays up to 1.5e-4
         # (seed 120) or 3.3e-4 (seed 108) above this grid. At seed 108 the
         # first Newton step is 65 long before it is shortened to 1.
-        config = cli.SweepConfig(-np.pi, np.pi, 61, 0.997, 2000, seed, ("tomo",), 1e4)
-        row, _, counts = cli.sweep_point(config, index)
+        config = cli.SweepConfig(-np.pi, np.pi, 61, 0.997, 2000, seed, ("tomo",), 1e4, "binomial")
+        row, _, p = cli.sweep_point(config, index)
         assert row["theta"] == pytest.approx(theta, abs=1e-3)
-        recon = reconstruct(counts)
+        recon = DensityMatrix(stack_reconstruct(p[None])[0], (1, 1))
         value, _, _ = one_state_search(recon, 0)
         assert value <= oracle_min_conditional_entropy(recon.entries, recon.subsystem_dims, 0, 100, 200)
 
@@ -808,7 +808,7 @@ class TestStackedSearch:
     def test_reconstructions_match_one_state_calls(self):
         counts = np.stack([simulate_counts(output_state(z_theta(t), 0.997), 1e4, s)
                            for s, t in enumerate(np.linspace(-3.0, 3.0, 13))])
-        recons = stack_reconstruct(counts)
+        recons = stack_reconstruct(np.stack([pair_frequencies(row) for row in counts]))
         assert recons.shape == (13, 4, 4)
         for got, row in zip(recons, counts):
             np.testing.assert_array_equal(got, reconstruct(row).entries)

@@ -11,11 +11,12 @@ tomography counts.
 
 The other values that only the program builds are not checked where they
 are read, so their conditions live here as properties of their builders:
-the counts array (simulate_counts; check_counts tests only what the
+the counts array (simulate_counts; pair_frequencies tests only what the
 draw decides, that no basis pair is empty), the least-squares estimate
-that psd_project takes unchecked (linear_estimate), the direction dict
-(_bloch_direction, through discords) and the record
-SignedPauliString, whose constructor checks nothing (z_on and propagate).
+that psd_project takes unchecked (linear_estimate of pair_frequencies'
+output), the direction dict (_bloch_direction, through discords) and the
+record SignedPauliString, whose constructor checks nothing (z_on and
+propagate).
 The stacked discord search, tangle and fidelity give each state of a stack
 what its one-state call gives.
 """
@@ -47,7 +48,7 @@ from dqc1sim.clifford import _clifford_output_state
 from dqc1sim.correlations import _bloch_direction, discords
 from dqc1sim.qmath import fidelity, stack_fidelity
 from dqc1sim.sampling import MAX_SHOTS
-from dqc1sim.tomography import SETTING_LABELS, check_counts, linear_estimate
+from dqc1sim.tomography import SETTING_LABELS, linear_estimate, pair_frequencies
 
 from helpers import (
     random_clifford_circuit,
@@ -186,8 +187,7 @@ def test_simulated_counts(seed, rank, run_seed, mean_counts):
 def test_linear_estimate_is_hermitian(seed, rank, mean_counts):
     rho = random_density_matrix(np.random.default_rng(seed), (1, 1), rank=rank)
     counts = simulate_counts(rho, mean_counts, seed)
-    check_counts(counts)  # linear_estimate's precondition
-    m = linear_estimate(counts)
+    m = linear_estimate(pair_frequencies(counts))
     assert m.shape == (4, 4) and m.dtype == complex
     assert np.isfinite(m).all()
     assert_array_equal(m, m.conj().T)  # exactly, as psd_project does not check

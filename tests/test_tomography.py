@@ -18,13 +18,15 @@ from dqc1sim import (
 from dqc1sim.cli import main
 from dqc1sim.serialize import density_to_json
 from dqc1sim.tomography import (
-    PROJECTORS, SETTING_LABELS, check_counts, linear_estimate, psd_project,
+    PROJECTORS, SETTING_LABELS, linear_estimate, pair_frequencies, psd_project,
 )
 
 from helpers import bell_state, noiseless_run, pure_density, random_density_matrix
 from reference_oracles import TOMO_KETS, TOMO_LABELS, least_squares_estimate, setting_probability
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+# The nine basis pairs, qubit 0's axis first.
+PAIRS = [a + b for a in "ZXY" for b in "ZXY"]
 
 
 def trace_distance(a, b):
@@ -85,13 +87,35 @@ class TestSimulateCounts:
             simulate_counts(bell_state(), 0.0, 1)
 
 
+class TestPairFrequencies:
+    @given(seed=seeds, mean_counts=st.floats(1.0, 1e18),
+           zeroed=st.just(set()) | st.sets(st.sampled_from(PAIRS), min_size=1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_names_the_first_empty_pair_or_normalizes(self, seed, mean_counts, zeroed):
+        # A noiseless row holds mean_counts in each basis pair; the drawn
+        # pairs are emptied. The first one a scan of the labels meets is
+        # named; with none emptied, each pair's frequencies sum to 1.
+        rho = random_density_matrix(np.random.default_rng(seed), (1, 1))
+        pairs = [(lab[0] + lab[2]).upper() for lab in TOMO_LABELS]
+        counts = np.array([0.0 if pair in zeroed else c
+                           for pair, c in zip(pairs, noiseless_run(rho, mean_counts))])
+        if zeroed:
+            first = next(pair for pair in pairs if pair in zeroed)
+            with pytest.raises(ReconstructionError, match=f"^no signal in basis pair {first}$"):
+                pair_frequencies(counts)
+        else:
+            p = pair_frequencies(counts)
+            assert p.shape == (3, 2, 3, 2)
+            assert np.max(np.abs(p.sum(axis=(1, 3)) - 1.0)) <= 4 * np.spacing(1.0)
+
+
 class TestLinearEstimate:
     @given(seeds)
     @settings(max_examples=25, deadline=None)
     def test_noiseless_inversion_exact(self, seed):
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(rng, (1, 1))
-        estimate = linear_estimate(noiseless_run(rho, 1e4))
+        estimate = linear_estimate(pair_frequencies(noiseless_run(rho, 1e4)))
         assert np.max(np.abs(estimate - rho.entries)) < 1e-10
 
     def test_least_squares_on_noisy_counts(self):
@@ -106,15 +130,15 @@ class TestLinearEstimate:
             rates = noiseless_run(rho, 10.0 ** rng.uniform(0.0, 6.0))
             counts = rng.poisson(np.clip(rates, 0.0, None)).astype(float)
             try:
-                check_counts(counts)
+                p = pair_frequencies(counts)
             except ReconstructionError:
                 continue  # a basis pair drew no counts
-            estimate = linear_estimate(counts)
+            estimate = linear_estimate(p)
             assert np.max(np.abs(estimate - least_squares_estimate(counts))) <= 1e-13
             checked += 1
         assert checked >= 300
 
-    @pytest.mark.parametrize("pair", [a + b for a in "ZXY" for b in "ZXY"])
+    @pytest.mark.parametrize("pair", PAIRS)
     def test_zero_signal_group_is_an_error(self, pair):
         # every basis pair of a Bell state carries 1/9 of the counts
         counts = np.array([0.0 if (lab[0] + lab[2]).upper() == pair else c
