@@ -7,7 +7,8 @@ codes and header, and prints, for each call whose bytes moved, against the
 transcripts it replaced: a changed exit code, a move of output from one
 stream to another as one line, and the largest |diff| in each column that
 moved of the streams present on both sides (inf where text or a length
-differs).
+differs). A call the old transcripts lack is counted as new, not as moved,
+so "0 moved" still means that no recorded output changed.
 
 Usage: python3 scripts/make_cli_transcripts.py
 """
@@ -34,11 +35,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         calls = write_calls(Path(tmp))
         results = [run(call, Path(tmp)) for call in calls]
-    moved = 0
+    moved = new = 0
     for call, (code, streams) in zip(calls, results):
         if call.name not in old:
             print(f"{call.name}: new")
-            moved += 1
+            new += 1
             continue
         old_code, old_streams = old[call.name]
         if (code, streams) == (old_code, old_streams):
@@ -50,7 +51,7 @@ def main() -> int:
     for name in old.keys() - {call.name for call in calls}:
         print(f"{name}: dropped")
     write_transcripts(calls, results)
-    print(f"wrote {len(calls)} calls to {MANIFEST.parent}; {moved} moved")
+    print(f"wrote {len(calls)} calls to {MANIFEST.parent}; {moved} moved, {new} new")
     return 0
 
 
