@@ -108,10 +108,11 @@ def write_calls(workdir: Path) -> list[Call]:
 
 def _file_calls(workdir: Path) -> list[Call]:
     """Write the state files and bad inputs under workdir and return their
-    calls: tangle from --theta; discord, tangle and tomo on a seeded rank-2
-    state, and on the same state as one four-level subsystem ("qubit_dims":
-    [2], which the correlation report repartitions); then bad inputs, each
-    pinned by its stderr line and exit code."""
+    calls: tangle from --theta; a sweep of every output written as JSON;
+    discord, tangle and tomo on a seeded rank-2 state, and on the same state
+    as one four-level subsystem ("qubit_dims": [2], which the correlation
+    report repartitions); then bad inputs, each pinned by its stderr line
+    and exit code."""
     rank2 = density_to_json(random_density_matrix(np.random.default_rng(STATE_SEED), (1, 1), 2))
     inputs = {
         "rank2": rank2,
@@ -123,7 +124,11 @@ def _file_calls(workdir: Path) -> list[Call]:
     for name, obj in inputs.items():
         save_json(workdir / f"{name}.json", obj)
     calls = [Call("tangle-theta", ".", ("tangle", "--theta", "2.5", "--alpha", "0.9",
-                                        "--out", "tangle-theta.json"), "tangle-theta.json")]
+                                        "--out", "tangle-theta.json"), "tangle-theta.json"),
+             Call("sweep-json", ".", ("sweep", "--steps", "5", "--alpha", "0.997", "--shots", "300",
+                                      "--seed", "4", "--outputs", "trace,discord,tangle,tomo",
+                                      "--mean-counts", "3000", "--format", "json",
+                                      "--out", "sweep.json"), "sweep.json")]
     for state in ("rank2", "dims2"):
         for command, extra in (("discord", ()), ("tangle", ()), ("tomo", ("--seed", str(STATE_SEED)))):
             out = f"{state}-{command}.json"
