@@ -2,11 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .qmath import (
-    DensityMatrix,
-    fidelity,
-    repartition,
-)
+from .qmath import DensityMatrix, fidelity
 from .dqc1 import (
     UnitaryMatrix,
     exact_expectations,
@@ -38,7 +34,7 @@ from .tomography import (
 )
 
 __all__ = [
-    "DensityMatrix", "fidelity", "repartition",
+    "DensityMatrix", "fidelity",
     "UnitaryMatrix", "exact_expectations", "normalized_trace", "output_state",
     "reduced_control", "z_theta",
     "chi2_reduced", "estimate_trace", "shots_required",

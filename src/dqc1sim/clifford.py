@@ -189,10 +189,10 @@ def verify_zero_discord(circuit: CliffordCircuit) -> dict:
     Reports the propagated Pauli string and the per-qubit local rotations
     that diagonalize the output state in a product basis. For up to 4 qubits
     the output state is also built densely and both discords are checked
-    numerically: with a one-qubit register, both by one correlations.discords
-    call; otherwise the control side by full minimization and the register
-    side by correlations.basis_discord in the product eigenbasis of the
-    propagated string, where J = I, so the gap bounds the discord from above.
+    numerically: the control side by full minimization (correlations.discord),
+    and the register side too with a one-qubit register; otherwise by
+    correlations.basis_discord in the product eigenbasis of the propagated
+    string, where J = I, so the gap bounds the discord from above.
     """
     out = propagate(circuit, SignedPauliString.z_on(0, circuit.n_qubits))
     rotations = []
@@ -216,12 +216,11 @@ def verify_zero_discord(circuit: CliffordCircuit) -> dict:
     }
     if 2 <= circuit.n_qubits <= 4:
         rho = _clifford_output_state(out)
+        d_control = correlations.discord(rho, correlations.MEASURE_CONTROL)
         if circuit.n_qubits == 2:
-            _, [(d_control, _, _), (d_register, _, _)] = correlations.discords(
-                rho, (correlations.MEASURE_CONTROL, correlations.MEASURE_REGISTER))
+            d_register = correlations.discord(rho, correlations.MEASURE_REGISTER)
             method = "full minimization"
         else:
-            d_control = correlations.discord(rho, correlations.MEASURE_CONTROL)
             # Row k is the product eigenvector of outcome k, register qubit
             # 0 slowest; any basis diagonalizes I, so I takes Z's.
             basis = reduce(np.kron, [np.array(PAULI_EIGENSTATES["Z" if lab == "I" else lab])

@@ -55,7 +55,7 @@ from .qmath import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    repartition,
+    _trusted_state,
     spectrum_entropy,
 )
 
@@ -481,14 +481,15 @@ def tangle(rho: DensityMatrix) -> float:
 def correlation_report(rho: DensityMatrix) -> dict:
     """Full correlation analysis of a two-qubit state.
 
+    Any split of the two qubits, (1, 1) or one four-level subsystem (2,),
+    is read as control (the first qubit) and register (the second).
     discord_rc measures on the control (subsystem 0), discord_cr on the
     register; argmin_direction is the minimizing measurement axis on the
     control, and optimizer_evals counts both searches' evaluations.
     """
     if rho.dim != 4:
         raise ValueError(f"correlation report requires a two-qubit state, got dim {rho.dim}")
-    if rho.qubit_dims != (1, 1):
-        rho = repartition(rho, (1, 1))
+    rho = _trusted_state(rho.entries, (1, 1))
     info, [(d_rc, direction, evals_c), (d_cr, _, evals_r)] = discords(
         rho, (MEASURE_CONTROL, MEASURE_REGISTER))
     tau = tangle(rho)

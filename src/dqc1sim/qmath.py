@@ -11,9 +11,10 @@ Hermiticity and positivity, the last with an O(d^3) eigensolve. The size
 rule, that a matrix over n qubits is 2**n square, is check_qubit_shape's
 alone: DensityMatrix and dqc1.UnitaryMatrix both call it. Builders
 whose output is a valid state whenever their input is wrap it with
-_trusted_state and skip that check: repartition here, dqc1.output_state and
-dqc1.reduced_control, clifford._clifford_output_state and
-tomography.reconstruct. dqc1.z_theta wraps its closed-form
+_trusted_state and skip that check: correlations.correlation_report, which
+relabels its checked two-qubit state as control and register,
+dqc1.output_state and dqc1.reduced_control, clifford._clifford_output_state
+and tomography.reconstruct. dqc1.z_theta wraps its closed-form
 diag(1, e^{i theta}) the same way, without UnitaryMatrix's unitarity
 check. The same rule holds for the values that only the program builds:
 the constructor of the record clifford.SignedPauliString checks nothing,
@@ -146,10 +147,6 @@ class DensityMatrix:
         return self.entries.shape[0]
 
     @property
-    def n_qubits(self) -> int:
-        return sum(self.qubit_dims)
-
-    @property
     def subsystem_dims(self) -> tuple[int, ...]:
         return tuple(2**k for k in self.qubit_dims)
 
@@ -168,16 +165,6 @@ def _trusted_state(entries: np.ndarray, qubit_dims) -> DensityMatrix:
     object.__setattr__(rho, "entries", entries)
     object.__setattr__(rho, "qubit_dims", tuple(qubit_dims))
     return rho
-
-
-def repartition(rho: DensityMatrix, qubit_dims) -> DensityMatrix:
-    """Same state with the qubits regrouped into a new subsystem split."""
-    dims = _qubit_dims(qubit_dims)
-    if sum(dims) != rho.n_qubits:
-        raise ValueError(
-            f"qubit_dims {dims} do not cover {rho.n_qubits} qubits"
-        )
-    return _trusted_state(rho.entries, dims)
 
 
 def spectrum_entropy(lam: np.ndarray) -> np.ndarray:

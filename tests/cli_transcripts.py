@@ -111,8 +111,8 @@ def _file_calls(workdir: Path) -> list[Call]:
     calls: tangle from --theta; a sweep of every output written as JSON;
     discord, tangle and tomo on a seeded rank-2 state, and on the same state
     as one four-level subsystem ("qubit_dims": [2], which the correlation
-    report repartitions); then bad inputs, each pinned by its stderr line
-    and exit code."""
+    report reads as control and register); then bad inputs, each pinned by
+    its stderr line and exit code."""
     rank2 = density_to_json(random_density_matrix(np.random.default_rng(STATE_SEED), (1, 1), 2))
     inputs = {
         "rank2": rank2,

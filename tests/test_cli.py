@@ -21,7 +21,7 @@ from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.serialize import density_from_json, density_to_json, matrix_to_json
 from dqc1sim.tomography import SETTING_LABELS, ReconstructionError
 
-from helpers import package_env, save_json, unitary_to_json
+from helpers import package_env, random_density_matrix, save_json, unitary_to_json
 
 
 def run_cli(args, capsys=None):
@@ -881,6 +881,15 @@ _matrix_like = st.fixed_dictionaries(
     {"dim": _small, "re": _number_grid | _any_json, "im": _number_grid | _any_json},
     optional={"qubit_dims": st.lists(_small, max_size=3) | _any_json},
 )
+# A valid random two-qubit state, whose qubit_dims is absent, either split of
+# two qubits, or drawn, so that discord and tomo also reach a state's split.
+_state_like = st.builds(
+    lambda seed, dims: {**matrix_to_json(
+        random_density_matrix(np.random.default_rng(seed), (1, 1)).entries), **dims},
+    st.integers(0, 2**32 - 1),
+    st.just({}) | (st.sampled_from(([1, 1], [2])) | st.lists(_small, max_size=3) | _any_json)
+    .map(lambda dims: {"qubit_dims": dims}),
+)
 
 
 # Text nested to a drawn depth, closed or not, in one of the places a
@@ -896,8 +905,9 @@ _deep_text = st.builds(lambda slot, depth, closed: slot % ("[" * depth + "]" * d
 
 
 class TestJsonFuzz:
-    @pytest.mark.parametrize("command", ["verify-clifford", "tangle", "trace"])
-    @given(text=st.one_of(_any_json, _circuit_like, _matrix_like).map(json.dumps) | _deep_text)
+    @pytest.mark.parametrize("command", ["verify-clifford", "tangle", "trace", "discord", "tomo"])
+    @given(text=st.one_of(_any_json, _circuit_like, _matrix_like, _state_like).map(json.dumps)
+           | _deep_text)
     @settings(max_examples=60, deadline=None)
     def test_report_or_one_json_error_line(self, command, text):
         with tempfile.TemporaryDirectory() as tmp:

@@ -393,6 +393,13 @@ class TestReportAndDirection:
         with pytest.raises(ValueError, match=r"^discord values must be >= -1e-9$"):
             correlation_report(bell_state())
 
+    @given(seed=seeds, rank=st.integers(1, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_any_two_qubit_split_reads_as_control_and_register(self, seed, rank):
+        # a state stored as one four-level subsystem reports as (1, 1)
+        rho = random_density_matrix(np.random.default_rng(seed), (1, 1), rank)
+        assert correlation_report(DensityMatrix(rho.entries, (2,))) == correlation_report(rho)
+
 
 ORACLE_STATES = {
     "bell": bell_state,

@@ -1,9 +1,8 @@
 """Invariants of the values the program builds and does not check again.
 
-output_state, reduced_control, repartition, _clifford_output_state and
-reconstruct wrap their results without running DensityMatrix's validation,
-and z_theta without UnitaryMatrix's, because the results are valid by
-construction. Here every such result goes back through the public
+output_state, reduced_control, _clifford_output_state and reconstruct
+wrap their results without running DensityMatrix's validation, and z_theta
+without UnitaryMatrix's, because the results are valid by construction. Here every such result goes back through the public
 constructor, which runs the full check (finite entries, matching
 qubit_dims, unit trace, Hermiticity, positivity, or unitarity), over
 Haar-random registers, purities, phases, Clifford circuits and simulated
@@ -38,7 +37,6 @@ from dqc1sim import (
     propagate,
     reconstruct,
     reduced_control,
-    repartition,
     simulate_counts,
     tangle,
     z_theta,
@@ -82,13 +80,6 @@ def checked(rho: DensityMatrix) -> DensityMatrix:
     return rho
 
 
-def _split(rng, n_qubits: int) -> tuple:
-    """A random composition of n_qubits into positive parts."""
-    cuts = sorted(rng.choice(np.arange(1, n_qubits), size=rng.integers(n_qubits), replace=False))
-    bounds = [0, *cuts, n_qubits]
-    return tuple(int(b - a) for a, b in zip(bounds, bounds[1:]))
-
-
 @given(seed=seeds, n=st.integers(1, 4), alpha=alphas)
 @settings(max_examples=60, deadline=None)
 def test_dqc1_builders(seed, n, alpha):
@@ -97,12 +88,6 @@ def test_dqc1_builders(seed, n, alpha):
     rho = checked(output_state(u, alpha))
     assert rho.qubit_dims == (1, n)
     checked(reduced_control(u, alpha))
-
-    dims = _split(rng, n + 1)
-    regrouped = checked(repartition(rho, dims))
-    assert regrouped.qubit_dims == dims
-    assert_array_equal(regrouped.entries, rho.entries)
-
     if n == 1:
         assert tangle(rho) <= 1e-12
         assert discord(rho, MEASURE_REGISTER) >= DISCORD_FLOOR
@@ -282,9 +267,8 @@ class TestNoEigensolve:
     def test_dqc1_and_qmath_builders(self, eigensolves):
         rng = np.random.default_rng(7)
         u = UnitaryMatrix(3, random_unitary(rng, 8))
-        rho = output_state(u, 0.8)
+        output_state(u, 0.8)
         reduced_control(u, 0.8)
-        repartition(rho, (2, 2))
         assert eigensolves == {"eigvalsh": 0, "eigh": 0}
 
     def test_clifford_output_state(self, eigensolves):

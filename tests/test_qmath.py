@@ -11,7 +11,6 @@ from dqc1sim import (
     UnitaryMatrix,
     fidelity,
     reduced_control,
-    repartition,
 )
 from dqc1sim.correlations import _entropies
 from dqc1sim.dqc1 import z_theta
@@ -74,6 +73,16 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(m, (1,))
 
+    @pytest.mark.parametrize("dims, message", [
+        ((0, 2), "qubit_dims must be positive integers, got (0, 2)"),
+        ((), "qubit_dims must be positive integers, got ()"),
+        ((1, 2), "entries shape (4, 4) does not match qubit_dims (1, 2)"),
+    ], ids=["zero", "empty", "mismatch"])
+    def test_checks_the_split(self, dims, message):
+        # a state is regrouped only through this constructor
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DensityMatrix(bell_state().entries, dims)
+
     def test_entries_are_frozen(self):
         rho = DensityMatrix(np.eye(2) / 2, (1,))
         with pytest.raises(ValueError):
@@ -101,12 +110,6 @@ class TestPartialTrace:
         # both halves maximally mixed, the whole pure
         assert_allclose(entropies(bell_state()), [1.0, 1.0, 0.0], atol=1e-12)
 
-    @pytest.mark.parametrize("dims, needle", [
-        ((0, 2), "positive integers"), ((1, 2), "do not cover"), ((), "positive integers"),
-    ])
-    def test_repartition_checks_the_split(self, dims, needle):
-        with pytest.raises(ValueError, match=needle):
-            repartition(bell_state(), dims)
 
 
 class TestVnEntropy:
