@@ -2,11 +2,11 @@
 
 output_state, reduced_control, _clifford_output_state and reconstruct
 wrap their results without running DensityMatrix's validation, and z_theta
-without UnitaryMatrix's, because the results are valid by construction. Here every such result goes back through the public
-constructor, which runs the full check (finite entries, matching
-qubit_dims, unit trace, Hermiticity, positivity, or unitarity), over
-Haar-random registers, purities, phases, Clifford circuits and simulated
-tomography counts.
+without UnitaryMatrix's, because the results are valid by construction.
+Here every such result goes back through the public constructor, which
+runs the full check (finite entries, matching qubit_dims, unit trace,
+Hermiticity, positivity, or unitarity), over Haar-random registers,
+purities, phases, Clifford circuits and simulated tomography counts.
 
 The other values that only the program builds are not checked where they
 are read, so their conditions live here as properties of their builders:

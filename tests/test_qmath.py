@@ -111,7 +111,6 @@ class TestPartialTrace:
         assert_allclose(entropies(bell_state()), [1.0, 1.0, 0.0], atol=1e-12)
 
 
-
 class TestVnEntropy:
     def test_maximally_mixed_qubit(self):
         assert vn_entropy(DensityMatrix(np.eye(2) / 2, (1,))) == pytest.approx(1.0, abs=1e-14)
