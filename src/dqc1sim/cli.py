@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlations import (
-    MEASURE_CONTROL, MEASURE_REGISTER, concurrence, correlation_report, discord, stack_chunk,
+    MEASURE_CONTROL, MEASURE_REGISTER, STACK_STATES, concurrence, correlation_report, discord,
     stack_discords, stack_tangle, tangle,
 )
 from .clifford import circuit_from_json, verify_zero_discord
@@ -44,7 +44,7 @@ SWEEP_OUTPUTS = ("trace", "discord", "tangle", "tomo")
 # Largest sweep grid, so that no --steps makes a sweep's time or memory
 # unbounded: rows are held in memory until rendered, about 1.5 KB each (a
 # sweep of every output peaks at 76 MB RSS at 10 000 steps and 207 MB at
-# 100 000), and the state columns are computed stack_chunk(4) = 1024 points
+# 100 000), and the state columns are computed STACK_STATES = 1024 points
 # at a time.
 MAX_STEPS = 100_000
 
@@ -151,15 +151,14 @@ def _state_columns(config: SweepConfig, points: list) -> None:
 
 
 def sweep_rows(config: SweepConfig) -> list[dict]:
-    """Rows in theta order. The grid is cut into chunks of stack_chunk(4)
+    """Rows in theta order. The grid is cut into chunks of STACK_STATES
     points: sweep_point runs at each point of a chunk, then _state_columns
     once for the whole chunk. Only sweep_point raises, point by point in
     theta order, so a sweep that fails reports its first failing point."""
     rows = []
-    chunk = stack_chunk(4)
-    for start in range(0, config.steps, chunk):
+    for start in range(0, config.steps, STACK_STATES):
         points = [sweep_point(config, index)
-                  for index in range(start, min(start + chunk, config.steps))]
+                  for index in range(start, min(start + STACK_STATES, config.steps))]
         if points[0][1] is not None:
             _state_columns(config, points)
         rows += [row for row, _, _ in points]

@@ -38,12 +38,11 @@ are the one-state case, which passes rho.entries[None]. Only the program
 builds a stack, so its entries are not checked again; the stacked tangle
 takes the same arrays. H(A), H(B) and H(AB) come from batched eigvalsh
 (_entropies), for the register certificate basis_discord too. A stack is
-searched whole, so its caller keeps it within stack_chunk(dim) states, as
-many as keep one hemisphere grid's conditional blocks within
-BLOCK_CHUNK_BYTES (1024 two-qubit states); the sweep cuts its grid into such
-chunks. The objective's 2x2 blocks of a qubit partner have closed-form
-eigenvalues; larger blocks go to batched eigvalsh in chunks of
-BLOCK_CHUNK_BYTES.
+searched whole, so its caller keeps it within STACK_STATES two-qubit
+states, as many as keep one hemisphere grid's conditional blocks within
+BLOCK_CHUNK_BYTES (1024); the sweep cuts its grid into such chunks. The
+objective's 2x2 blocks of a qubit partner have closed-form eigenvalues;
+larger blocks go to batched eigvalsh in chunks of BLOCK_CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -100,15 +99,6 @@ def _check_measured(qubit_dims, measured) -> None:
         raise ValueError("measured subsystem must be a single qubit")
 
 
-def stack_chunk(dim: int) -> int:
-    """How many dim x dim bipartite states a caller puts in one stacked
-    search: as many as keep the conditional blocks of one hemisphere grid
-    (two complex blocks per direction, on a partner of dimension dim / 2)
-    within BLOCK_CHUNK_BYTES."""
-    block_bytes = len(_HEMISPHERE) * 2 * (dim // 2) ** 2 * 16
-    return max(1, BLOCK_CHUNK_BYTES // block_bytes)
-
-
 def _entropies(entries: np.ndarray, subsystem_dims) -> tuple:
     """H(A), H(B) and H(AB) in bits of each bipartite state in a stack."""
     d0, d1 = subsystem_dims
@@ -158,6 +148,10 @@ def _hemisphere_grid() -> np.ndarray:
 
 
 _HEMISPHERE = _hemisphere_grid()
+# How many states the sweep puts in one stacked search: as many two-qubit
+# states (1024) as keep one hemisphere grid's conditional blocks, two
+# complex 2x2 blocks per direction, within BLOCK_CHUNK_BYTES.
+STACK_STATES = BLOCK_CHUNK_BYTES // (len(_HEMISPHERE) * 2 * 2 * 2 * 16)
 
 
 # Both spectra builders take the blocks of _measurement_blocks and return a
@@ -400,7 +394,8 @@ def stack_discords(entries: np.ndarray, qubit_dims, measured) -> tuple:
     information (S,) and, for each measured side, the tuple of discords
     (S,), unit measurement axes (S, 3) and evaluations (S,). H(A), H(B) and
     H(AB) are computed once for all sides. The stack is searched whole: the
-    caller sizes it, within stack_chunk(D) states to bound its memory."""
+    caller sizes it, within STACK_STATES two-qubit states to bound its
+    memory."""
     _check_bipartite(qubit_dims)
     for m in measured:
         _check_measured(qubit_dims, m)

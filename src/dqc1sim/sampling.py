@@ -58,6 +58,17 @@ def check_pure_fraction(alpha: float, shots: int) -> None:
         raise ValueError(f"alpha={alpha} is too small to divide the estimate by: 1/alpha overflows")
 
 
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """The one seed rule of both samplers: a SeedSequence as it is, else
+    np.random.SeedSequence(seed). None, which draws fresh OS entropy that no
+    rerun repeats, a float and a string are errors, not read as a seed."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if seed is None or isinstance(seed, (float, np.floating, str)):
+        raise ValueError(f"seed must be an integer or a SeedSequence, got {seed!r}")
+    return np.random.SeedSequence(seed)
+
+
 def shots_required(epsilon: float, p_error: float, alpha: float) -> int:
     """Shot budget ceil(ln(2/P_e) / (2 eps^2) / alpha^2).
 
@@ -110,20 +121,20 @@ def estimate_trace(u: UnitaryMatrix, alpha: float, shots: int, seed,
     """Sampled estimate of the normalized trace Tr(U)/N.
 
     The X and Y quadratures, of exact values alpha (Re, Im) Tr(U)/N, use
-    independent shot streams spawned from the seed, an int or a
-    SeedSequence, and the result is divided by alpha so it estimates the
-    trace itself, so alpha must pass check_pure_fraction. shots = 0 bypasses
+    independent shot streams spawned from the seed, which seed_sequence
+    reads, and the result is divided by alpha so it estimates the trace
+    itself, so alpha must pass check_pure_fraction. shots = 0 bypasses
     sampling and returns the exact value, which needs no pure fraction, so
-    alpha may then be 0.
+    alpha may then be 0; the seed is checked all the same.
     """
     check_range("alpha", alpha, 0.0, 1.0)
     check_mode(mode)
     check_shots(shots)
     check_pure_fraction(alpha, shots)
+    ss = seed_sequence(seed)
     trace = normalized_trace(u)
     if shots == 0:
         return trace
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
     gen_x, gen_y = (np.random.default_rng(c) for c in ss.spawn(2))
     x_est = _draw_quadrature(alpha * trace.real, shots, gen_x, mode)
     y_est = _draw_quadrature(alpha * trace.imag, shots, gen_y, mode)

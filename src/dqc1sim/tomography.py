@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from .qmath import DensityMatrix, PAULI_EIGENSTATES, PAULIS, _trusted_state, check_range
-from .sampling import MAX_SHOTS
+from .sampling import MAX_SHOTS, seed_sequence
 
 # The one axis order: basis label 2k + s is Pauli axis _AXES[k] with sign
 # "+-"[s], e.g. "x-".
@@ -49,12 +49,12 @@ class ReconstructionError(ValueError):
 def simulate_counts(rho: DensityMatrix, mean_counts: float, seed) -> np.ndarray:
     """Poisson counts with mean mean_counts * Tr(rho P) per setting: a
     read-only float array of 36 whole, nonnegative counts in SETTING_LABELS
-    order."""
+    order, drawn from the seed that seed_sequence reads."""
     check_mean_counts(mean_counts)
     if rho.dim != 4:
         raise ValueError(f"tomography requires a two-qubit state, got dim {rho.dim}")
     probs = np.einsum("ij,pji->p", rho.entries, PROJECTORS).real
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     counts = rng.poisson(mean_counts * np.clip(probs, 0.0, None)).astype(float)
     counts.setflags(write=False)
     return counts

@@ -3,15 +3,16 @@ the comparison of two transcripts.
 
 tests/transcripts/ holds each call's nonempty streams, one file each
 (NAME.stdout, NAME.stderr and NAME.out, the bytes of its --out file), and
-manifest.json: a header with the numpy version, the Python version and the
-platform that recorded them, then each call's name, directory, argv and
-exit code. The inputs are written from a seed: perfbench's zsweep-corr and
-cli-mix calls and inputs at seeds 101 and 102 (tier-1 already imports
-perfbench/workloads.py), discord and tomo on cli-mix's full-rank state,
-seeded random Clifford circuits, and the state files and bad inputs of
-_file_calls. Each call runs from its own directory with relative input
-names, because every config echoes its input path, and with COLUMNS fixed,
-because argparse wraps its help pages to the terminal width.
+manifest.json: a header with the numpy version, the Python version, the
+platform, the OpenBLAS core and numpy's enabled SIMD targets that recorded
+them, then each call's name, directory, argv and exit code. The inputs are
+written from a seed: perfbench's zsweep-corr and cli-mix calls and inputs
+at seeds 101 and 102 (tier-1 already imports perfbench/workloads.py),
+discord and tomo on cli-mix's full-rank state, seeded random Clifford
+circuits, and the state files and bad inputs of _file_calls. Each call runs
+from its own directory with relative input names, because every config
+echoes its input path, and with COLUMNS fixed, because argparse wraps its
+help pages to the terminal width.
 
 tests/test_transcripts.py reruns the calls; scripts/make_cli_transcripts.py
 rewrites them and prints stream_report's lines for each call that moved.
@@ -20,6 +21,7 @@ rewrites them and prints stream_report's lines for each call that moved.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import importlib
 import io
 import json
@@ -63,9 +65,20 @@ class Call:
 
 
 def environment() -> dict:
-    """What the bytes of a transcript depend on besides the program."""
+    """What the bytes of a transcript depend on besides the program: the
+    versions, the platform, the OpenBLAS kernels that numpy calls (which
+    OPENBLAS_CORETYPE can switch) and numpy's enabled SIMD dispatch targets.
+    A value that cannot be read is "unknown"."""
+    blas_core = simd = "unknown"
+    with contextlib.suppress(AttributeError, OSError):
+        umath = np._core._multiarray_umath
+        simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        blas_core = corename().decode()
     return {"numpy": np.__version__, "python": platform.python_version(),
-            "platform": f"{sys.platform}-{platform.machine()}"}
+            "platform": f"{sys.platform}-{platform.machine()}",
+            "blas_core": blas_core, "simd": simd}
 
 
 def _workloads():

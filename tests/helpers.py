@@ -1,6 +1,7 @@
 """Shared test utilities that build or read dqc1sim objects and inputs:
 random states, circuit JSON, JSON writers, the entry-by-entry reference
-reader of circuit JSON, and the environment of a child interpreter.
+reader of circuit JSON, the sweep CSV reader, and the environment of a
+child interpreter.
 
 The independent oracles, which import nothing from dqc1sim, are in
 reference_oracles.py.
@@ -158,6 +159,15 @@ def unitary_to_json(u: UnitaryMatrix) -> dict:
 
 def save_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_sweep_csv(path) -> tuple[dict, list[str], list[dict]]:
+    """The config, the header's columns and the rows, by column, of a sweep CSV."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    return json.loads(lines[0][len("# config: "):]), header, rows
 
 
 def package_env() -> dict:

@@ -21,29 +21,17 @@ from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.serialize import density_from_json, density_to_json, matrix_to_json
 from dqc1sim.tomography import SETTING_LABELS, ReconstructionError
 
-from helpers import package_env, random_density_matrix, save_json, unitary_to_json
+from helpers import package_env, random_density_matrix, read_sweep_csv, save_json, unitary_to_json
 
 
-def run_cli(args, capsys=None):
-    code = main([str(a) for a in args])
-    return code
-
-
-def read_csv(path):
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# config: ")
-    config = json.loads(lines[0][len("# config: "):])
-    header = lines[1].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
-    return config, header, rows
+def run_cli(args):
+    return main([str(a) for a in args])
 
 
 def chunks_of_seven(monkeypatch):
     """Make a sweep cut its grid into chunks of 7 points, so that a 61-step
     sweep crosses eight chunk boundaries and ends with a chunk of 5."""
-    monkeypatch.setattr(correlations, "BLOCK_CHUNK_BYTES",
-                        7 * correlations.BLOCK_CHUNK_BYTES // correlations.stack_chunk(4))
-    assert correlations.stack_chunk(4) == 7
+    monkeypatch.setattr(cli, "STACK_STATES", 7)
 
 
 @pytest.fixture
@@ -65,7 +53,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--steps", 41, "--alpha", 1.0, "--shots", 0,
                         "--out", out]) == 0
-        config, header, rows = read_csv(out)
+        config, header, rows = read_sweep_csv(out)
         assert config["steps"] == 41 and config["alpha"] == 1.0
         assert header[:8] == ["theta", "alpha", "re_exact", "im_exact",
                               "re_est", "im_est", "shots", "seed"]
@@ -78,7 +66,7 @@ class TestSweep:
         # no pure fraction: nothing to sample, but the exact sweep still runs
         out = tmp_path / "a0.csv"
         assert run_cli(["sweep", "--steps", 3, "--alpha", 0, "--shots", 0, "--out", out]) == 0
-        _, _, rows = read_csv(out)
+        _, _, rows = read_sweep_csv(out)
         assert len(rows) == 3
         assert all(float(r["re_exact"]) == 0.0 == float(r["re_est"]) for r in rows)
 
@@ -87,8 +75,8 @@ class TestSweep:
         out2 = tmp_path / "a058.csv"
         run_cli(["sweep", "--steps", 21, "--alpha", 1.0, "--out", out1])
         run_cli(["sweep", "--steps", 21, "--alpha", 0.58, "--out", out2])
-        _, _, rows1 = read_csv(out1)
-        _, _, rows2 = read_csv(out2)
+        _, _, rows1 = read_sweep_csv(out1)
+        _, _, rows2 = read_sweep_csv(out2)
         for r1, r2 in zip(rows1, rows2):
             assert abs(float(r2["re_exact"]) - 0.58 * float(r1["re_exact"])) < 1e-12
             assert abs(float(r2["im_exact"]) - 0.58 * float(r1["im_exact"])) < 1e-12
@@ -97,7 +85,7 @@ class TestSweep:
         out = tmp_path / "corr.csv"
         run_cli(["sweep", "--steps", 5, "--alpha", 0.997,
                  "--outputs", "trace,discord,tangle", "--out", out])
-        _, header, rows = read_csv(out)
+        _, header, rows = read_sweep_csv(out)
         assert {"discord_rc", "discord_cr", "tangle"} <= set(header)
         for row in rows:
             assert float(row["tangle"]) < 1e-9
@@ -109,7 +97,7 @@ class TestSweep:
         args = ["sweep", "--steps", 7, "--alpha", 0.997, "--shots", 300, "--seed", 4,
                 "--outputs", "discord,tangle,tomo", "--mean-counts", 3000]
         assert run_cli([*args, "--out", out]) == 0
-        _, header, cells = read_csv(out)
+        _, header, cells = read_sweep_csv(out)
         rows = sweep_rows(SweepConfig(
             theta_min=-np.pi, theta_max=np.pi, steps=7, alpha=0.997, shots=300, seed=4,
             outputs=("discord", "tangle", "tomo"), mean_counts=3000.0, mode="binomial"))
@@ -140,7 +128,7 @@ class TestSweep:
             csv_out, json_out = tmp_path / "sweep.csv", tmp_path / "sweep.json"
             assert run_cli([*args, "--out", csv_out]) == 0
             assert run_cli([*args, "--format", "json", "--out", json_out]) == 0
-            _, header, _ = read_csv(csv_out)
+            _, header, _ = read_sweep_csv(csv_out)
             assert header == json.loads(json_out.read_text())["columns"] == expected
 
     def test_sampled_sweep_deterministic(self, tmp_path):
@@ -162,7 +150,7 @@ class TestSweep:
         out = tmp_path / "tomo_sweep.csv"
         run_cli(["sweep", "--steps", 3, "--outputs", "trace,tomo",
                  "--mean-counts", 3000, "--seed", 2, "--out", out])
-        _, header, rows = read_csv(out)
+        _, header, rows = read_sweep_csv(out)
         assert {"tomo_fidelity", "tomo_discord_rc", "tomo_tangle"} <= set(header)
         for row in rows:
             assert float(row["tomo_fidelity"]) > 0.95
@@ -176,7 +164,7 @@ class TestSweep:
         run_cli(args + [out1])
         run_cli(args + [out2])
         assert out1.read_bytes() == out2.read_bytes()
-        config, _, _ = read_csv(out1)
+        config, _, _ = read_sweep_csv(out1)
         assert config["mode"] == "poisson"
         binom = tmp_path / "b.csv"
         run_cli(["sweep", "--steps", 5, "--shots", 300, "--seed", 6, "--out", binom])
@@ -542,7 +530,7 @@ class TestStateCommands:
         argv = [a.format(state=state, circuit=circuit, unitary=unitary) for a in args]
         assert run_cli(argv + ["--out", out]) == 0
         if out.read_text().startswith("# config: "):
-            config, _, _ = read_csv(out)
+            config, _, _ = read_sweep_csv(out)
         else:
             config = json.loads(out.read_text())["config"]
         assert set(config) == keys

@@ -48,6 +48,15 @@ from reference_oracles import (
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+FIXTURES = [p.stem for p in sorted(FIXTURE_DIR.glob("*.json"))]
+# The builders of the frozen fixtures' states. The fixtures are records and
+# are never regenerated; these pin that today's builders still make them.
+FIXTURE_STATES = {
+    "dqc1_quarter_phase": lambda: output_state(z_theta(np.pi / 2), 1.0),
+    "dqc1_third_phase_alpha_0p997": lambda: output_state(z_theta(np.pi / 3), 0.997),
+    "classical_quantum_witness": lambda: DensityMatrix(witness_matrix(), (1, 1)),
+    "werner_p0p8": lambda: DensityMatrix(werner_matrix(0.8), (1, 1)),
+}
 
 # Documented evaluation bounds per measured side: the 8x16 hemisphere grid
 # or the 16-point half great circle, plus at most 16 Newton steps, each one
@@ -318,13 +327,24 @@ class TestLuoClosedForm:
             assert gap.min() >= -1e-12
 
 
+def _fixture(name: str) -> dict:
+    return json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+
+
 class TestGoldenFixtures:
-    @pytest.mark.parametrize(
-        "fixture_name",
-        [p.stem for p in sorted(FIXTURE_DIR.glob("*.json"))],
-    )
+    def test_every_fixture_has_a_builder(self):
+        assert sorted(FIXTURE_STATES) == FIXTURES
+
+    @pytest.mark.parametrize("fixture_name", FIXTURES)
+    def test_state_is_its_builders(self, fixture_name):
+        stored = density_from_json(_fixture(fixture_name)["state"])
+        rho = FIXTURE_STATES[fixture_name]()
+        assert rho.qubit_dims == stored.qubit_dims
+        assert np.max(np.abs(rho.entries - stored.entries)) <= 1e-15
+
+    @pytest.mark.parametrize("fixture_name", FIXTURES)
     def test_report_matches_fixture(self, fixture_name):
-        fixture = json.loads((FIXTURE_DIR / f"{fixture_name}.json").read_text())
+        fixture = _fixture(fixture_name)
         rho = density_from_json(fixture["state"])
         report = correlation_report(rho)
         stored = fixture["report"]

@@ -217,6 +217,13 @@ class TestEstimateTrace:
         b = estimate_trace(z_theta(1.0), 0.8, 2000, 42)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [None, 2.3, 2.7, np.float64(2.0), "2"])
+    @pytest.mark.parametrize("shots", [0, 100])
+    def test_seed_is_an_integer_or_a_seed_sequence(self, seed, shots):
+        # read with int(), 2.3, 2.7 and "2" would all draw the shots of seed 2
+        with pytest.raises(ValueError, match=r"^seed must be an integer or a SeedSequence, got "):
+            estimate_trace(z_theta(1.0), 1.0, shots, seed)
+
     def test_quarter_phase_ensemble(self):
         shots = 10**5
         target = 0.5 + 0.5j

@@ -1,8 +1,6 @@
 import ast
 import importlib
-import importlib.util
 import inspect
-import json
 import re
 import subprocess
 import sys
@@ -13,14 +11,15 @@ import pytest
 
 from dqc1sim import shots_required
 from dqc1sim.cli import main as cli_main
-from dqc1sim.serialize import density_from_json
+
+from helpers import read_sweep_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 LIBRARY = sorted((ROOT / "src" / "dqc1sim").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 # Scripts that only rewrite files under tests/: test tooling, like the tests.
-TEST_TOOLING = {"make_golden_fixtures.py", "make_cli_transcripts.py"}
+TEST_TOOLING = {"make_cli_transcripts.py"}
 # Where the program reaches the library: the package itself, the scripts
 # other than test tooling, and the benchmark. Tests do not count.
 PROGRAM = [*LIBRARY, *(p for p in SCRIPTS if p.name not in TEST_TOOLING), *BENCH]
@@ -37,13 +36,6 @@ def _run_script(name: str, outdir: Path, *flags: str) -> str:
     return proc.stdout
 
 
-def _csv(path: Path) -> tuple[list[str], list[str]]:
-    """The header's columns and the data rows of a sweep CSV."""
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# config: ")
-    return lines[1].split(","), lines[2:]
-
-
 def _cli_sweep(path: Path, *flags: str) -> bytes:
     """The --out file of `dqc1sim sweep` over the scripts' grid and seed."""
     assert cli_main(["sweep", "--theta-min", repr(-np.pi), "--theta-max", repr(np.pi),
@@ -58,7 +50,7 @@ def test_reproduce_trace_curves(tmp_path):
     assert chi2_lines == [("1.00", "re"), ("1.00", "im"), ("0.58", "re"), ("0.58", "im")]
     for alpha in (1.0, 0.58):
         path = tmp_path / f"trace_alpha_{alpha:.2f}.csv"
-        assert len(_csv(path)[1]) == 41
+        assert len(read_sweep_csv(path)[2]) == 41
         shots = shots_required(0.1, 0.05, alpha)
         assert path.read_bytes() == _cli_sweep(
             tmp_path / "cli.csv", "--alpha", repr(alpha), "--shots", str(shots),
@@ -71,7 +63,7 @@ def test_reproduce_discord_tangle(flags, tmp_path):
     assert "max tangle over sweep" in stdout and "discord peak" in stdout
     assert ("tomographic discord deviation" in stdout) == bool(flags)
     path = tmp_path / "discord_tangle_alpha_0.997.csv"
-    columns, rows = _csv(path)
+    _, columns, rows = read_sweep_csv(path)
     assert len(rows) == 41
     assert ("tomo_discord_rc" in columns) == bool(flags)
     outputs = "trace,discord,tangle" + (",tomo" if flags else "")
@@ -179,22 +171,6 @@ def test_reproductions_take_only_main_from_the_cli(script):
     from_cli = [name for name in imported
                 if name == "dqc1sim.cli" or name.startswith("dqc1sim.cli.")]
     assert from_cli == ["dqc1sim.cli.main"], f"{script.name} takes {from_cli} from the CLI"
-
-
-def test_golden_fixture_states_are_the_scripts(monkeypatch):
-    """The committed fixtures are frozen records that the script no longer
-    rewrites byte for byte; the states it would write are still theirs."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src and tests
-    path = ROOT / "scripts" / "make_golden_fixtures.py"
-    spec = importlib.util.spec_from_file_location("make_golden_fixtures", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    states = script.fixture_states()
-    assert sorted(states) == sorted(p.stem for p in script.FIXTURE_DIR.glob("*.json"))
-    for name, rho in states.items():
-        stored = density_from_json(json.loads((script.FIXTURE_DIR / f"{name}.json").read_text())["state"])
-        assert rho.qubit_dims == stored.qubit_dims
-        assert np.max(np.abs(rho.entries - stored.entries)) <= 1e-15, name
 
 
 def test_no_module_shares_a_name_with_the_benchmarks():
@@ -310,7 +286,7 @@ def test_readme_calls_name_the_parameters():
     """A call such as `stack_tangle(entries)` in README.md whose arguments
     are all names and whose name is a dqc1sim function or class names that
     callable's leading parameters, in order. A literal argument, as in
-    `stack_chunk(4)`, is an example value and is not checked."""
+    `z_theta(0.5)`, is an example value and is not checked."""
     callables = _library_callables()
     text = (ROOT / "README.md").read_text()
     checked, wrong = 0, []

@@ -82,6 +82,12 @@ class TestSimulateCounts:
         b = simulate_counts(rho, 1000.0, 42)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [None, 2.5, "2"])
+    def test_seed_is_an_integer_or_a_seed_sequence(self, seed):
+        # None would draw fresh OS entropy, so no rerun could repeat the counts
+        with pytest.raises(ValueError, match=r"^seed must be an integer or a SeedSequence, got "):
+            simulate_counts(bell_state(), 1000.0, seed)
+
     def test_rejects_bad_mean(self):
         with pytest.raises(ValueError, match="mean_counts"):
             simulate_counts(bell_state(), 0.0, 1)
