@@ -387,7 +387,3 @@ def main(argv=None) -> int:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error) + "\n")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -33,8 +33,8 @@ qubit_dims (stack_discords), grouped by rank, so that numpy's fixed cost
 per operation is paid once per group: each grid, derivative evaluation and
 line search is one call, with a mask for the states that have stopped. Each
 state's arithmetic is its own, so it gets the search it would get alone, to
-the bit, evaluation count included; discords, discord and correlation_report
-are the one-state case, which passes rho.entries[None]. Only the program
+the bit, evaluation count included; discord and correlation_report are
+the one-state case, which passes rho.entries[None]. Only the program
 builds a stack, so its entries are not checked again; the stacked tangle
 takes the same arrays. H(A), H(B) and H(AB) come from batched eigvalsh
 (_entropies), for the register certificate basis_discord too. A stack is
@@ -54,7 +54,6 @@ from .qmath import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _trusted_state,
     spectrum_entropy,
 )
 
@@ -409,19 +408,6 @@ def stack_discords(entries: np.ndarray, qubit_dims, measured) -> tuple:
     return info, sides
 
 
-def discords(rho: DensityMatrix, measured) -> tuple[float, list]:
-    """Mutual information and, for each measured subsystem in measured
-    (MEASURE_CONTROL or MEASURE_REGISTER, in that order), the tuple
-    (discord, direction, evaluations) of its search, where direction is
-    _bloch_direction's {"polar", "azimuth"} dict on the upper hemisphere.
-    The one-state case of stack_discords."""
-    info, sides = stack_discords(rho.entries[None], rho.qubit_dims, measured)
-    return float(info[0]), [
-        (float(values[0]), _bloch_direction(axes[0]), int(evals[0]))
-        for values, axes, evals in sides
-    ]
-
-
 def basis_discord(rho: DensityMatrix, basis: np.ndarray) -> float:
     """I - J for measuring subsystem 1 in the orthonormal basis whose rows
     are basis: an upper bound on the discord of that side, since I - J is
@@ -439,9 +425,9 @@ def basis_discord(rho: DensityMatrix, basis: np.ndarray) -> float:
 def discord(rho: DensityMatrix, measured: int) -> float:
     """Quantum discord I - J in bits with measured, MEASURE_CONTROL (0) or
     MEASURE_REGISTER (1), the measured subsystem, which must be a single
-    qubit: the one-side case of discords."""
-    _, [(value, _, _)] = discords(rho, (measured,))
-    return value
+    qubit: stack_discords on a stack of one state."""
+    _, [(values, _, _)] = stack_discords(rho.entries[None], rho.qubit_dims, (measured,))
+    return float(values[0])
 
 
 def stack_concurrence(entries: np.ndarray) -> np.ndarray:
@@ -484,9 +470,9 @@ def correlation_report(rho: DensityMatrix) -> dict:
     """
     if rho.dim != 4:
         raise ValueError(f"correlation report requires a two-qubit state, got dim {rho.dim}")
-    rho = _trusted_state(rho.entries, (1, 1))
-    info, [(d_rc, direction, evals_c), (d_cr, _, evals_r)] = discords(
-        rho, (MEASURE_CONTROL, MEASURE_REGISTER))
+    info, [(d_rc, axes, evals_c), (d_cr, _, evals_r)] = stack_discords(
+        rho.entries[None], (1, 1), (MEASURE_CONTROL, MEASURE_REGISTER))
+    info, d_rc, d_cr = float(info[0]), float(d_rc[0]), float(d_cr[0])
     tau = tangle(rho)
     if d_rc < -1e-9 or d_cr < -1e-9:
         raise ValueError("discord values must be >= -1e-9")
@@ -497,6 +483,6 @@ def correlation_report(rho: DensityMatrix) -> dict:
         "discord_rc": d_rc,
         "discord_cr": d_cr,
         "tangle": tau,
-        "argmin_direction": direction,
-        "optimizer_evals": evals_c + evals_r,
+        "argmin_direction": _bloch_direction(axes[0]),
+        "optimizer_evals": int(evals_c[0] + evals_r[0]),
     }

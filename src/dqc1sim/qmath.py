@@ -11,10 +11,9 @@ Hermiticity and positivity, the last with an O(d^3) eigensolve. The size
 rule, that a matrix over n qubits is 2**n square, is check_qubit_shape's
 alone: DensityMatrix and dqc1.UnitaryMatrix both call it. Builders
 whose output is a valid state whenever their input is wrap it with
-_trusted_state and skip that check: correlations.correlation_report, which
-relabels its checked two-qubit state as control and register,
-dqc1.output_state and dqc1.reduced_control, clifford._clifford_output_state
-and tomography.reconstruct. dqc1.z_theta wraps its closed-form
+_trusted_state and skip that check: dqc1.output_state and
+dqc1.reduced_control, clifford._clifford_output_state and
+tomography.reconstruct. dqc1.z_theta wraps its closed-form
 diag(1, e^{i theta}) the same way, without UnitaryMatrix's unitarity
 check. The same rule holds for the values that only the program builds:
 the constructor of the record clifford.SignedPauliString checks nothing,

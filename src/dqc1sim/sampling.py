@@ -59,12 +59,12 @@ def check_pure_fraction(alpha: float, shots: int) -> None:
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
-    """The one seed rule of both samplers: a SeedSequence as it is, else
-    np.random.SeedSequence(seed). None, which draws fresh OS entropy that no
-    rerun repeats, a float and a string are errors, not read as a seed."""
+    """The one seed rule of both samplers: a SeedSequence as it is, a Python
+    or numpy integer, not a bool, as np.random.SeedSequence(seed). Anything
+    else, None (fresh OS entropy that no rerun repeats) among them, is an error."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    if seed is None or isinstance(seed, (float, np.floating, str)):
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer or a SeedSequence, got {seed!r}")
     return np.random.SeedSequence(seed)
 
@@ -152,6 +152,8 @@ def chi2_reduced(observed, expected, sigma) -> float:
         raise ValueError(
             f"need at least {FITTED_PARAMETERS + 1} points for {FITTED_PARAMETERS} fitted parameters"
         )
-    if np.any(sig <= 0):
-        raise ValueError("sigma values must be positive")
+    if not (np.isfinite(obs).all() and np.isfinite(exp).all()):
+        raise ValueError("observed and expected values must be finite")
+    if not ((sig > 0) & np.isfinite(sig)).all():
+        raise ValueError("sigma values must be positive and finite")
     return float(np.sum(((obs - exp) / sig) ** 2) / (len(obs) - FITTED_PARAMETERS))

@@ -100,7 +100,7 @@ def density_from_json(obj: dict) -> DensityMatrix:
                       for k in json_list(obj["qubit_dims"], "qubit_dims")]
     else:
         total = qubit_count(m.shape[0])
-        qubit_dims = (1,) if total == 1 else (1, total - 1)
+        qubit_dims = (1,) if total <= 1 else (1, total - 1)
     return DensityMatrix(m, tuple(qubit_dims))
 
 

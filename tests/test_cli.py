@@ -48,6 +48,23 @@ def pauli_z_unitary(tmp_path):
     return path
 
 
+def test_commands_load_no_unused_module():
+    # No command needs scipy or a process pool, and numpy.ma, which
+    # np.unique imports, would cost about 15 ms of start-up.
+    code = (
+        "import os, sys\n"
+        "from dqc1sim.cli import main\n"
+        "print(main(['discord', '--theta', '1', '--alpha', '0.9', '--out', os.devnull]),\n"
+        "      main(['sweep', '--steps', '3', '--shots', '100', '--outputs',\n"
+        "            'trace,discord,tangle,tomo', '--out', os.devnull]))\n"
+        "print([m for m in ('scipy', 'numpy.ma', 'concurrent.futures.process',\n"
+        "                   'multiprocessing') if m in sys.modules])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=package_env(), check=True)
+    assert out.stdout.splitlines() == ["0 0", "[]"]
+
+
 class TestSweep:
     def test_exact_trace_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -222,7 +239,6 @@ class TestSweep:
             raise AssertionError("one-state discord search in a sweep")
 
         monkeypatch.setattr(cli, "stack_discords", counted)
-        monkeypatch.setattr(correlations, "discords", one_state)
         monkeypatch.setattr(cli, "discord", one_state)
         counts = {}
         for steps in (3, 61):
@@ -317,13 +333,6 @@ class TestSweep:
                 assert (type(exc), str(exc)) == (type(first), str(first))
             else:
                 assert first is None and len(rows) == steps
-
-    def test_import_loads_no_process_pool(self):
-        code = ("import sys, dqc1sim.cli; print([m for m in "
-                "('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, env=package_env(), check=True)
-        assert out.stdout.strip() == "[]"
 
     def test_shot_bound(self):
         with pytest.raises(ValueError, match="shots must be <="):
@@ -460,7 +469,8 @@ class TestStateCommands:
 
     @pytest.mark.parametrize("name, bad, message", [
         ("tangle", lambda rho: 1.5, "tangle must be in [0, 1], got 1.5"),
-        ("discords", lambda rho, measured: (0.0, [(-1e-6, {}, 1)] * len(measured)),
+        ("stack_discords", lambda entries, qubit_dims, measured: (
+            np.zeros(1), [(np.full(1, -1e-6), np.eye(3)[2:], np.ones(1, int))] * len(measured)),
          "discord values must be >= -1e-9"),
     ], ids=["tangle", "discord"])
     def test_discord_out_of_range_is_a_json_error(self, monkeypatch, capsys, name, bad, message):

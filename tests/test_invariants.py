@@ -13,11 +13,11 @@ are read, so their conditions live here as properties of their builders:
 the counts array (simulate_counts; pair_frequencies tests only what the
 draw decides, that no basis pair is empty), the least-squares estimate
 that psd_project takes unchecked (linear_estimate of pair_frequencies'
-output), the direction dict (_bloch_direction, through discords) and the
-record SignedPauliString, whose constructor checks nothing (z_on and
-propagate).
+output), the direction dict (_bloch_direction of stack_discords' axes)
+and the record SignedPauliString, whose constructor checks nothing (z_on
+and propagate).
 The stacked discord search, tangle and fidelity give each state of a stack
-what its one-state call gives.
+what its own stack of one gives.
 """
 
 import numpy as np
@@ -43,7 +43,7 @@ from dqc1sim import (
 )
 from dqc1sim import correlations
 from dqc1sim.clifford import _clifford_output_state
-from dqc1sim.correlations import _bloch_direction, discords
+from dqc1sim.correlations import _bloch_direction, stack_discords
 from dqc1sim.qmath import fidelity, stack_fidelity
 from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.tomography import SETTING_LABELS, linear_estimate, pair_frequencies
@@ -194,32 +194,32 @@ def test_minimiser_directions(seed, rank, theta, alpha):
     states = (random_density_matrix(np.random.default_rng(seed), (1, 1), rank=rank),
               output_state(z_theta(theta), alpha))
     for rho in states:
-        _, sides = discords(rho, (0, 1))
-        for _, direction, _ in sides:
-            _assert_upper_hemisphere(direction)
+        _, sides = stack_discords(rho.entries[None], (1, 1), (0, 1))
+        for _, axes, _ in sides:
+            _assert_upper_hemisphere(_bloch_direction(axes[0]))
 
 
 @given(seed=seeds, size=st.integers(1, 6), theta=thetas, alpha=alphas)
 @settings(max_examples=25, deadline=None)
 def test_stacked_search_is_each_state_alone(seed, size, theta, alpha):
     # A stack of random states of any rank and DQC1 outputs gives each
-    # state's one-state discords, tangle and fidelity (against a second
-    # drawn stack) to the bit.
+    # state what its own stack of one gives: discords, axes, evaluations,
+    # tangle and fidelity (against a second drawn stack), to the bit.
     rng = np.random.default_rng(seed)
     states = [random_density_matrix(rng, (1, 1), rank=int(rng.integers(1, 5)))
               for _ in range(size)]
     states.insert(int(rng.integers(size + 1)), output_state(z_theta(theta), alpha))
     others = [random_density_matrix(rng, (1, 1), rank=int(rng.integers(1, 5))) for _ in states]
     entries = stacked(states)
-    info, sides = correlations.stack_discords(entries, (1, 1), (0, 1))
+    info, sides = stack_discords(entries, (1, 1), (0, 1))
     tangles = correlations.stack_tangle(entries)
     fidelities = stack_fidelity(entries, stacked(others))
     for i, (rho, sigma) in enumerate(zip(states, others)):
-        one_info, one_sides = correlations.discords(rho, (0, 1))
-        assert info[i] == one_info
-        for (values, axes, evals), (value, direction, count) in zip(sides, one_sides):
-            assert (values[i], evals[i]) == (value, count)
-            assert _bloch_direction(axes[i]) == direction
+        one_info, one_sides = stack_discords(rho.entries[None], (1, 1), (0, 1))
+        assert info[i] == one_info[0]
+        for (values, axes, evals), (value, axis, count) in zip(sides, one_sides):
+            assert (values[i], evals[i]) == (value[0], count[0])
+            assert axes[i].tolist() == axis[0].tolist()
         assert (tangles[i], fidelities[i]) == (tangle(rho), fidelity(rho, sigma))
 
 

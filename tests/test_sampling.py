@@ -217,10 +217,14 @@ class TestEstimateTrace:
         b = estimate_trace(z_theta(1.0), 0.8, 2000, 42)
         assert a == b
 
-    @pytest.mark.parametrize("seed", [None, 2.3, 2.7, np.float64(2.0), "2"])
+    @pytest.mark.parametrize("seed", [
+        None, 2.3, 2.7, np.float64(2.0), "2", pytest.param(True, id="True"),
+        pytest.param(np.True_, id="np.True_"), pytest.param(b"2", id="bytes"),
+        pytest.param(2j, id="2j"), pytest.param([2], id="list")])
     @pytest.mark.parametrize("shots", [0, 100])
     def test_seed_is_an_integer_or_a_seed_sequence(self, seed, shots):
-        # read with int(), 2.3, 2.7 and "2" would all draw the shots of seed 2
+        # read with int(), 2.3, 2.7 and "2" would all draw the shots of seed 2,
+        # and numpy reads True as the seed 1
         with pytest.raises(ValueError, match=r"^seed must be an integer or a SeedSequence, got "):
             estimate_trace(z_theta(1.0), 1.0, shots, seed)
 
@@ -312,6 +316,11 @@ class TestChi2:
             chi2_reduced([1, 2], [1, 2, 3], [1, 1, 1])
         with pytest.raises(ValueError, match="positive"):
             chi2_reduced([1, 2, 3, 4], [1, 2, 3, 4], [1, 1, 0, 1])
+        for sigma in ([1, 1, np.nan, 1], [1, 1, np.inf, 1]):
+            with pytest.raises(ValueError, match="^sigma values must be positive and finite$"):
+                chi2_reduced([1, 2, 3, 4], [1, 2, 3, 4], sigma)
+        with pytest.raises(ValueError, match="^observed and expected values must be finite$"):
+            chi2_reduced([1, np.nan, 3, 4], [1, 2, 3, 4], [1, 1, 1, 1])
         with pytest.raises(ValueError, match="points"):
             chi2_reduced([1, 2, 3], [1, 2, 3], [1, 1, 1])
 

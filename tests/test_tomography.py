@@ -82,7 +82,8 @@ class TestSimulateCounts:
         b = simulate_counts(rho, 1000.0, 42)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed", [None, 2.5, "2"])
+    @pytest.mark.parametrize("seed", [None, 2.5, "2", pytest.param(True, id="True"),
+                                      pytest.param(np.True_, id="np.True_")])
     def test_seed_is_an_integer_or_a_seed_sequence(self, seed):
         # None would draw fresh OS entropy, so no rerun could repeat the counts
         with pytest.raises(ValueError, match=r"^seed must be an integer or a SeedSequence, got "):
