@@ -334,6 +334,13 @@ class TestSweep:
             else:
                 assert first is None and len(rows) == steps
 
+    def test_import_loads_no_process_pool(self):
+        code = ("import sys, dqc1sim.cli; print([m for m in "
+                "('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=package_env(), check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_shot_bound(self):
         with pytest.raises(ValueError, match="shots must be <="):
             SweepConfig(-1.0, 1.0, 5, 1.0, MAX_SHOTS + 1, 0, ("trace",), 1e4, "binomial")

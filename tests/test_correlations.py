@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from dqc1sim.qmath import fidelity, stack_fidelity
 from dqc1sim.serialize import density_from_json
 from dqc1sim.tomography import pair_frequencies, stack_reconstruct
 
-from helpers import bell_state, random_density_matrix, random_pure_density, stacked
+from helpers import bell_state, package_env, random_density_matrix, random_pure_density, stacked
 from reference_oracles import (
     BELL_SIGNS,
     HADAMARD,
@@ -510,6 +512,21 @@ class TestBasisDiscord:
 
 
 class TestMinimiserContract:
+    def test_import_loads_no_scipy(self):
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, dqc1sim; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=package_env(), check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_search_loads_no_masked_arrays(self):
+        # numpy.ma, which np.unique imports, costs about 15 ms of start-up.
+        code = ("import sys; from dqc1sim import correlation_report, output_state, z_theta; "
+                "correlation_report(output_state(z_theta(1.0), 0.9)); print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=package_env(), check=True)
+        assert out.stdout.strip() == "False"
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_chunked_blocks_match_one_batch(self, n, monkeypatch):
         rng = np.random.default_rng(n)
