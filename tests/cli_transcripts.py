@@ -121,11 +121,12 @@ def write_calls(workdir: Path) -> list[Call]:
 
 def _file_calls(workdir: Path) -> list[Call]:
     """Write the state files and bad inputs under workdir and return their
-    calls: tangle from --theta; a sweep of every output written as JSON;
-    discord, tangle and tomo on a seeded rank-2 state, and on the same state
-    as one four-level subsystem ("qubit_dims": [2], which the correlation
-    report reads as control and register); then bad inputs, each pinned by
-    its stderr line and exit code."""
+    calls: tangle from --theta; a sweep of every output written as JSON; a
+    sweep whose seed is past int64, as CSV and as JSON; discord, tangle and
+    tomo on a seeded rank-2 state, and on the same state as one four-level
+    subsystem ("qubit_dims": [2], which the correlation report reads as
+    control and register); then bad inputs, each pinned by its stderr line
+    and exit code."""
     rank2 = density_to_json(random_density_matrix(np.random.default_rng(STATE_SEED), (1, 1), 2))
     inputs = {
         "rank2": rank2,
@@ -142,6 +143,13 @@ def _file_calls(workdir: Path) -> list[Call]:
                                       "--seed", "4", "--outputs", "trace,discord,tangle,tomo",
                                       "--mean-counts", "3000", "--format", "json",
                                       "--out", "sweep.json"), "sweep.json")]
+    # a seed past int64, which numpy's integer arrays cannot hold, printed exactly
+    big_seed = ("sweep", "--steps", "3", "--shots", "5", "--outputs", "trace,tomo",
+                "--seed", str(2**64 + 1))
+    calls += [Call("sweep-seed-past-int64", ".", (*big_seed, "--out", "big-seed.csv"),
+                   "big-seed.csv"),
+              Call("sweep-seed-past-int64-json", ".",
+                   (*big_seed, "--format", "json", "--out", "big-seed.json"), "big-seed.json")]
     for state in ("rank2", "dims2"):
         for command, extra in (("discord", ()), ("tangle", ()), ("tomo", ("--seed", str(STATE_SEED)))):
             out = f"{state}-{command}.json"

@@ -310,7 +310,7 @@ class TestSweep:
     @given(steps=st.integers(2, 20),
            outputs=st.sets(st.sampled_from(("trace", "discord", "tangle"))),
            mean_counts=st.floats(0.001, 5.0), shots=st.integers(0, 3),
-           seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**70))
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_sweep_fails_as_its_first_failing_point(self, steps, outputs, mean_counts, shots,
                                                     seed):
