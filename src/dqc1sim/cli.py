@@ -90,10 +90,11 @@ class SweepConfig:
 
 
 def sweep_point(config: SweepConfig, index: int) -> tuple:
-    """The steps of one theta grid point that run point by point: the row's
-    trace columns and, when the outputs need them, the output state and the
-    pair_frequencies of its tomography counts (else None). Every error of a
-    sweep is raised here: it keeps its class and names the point's theta."""
+    """The steps of one theta grid point that run point by point: the exact
+    expectations x and y, the trace estimate est and, when the outputs need
+    them, the output state and the pair_frequencies of its tomography counts
+    (else None), as (x, y, est, rho, freqs). Every error of a sweep is
+    raised here: it keeps its class and names the point's theta."""
     theta = float(config.thetas[index])
     try:
         u = z_theta(theta)
@@ -112,57 +113,53 @@ def sweep_point(config: SweepConfig, index: int) -> tuple:
             ))
     except ValueError as exc:
         raise type(exc)(f"at theta={theta!r}: {exc}") from None
-    row = {
-        "theta": theta,
-        "alpha": config.alpha,
-        "re_exact": x,
-        "im_exact": y,
+    return x, y, est, rho, freqs
+
+
+def _sweep_chunk(config: SweepConfig, indices: range) -> dict:
+    """The columns of the grid points in indices, one 1-D array each, in
+    column order: sweep_point runs at each point, then the discord, tangle
+    and tomography columns come from stacked calls over all their states."""
+    x, y, est, rhos, freqs = zip(*[sweep_point(config, index) for index in indices])
+    est = np.array(est)
+    n = len(indices)
+    columns = {
+        "theta": config.thetas[indices.start:indices.stop],
+        "alpha": np.full(n, config.alpha),
+        "re_exact": np.array(x),
+        "im_exact": np.array(y),
         "re_est": config.alpha * est.real,
         "im_est": config.alpha * est.imag,
-        "shots": config.shots,
-        "seed": config.seed,
+        "shots": np.full(n, config.shots),
+        "seed": np.full(n, config.seed),
         "re_trace": est.real,
         "im_trace": est.imag,
     }
-    return row, rho, freqs
-
-
-def _state_columns(config: SweepConfig, points: list) -> None:
-    """Fill the discord, tangle and tomography columns of the points' rows
-    by stacked calls over all their states at once."""
-    rows = [row for row, _, _ in points]
-    states = np.array([rho.entries for _, rho, _ in points])
-    qubit_dims = points[0][1].qubit_dims
-    columns = {}
+    if rhos[0] is None:
+        return columns
+    states = np.array([rho.entries for rho in rhos])
+    qubit_dims = rhos[0].qubit_dims
     if "discord" in config.outputs:
-        _, [(d_rc, _, _), (d_cr, _, _)] = stack_discords(
+        _, [(columns["discord_rc"], _, _), (columns["discord_cr"], _, _)] = stack_discords(
             states, qubit_dims, (MEASURE_CONTROL, MEASURE_REGISTER))
-        columns["discord_rc"], columns["discord_cr"] = d_rc, d_cr
     if "tangle" in config.outputs:
         columns["tangle"] = stack_tangle(states)
     if "tomo" in config.outputs:
-        recons = stack_reconstruct(np.stack([freqs for _, _, freqs in points]))
+        recons = stack_reconstruct(np.stack(freqs))
         columns["tomo_fidelity"] = stack_fidelity(recons, states)
         _, [(columns["tomo_discord_rc"], _, _)] = stack_discords(recons, qubit_dims, (MEASURE_CONTROL,))
         columns["tomo_tangle"] = stack_tangle(recons)
-    for name, values in columns.items():
-        for row, value in zip(rows, values.tolist()):
-            row[name] = value
+    return columns
 
 
-def sweep_rows(config: SweepConfig) -> list[dict]:
-    """Rows in theta order. The grid is cut into chunks of STACK_STATES
-    points: sweep_point runs at each point of a chunk, then _state_columns
-    once for the whole chunk. Only sweep_point raises, point by point in
-    theta order, so a sweep that fails reports its first failing point."""
-    rows = []
-    for start in range(0, config.steps, STACK_STATES):
-        points = [sweep_point(config, index)
-                  for index in range(start, min(start + STACK_STATES, config.steps))]
-        if points[0][1] is not None:
-            _state_columns(config, points)
-        rows += [row for row, _, _ in points]
-    return rows
+def sweep_columns(config: SweepConfig) -> dict[str, list]:
+    """Each column's values in theta order, by column name in column order.
+    The grid is cut into chunks of STACK_STATES points, each run by
+    _sweep_chunk. Only sweep_point raises, point by point in theta order, so
+    a sweep that fails reports its first failing point."""
+    chunks = [_sweep_chunk(config, range(start, min(start + STACK_STATES, config.steps)))
+              for start in range(0, config.steps, STACK_STATES)]
+    return {name: np.concatenate([chunk[name] for chunk in chunks]).tolist() for name in chunks[0]}
 
 
 def _fmt(value) -> str:
@@ -171,14 +168,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_csv(config_dict: dict, rows) -> str:
-    """The config line, the header, then one line per row; the columns are
-    the first row's keys, in the order the sweep wrote them."""
-    columns = list(rows[0])
-    lines = ["# config: " + json.dumps(config_dict, sort_keys=True)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+def render_csv(config_dict: dict, columns: dict) -> str:
+    """The config line, the header of column names, then one line per theta."""
+    lines = ["# config: " + json.dumps(config_dict, sort_keys=True), ",".join(columns)]
+    lines += [",".join(map(_fmt, row)) for row in zip(*columns.values())]
     return "\n".join(lines) + "\n"
 
 
@@ -226,10 +219,11 @@ def _state(args):
 
 def _cmd_sweep(args) -> str:
     config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
-    rows = sweep_rows(config)
+    columns = sweep_columns(config)
     if args.format == "csv":
-        return render_csv(_config(args), rows)
-    return _report(args, {"columns": list(rows[0]), "rows": rows})
+        return render_csv(_config(args), columns)
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return _report(args, {"columns": list(columns), "rows": rows})
 
 
 def _cmd_trace(args) -> str:

@@ -30,7 +30,7 @@ from dqc1sim import (
     verify_zero_discord,
     z_theta,
 )
-from dqc1sim.cli import SweepConfig, main as cli_main, sweep_rows
+from dqc1sim.cli import SweepConfig, main as cli_main, sweep_columns
 from dqc1sim.tomography import linear_estimate, pair_frequencies
 
 from helpers import (
@@ -63,27 +63,28 @@ def criterion(number: int, description: str, budget_seconds: float):
     print(f"[acceptance] criterion {number} ({description}): PASS ({elapsed:.1f}s)")
 
 
-def _exact_sweep(alpha: float) -> list[dict]:
+def _exact_sweep(alpha: float) -> dict[str, list]:
     config = SweepConfig(
         theta_min=-np.pi, theta_max=np.pi, steps=41, alpha=alpha,
         shots=0, seed=0, outputs=("trace",), mean_counts=1e4, mode="binomial",
     )
-    return sweep_rows(config)
+    return sweep_columns(config)
 
 
 def test_criterion_1_exact_trace_curves():
     with criterion(1, "exact trace curves match (1+cos)/2 and sin/2", 1.0):
-        for row in _exact_sweep(1.0):
-            theta = row["theta"]
-            assert abs(row["re_exact"] - (1 + np.cos(theta)) / 2) <= 1e-12
-            assert abs(row["im_exact"] - np.sin(theta) / 2) <= 1e-12
+        sweep = _exact_sweep(1.0)
+        for theta, re_exact, im_exact in zip(sweep["theta"], sweep["re_exact"], sweep["im_exact"]):
+            assert abs(re_exact - (1 + np.cos(theta)) / 2) <= 1e-12
+            assert abs(im_exact - np.sin(theta) / 2) <= 1e-12
 
 
 def test_criterion_2_purity_scaling():
     with criterion(2, "alpha scaling exact and 2x RMS at alpha=0.5", 60.0):
-        for full, mixed in zip(_exact_sweep(1.0), _exact_sweep(0.58)):
-            assert abs(mixed["re_exact"] - 0.58 * full["re_exact"]) <= 1e-12
-            assert abs(mixed["im_exact"] - 0.58 * full["im_exact"]) <= 1e-12
+        full, mixed = _exact_sweep(1.0), _exact_sweep(0.58)
+        for column in ("re_exact", "im_exact"):
+            for f, m in zip(full[column], mixed[column]):
+                assert abs(m - 0.58 * f) <= 1e-12
 
         shots = 10**4
         u = z_theta(np.pi / 2)
@@ -129,10 +130,10 @@ def test_criterion_4_discord_tangle_sweep():
             shots=0, seed=0, outputs=("trace", "discord", "tangle"), mean_counts=1e4,
             mode="binomial",
         )
-        rows = sweep_rows(config)
-        assert all(row["tangle"] < 1e-9 for row in rows)
-        discords = [row["discord_rc"] for row in rows]
-        by_theta = {round(row["theta"], 12): row["discord_rc"] for row in rows}
+        sweep = sweep_columns(config)
+        assert all(t < 1e-9 for t in sweep["tangle"])
+        discords = sweep["discord_rc"]
+        by_theta = {round(theta, 12): d for theta, d in zip(sweep["theta"], discords)}
         for theta in (0.0, np.pi, -np.pi):
             assert by_theta[round(theta, 12)] < 1e-6
         for theta in (np.pi / 2, -np.pi / 2):

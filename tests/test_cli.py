@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dqc1sim import (
     DensityMatrix, cli, correlations, output_state, simulate_counts, tangle, tomography, z_theta,
 )
-from dqc1sim.cli import MAX_STEPS, SweepConfig, main, sweep_rows
+from dqc1sim.cli import MAX_STEPS, SweepConfig, main, render_csv, sweep_columns
 from dqc1sim.sampling import MAX_SHOTS
 from dqc1sim.serialize import density_from_json, density_to_json, matrix_to_json
 from dqc1sim.tomography import SETTING_LABELS, ReconstructionError
@@ -115,19 +115,21 @@ class TestSweep:
                 "--outputs", "discord,tangle,tomo", "--mean-counts", 3000]
         assert run_cli([*args, "--out", out]) == 0
         _, header, cells = read_sweep_csv(out)
-        rows = sweep_rows(SweepConfig(
+        columns = sweep_columns(SweepConfig(
             theta_min=-np.pi, theta_max=np.pi, steps=7, alpha=0.997, shots=300, seed=4,
             outputs=("discord", "tangle", "tomo"), mean_counts=3000.0, mode="binomial"))
-        assert len(cells) == len(rows)
+        assert header == list(columns)
+        assert {len(values) for values in columns.values()} == {len(cells)}
         floats = 0
-        for row, line in zip(rows, cells):
+        for i, line in enumerate(cells):
             for column in header:
-                if isinstance(row[column], float):
+                value = columns[column][i]
+                if isinstance(value, float):
                     floats += 1
                     # repr tells -0.0 from 0.0
-                    assert repr(float(line[column])) == repr(row[column]), column
+                    assert repr(float(line[column])) == repr(value), column
                 else:
-                    assert line[column] == str(row[column]), column
+                    assert line[column] == str(value), column
         assert floats == 7 * 14
 
     @pytest.mark.parametrize("extra", [[], ["discord"], ["tangle"], ["tomo"], ["discord", "tangle"],
@@ -220,8 +222,7 @@ class TestSweep:
         linspace = np.linspace
         monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
         config = SweepConfig(-1.0, 1.0, 50, 1.0, 0, 0, ("trace",), 1e4, "binomial")
-        rows = sweep_rows(config)
-        assert [r["theta"] for r in rows] == list(linspace(-1.0, 1.0, 50))
+        assert sweep_columns(config)["theta"] == list(linspace(-1.0, 1.0, 50))
         assert len(calls) == 1
 
     def test_state_columns_are_stacked(self, monkeypatch):
@@ -243,14 +244,14 @@ class TestSweep:
         counts = {}
         for steps in (3, 61):
             calls.clear()
-            sweep_rows(SweepConfig(-np.pi, np.pi, steps, 0.997, 0, 101,
-                                   ("discord", "tangle", "tomo"), 1e4, "binomial"))
+            sweep_columns(SweepConfig(-np.pi, np.pi, steps, 0.997, 0, 101,
+                                      ("discord", "tangle", "tomo"), 1e4, "binomial"))
             counts[steps] = list(calls)
         assert counts == {3: [3, 3], 61: [61, 61]}
         chunks_of_seven(monkeypatch)
         calls.clear()
-        sweep_rows(SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 101, ("discord", "tangle", "tomo"),
-                               1e4, "binomial"))
+        sweep_columns(SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 101, ("discord", "tangle", "tomo"),
+                                  1e4, "binomial"))
         # the output states' search, then the reconstructions', per chunk
         assert calls == 8 * [7, 7] + [5, 5]
 
@@ -267,20 +268,24 @@ class TestSweep:
 
         monkeypatch.setattr(tomography, "_trusted_state", counted)
         config = SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 101, ("tomo",), 1e4, "binomial")
-        rows = sweep_rows(config)
-        assert len(rows) == 61 and calls == []
+        columns = sweep_columns(config)
+        assert {len(values) for values in columns.values()} == {61} and calls == []
         counts = simulate_counts(output_state(z_theta(1.0), 0.997), 1e4, 0)
         tomography.reconstruct(counts)
         assert calls == [(1, 1)]
 
-    @pytest.mark.parametrize("shots, mode", [(0, "binomial"), (2000, "poisson")],
-                             ids=["exact", "poisson"])
-    def test_chunks_do_not_change_rows(self, shots, mode, monkeypatch):
-        config = SweepConfig(-np.pi, np.pi, 61, 0.997, shots, 101,
+    @pytest.mark.parametrize("alpha, shots, mode",
+                             [(0.997, 0, "binomial"), (0.997, 2000, "poisson"),
+                              (0.0, 0, "binomial")],
+                             ids=["exact", "poisson", "alpha-0-exact"])
+    def test_chunks_do_not_change_rows(self, alpha, shots, mode, monkeypatch):
+        # Compared by their CSV bytes, which tell -0.0 from 0.0 where ==
+        # does not: at alpha 0, im_exact holds zeros of both signs.
+        config = SweepConfig(-np.pi, np.pi, 61, alpha, shots, 101,
                              ("trace", "discord", "tangle", "tomo"), mean_counts=1e4, mode=mode)
-        whole = sweep_rows(config)
+        whole = render_csv({}, sweep_columns(config))
         chunks_of_seven(monkeypatch)
-        assert sweep_rows(config) == whole
+        assert render_csv({}, sweep_columns(config)) == whole
 
     def test_failure_in_a_later_chunk_names_its_point(self, monkeypatch):
         # With 5 mean counts per basis pair, point 18 (chunk 2, its fifth
@@ -289,10 +294,10 @@ class TestSweep:
                              mode="binomial")
         message = f"at theta={float(config.thetas[18])!r}: no signal in basis pair ZX"
         with pytest.raises(ReconstructionError, match=f"^{re.escape(message)}$"):
-            sweep_rows(config)
+            sweep_columns(config)
         chunks_of_seven(monkeypatch)
         with pytest.raises(ReconstructionError, match=f"^{re.escape(message)}$"):
-            sweep_rows(config)
+            sweep_columns(config)
 
     def test_sweep_stops_at_its_first_failing_point(self, monkeypatch):
         # At 0.001 mean counts the first point's counts leave a pair empty:
@@ -304,7 +309,7 @@ class TestSweep:
         config = SweepConfig(-np.pi, np.pi, 61, 0.997, 0, 0, ("tomo",), mean_counts=0.001,
                              mode="binomial")
         with pytest.raises(ReconstructionError, match="^at theta=-3.141592653589793: "):
-            sweep_rows(config)
+            sweep_columns(config)
         assert calls == [0]
 
     @given(steps=st.integers(2, 20),
@@ -314,8 +319,8 @@ class TestSweep:
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_sweep_fails_as_its_first_failing_point(self, steps, outputs, mean_counts, shots,
                                                     seed):
-        # Chunks of 7 points: a sweep either gives its rows or raises the
-        # error of the first point that fails when run on its own.
+        # Chunks of 7 points: a sweep either gives its columns or raises
+        # the error of the first point that fails when run on its own.
         config = SweepConfig(-np.pi, np.pi, steps, 0.997, shots, seed, (*outputs, "tomo"),
                              mean_counts=mean_counts, mode="poisson" if shots else "binomial")
         first = None
@@ -328,11 +333,11 @@ class TestSweep:
         with pytest.MonkeyPatch.context() as patch:
             chunks_of_seven(patch)
             try:
-                rows = sweep_rows(config)
+                columns = sweep_columns(config)
             except ValueError as exc:
                 assert (type(exc), str(exc)) == (type(first), str(first))
             else:
-                assert first is None and len(rows) == steps
+                assert first is None and {len(values) for values in columns.values()} == {steps}
 
     def test_import_loads_no_process_pool(self):
         code = ("import sys, dqc1sim.cli; print([m for m in "
@@ -348,10 +353,11 @@ class TestSweep:
             SweepConfig(-1.0, 1.0, 5, 1.0, -1, 0, ("trace",), 1e4, "binomial")
 
     def test_zero_alpha_sweep_is_exact(self):
-        rows = sweep_rows(SweepConfig(-1.0, 1.0, 3, 0.0, 0, 0, ("trace",), 1e4, "binomial"))
-        for row in rows:
-            assert row["re_est"] == row["re_exact"] == 0.0
-            assert row["re_trace"] == (1 + np.cos(row["theta"])) / 2
+        columns = sweep_columns(SweepConfig(-1.0, 1.0, 3, 0.0, 0, 0, ("trace",), 1e4, "binomial"))
+        for theta, re_est, re_exact, re_trace in zip(
+                columns["theta"], columns["re_est"], columns["re_exact"], columns["re_trace"]):
+            assert re_est == re_exact == 0.0
+            assert re_trace == (1 + np.cos(theta)) / 2
 
     def test_unknown_mode(self):
         # argparse choices catch it on the command line; the library call

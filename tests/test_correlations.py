@@ -266,8 +266,8 @@ class TestOptimizerAgainstBruteForce:
         # (seed 120) or 3.3e-4 (seed 108) above this grid. At seed 108 the
         # first Newton step is 65 long before it is shortened to 1.
         config = cli.SweepConfig(-np.pi, np.pi, 61, 0.997, 2000, seed, ("tomo",), 1e4, "binomial")
-        row, _, p = cli.sweep_point(config, index)
-        assert row["theta"] == pytest.approx(theta, abs=1e-3)
+        *_, p = cli.sweep_point(config, index)
+        assert config.thetas[index] == pytest.approx(theta, abs=1e-3)
         recon = DensityMatrix(stack_reconstruct(p[None])[0], (1, 1))
         value, _, _ = one_state_search(recon, 0)
         assert value <= oracle_min_conditional_entropy(recon.entries, recon.subsystem_dims, 0, 100, 200)
