@@ -63,10 +63,16 @@ class SweepConfig:
     mode: str
 
     def __post_init__(self):
+        for name in ("steps", "seed"):  # as in check_shots: a bool or a float is an error
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.steps > MAX_STEPS:
             raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_range("theta_min", self.theta_min)
         check_range("theta_max", self.theta_max)
         if not self.theta_min < self.theta_max:

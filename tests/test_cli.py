@@ -352,6 +352,25 @@ class TestSweep:
         with pytest.raises(ValueError, match="shots must be >= 0"):
             SweepConfig(-1.0, 1.0, 5, 1.0, -1, 0, ("trace",), 1e4, "binomial")
 
+    @pytest.mark.parametrize("steps, seed, message", [
+        (5, True, "seed must be an integer, got True"),
+        (5, np.True_, "seed must be an integer, got np.True_"),
+        (5, "3", "seed must be an integer, got '3'"),
+        (5, 1.5, "seed must be an integer, got 1.5"),
+        (5, -1, "seed must be >= 0, got -1"),
+        (5.0, 0, "steps must be an integer, got 5.0"),
+        (False, 0, "steps must be an integer, got False"),
+        ("5", 0, "steps must be an integer, got '5'"),
+    ])
+    def test_steps_and_seed_are_integers(self, steps, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepConfig(-1.0, 1.0, steps, 1.0, 0, seed, ("trace",), 1e4, "binomial")
+
+    def test_integer_seeds_of_any_size_run(self):
+        for seed in (np.int64(3), np.uint64(2**63), 2**70):
+            config = SweepConfig(-1.0, 1.0, np.int64(3), 1.0, 5, seed, ("trace",), 1e4, "binomial")
+            assert sweep_columns(config)["seed"] == [int(seed)] * 3
+
     def test_zero_alpha_sweep_is_exact(self):
         columns = sweep_columns(SweepConfig(-1.0, 1.0, 3, 0.0, 0, 0, ("trace",), 1e4, "binomial"))
         for theta, re_est, re_exact, re_trace in zip(
