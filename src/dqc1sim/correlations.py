@@ -54,6 +54,7 @@ from .qmath import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    hermitian_sqrt,
     spectrum_entropy,
 )
 
@@ -76,6 +77,10 @@ CIRCLE_POINTS = 16
 NEWTON_STEPS = 16
 NEWTON_GTOL = 1e-13
 LINE_POINTS = 8
+# A state moves only if its best line-search value is LINE_DROP below its
+# value: values are O(1) bits, so a smaller drop is round-off, and taking it
+# would make the steps and the evaluation count depend on the BLAS kernels.
+LINE_DROP = 1e-14
 _STEP_LENGTHS = 0.5 ** np.arange(LINE_POINTS)[:, None]
 # Singular values of the K matrices at or below this fraction of the largest
 # count as zero when the searched axes are chosen; _search's docstring bounds
@@ -289,14 +294,14 @@ def _newton(objective, r, k, q, n, value):
     length 1 if longer (a tangent step of 1 turns the axis by 45 degrees
     once normalised; a nearly flat direction can ask for far more). One
     objective call tries the LINE_POINTS step lengths 1, 1/2, ..., retracted
-    by normalising, and the state moves to the lowest if it is below its
-    value. Taking the lowest rather than the first that drops matters at a
-    sharp minimum, where a conditional state is pure: the full step can
-    land just below the start on the far side of it. A state stops once its
-    tangent gradient norm is below NEWTON_GTOL or no step length lowers its
-    value, and after NEWTON_STEPS steps, so it ends at or below its start.
-    Every state's arithmetic is its own, so a state gets the same search in
-    any stack.
+    by normalising, and the state moves to the lowest if it is more than
+    LINE_DROP below its value. Taking the lowest rather than the first that
+    drops matters at a sharp minimum, where a conditional state is pure: the
+    full step can land just below the start on the far side of it. A state
+    stops once its tangent gradient norm is below NEWTON_GTOL or no step
+    length lowers its value by more than LINE_DROP, and after NEWTON_STEPS
+    steps, so it ends at or below its start. Every state's arithmetic is its
+    own, so a state gets the same search in any stack.
     """
     n, value = n.copy(), value.copy()
     evals = np.zeros(len(n), dtype=int)
@@ -322,7 +327,7 @@ def _newton(objective, r, k, q, n, value):
         vals = objective(cand)
         evals += searching * len(_STEP_LENGTHS)
         best = vals.argmin(axis=1)
-        drop = searching & (vals[rows, best] < value)
+        drop = searching & (vals[rows, best] < value - LINE_DROP)
         n[drop], value[drop] = cand[drop, best[drop]], vals[drop, best[drop]]
         searching = drop
         if not searching.any():
@@ -432,13 +437,13 @@ def discord(rho: DensityMatrix, measured: int) -> float:
 
 def stack_concurrence(entries: np.ndarray) -> np.ndarray:
     """Wootters spin-flip concurrence of each state of a stack entries
-    (S, 4, 4) of two-qubit states."""
+    (S, 4, 4) of two-qubit states: max(0, l1 - l2 - l3 - l4) over the
+    singular values of sqrt(rho) (Y x Y) conj(sqrt(rho)), which are the
+    square roots of the eigenvalues of rho rho~."""
     if entries.shape[-1] != 4:
         raise ValueError(f"concurrence requires a two-qubit state, got dim {entries.shape[-1]}")
-    rt = entries @ _YY @ entries.conj() @ _YY
-    lam = np.linalg.eigvals(rt)
-    # eigenvalues of rho rho~ are real and nonnegative up to round-off
-    lam = np.sqrt(np.clip(np.sort(lam.real, axis=-1)[:, ::-1], 0.0, None))
+    sq = hermitian_sqrt(entries)
+    lam = np.linalg.svd(sq @ _YY @ sq.conj(), compute_uv=False)
     return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 

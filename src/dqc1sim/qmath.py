@@ -177,20 +177,19 @@ def spectrum_entropy(lam: np.ndarray) -> np.ndarray:
     return -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
 
 
-def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
-    """Square root of each PSD matrix in a stack (..., d, d)."""
+def hermitian_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of each PSD matrix in a stack (..., d, d). Eigenvalues at
+    or below d * eps * lambda_max are round-off to eigh and count as 0."""
     lam, vec = np.linalg.eigh(m)
-    lam = np.clip(lam, 0.0, None)
+    lam = np.where(lam > m.shape[-1] * np.finfo(float).eps * lam[..., -1:], lam, 0.0)
     return (vec * np.sqrt(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 
 def stack_fidelity(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Uhlmann fidelity of each pair of states of two stacks of entries of
-    one shape (S, D, D): the square root's trace, squared as r * r and
-    clipped to [0, 1]."""
-    sq = _hermitian_sqrt(rhos)
-    inner = _hermitian_sqrt(sq @ sigmas @ sq)
-    roots = np.trace(inner, axis1=-2, axis2=-1).real
+    one shape (S, D, D): the trace norm of sqrt(rho) sqrt(sigma), squared as
+    r * r and clipped to [0, 1]."""
+    roots = np.linalg.norm(hermitian_sqrt(rhos) @ hermitian_sqrt(sigmas), "nuc", axis=(-2, -1))
     return np.clip(roots * roots, 0.0, 1.0)
 
 
