@@ -6,7 +6,9 @@ where Hmin is the average post-measurement entropy of the unmeasured side,
 minimized over all rank-1 projective measurements on the measured qubit.
 Quantum discord is the gap I - J; it is directional, since measuring one
 side is not equivalent to measuring the other. Entanglement is tracked
-separately by the Wootters concurrence and its square, the tangle.
+separately by the Wootters concurrence and its square, the tangle; the
+concurrence's lambdas are singular values built on qmath.hermitian_sqrt,
+the square root the fidelity uses too.
 
 Hmin is found by a deterministic, vectorised search. The unnormalized
 conditional blocks are (R +- n.K)/2, so the objective depends on the axis n
@@ -19,13 +21,14 @@ upper hemisphere (n and -n give the same measurement), with rank 2 a
 the one axis and nothing more. From each state's best grid point a
 saddle-free Riemannian Newton search (_newton) finishes, with derivatives
 from the blocks' eigendecomposition for any partner dimension
-(_derivatives). The evaluations reported are the grid points, the
-line-search points and one per derivative evaluation: per side at most
-128 + 16 x 9 = 272 (rank 3), 16 + 16 x 9 = 160 (rank 2) or 1 (rank 1 or 0).
-The rank split keeps DQC1 outputs cheap: K_z = 0 gives the control side
-rank at most 2 (the optimum lies on the equator), a one-qubit register side
-has rank 1, and a Z_theta output's circle starts on one candidate optimum
-and passes the other, so its search stops at the first derivative
+(_derivatives); it takes only drops larger than LINE_DROP, so that its
+steps do not turn on round-off. The evaluations reported are the grid
+points, the line-search points and one per derivative evaluation: per side
+at most 128 + 16 x 9 = 272 (rank 3), 16 + 16 x 9 = 160 (rank 2) or 1 (rank
+1 or 0). The rank split keeps DQC1 outputs cheap: K_z = 0 gives the control
+side rank at most 2 (the optimum lies on the equator), a one-qubit register
+side has rank 1, and a Z_theta output's circle starts on one candidate
+optimum and passes the other, so its search stops at the first derivative
 evaluation.
 
 The search runs on a stack of states, one (S, D, D) entries array over one

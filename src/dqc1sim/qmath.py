@@ -26,6 +26,12 @@ tomography.pair_frequencies unchecked: pair_frequencies is the one
 empty-basis-pair rule, run by reconstruct and by each sweep point.
 tests/test_invariants.py holds every one of these conditions as a property
 of the builders' outputs.
+
+A state's square root is hermitian_sqrt's alone, for the fidelity here and
+the concurrence in correlations. It drops the eigenvalues that eigh cannot
+tell from 0, so that no root of round-off (near sqrt(eps)) enters a printed
+digit; the fidelity then needs no second root, as the trace norm of
+sqrt(rho) sqrt(sigma).
 """
 
 from __future__ import annotations

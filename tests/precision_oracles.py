@@ -41,10 +41,6 @@ def _sqrt(entries: np.ndarray) -> mpmath.matrix:
     return vec * mpmath.diag([mpmath.sqrt(x) if x > floor else 0 for x in lam]) * vec.H
 
 
-def _trace_norm(m: mpmath.matrix) -> mpmath.mpf:
-    return mpmath.fsum(mpmath.svd_c(m, compute_uv=False))
-
-
 def _concurrence(entries: np.ndarray) -> mpmath.mpf:
     sq = _sqrt(entries)
     yy = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
@@ -68,4 +64,5 @@ def tangle(entries: np.ndarray) -> float:
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity, the squared trace norm of sqrt(rho) sqrt(sigma)."""
     with mpmath.workdps(DIGITS):
-        return float(_trace_norm(_sqrt(rho) * _sqrt(sigma)) ** 2)
+        trace_norm = mpmath.fsum(mpmath.svd_c(_sqrt(rho) * _sqrt(sigma), compute_uv=False))
+        return float(trace_norm ** 2)
