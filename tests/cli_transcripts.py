@@ -133,6 +133,7 @@ def _file_calls(workdir: Path) -> list[Call]:
     inputs = {
         "rank2": rank2,
         "dims2": {**rank2, "qubit_dims": [2]},
+        "dims-zero": {**rank2, "qubit_dims": [0, 2]},
         "nonunitary": matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]])),
         "string-entries": {"dim": 2, "re": [["1", "0"], ["0", "1.0"]], "im": [[0, 0], [0, 0]]},
         "unknown-gate": {"n": 2, "gates": [{"g": "T", "q": 0}]},
@@ -164,6 +165,7 @@ def _file_calls(workdir: Path) -> list[Call]:
         "bad-unknown-gate": ("verify-clifford", "unknown-gate.json"),
         "bad-steps": ("sweep", "--steps", str(MAX_STEPS + 1)),
         "bad-string-entries": ("trace", "string-entries.json"),
+        "bad-qubit-dims-zero": ("discord", "dims-zero.json"),
     }
     calls += [Call(name, ".", argv, None) for name, argv in bad.items()]
     # failing calls, with --out, so that the absent file is pinned too: in
