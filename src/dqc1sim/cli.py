@@ -25,7 +25,7 @@ from .correlations import (
 )
 from .clifford import circuit_from_json, verify_zero_discord
 from .dqc1 import exact_expectations, normalized_trace, output_state, z_theta
-from .qmath import check_range, fidelity, stack_fidelity
+from .qmath import check_integer, check_range, fidelity, stack_fidelity
 from .sampling import (
     SAMPLING_MODES, check_mode, check_pure_fraction, check_shots, estimate_trace, shots_required,
 )
@@ -62,16 +62,8 @@ class SweepConfig:
     mode: str
 
     def __post_init__(self):
-        for name in ("steps", "seed"):  # a bool seed would draw seed 1's numbers
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.steps > MAX_STEPS:
-            raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_integer("steps", self.steps, 2, MAX_STEPS)
+        check_integer("seed", self.seed, 0)
         check_range("theta_min", self.theta_min)
         check_range("theta_max", self.theta_max)
         if not self.theta_min < self.theta_max:

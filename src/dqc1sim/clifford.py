@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .qmath import DensityMatrix, PAULI_EIGENSTATES, PAULIS, _trusted_state, check_range
+from .qmath import DensityMatrix, PAULI_EIGENSTATES, PAULIS, _trusted_state, check_integer, check_range
 from .serialize import json_excerpt, json_int, json_list
 from . import correlations
 
@@ -102,10 +102,7 @@ def circuit_from_json(obj: dict) -> CliffordCircuit:
         codes.append(code)
         first.append(qs[0])
         second.append(qs[-1])
-    if n < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n}")
-    if n > MAX_QUBITS:
-        raise ValueError(f"n_qubits must be <= {MAX_QUBITS}, got {n}")
+    check_integer("n_qubits", n, 1, MAX_QUBITS)
     both = first + second
     if both and not 0 <= min(both) <= max(both) < n:
         i = next(i for i, ab in enumerate(zip(first, second)) if not 0 <= min(ab) <= max(ab) < n)

@@ -57,6 +57,7 @@ from .qmath import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    check_integer,
     hermitian_sqrt,
     spectrum_entropy,
 )
@@ -68,7 +69,8 @@ _SIGN = np.array([1.0, -1.0])  # outcomes +n and -n
 _LN2 = np.log(2.0)
 _EIGEN_FLOOR = np.finfo(float).eps  # the eigensolver's round-off
 
-# A measured side is named by the index of its subsystem, and only so.
+# A measured side is named by the index of its subsystem, and only so:
+# qmath.check_integer takes 0 or 1, not True or 0.0.
 MEASURE_CONTROL = 0
 MEASURE_REGISTER = 1
 
@@ -98,10 +100,7 @@ def _check_bipartite(qubit_dims) -> None:
 
 
 def _check_measured(qubit_dims, measured) -> None:
-    # True == 1 and 0.0 == 0: only a Python or numpy integer names a side
-    integer = isinstance(measured, (int, np.integer)) and not isinstance(measured, bool)
-    if not integer or measured not in (0, 1):
-        raise ValueError(f"measured subsystem index must be 0 or 1, got {measured}")
+    check_integer("measured subsystem index", measured, 0, 1)
     if qubit_dims[measured] != 1:
         raise ValueError("measured subsystem must be a single qubit")
 

@@ -16,6 +16,7 @@ import numpy as np
 from .qmath import (
     DensityMatrix,
     _trusted_state,
+    check_integer,
     check_qubit_shape,
     check_range,
     square_complex,
@@ -33,9 +34,8 @@ class UnitaryMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        check_integer("register size", self.n, 1)
         n = int(self.n)
-        if n < 1:
-            raise ValueError(f"register size must be >= 1, got {n}")
         entries = square_complex(self.entries)
         check_qubit_shape(entries, n, f"n={n} qubits")
         gram = entries.conj().T @ entries

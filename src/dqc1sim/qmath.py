@@ -9,7 +9,8 @@ DensityMatrix constructor, the one way a state enters (read from JSON by
 serialize.density_from_json too), checks shape, finiteness, trace,
 Hermiticity and positivity, the last with an O(d^3) eigensolve. The size
 rule, that a matrix over n qubits is 2**n square, is check_qubit_shape's
-alone: DensityMatrix and dqc1.UnitaryMatrix both call it. Builders
+alone: DensityMatrix and dqc1.UnitaryMatrix both call it, after check_integer
+has checked their qubit counts (check_range checks the real scalars). Builders
 whose output is a valid state whenever their input is wrap it with
 _trusted_state and skip that check: dqc1.output_state and
 dqc1.reduced_control, clifford._clifford_output_state and
@@ -106,11 +107,25 @@ def check_range(name: str, value: float, low: float = -math.inf,
         raise ValueError(f"{name} must be in {left}{low:g}, {high:g}{right}, got {value}")
 
 
+def check_integer(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
+    """Reject a value that is not a Python or numpy integer, is a bool (True
+    would count as 1) or lies outside low..high; the one integer check of
+    steps, shots, seeds, measured sides and qubit counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+
+
 def _qubit_dims(qubit_dims) -> tuple[int, ...]:
-    dims = tuple(int(k) for k in qubit_dims)
-    if not dims or any(k < 1 for k in dims):
-        raise ValueError(f"qubit_dims must be positive integers, got {dims}")
-    return dims
+    dims = tuple(qubit_dims)
+    if not dims:
+        raise ValueError("qubit_dims must be positive integers, got ()")
+    for k in dims:
+        check_integer("qubit_dims entry", k, 1)
+    return tuple(map(int, dims))
 
 
 @dataclass(frozen=True)

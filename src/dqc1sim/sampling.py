@@ -3,7 +3,8 @@
 Each circuit run yields a +/-1 outcome per measured quadrature; expectation
 values are estimated as (N+ - N-)/(N+ + N-). Shot budgets follow the
 two-sided Hoeffding bound L = ln(2/P_e) / (2 eps^2), inflated by 1/alpha^2
-when the control qubit is only partially pure.
+when the control qubit is only partially pure. Shot counts and seeds pass
+qmath.check_integer, so a negative seed fails with its name, not in numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from .dqc1 import UnitaryMatrix, normalized_trace
-from .qmath import check_range
+from .qmath import check_integer, check_range
 
 SAMPLING_MODES = ("binomial", "poisson")
 # Largest shot count per quadrature. numpy's binomial takes n up to 2**63 - 1
@@ -35,12 +36,7 @@ def check_mode(mode: str) -> None:
 def check_shots(shots: int) -> None:
     """The one check of a shot count: an integer from 0 to MAX_SHOTS. A float
     (2.0 too) or a bool is an error: either would reach the draws as a count."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
-    if shots > MAX_SHOTS:
-        raise ValueError(f"shots must be <= {MAX_SHOTS}, got {shots}")
+    check_integer("shots", shots, 0, MAX_SHOTS)
 
 
 def check_pure_fraction(alpha: float, shots: int) -> None:
@@ -59,13 +55,12 @@ def check_pure_fraction(alpha: float, shots: int) -> None:
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
-    """The one seed rule of both samplers: a SeedSequence as it is, a Python
-    or numpy integer, not a bool, as np.random.SeedSequence(seed). Anything
-    else, None (fresh OS entropy that no rerun repeats) among them, is an error."""
+    """The one seed rule of both samplers: a SeedSequence as it is, an integer
+    >= 0 as np.random.SeedSequence(seed). Anything else, None (fresh OS entropy
+    that no rerun repeats), a bool and a negative seed among them, is an error."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer or a SeedSequence, got {seed!r}")
+    check_integer("seed", seed, 0)
     return np.random.SeedSequence(seed)
 
 

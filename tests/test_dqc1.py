@@ -51,6 +51,12 @@ class TestUnitaryMatrix:
         with pytest.raises(ValueError, match="register size must be >= 1"):
             UnitaryMatrix(0, np.eye(1))
 
+    @pytest.mark.parametrize("n", [1.9, True, "1"], ids=["1.9", "True", "str"])
+    def test_register_size_is_an_integer(self, n):
+        # read with int(), each would be a one-qubit register
+        with pytest.raises(ValueError, match=f"^register size must be an integer, got {n!r}$"):
+            UnitaryMatrix(n, np.eye(2))
+
     @pytest.mark.parametrize("dim", [3, 4])
     def test_wrong_size_names_the_register(self, dim):
         with pytest.raises(ValueError) as exc:

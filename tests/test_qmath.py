@@ -74,10 +74,13 @@ class TestDensityMatrixInvariants:
             DensityMatrix(m, (1,))
 
     @pytest.mark.parametrize("dims, message", [
-        ((0, 2), "qubit_dims must be positive integers, got (0, 2)"),
+        ((0, 2), "qubit_dims entry must be >= 1, got 0"),
         ((), "qubit_dims must be positive integers, got ()"),
         ((1, 2), "entries shape (4, 4) does not match qubit_dims (1, 2)"),
-    ], ids=["zero", "empty", "mismatch"])
+        ((1.9, 1.2), "qubit_dims entry must be an integer, got 1.9"),
+        ((True, True), "qubit_dims entry must be an integer, got True"),
+        (("1", "1"), "qubit_dims entry must be an integer, got '1'"),
+    ], ids=["zero", "empty", "mismatch", "float", "bool", "str"])
     def test_checks_the_split(self, dims, message):
         # a state is regrouped only through this constructor
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

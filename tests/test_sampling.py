@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,12 +221,15 @@ class TestEstimateTrace:
     @pytest.mark.parametrize("seed", [
         None, 2.3, 2.7, np.float64(2.0), "2", pytest.param(True, id="True"),
         pytest.param(np.True_, id="np.True_"), pytest.param(b"2", id="bytes"),
-        pytest.param(2j, id="2j"), pytest.param([2], id="list")])
+        pytest.param(2j, id="2j"), pytest.param([2], id="list"),
+        pytest.param(-1, id="-1"), pytest.param(np.int64(-3), id="np.int64(-3)")])
     @pytest.mark.parametrize("shots", [0, 100])
     def test_seed_is_an_integer_or_a_seed_sequence(self, seed, shots):
         # read with int(), 2.3, 2.7 and "2" would all draw the shots of seed 2,
-        # and numpy reads True as the seed 1
-        with pytest.raises(ValueError, match=r"^seed must be an integer or a SeedSequence, got "):
+        # numpy reads True as the seed 1, and it rejects -1 without naming it
+        message = (f"seed must be >= 0, got {seed}" if type(seed) in (int, np.int64)
+                   else f"seed must be an integer, got {seed!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             estimate_trace(z_theta(1.0), 1.0, shots, seed)
 
     def test_quarter_phase_ensemble(self):

@@ -195,6 +195,39 @@ def test_library_modules_read_no_other_private_names(module):
     assert not set(private) - PACKAGE_INTERNAL, f"{module.name} reaches private names {private}"
 
 
+def _bool_checks(tree: ast.Module) -> list[str]:
+    """The function around each isinstance(..., bool) call in tree, the
+    innermost one by name ("" at module level)."""
+    owner = {}
+    for node in ast.walk(tree):  # breadth first, so an inner def overwrites
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((inner, node.name) for inner in ast.walk(node))
+    return [owner.get(node, "") for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(x):\n    return isinstance(x, bool)", ["f"]),
+    ("isinstance(x, (int, bool))", [""]),
+    ("def f(x):\n    def g():\n        return isinstance(x, bool)\n    return g", ["g"]),
+    ("class C:\n    def m(self):\n        return not isinstance(self.n, bool)", ["m"]),
+    ("isinstance(x, (int, np.integer))\nisinstance(x, np.bool_)\nbool(x)", []),
+])
+def test_bool_check_finder(source, found):
+    assert _bool_checks(ast.parse(source)) == found
+
+
+def test_only_check_integer_tells_a_bool_from_an_integer():
+    """True == 1, so an integer rule that forgets bools reads True as 1; the
+    rule is written once, in qmath.check_integer, and every integer input
+    calls it."""
+    found = [f"{module.stem}.{name}" for module in LIBRARY
+             for name in _bool_checks(ast.parse(module.read_text(), filename=str(module)))]
+    assert set(found) <= {"qmath.check_integer"}, f"bool checks outside check_integer: {found}"
+
+
 def _public_definitions(tree: ast.Module) -> list[str]:
     names = []
     for node in tree.body:

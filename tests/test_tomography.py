@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,10 +84,14 @@ class TestSimulateCounts:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [None, 2.5, "2", pytest.param(True, id="True"),
-                                      pytest.param(np.True_, id="np.True_")])
+                                      pytest.param(np.True_, id="np.True_"),
+                                      pytest.param(-1, id="-1"),
+                                      pytest.param(np.int64(-3), id="np.int64(-3)")])
     def test_seed_is_an_integer_or_a_seed_sequence(self, seed):
         # None would draw fresh OS entropy, so no rerun could repeat the counts
-        with pytest.raises(ValueError, match=r"^seed must be an integer or a SeedSequence, got "):
+        message = (f"seed must be >= 0, got {seed}" if type(seed) in (int, np.int64)
+                   else f"seed must be an integer, got {seed!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             simulate_counts(bell_state(), 1000.0, seed)
 
     def test_rejects_bad_mean(self):
