@@ -9,8 +9,8 @@ DensityMatrix constructor, the one way a state enters (read from JSON by
 serialize.density_from_json too), checks shape, finiteness, trace,
 Hermiticity and positivity, the last with an O(d^3) eigensolve. The size
 rule, that a matrix over n qubits is 2**n square, is check_qubit_shape's
-alone: DensityMatrix and dqc1.UnitaryMatrix both call it, after check_integer
-has checked their qubit counts (check_range checks the real scalars). Builders
+alone: DensityMatrix and dqc1.UnitaryMatrix both call it, once their qubit
+counts have passed check_integer, the one integer rule. Builders
 whose output is a valid state whenever their input is wrap it with
 _trusted_state and skip that check: dqc1.output_state and
 dqc1.reduced_control, clifford._clifford_output_state and
