@@ -90,11 +90,14 @@ def check_qubit_shape(entries: np.ndarray, n_qubits: int, what: str) -> None:
 def check_range(name: str, value: float, low: float = -math.inf,
                 high: float = math.inf, *, open_low: bool = False,
                 open_high: bool = False) -> None:
-    """Reject a scalar that is not finite or lies outside the interval from
-    low to high; the one range check shared by alpha, theta, epsilon,
+    """Reject a value that is not a Python or numpy real number, is a bool
+    (True would count as 1.0), is not finite or lies outside the interval
+    from low to high; the one range check shared by alpha, theta, epsilon,
     p_error and mean_counts. NaN and inf always fail, so an infinite bound
     means no bound on that side.
     """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (
         math.isfinite(value)
         and (low < value if open_low else low <= value)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,22 @@ class TestZTheta:
 
     def test_quarter_phase(self):
         assert_allclose(z_theta(np.pi / 2).entries, np.diag([1.0, 1.0j]), atol=1e-15)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: z_theta(True), "theta must be a real number, got True"),
+        (lambda: z_theta(None), "theta must be a real number, got None"),
+        (lambda: z_theta("0.5"), "theta must be a real number, got '0.5'"),
+        (lambda: exact_expectations(z_theta(0.0), np.True_), "alpha must be a real number, got np.True_"),
+    ], ids=["bool", "None", "str", "numpy-bool-alpha"])
+    def test_scalars_are_real_numbers(self, call, message):
+        # True == 1.0, and math.isfinite raises a TypeError that names no
+        # argument for None or a string
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_any_real_type(self):
+        for theta in (1, np.int64(1), np.float32(1.0)):
+            assert_allclose(z_theta(theta).entries, z_theta(1.0).entries, atol=1e-7)
 
 
 class TestUnitaryMatrix:

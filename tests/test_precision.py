@@ -3,16 +3,17 @@
 the rank2-* transcripts, and the tomography column of zsweep-corr's seed-101
 sweep, one chunk of 61 reconstructions of DQC1 outputs."""
 
+import json
+
 import numpy as np
 import pytest
 
 import precision_oracles
-from cli_transcripts import STATE_SEED
+from cli_transcripts import INPUTS
 from dqc1sim import cli
 from dqc1sim.correlations import concurrence, tangle
+from dqc1sim.serialize import density_from_json
 from dqc1sim.tomography import stack_reconstruct
-
-from helpers import random_density_matrix
 
 # The reference rounds once; the program's doubles may be a few eps off
 # these O(1) values, not more.
@@ -20,7 +21,7 @@ ACCURACY = 1e-13
 
 
 def test_rank2_tangle_and_concurrence():
-    rho = random_density_matrix(np.random.default_rng(STATE_SEED), (1, 1), 2)
+    rho = density_from_json(json.loads((INPUTS / "rank2.json").read_text()))
     assert concurrence(rho) == pytest.approx(precision_oracles.concurrence(rho.entries), abs=ACCURACY)
     assert tangle(rho) == pytest.approx(precision_oracles.tangle(rho.entries), abs=ACCURACY)
 

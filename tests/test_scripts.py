@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from dqc1sim import shots_required
 from dqc1sim.cli import main as cli_main
 
-from helpers import read_sweep_csv
+from helpers import package_env, read_sweep_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -173,6 +174,109 @@ def test_reproductions_take_only_main_from_the_cli(script):
     assert from_cli == ["dqc1sim.cli.main"], f"{script.name} takes {from_cli} from the CLI"
 
 
+# The one test module that imports the benchmark: it catches API drift
+# between perfbench/ and the library.
+BENCH_IMPORTER = "test_benchmark_pass.py"
+
+
+def _benchmark_imports(tree: ast.Module) -> list[str]:
+    """What in tree reaches perfbench: an import of a module named as one
+    under perfbench/ (by import statement, importlib.import_module or
+    __import__ with a literal name), and a change to sys.path (an insert,
+    append or extend call, an assignment or pytest's syspath_prepend) whose
+    value mentions "perfbench", directly or through a module-level name."""
+    names = {node.targets[0].id: node.value for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+
+    def mentions(node, seen=()) -> bool:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Constant) and "perfbench" in str(sub.value):
+                return True
+            if isinstance(sub, ast.Name) and sub.id in names and sub.id not in seen:
+                if mentions(names[sub.id], (*seen, sub.id)):
+                    return True
+        return False
+
+    def is_sys_path(node) -> bool:
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return ast.unparse(node) == "sys.path"
+
+    bench = {p.stem for p in BENCH}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.partition(".")[0] in bench]
+        elif isinstance(node, ast.ImportFrom) and not node.level and (
+                (node.module or "").partition(".")[0] in bench):
+            found.append(node.module)
+        elif isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            if (func in ("importlib.import_module", "import_module", "__import__") and node.args
+                    and str(getattr(node.args[0], "value", "")).partition(".")[0] in bench):
+                found.append(ast.unparse(node))
+            elif isinstance(node.func, ast.Attribute) and mentions(node) and (
+                    node.func.attr == "syspath_prepend" or is_sys_path(node.func.value)
+                    and node.func.attr in ("insert", "append", "extend")):
+                found.append(ast.unparse(node))
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(is_sys_path(t) for t in targets) and mentions(node.value):
+                found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import workloads\nfrom oracles import x\nimport catalog as c", ["workloads", "oracles", "catalog"]),
+    ("from spans import trace\nimport large_register, run", ["spans", "large_register", "run"]),
+    ("importlib.import_module('workloads')", ["importlib.import_module('workloads')"]),
+    ("__import__('large_register')", ["__import__('large_register')"]),
+    ("B = ROOT / 'perfbench'\nsys.path.insert(0, str(B))", ["sys.path.insert(0, str(B))"]),
+    ("sys.path.append('perfbench')", ["sys.path.append('perfbench')"]),
+    ("sys.path[:0] = [str(ROOT / 'perfbench')]", ["sys.path[:0] = [str(ROOT / 'perfbench')]"]),
+    ("sys.path += ['perfbench/']", ["sys.path += ['perfbench/']"]),
+    ("monkeypatch.syspath_prepend('perfbench')", ["monkeypatch.syspath_prepend('perfbench')"]),
+    ("import reference_oracles, precision_oracles\nfrom . import oracles\n"
+     "sys.path.insert(0, str(ROOT / 'src'))\nBENCH = ROOT / 'perfbench'\n"
+     "importlib.import_module('dqc1sim.cli')", []),
+])
+def test_benchmark_import_finder(source, found):
+    assert _benchmark_imports(ast.parse(source)) == found
+
+
+@pytest.mark.parametrize("module", [
+    *(p for p in sorted((ROOT / "tests").glob("*.py")) if p.name != BENCH_IMPORTER),
+    *(p for p in SCRIPTS if p.name in TEST_TOOLING)], ids=lambda p: p.name)
+def test_only_the_benchmark_pass_imports_the_benchmark(module):
+    """The transcripts and the other tests run without perfbench, so that a
+    benchmark change cannot move them; one module exists to import it."""
+    found = _benchmark_imports(ast.parse(module.read_text(), filename=str(module)))
+    assert not found, f"{module.name} reaches perfbench: {found}"
+
+
+@pytest.mark.parametrize("damage", ["edited", "missing"])
+def test_make_cli_transcripts_refuses_a_changed_input(damage, tmp_path):
+    """On a copy of the transcripts, an input that no longer matches its
+    recorded SHA-256 makes the script exit 1 naming the file, and it
+    writes nothing."""
+    for part in ("scripts/make_cli_transcripts.py", "tests/cli_transcripts.py"):
+        (tmp_path / part).parent.mkdir(exist_ok=True)
+        shutil.copy(ROOT / part, tmp_path / part)
+    transcripts = tmp_path / "tests" / "transcripts"
+    shutil.copytree(ROOT / "tests" / "transcripts", transcripts)
+    rank2 = transcripts / "inputs" / "rank2.json"
+    if damage == "edited":
+        rank2.write_bytes(rank2.read_bytes().replace(b"0", b"1", 1))
+    else:
+        rank2.unlink()
+    before = {p: p.read_bytes() for p in transcripts.rglob("*") if p.is_file()}
+    proc = subprocess.run([sys.executable, str(tmp_path / "scripts" / "make_cli_transcripts.py")],
+                          capture_output=True, text=True, env=package_env(), timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == "" and str(rank2) in proc.stderr
+    assert {p: p.read_bytes() for p in transcripts.rglob("*") if p.is_file()} == before
+
+
 def test_no_module_shares_a_name_with_the_benchmarks():
     """The benchmark's modules import each other by bare name. In one pytest
     session over tests and perfbench, a module under tests/ or scripts/
@@ -220,12 +324,13 @@ def test_bool_check_finder(source, found):
 
 
 def test_only_check_integer_tells_a_bool_from_an_integer():
-    """True == 1, so an integer rule that forgets bools reads True as 1; the
-    rule is written once, in qmath.check_integer, and every integer input
-    calls it."""
+    """True == 1, so an integer or real rule that forgets bools reads True
+    as 1; each rule is written once, in qmath.check_integer and
+    qmath.check_range, and every integer or real input calls one of them."""
     found = [f"{module.stem}.{name}" for module in LIBRARY
              for name in _bool_checks(ast.parse(module.read_text(), filename=str(module)))]
-    assert set(found) <= {"qmath.check_integer"}, f"bool checks outside check_integer: {found}"
+    assert set(found) <= {"qmath.check_integer", "qmath.check_range"}, (
+        f"bool checks outside check_integer and check_range: {found}")
 
 
 def _public_definitions(tree: ast.Module) -> list[str]:

@@ -15,8 +15,8 @@ import sys
 import pytest
 
 from cli_transcripts import (
-    TOLERANCE, Call, column_diffs, environment, read_manifest, read_streams, run, stream_report,
-    write_calls,
+    TOLERANCE, Call, column_diffs, environment, input_hashes, read_manifest, read_streams, run,
+    stream_report, write_calls,
 )
 from helpers import package_env
 
@@ -34,10 +34,11 @@ def calls(tmp_path_factory):
     return workdir, {call.name: call for call in write_calls(workdir)}
 
 
-def test_the_calls_are_the_recorded_ones(calls):
-    _, by_name = calls
-    assert [(c.name, c.directory, list(c.argv), c.out) for c in by_name.values()] == [
-        (e["name"], e["directory"], e["argv"], e["out"]) for e in MANIFEST["calls"]]
+def test_the_inputs_are_the_recorded_ones():
+    """The files under inputs/ are exactly the ones the manifest names, each
+    with its recorded SHA-256: a hand edit, an orphan file or a missing one
+    fails here, not only in scripts/make_cli_transcripts.py."""
+    assert input_hashes() == MANIFEST["inputs"]
 
 
 @pytest.mark.parametrize("entry", MANIFEST["calls"], ids=lambda entry: entry["name"])
